@@ -10,6 +10,7 @@ in random order.
 from __future__ import annotations
 
 import json
+import os
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -111,34 +112,51 @@ class SolveRecord:
 
 
 class BanditStore:
-    """Append-only list of solve records plus the exploration RNG."""
+    """Append-only list of solve records, their (n, d) feature matrix (row i
+    holds records[i]), and the exploration RNG."""
 
     def __init__(self, seed: int = 0,
                  records: Iterable[SolveRecord] = ()) -> None:
-        self.records: list[SolveRecord] = list(records)
+        self.records: list[SolveRecord] = []
+        self._matrix = np.empty((0, 0))  # rows beyond len(records) are spare
         self.rng = random.Random(seed)
+        for rec in records:
+            self.append(rec)
 
     def __len__(self) -> int:
         return len(self.records)
 
+    @property
+    def features(self) -> np.ndarray:
+        return self._matrix[:len(self.records)]
+
     def append(self, record: SolveRecord) -> None:
+        n, d = len(self.records), len(record.features)
+        if n and d != self._matrix.shape[1]:
+            raise ValueError(f"dimensionality mismatch: record has {d} "
+                             f"features, the store {self._matrix.shape[1]}")
+        if n == len(self._matrix):  # full: double the capacity
+            grown = np.empty((max(2 * n, 16), d))
+            grown[:n] = self._matrix.reshape(n, d)  # (0, 0) while empty
+            self._matrix = grown
+        self._matrix[n] = record.features
         self.records.append(record)
 
     # -- persistence (JSON lines, one record per line) ----------------------
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        """Write to a temporary file, then rename it over `path` atomically."""
+        tmp = f"{path}.tmp"
+        with open(tmp, "w", encoding="utf-8") as fh:
             for rec in self.records:
                 fh.write(json.dumps(rec.to_json()) + "\n")
+        os.replace(tmp, path)
 
     @staticmethod
     def load(path: str | Path, seed: int = 0) -> "BanditStore":
-        records = []
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    records.append(SolveRecord.from_json(json.loads(line)))
+            records = [SolveRecord.from_json(json.loads(line))
+                       for line in fh if line.strip()]
         return BanditStore(seed=seed, records=records)
 
 
@@ -224,23 +242,25 @@ ENUMERATOR_COST = 0.4
 Arm = Hashable
 
 
-def nearest_records(store: BanditStore, features: Sequence[float], k: int,
-                    predicate: Optional[Callable[[SolveRecord], bool]] = None
+def nearest_records(store: BanditStore, features: Sequence[float], k: int
                     ) -> list[SolveRecord]:
-    """The k records closest to `features` (all of them when fewer than k).
-
-    Ties at the k-boundary break by insertion order: the older record wins.
-    """
+    """The k records closest to `features`, nearest first (all of them when
+    fewer than k). Ties break by insertion order: the older record wins."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    pool = store.records if predicate is None else [
-        r for r in store.records if predicate(r)]
-    if not pool:
+    if not store.records:
         return []
-    target = np.asarray(features, dtype=float)
-    dists = [distance(np.asarray(r.features), target) for r in pool]
-    order = sorted(range(len(pool)), key=lambda i: (dists[i], i))
-    return [pool[i] for i in order[:k]]
+    order = np.argsort(distance(store.features, features), kind="stable")[:k]
+    return [store.records[i] for i in order]
+
+
+def _reward_sums(records: Iterable[SolveRecord],
+                 key: Callable[[SolverId], Arm]) -> dict[Arm, float]:
+    scores: dict[Arm, float] = {}
+    for rec in records:
+        arm = key(rec.solver)
+        scores[arm] = scores.get(arm, 0.0) + rec.reward
+    return scores
 
 
 def knn_scores(store: BanditStore, features: Sequence[float], k: int,
@@ -248,12 +268,20 @@ def knn_scores(store: BanditStore, features: Sequence[float], k: int,
                ) -> dict[Arm, float]:
     """Sum of rewards per solver (projected through `key`) over the k nearest
     records. Only solvers present among those neighbors appear."""
-    proj = key or (lambda s: s)
-    scores: dict[Arm, float] = {}
-    for rec in nearest_records(store, features, k):
-        arm = proj(rec.solver)
-        scores[arm] = scores.get(arm, 0.0) + rec.reward
-    return scores
+    return _reward_sums(nearest_records(store, features, k),
+                        key or (lambda s: s))
+
+
+def _rank(scores: Mapping[Arm, float], arms: Sequence[Arm],
+          rng: random.Random) -> list[Arm]:
+    if not arms:
+        raise ValueError("cannot rank an empty solver set")
+    present = [a for a in arms if a in scores]
+    absent = [a for a in arms if a not in scores]
+    rng.shuffle(present)  # uniform order among equal scores after stable sort
+    present.sort(key=lambda a: -scores[a])
+    rng.shuffle(absent)
+    return present + absent
 
 
 def rank_single(store: BanditStore, features: Sequence[float], k: int,
@@ -263,16 +291,8 @@ def rank_single(store: BanditStore, features: Sequence[float], k: int,
     """Rank every arm: scored arms by descending reward sum over the k nearest
     records (equal scores shuffled uniformly), then the remaining arms in
     uniformly random order. The result is a permutation of `arms`."""
-    if not arms:
-        raise ValueError("cannot rank an empty solver set")
-    rng = rng or store.rng
-    scores = knn_scores(store, features, k, key=key)
-    present = [a for a in arms if a in scores]
-    absent = [a for a in arms if a not in scores]
-    rng.shuffle(present)  # uniform order among equal scores after stable sort
-    present.sort(key=lambda a: -scores[a])
-    rng.shuffle(absent)
-    return present + absent
+    return _rank(knn_scores(store, features, k, key=key), arms,
+                 rng or store.rng)
 
 
 def model_arm(solver: SolverId) -> str:
@@ -280,29 +300,33 @@ def model_arm(solver: SolverId) -> str:
     return solver.model if solver.kind == LLM_KIND else ENUMERATOR_KIND
 
 
-def rank_double(model_store: BanditStore,
-                prompt_stores: Mapping[str, BanditStore],
-                features: Sequence[float], k: int,
+def rank_double(store: BanditStore, features: Sequence[float], k: int,
                 models: Sequence[str],
                 prompts: Mapping[str, Sequence[int]],
-                include_enumerator: bool = True) -> list[SolverId]:
+                include_enumerator: bool = True,
+                rngs: Optional[Mapping[str, random.Random]] = None
+                ) -> list[SolverId]:
     """Two-layer ranking: models (and the enumerator) first, then each LLM's
-    prompts via that model's own independent store. Flattens to a full solver
-    order; the enumerator arm expands to itself."""
+    prompts over its own records in the store, shuffled by its RNG in `rngs`
+    (else one seeded from `store.rng`); the enumerator expands to itself."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     arms: list[str] = list(models)
     if include_enumerator:
         arms.append(ENUMERATOR_KIND)
-    order = rank_single(model_store, features, k, arms, key=model_arm)
+    # one nearest-first pass over the whole store serves both layers
+    neighbours = nearest_records(store, features, max(k, len(store)))
+    order = _rank(_reward_sums(neighbours[:k], model_arm), arms, store.rng)
     ranked: list[SolverId] = []
     for arm in order:
         if arm == ENUMERATOR_KIND and include_enumerator:
             ranked.append(SolverId.enumerator())
             continue
-        store = prompt_stores.get(arm)
-        if store is None:
-            store = BanditStore(seed=model_store.rng.randrange(2 ** 31))
-        styles = list(prompts.get(arm, PROMPT_STYLE_RANGE))
-        style_order = rank_single(store, features, k, styles,
-                                  key=lambda s: s.style)
-        ranked.extend(SolverId.llm(arm, style) for style in style_order)
+        rng = (rngs or {}).get(arm) or random.Random(
+            store.rng.randrange(2 ** 31))
+        own = [r for r in neighbours
+               if r.solver.kind == LLM_KIND and r.solver.model == arm][:k]
+        styles = _rank(_reward_sums(own, lambda s: s.style),
+                       prompts.get(arm, PROMPT_STYLE_RANGE), rng)
+        ranked.extend(SolverId.llm(arm, style) for style in styles)
     return ranked

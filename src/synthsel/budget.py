@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from .bandit import BanditStore, SolverId, nearest_records
+from .bandit import BanditStore, SolveRecord, SolverId, nearest_records
 
 
 @dataclass(frozen=True)
@@ -98,13 +98,17 @@ def allocate_sequence(ranking: Sequence[SolverId], store: BanditStore,
         raise ValueError("cannot allocate over an empty ranking")
     if dimension not in ("cost", "time"):
         raise ValueError(f"unknown dimension {dimension!r}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
 
-    samples_per_solver: list[list[float]] = []
-    for solver in ranking:
-        recs = nearest_records(store, features, k,
-                               predicate=lambda r, s=solver: r.solver == s)
-        values = [(r.cost if dimension == "cost" else r.time) for r in recs]
-        samples_per_solver.append([v for v in values if v > 0])
+    # one nearest-first pass; each solver's k nearest are its first k in it
+    nearest: dict[SolverId, list[SolveRecord]] = {}
+    for rec in nearest_records(store, features, max(k, len(store))):
+        nearest.setdefault(rec.solver, []).append(rec)
+    samples_per_solver = [
+        [v for v in (getattr(r, dimension) for r in nearest.get(s, [])[:k])
+         if v > 0]
+        for s in ranking]
 
     allocations = [0.0] * len(ranking)
     remaining = budget

@@ -249,6 +249,7 @@ class CegisResult:
     candidate: Optional[Candidate] = None
     iterations: int = 0
     counterexamples: Tuple[Assignment, ...] = ()
+    provenance: str = ""  # of the verdict that accepted the candidate
 
 
 def cegis_solve(query: SynthQuery, grammar: Grammar, deadline: float,
@@ -271,7 +272,7 @@ def cegis_solve(query: SynthQuery, grammar: Grammar, deadline: float,
         verdict = verifier.check(query, cand, deadline)
         if verdict.is_valid:
             return CegisResult(SearchStatus.SOLVED, cand, iterations,
-                               tuple(examples))
+                               tuple(examples), verdict.provenance)
         if verdict.is_counterexample:
             ce = verdict.assignment_dict()
             if __debug__ and query.constraints:

@@ -105,10 +105,11 @@ def featurize(query: SynthQuery,
     return vec
 
 
-def distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean distance between two feature vectors."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"dimensionality mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
+def distance(matrix: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each row of an (n, d) matrix to a d-vector."""
+    m = np.asarray(matrix, dtype=float)
+    t = np.asarray(target, dtype=float)
+    if m.ndim != 2 or t.shape != m.shape[1:]:  # broadcasting would hide it
+        raise ValueError(f"dimensionality mismatch: {m.shape} vs {t.shape}")
+    diff = m - t  # squared in place: one (n, d) temporary, not two
+    return np.sqrt(np.square(diff, out=diff).sum(axis=1))

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from ..bandit import SolverId
+from ..bandit import SolverId, estimate_cost
 from ..outcomes import DeploymentOutcome
 from ..sygus import Candidate, SygusError, SynthQuery, print_term
 from ..sygus.parser import read_sexprs, tokenize, candidate_from_sexpr
@@ -33,7 +33,6 @@ from .transcript import ChatTranscript
 log = logging.getLogger(__name__)
 
 MAX_ATTEMPTS = 16
-OUTPUT_TOKEN_WEIGHT = 3
 
 
 class ExtractionError(SygusError):
@@ -118,8 +117,8 @@ def solve_with_llm(query: SynthQuery, solver: SolverId,
     stage = "lisp" if style.higher_resource_pl else "smtlib"
 
     def cost_now() -> float:
-        return float(transcript.input_tokens
-                     + OUTPUT_TOKEN_WEIGHT * transcript.output_tokens)
+        return estimate_cost(transcript.input_tokens,
+                             transcript.output_tokens, solver)
 
     def finish(solved: bool, candidate: Optional[Candidate],
                provenance: str = "", detail: str = "") -> LlmRunResult:

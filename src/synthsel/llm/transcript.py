@@ -55,7 +55,3 @@ class ChatTranscript:
 
     def as_messages(self) -> list[Message]:
         return [Message(m.role, m.content) for m in self.messages]
-
-    def pending_input_tokens(self, already_counted: int) -> int:
-        """Input tokens beyond the first `already_counted` accounted ones."""
-        return self.input_tokens - already_counted

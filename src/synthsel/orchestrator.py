@@ -59,9 +59,8 @@ log = logging.getLogger(__name__)
 class RunState:
     """Everything the online loop carries between queries."""
 
-    store: BanditStore                     # single-layer / model-layer records
-    prompt_stores: dict[str, BanditStore]  # per-model records (double layer)
-    rng: random.Random
+    store: BanditStore                     # every solve record of the run
+    prompt_rngs: dict[str, random.Random]  # per-model prompt-layer shuffles
     few_shot_pool: list[SolvedExample] = field(default_factory=list)
 
 
@@ -70,13 +69,8 @@ def new_state(config: RunConfig, seed: int) -> RunState:
     store = BanditStore(seed=rng.randrange(2 ** 31))
     if config.state and Path(config.state).exists():
         store = BanditStore.load(config.state, seed=rng.randrange(2 ** 31))
-    prompt_stores = {
-        m.name: BanditStore(seed=rng.randrange(2 ** 31)) for m in config.models
-    }
-    for rec in store.records:
-        if rec.solver.kind == "llm" and rec.solver.model in prompt_stores:
-            prompt_stores[rec.solver.model].append(rec)
-    return RunState(store=store, prompt_stores=prompt_stores, rng=rng)
+    return RunState(store=store, prompt_rngs={
+        m.name: random.Random(rng.randrange(2 ** 31)) for m in config.models})
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +128,7 @@ class SolverDeployer:
             solver=solver, solved=solved,
             candidate=result.candidate if solved else None,
             time=elapsed, cost=ENUMERATOR_COST,
-            verdict_provenance=self.verifier.describe() if solved else "",
+            verdict_provenance=result.provenance,
             detail=f"cegis iterations: {result.iterations}",
         )
 
@@ -212,10 +206,11 @@ def rank_solvers(config: RunConfig, state: RunState,
         return rank_single(state.store, features, config.k, portfolio)
     if selector in ("double", "linear-double"):
         return rank_double(
-            state.store, state.prompt_stores, features, config.k,
+            state.store, features, config.k,
             models=[m.name for m in config.models],
             prompts={m.name: m.styles for m in config.models},
             include_enumerator=config.include_enumerator,
+            rngs=state.prompt_rngs,
         )
     raise ValueError(f"unknown selector {config.selector!r}")
 
@@ -309,8 +304,6 @@ def solve_query(query: SynthQuery, query_id: str, config: RunConfig,
         rec = SolveRecord(tuple(features), winner, reward,
                           final.time, final.cost)
         record_outcome(state.store, rec, solved=True)
-        if winner.kind == "llm" and winner.model in state.prompt_stores:
-            record_outcome(state.prompt_stores[winner.model], rec, solved=True)
         if final.candidate is not None:
             state.few_shot_pool.append(SolvedExample(
                 query_text=print_query(query),
@@ -485,8 +478,9 @@ def run_corpus(paths: Sequence[str], config: RunConfig, seed: int,
         # interrupted runs still flush what they have
         log.warning("interrupted after %d queries; reporting partial results",
                     len(records))
-    if config.state:
-        state.store.save(config.state)
+    finally:  # a crash still keeps the records learned so far
+        if config.state:
+            state.store.save(config.state)
     return RunReport(
         seed=seed,
         time_budget=config.time_budget,

@@ -48,8 +48,6 @@ class UnsupportedError(SygusError):
 # Lexing
 # ---------------------------------------------------------------------------
 
-_SYMBOL_EXTRA = set("~!@$%^&*_-+=<>.?/")
-
 
 @dataclass(frozen=True)
 class Token:
@@ -250,8 +248,6 @@ def _parse_params(sexpr: SExpr) -> Tuple[Tuple[str, Sort], ...]:
 # Queries
 # ---------------------------------------------------------------------------
 
-KNOWN_LOGICS = ("LIA", "BV", "NIA", "LRA", "NRA", "SLIA", "ALL")
-
 
 @dataclass(frozen=True)
 class SynthQuery:
@@ -265,15 +261,6 @@ class SynthQuery:
     user_grammar_sexpr: Optional[str] = None
     from_inv_constraint: bool = False
     source_token_count: int = 0
-
-    @property
-    def universal_sorts(self) -> Mapping[str, Sort]:
-        return dict(self.universals)
-
-    def term_env(self) -> dict[str, Sort]:
-        env = dict(self.universals)
-        env.update(self.synth_fun.params)
-        return env
 
     def int_literals(self) -> Tuple[int, ...]:
         """Distinct integer literals appearing in the constraints, sorted."""

@@ -555,11 +555,6 @@ class Verifier:
     search_config: SearchConfig = field(default_factory=SearchConfig)
     solver_command: Optional[Tuple[str, ...]] = None
 
-    def describe(self) -> str:
-        if self.solver_command is None:
-            return "internal"
-        return "internal+external:" + " ".join(self.solver_command)
-
     def check(self, query: SynthQuery, cand: Candidate,
               deadline: Optional[float] = None) -> VerificationResult:
         internal = check_candidate_internal(query, cand, self.search_config)
@@ -573,8 +568,6 @@ class Verifier:
         except SolverLaunchError as exc:
             log.warning("external solver launch failed: %s", exc)
             return internal
-        if external.is_unknown and internal.is_valid:
-            # candidate stays unconfirmed: report the external outcome so the
-            # caller counts it as unsolved rather than trusting the bounded grid
-            return external
+        # an external unknown leaves the candidate unconfirmed: report it so
+        # the caller counts it as unsolved rather than trusting the bounded grid
         return external

@@ -252,18 +252,17 @@ def test_rank_single_scores_match_bruteforce_oracle():
 
 
 def test_rank_double_layers():
-    model_store = BanditStore(seed=5)
-    prompt_stores = {"modelA": BanditStore(seed=6),
-                     "modelB": BanditStore(seed=7)}
+    store = BanditStore(seed=5)
+    rngs = {"modelA": random.Random(6), "modelB": random.Random(7)}
     q = (0.0,)
     # model layer favors modelA; modelA's prompt layer favors style 2
-    for r in (rec((0.0,), A1, reward=0.9), rec((0.0,), A2, reward=0.8),
+    for r in (rec((0.0,), A1, reward=0.3), rec((0.0,), A2, reward=0.9),
               rec((0.1,), B1, reward=0.5)):
-        model_store.append(r)
-    prompt_stores["modelA"].append(rec((0.0,), A2, reward=1.0))
-    order = rank_double(model_store, prompt_stores, q, 15,
+        store.append(r)
+    order = rank_double(store, q, 15,
                         models=["modelA", "modelB"],
-                        prompts={"modelA": (1, 2), "modelB": (1, 2)})
+                        prompts={"modelA": (1, 2), "modelB": (1, 2)},
+                        rngs=rngs)
     assert order[0] == A2  # modelA first, then its best prompt
     assert order[1] == A1
     assert sorted(order, key=str) == sorted(
@@ -271,8 +270,8 @@ def test_rank_double_layers():
 
 
 def test_rank_double_cold_start_complete():
-    model_store = BanditStore(seed=1)
-    order = rank_double(model_store, {}, (0.0,), 15,
+    store = BanditStore(seed=1)
+    order = rank_double(store, (0.0,), 15,
                         models=["modelA", "modelB"],
                         prompts={"modelA": (1, 2, 3), "modelB": (1,)})
     assert len(order) == 5
@@ -281,24 +280,92 @@ def test_rank_double_cold_start_complete():
 
 def test_rank_double_prompt_stores_independent():
     q = (0.0,)
-    model_store = BanditStore(seed=5)
-    stores = {"modelA": BanditStore(seed=8), "modelB": BanditStore(seed=8)}
     # records for modelA only
-    stores["modelA"].append(rec((0.0,), A2, reward=1.0))
+    records = [rec((0.0,), A2, reward=1.0)]
 
     def b_order():
-        s = {"modelA": BanditStore(seed=8), "modelB": BanditStore(seed=8)}
-        s["modelA"].records = list(stores["modelA"].records)
-        order = rank_double(BanditStore(seed=5), s, q, 15,
+        order = rank_double(BanditStore(seed=5, records=records), q, 15,
                             models=["modelB"], prompts={"modelB": (1, 2, 3)},
-                            include_enumerator=False)
+                            include_enumerator=False,
+                            rngs={"modelB": random.Random(8)})
         return order
 
     baseline = b_order()
-    stores["modelA"].append(rec((0.0,), A1, reward=1.0))
+    records.append(rec((0.0,), A1, reward=1.0))
     assert b_order() == baseline  # modelA data never reaches modelB's layer
+
+
+def test_rank_double_prompt_layer_matches_single_over_model_records():
+    rng = random.Random(7)
+    models = ["modelA", "modelB", "modelC"]
+    for trial in range(150):
+        dim = rng.randrange(2, 6)
+        points = [tuple(float(rng.randrange(-3, 4)) for _ in range(dim))
+                  for _ in range(rng.randrange(1, 8))]
+        records = []
+        for _ in range(rng.randrange(0, 40)):
+            solver = (E if rng.random() < 0.2 else
+                      SolverId.llm(rng.choice(models), rng.randrange(1, 7)))
+            # few distinct points: many records tie on distance
+            records.append(rec(rng.choice(points), solver,
+                               reward=rng.choice((0.25, 0.5, 1.0))))
+        q = rng.choice(points) if rng.random() < 0.5 else tuple(
+            float(rng.randrange(-3, 4)) for _ in range(dim))
+        k = rng.randrange(1, 10)
+        prompts = {m: tuple(rng.sample(range(1, 7), rng.randrange(1, 7)))
+                   for m in models}
+        seeds = {m: rng.randrange(2 ** 31) for m in models}
+
+        order = rank_double(BanditStore(seed=trial, records=records), q, k,
+                            models=models, prompts=prompts,
+                            rngs={m: random.Random(seeds[m]) for m in models})
+        assert len(order) == len(set(order)) == 1 + sum(map(len, prompts.values()))
+        for m in models:
+            own = BanditStore(seed=0, records=[
+                r for r in records
+                if r.solver.kind == "llm" and r.solver.model == m])
+            expected = rank_single(own, q, k, list(prompts[m]),
+                                   key=lambda s: s.style,
+                                   rng=random.Random(seeds[m]))
+            got = [s.style for s in order if s.kind == "llm" and s.model == m]
+            assert got == expected
 
 
 def test_model_arm_projection():
     assert model_arm(A1) == "modelA"
     assert model_arm(E) == "enumerator"
+
+
+def test_store_save_is_atomic(tmp_path, monkeypatch):
+    path = tmp_path / "state.jsonl"
+    store = BanditStore(seed=1, records=[rec((0.0,), A1)])
+    store.save(path)
+    before = path.read_text()
+    store.append(rec((1.0,), B1))
+
+    def broken(self):
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr(SolveRecord, "to_json", broken)
+    with pytest.raises(RuntimeError):
+        store.save(path)
+    assert path.read_text() == before  # the old file survives intact
+    monkeypatch.undo()
+    store.save(path)  # over the stale temporary file
+    assert BanditStore.load(path).records == store.records
+
+
+def test_store_rejects_mixed_dimensions():
+    store = BanditStore(seed=0, records=[rec((0.0, 1.0), A1)])
+    with pytest.raises(ValueError):
+        store.append(rec((0.0,), A1))
+    with pytest.raises(ValueError):
+        nearest_records(store, (0.0,), 1)
+
+
+def test_store_feature_matrix_tracks_appends():
+    store = BanditStore(seed=0)
+    points = [(float(i), float(-i)) for i in range(40)]  # past one regrowth
+    for p in points:
+        store.append(rec(p, A1))
+    assert store.features.tolist() == [list(p) for p in points]

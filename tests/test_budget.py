@@ -8,6 +8,8 @@ from hypothesis import given, strategies as st
 from synthsel.bandit import BanditStore, SolveRecord, SolverId
 from synthsel.budget import (
     ExponentialFit,
+    ScheduleEntry,
+    SolverSchedule,
     allocate_one,
     allocate_sequence,
     build_schedule,
@@ -226,3 +228,65 @@ def test_schedule_invariants_random_stores():
             assert e.time >= 0 and e.cost >= 0
             if e.cost == 0:
                 assert e.time == 0
+
+
+def _reference_schedule(ranking, records, q, k, T, C, delta_time, delta_cost):
+    """build_schedule with each solver's k nearest found by brute force:
+    filter the store to that solver, then stable-sort by (distance, index)."""
+    def nearest(solver):
+        mine = [i for i, r in enumerate(records) if r.solver == solver]
+        mine.sort(key=lambda i: (math.sqrt(sum(
+            (a - b) ** 2 for a, b in zip(records[i].features, q))), i))
+        return [records[i] for i in mine[:k]]
+
+    def walk(ranking, budget, delta, dimension):
+        samples = [[v for v in (getattr(r, dimension) for r in nearest(s))
+                    if v > 0] for s in ranking]
+        allocs = [0.0] * len(ranking)
+        remaining = budget
+        for i in range(len(ranking)):
+            if remaining <= 0:
+                break
+            if samples[i]:
+                want = allocate_one(fit_exponential(samples[i]), budget, delta)
+            else:
+                want = remaining / sum(1 for s in samples[i:] if not s)
+            allocs[i] = min(want, remaining)
+            remaining -= allocs[i]
+        if remaining > 0:
+            allocs[-1] += remaining
+        return allocs
+
+    costs = walk(ranking, C, delta_cost, "cost")
+    funded = [s for s, c in zip(ranking, costs) if c > 0]
+    times = iter(walk(funded, T, delta_time, "time")) if funded else iter(())
+    return SolverSchedule(tuple(
+        ScheduleEntry(s, next(times) if c > 0 else 0.0, c)
+        for s, c in zip(ranking, costs)))
+
+
+def test_build_schedule_matches_bruteforce_reference():
+    rng = random.Random(11)
+    solvers = [E, A1, A2, B1, SolverId.llm("modelB", 4),
+               SolverId.llm("modelC", 6)]
+    for trial in range(200):
+        dim = rng.randrange(2, 6)
+        # integer-valued points, as the default featurizer yields, with
+        # duplicates so that many records tie on distance
+        points = [tuple(float(rng.randrange(-3, 4)) for _ in range(dim))
+                  for _ in range(rng.randrange(1, 10))]
+        records = [SolveRecord(rng.choice(points), rng.choice(solvers),
+                               rng.random(),
+                               rng.choice((0.0, rng.uniform(0.01, 50.0))),
+                               rng.choice((0.0, rng.uniform(0.1, 5000.0))))
+                   for _ in range(rng.randrange(0, 60))]
+        store = BanditStore(seed=trial, records=records)
+        ranking = rng.sample(solvers, k=rng.randrange(1, len(solvers) + 1))
+        q = rng.choice(points) if rng.random() < 0.5 else tuple(
+            float(rng.randrange(-3, 4)) for _ in range(dim))
+        k = rng.randrange(1, 8)
+        T = rng.uniform(10.0, 200.0)
+        C = rng.uniform(100.0, 50_000.0)
+        got = build_schedule(ranking, store, q, k, T, C, 0.05, 0.1)
+        assert got == _reference_schedule(ranking, records, q, k, T, C,
+                                          0.05, 0.1)

@@ -162,24 +162,41 @@ def test_normalized_config_changes_counts(max3_query):
 
 def test_distance_identity_and_345():
     v = np.array([1.0, 2.0, 3.0])
-    assert distance(v, v) == 0.0
-    assert distance(np.array([0.0, 0.0]), np.array([3.0, 4.0])) == 5.0
+    assert distance(v[None, :], v).tolist() == [0.0]
+    rows = np.array([[0.0, 0.0], [3.0, 4.0]])
+    assert distance(rows, np.array([3.0, 4.0])).tolist() == [5.0, 0.0]
 
 
 def test_distance_dimension_mismatch():
     with pytest.raises(ValueError):
-        distance(np.zeros(3), np.zeros(4))
+        distance(np.zeros((2, 3)), np.zeros(4))
+    with pytest.raises(ValueError):  # broadcasting would accept this one
+        distance(np.zeros((2, 1)), np.zeros(4))
+    with pytest.raises(ValueError):
+        distance(np.zeros(3), np.zeros(3))
 
 
 vectors = st.lists(st.floats(-100, 100, allow_nan=False), min_size=4,
                    max_size=4).map(np.array)
 
 
+def _d(a, b):
+    return float(distance(a[None, :], b)[0])
+
+
 @given(vectors, vectors)
 def test_distance_symmetry(a, b):
-    assert distance(a, b) == pytest.approx(distance(b, a))
+    assert _d(a, b) == pytest.approx(_d(b, a))
 
 
 @given(vectors, vectors, vectors)
 def test_distance_triangle_inequality(a, b, c):
-    assert distance(a, c) <= distance(a, b) + distance(b, c) + 1e-9
+    assert _d(a, c) <= _d(a, b) + _d(b, c) + 1e-9
+
+
+@given(st.lists(vectors, min_size=1, max_size=12), vectors)
+def test_distance_rows_match_one_row_form(rows, t):
+    matrix = np.array(rows)
+    got = distance(matrix, t)
+    for i in range(len(rows)):
+        assert got[i] == distance(matrix[i:i + 1], t)[0]  # bit for bit

@@ -15,6 +15,7 @@ from synthsel.orchestrator import (
     new_state,
     par2,
     placeholder_candidate,
+    rank_solvers,
     run_corpus,
     run_corpus_multi,
     solve_query,
@@ -209,7 +210,10 @@ def test_double_selector_updates_prompt_store():
     record = solve_query(query, "q", config, state, MatrixDeployer(matrix))
     assert record.solved
     assert len(state.store) == 1
-    assert len(state.prompt_stores["m"]) == 1
+    assert [r.solver.model for r in state.store.records] == ["m"]
+    # model m's prompt layer reads the record: the winner now ranks first
+    features = state.store.records[0].features
+    assert rank_solvers(config, state, features)[0] == record.winner
 
 
 def test_fixed_solver_selector():
@@ -400,3 +404,42 @@ def test_solver_deployer_enumerator_solves_max2():
     assert outcome.solved
     assert outcome.cost == 0.4
     assert Verifier().check(query, outcome.candidate).is_valid
+
+
+def test_enumerator_reports_true_verdict_provenance():
+    # the external solver cannot launch, so only the internal grid checked
+    # the answer; the outcome must say so rather than name the solver
+    from synthsel.budget import ScheduleEntry
+
+    config = _config()
+    query = parse_query(MAX2_TEXT)
+    deployer = SolverDeployer(
+        verifier=Verifier(solver_command=("/nonexistent-smt",)))
+    entry = ScheduleEntry(E, time=60.0, cost=100.0)
+    outcome = deployer.deploy(query, "q", np.zeros(1), entry,
+                              new_state(config, 0), config)
+    assert outcome.solved
+    assert outcome.verdict_provenance == "internal"
+
+
+def test_run_corpus_keeps_learned_state_on_crash(tmp_path):
+    from synthsel.llm.backends import ReplayMissError
+
+    state_file = tmp_path / "state.jsonl"
+    config = _config(state=str(state_file))
+    paths = _write_corpus(tmp_path, 5)
+    seen = []
+
+    class CrashOnThird(MatrixDeployer):
+        def deploy(self, query, qid, features, entry, state, cfg):
+            if qid not in seen:
+                seen.append(qid)
+            if len(seen) == 3:
+                raise ReplayMissError("no recorded response")
+            return super().deploy(query, qid, features, entry, state, cfg)
+
+    with pytest.raises(ReplayMissError):
+        run_corpus(paths, config, seed=0,
+                   deployer=CrashOnThird(_matrix_for(paths, config)))
+    # the two queries solved before the crash are kept
+    assert len(BanditStore.load(state_file)) == 2
