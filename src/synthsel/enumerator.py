@@ -5,28 +5,38 @@ derivation so far (production choices in leftmost order) with the queue of
 unexpanded nonterminals; expanding the leftmost nonterminal by a production
 costs that nonterminal's edge cost, and the heuristic sums the minimal
 completion cost of every pending nonterminal.
+
+A dequeued complete program is checked against the phase's examples by
+closures compiled once per grammar production (`verify.compile_template`);
+the tree-walking evaluator stays as the fallback and the test oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Callable, Mapping, Optional, Sequence, Tuple, TypeVar
 
-from .sygus import Candidate, Grammar, SynthQuery, Term, fill_holes, substitute_solution
+from .sygus import (App, Candidate, Grammar, Ite, SygusError, SynthQuery, Term, Var,
+                    conjoin, fill_holes, substitute_solution)
 from .sygus.grammar import Production
 from .sygus.terms import BOOL
-from .verify import Assignment, EvaluationError, Verifier, evaluate
+from .verify import (Assignment, EvaluationError, Verifier, compile_template,
+                     compile_term, evaluate)
+
+T = TypeVar("T")
 
 
 class SearchStatus(Enum):
     SOLVED = "solved"
     EXHAUSTED = "exhausted"
     TIMEOUT = "timeout"
+    FRONTIER_CAP = "frontier cap"
 
 
 @dataclass(frozen=True)
@@ -40,9 +50,7 @@ class SearchResult:
 @dataclass(frozen=True)
 class EnumeratorConfig:
     edge_cost_scale: float = 1.0   # proportionality constant for edge costs
-    dedupe_states: bool = True
-    max_seen: int = 2_000_000      # dedupe-set memory cap (entries)
-    max_frontier: int = 4_000_000  # frontier memory cap; breach ends in timeout
+    max_frontier: int = 4_000_000  # frontier memory cap; breach ends the search
 
 
 def edge_cost(nonterminal: str, grammar: Grammar,
@@ -87,10 +95,6 @@ class PartialProgram:
     pending: Tuple[str, ...]
     cost: float                    # sum of edge costs spent so far
 
-    @property
-    def is_complete(self) -> bool:
-        return not self.pending
-
 
 def heuristic(partial: PartialProgram, grammar: Grammar,
               mc: Optional[Mapping[str, float]] = None,
@@ -113,22 +117,144 @@ def _flat_productions(grammar: Grammar) -> Tuple[list[Production], dict[str, lis
     return flat, by_nt
 
 
-def reconstruct_term(choices: Sequence[int], flat: Sequence[Production]) -> Term:
-    """Build the term from leftmost-order production choices: walk the choice
-    list in reverse, filling each template's holes from a stack."""
-    stack: list[Term] = []
+def _fold_choices(choices: Sequence[int], arity: Sequence[int],
+                  build: Sequence[Callable[[Sequence[T]], T]]) -> T:
+    """Rebuild a derivation bottom-up: walk the leftmost-order choices in
+    reverse, giving each production the results for its holes (preorder)
+    from a stack."""
+    stack: list = []
     for idx in reversed(choices):
-        prod = flat[idx]
-        n = len(prod.holes)
+        n = arity[idx]
         if n == 0:
-            stack.append(prod.template)
+            stack.append(build[idx](()))
         else:
             children = stack[-n:][::-1]
             del stack[-n:]
-            stack.append(fill_holes(prod.template, children))
+            stack.append(build[idx](children))
     if len(stack) != 1:
         raise ValueError("choice sequence does not form one complete term")
     return stack[0]
+
+
+def reconstruct_term(choices: Sequence[int], flat: Sequence[Production]) -> Term:
+    """Build the term from leftmost-order production choices."""
+    return _fold_choices(choices, [len(p.holes) for p in flat],
+                         [functools.partial(fill_holes, p.template) for p in flat])
+
+
+# ---------------------------------------------------------------------------
+# Consistency of a complete program with the phase's examples
+# ---------------------------------------------------------------------------
+
+Check = Callable[[Tuple[int, ...]], Optional[Candidate]]
+
+
+def _reference_check(flat: Sequence[Production], examples: Sequence[Assignment],
+                     query: SynthQuery) -> Check:
+    """The tree-walking check: sort-check the program as a Candidate,
+    substitute it into the constraints and evaluate them on every example.
+    Division by zero and any other failure reject the program."""
+    fn = query.synth_fun
+    sorts = dict(query.universals)
+
+    def consistent(term: Term) -> Optional[Candidate]:
+        cand = Candidate(fn.name, fn.params, fn.return_sort, term)
+        if not examples or not query.constraints:
+            return cand
+        phi = substitute_solution(query, cand)
+        for ex in examples:
+            try:
+                if not evaluate(phi, ex, sorts):
+                    return None
+            except EvaluationError:
+                return None  # division by zero etc. fails the example
+        return cand
+
+    def check(choices: Tuple[int, ...]) -> Optional[Candidate]:
+        try:
+            return consistent(reconstruct_term(choices, flat))
+        except Exception:
+            return None
+
+    return check
+
+
+def _invocations(query: SynthQuery, examples: Sequence[Assignment]
+                 ) -> Optional[Tuple[Term, list[str], list]]:
+    """The constraints with every application of f replaced by a slot
+    variable, the slot names, and per example the universals' values and the
+    arguments of each slot's application.
+
+    None when an argument fails to evaluate on some example: always when it
+    applies f, and when it divides by zero. The tree walker evaluates an
+    argument only where the body reads its parameter, so such an argument
+    raises there or not depending on the body. An argument that evaluates
+    has one value wherever it is read, so its precomputed value is exact.
+    """
+    fn = query.synth_fun
+    slots: dict[Term, str] = {}
+
+    def replace(t: Term) -> Term:
+        if isinstance(t, App):
+            if t.op == fn.name:
+                return Var(slots.setdefault(t, f"#{len(slots)}"))
+            return App(t.op, tuple(replace(a) for a in t.args))
+        if isinstance(t, Ite):
+            return Ite(replace(t.cond), replace(t.then_branch), replace(t.else_branch))
+        return t
+
+    phi = conjoin([replace(c) for c in query.constraints])
+    names = [n for n, _ in query.universals]
+    sorts = dict(query.universals)
+    per_example = []
+    for ex in examples:
+        try:
+            values = tuple(ex[n] for n in names)
+            points = [tuple(evaluate(a, ex, sorts) for a in call.args) for call in slots]
+        except (KeyError, EvaluationError):
+            return None
+        per_example.append((values, points))
+    return phi, list(slots.values()), per_example
+
+
+def _compiled_check(flat: Sequence[Production], examples: Sequence[Assignment],
+                    query: SynthQuery) -> Check:
+    """The same decisions as `_reference_check`, from closures: the body is
+    evaluated at the precomputed invocation points of f and the constraints
+    by one predicate over the examples' values and f's results. A program
+    whose compiled evaluation raises, and every program of a phase where an
+    argument of f fails to evaluate, goes to the reference check; only an
+    accepted program is rebuilt as a term and sort-checked."""
+    reference = _reference_check(flat, examples, query)
+    if not examples or not query.constraints:
+        return reference
+    found = _invocations(query, examples)
+    if found is None:
+        return reference
+    phi, slots, per_example = found
+    fn = query.synth_fun
+    sorts = dict(query.universals)
+    sorts.update((slot, fn.return_sort) for slot in slots)
+    pred = compile_term(phi, [n for n, _ in query.universals] + slots, sorts)
+    arity = [len(p.holes) for p in flat]
+    builders = [compile_template(p.template, fn.param_names, dict(fn.params))
+                for p in flat]
+
+    def check(choices: Tuple[int, ...]) -> Optional[Candidate]:
+        body = _fold_choices(choices, arity, builders)[0]
+        try:
+            for values, points in per_example:
+                if not pred(values + tuple(map(body, points))):
+                    return None
+        except Exception:
+            return reference(choices)
+        try:
+            return Candidate(fn.name, fn.params, fn.return_sort,
+                             reconstruct_term(choices, flat))
+        except SygusError:
+            return None
+
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -149,83 +275,52 @@ def astar_synthesize(grammar: Grammar,
     mc = min_completion_costs(grammar, scale)
     flat, by_nt = _flat_productions(grammar)
     costs = {nt: edge_cost(nt, grammar, scale) for nt in grammar.productions}
-
-    sorts = dict(query.universals)
-    fn = query.synth_fun
-
-    def consistent(term: Term) -> bool:
-        if not examples or not query.constraints:
-            return True
-        cand = Candidate(fn.name, fn.params, fn.return_sort, term)
-        phi = substitute_solution(query, cand)
-        for ex in examples:
-            try:
-                if not evaluate(phi, ex, sorts):
-                    return False
-            except EvaluationError:
-                return False  # division by zero etc. fails the example
-        return True
+    holes = [p.holes for p in flat]
+    holes_mc = [sum(mc[h] for h in p.holes) for p in flat]
+    check = _compiled_check(flat, examples, query)
 
     counter = itertools.count()  # FIFO among equal priorities
-    start = PartialProgram((), (grammar.start,), 0.0)
-    # heap entries carry the heuristic g so children update it in O(holes)
-    frontier: list = [(mc[grammar.start], next(counter), start, mc[grammar.start])]
-    seen: set[Tuple[Tuple[int, ...], Tuple[str, ...]]] = set()
+    # a frontier entry is (priority, tie, choices, pending, cost, heuristic):
+    # the fields of a PartialProgram plus its heuristic, so children update
+    # the heuristic in O(holes)
+    g0 = mc[grammar.start]
+    frontier: list = [(g0, next(counter), (), (grammar.start,), 0.0, g0)]
     expansions = 0
     completes = 0
     last_priority = -math.inf
 
+    def stop(status: SearchStatus) -> SearchResult:
+        return SearchResult(status, expansions=expansions, dequeued_complete=completes)
+
     while frontier:
         if time.monotonic() > deadline:
-            return SearchResult(SearchStatus.TIMEOUT,
-                                expansions=expansions,
-                                dequeued_complete=completes)
+            return stop(SearchStatus.TIMEOUT)
         if len(frontier) > config.max_frontier:
-            return SearchResult(SearchStatus.TIMEOUT,
-                                expansions=expansions,
-                                dequeued_complete=completes)
-        priority, _, state, g = heappop(frontier)
+            return stop(SearchStatus.FRONTIER_CAP)
+        priority, _, choices, pending, cost, g = heappop(frontier)
         assert priority >= last_priority - 1e-9, "priority queue pops regressed"
         last_priority = priority
 
-        if state.is_complete:
+        if not pending:
             completes += 1
-            term = reconstruct_term(state.choices, flat)
-            try:
-                ok = consistent(term)
-            except Exception:
-                ok = False
-            if ok:
-                cand = Candidate(fn.name, fn.params, fn.return_sort, term)
+            cand = check(choices)
+            if cand is not None:
                 return SearchResult(SearchStatus.SOLVED, cand,
                                     expansions=expansions,
                                     dequeued_complete=completes)
             continue
 
-        if config.dedupe_states:
-            key = (state.choices, state.pending)
-            if key in seen:
-                continue
-            if len(seen) < config.max_seen:
-                seen.add(key)
-
         expansions += 1
-        nt = state.pending[0]
-        rest = state.pending[1:]
-        step = costs[nt]
+        nt = pending[0]
+        rest = pending[1:]
+        cost += costs[nt]
         g_rest = g - mc[nt]
         for idx in by_nt[nt]:
-            prod = flat[idx]
-            new = PartialProgram(
-                choices=state.choices + (idx,),
-                pending=prod.holes + rest,
-                cost=state.cost + step,
-            )
-            new_g = g_rest + sum(mc[h] for h in prod.holes)
-            heappush(frontier, (new.cost + new_g, next(counter), new, new_g))
+            new_g = g_rest + holes_mc[idx]
+            heappush(frontier, (cost + new_g, next(counter), choices + (idx,),
+                                holes[idx] + rest, cost, new_g))
 
-    return SearchResult(SearchStatus.EXHAUSTED,
-                        expansions=expansions, dequeued_complete=completes)
+    return stop(SearchStatus.EXHAUSTED)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +345,8 @@ class CegisResult:
     iterations: int = 0
     counterexamples: Tuple[Assignment, ...] = ()
     provenance: str = ""  # of the verdict that accepted the candidate
+    expansions: int = 0         # summed over the A* phases
+    dequeued_complete: int = 0  # summed over the A* phases
 
 
 def cegis_solve(query: SynthQuery, grammar: Grammar, deadline: float,
@@ -260,19 +357,25 @@ def cegis_solve(query: SynthQuery, grammar: Grammar, deadline: float,
     timeout for this solver (never an unverified answer)."""
     examples: list[Assignment] = [initial_example(query)]
     sorts = dict(query.universals)
-    iterations = 0
+    iterations = expansions = completes = 0
+
+    def finish(status: SearchStatus, cand: Optional[Candidate] = None,
+               provenance: str = "") -> CegisResult:
+        return CegisResult(status, cand, iterations, tuple(examples), provenance,
+                           expansions, completes)
+
     while True:
         result = astar_synthesize(grammar, examples, query, deadline, config)
         iterations += 1
+        expansions += result.expansions
+        completes += result.dequeued_complete
         if result.status is not SearchStatus.SOLVED:
-            return CegisResult(result.status, iterations=iterations,
-                               counterexamples=tuple(examples))
+            return finish(result.status)
         cand = result.candidate
         assert cand is not None
         verdict = verifier.check(query, cand, deadline)
         if verdict.is_valid:
-            return CegisResult(SearchStatus.SOLVED, cand, iterations,
-                               tuple(examples), verdict.provenance)
+            return finish(SearchStatus.SOLVED, cand, verdict.provenance)
         if verdict.is_counterexample:
             ce = verdict.assignment_dict()
             if __debug__ and query.constraints:
@@ -284,13 +387,10 @@ def cegis_solve(query: SynthQuery, grammar: Grammar, deadline: float,
                     pass
             if ce in examples:
                 # no progress possible: the verifier repeated itself
-                return CegisResult(SearchStatus.TIMEOUT, iterations=iterations,
-                                   counterexamples=tuple(examples))
+                return finish(SearchStatus.TIMEOUT)
             examples.append(ce)
             if time.monotonic() > deadline:
-                return CegisResult(SearchStatus.TIMEOUT, iterations=iterations,
-                                   counterexamples=tuple(examples))
+                return finish(SearchStatus.TIMEOUT)
             continue
         # verifier unknown: give up without claiming an answer
-        return CegisResult(SearchStatus.TIMEOUT, iterations=iterations,
-                           counterexamples=tuple(examples))
+        return finish(SearchStatus.TIMEOUT)

@@ -129,7 +129,9 @@ class SolverDeployer:
             candidate=result.candidate if solved else None,
             time=elapsed, cost=ENUMERATOR_COST,
             verdict_provenance=result.provenance,
-            detail=f"cegis iterations: {result.iterations}",
+            detail=(f"cegis {result.status.value}: {result.iterations} iterations, "
+                    f"{result.expansions} expansions, "
+                    f"{result.dequeued_complete} candidates"),
         )
 
 

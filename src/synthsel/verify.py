@@ -4,19 +4,23 @@ counterexample search, and an external SMT-solver subprocess client.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
+import operator
 import random
 import subprocess
 import time
+from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from .sygus import (
     App,
     BoolLit,
     BVLit,
     Candidate,
+    Hole,
     IntLit,
     Ite,
     Sort,
@@ -175,6 +179,179 @@ def _eval_bv(op: str, term: App, args: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
+# Compiled evaluation: closures with evaluate's semantics
+# ---------------------------------------------------------------------------
+
+Compiled = Callable[[Sequence[Value]], Value]
+# a compiled node and the width _bv_width gives its term (None where it raises)
+Node = Tuple[Compiled, Optional[int]]
+Builder = Callable[[Sequence[Node]], Node]
+
+
+def compile_term(term: Term, var_names: Sequence[str],
+                 sorts: Optional[Mapping[str, Sort]] = None) -> Compiled:
+    """Closure `c` with `c(values) == evaluate(term, dict(zip(var_names,
+    values)), sorts)` on well-sorted terms, raising EvaluationError exactly
+    where evaluate raises: arguments of every operator (`and`, `or`, `=>`
+    and `=` included) are evaluated eagerly and left to right, `ite`
+    evaluates only the branch taken, and bitvector widths are fixed here by
+    the same leftmost-spine rule as `_bv_width`."""
+    return compile_template(term, var_names, sorts)(())[0]
+
+
+def compile_template(template: Term, var_names: Sequence[str],
+                     sorts: Optional[Mapping[str, Sort]] = None) -> Builder:
+    """Compile a grammar template once; the builder takes the compiled nodes
+    of its holes (preorder) and returns the node of the filled term, as
+    `fill_holes` does for terms. A hole-free term takes no nodes."""
+    index = {name: i for i, name in enumerate(var_names)}
+    holes = itertools.count()
+
+    def comp(t: Term) -> Builder:
+        if isinstance(t, Hole):
+            return operator.itemgetter(next(holes))
+        if isinstance(t, App):
+            op, subs = t.op, [comp(a) for a in t.args]
+            return lambda kids: _compiled_app(op, [s(kids) for s in subs])
+        if isinstance(t, Ite):
+            cond, then, other = comp(t.cond), comp(t.then_branch), comp(t.else_branch)
+            return lambda kids: _compiled_ite(cond(kids), then(kids), other(kids))
+        node = _compiled_leaf(t, index, sorts)
+        return lambda kids: node
+
+    return comp(template)
+
+
+def _compiled_leaf(term: Term, index: Mapping[str, int],
+                   sorts: Optional[Mapping[str, Sort]]) -> Node:
+    if isinstance(term, (IntLit, BoolLit, BVLit)):
+        value = term.value
+        width = term.width if isinstance(term, BVLit) else None
+        return (lambda env: value), width
+    if isinstance(term, Var):
+        sort = sorts.get(term.name) if sorts is not None else None
+        width = sort.width if sort is not None else None
+        if term.name in index:
+            return operator.itemgetter(index[term.name]), width
+        message = f"unbound variable {term.name!r}"
+
+        def unbound(env: Sequence[Value]) -> Value:
+            raise EvaluationError(message)
+        return unbound, width
+    raise EvaluationError(f"not a term: {term!r}")
+
+
+def _compiled_ite(cond: Node, then: Node, other: Node) -> Node:
+    c, t, e = cond[0], then[0], other[0]
+
+    def ite(env: Sequence[Value]) -> Value:
+        test = c(env)
+        if test is True:
+            return t(env)
+        if test is False:
+            return e(env)
+        raise EvaluationError("ite condition did not evaluate to Bool")
+    return ite, then[1]
+
+
+def _compiled_app(op: str, nodes: Sequence[Node]) -> Node:
+    fns = [f for f, _ in nodes]
+    width = nodes[0][1] if nodes else None  # _bv_width follows args[0]
+    return _app_closure(op, fns, width), width
+
+
+def _app_closure(op: str, fns: Sequence[Compiled], width: Optional[int]) -> Compiled:
+    a = fns[0] if fns else None
+    b = fns[1] if len(fns) > 1 else None
+    binary = len(fns) == 2
+
+    def values(env: Sequence[Value]) -> list:
+        return [f(env) for f in fns]
+
+    if op in _BV_OPS and op != "bvult" and width is None:
+        def no_width(env: Sequence[Value]) -> Value:
+            values(env)
+            raise EvaluationError(f"cannot infer bitvector width for {op!r}")
+        return no_width
+    mask = (1 << width) - 1 if width is not None else 0
+    if op == "+":
+        return (lambda env: a(env) + b(env)) if binary else (lambda env: sum(values(env)))
+    if op == "-":
+        if len(fns) == 1:
+            return lambda env: -a(env)
+        if binary:
+            return lambda env: a(env) - b(env)
+
+        def minus(env: Sequence[Value]) -> Value:
+            first, *rest = values(env)
+            for v in rest:
+                first -= v
+            return first
+        return minus
+    if op == "*":
+        if binary:
+            return lambda env: a(env) * b(env)
+
+        def times(env: Sequence[Value]) -> Value:
+            acc = 1
+            for v in values(env):
+                acc *= v
+            return acc
+        return times
+    if op == "div":
+        return lambda env: _euclidean_div(a(env), b(env))
+    if op == "mod":
+        return lambda env: _euclidean_mod(a(env), b(env))
+    if op == ">=":
+        return lambda env: a(env) >= b(env)
+    if op == "<=":
+        return lambda env: a(env) <= b(env)
+    if op == ">":
+        return lambda env: a(env) > b(env)
+    if op in ("<", "bvult"):
+        return lambda env: a(env) < b(env)
+    if op == "=":
+        if binary:
+            return lambda env: a(env) == b(env)
+
+        def equal(env: Sequence[Value]) -> Value:
+            vs = values(env)
+            return all(x == y for x, y in zip(vs, vs[1:]))
+        return equal
+    if op == "and":
+        return (lambda env: all((a(env), b(env)))) if binary else (lambda env: all(values(env)))
+    if op == "or":
+        return (lambda env: any((a(env), b(env)))) if binary else (lambda env: any(values(env)))
+    if op == "not":
+        return lambda env: not a(env)
+    if op == "=>":
+        def implies(env: Sequence[Value]) -> Value:
+            vs = values(env)
+            acc = vs[-1]
+            for v in reversed(vs[:-1]):
+                acc = (not v) or acc
+            return acc
+        return implies
+    if op == "bvadd":
+        return lambda env: (a(env) + b(env)) & mask
+    if op == "bvsub":
+        return lambda env: (a(env) - b(env)) & mask
+    if op == "bvand":
+        return lambda env: a(env) & b(env)
+    if op == "bvor":
+        return lambda env: a(env) | b(env)
+    if op == "bvxor":
+        return lambda env: a(env) ^ b(env)
+    if op == "bvnot":
+        return lambda env: (~a(env)) & mask
+
+    def uninterpreted(env: Sequence[Value]) -> Value:
+        values(env)
+        raise EvaluationError(f"cannot evaluate uninterpreted function {op!r}")
+    return uninterpreted
+
+
+# ---------------------------------------------------------------------------
 # Verification results
 # ---------------------------------------------------------------------------
 
@@ -317,26 +494,73 @@ def _domain_points(sort: Sort, bound: int) -> Sequence[Value]:
     raise EvaluationError(f"cannot enumerate sort {sort}")
 
 
-def _random_value(sort: Sort, rng: random.Random, bound: int) -> Value:
+def _sampler(sort: Sort, rng: random.Random, bound: int) -> Callable[[], Value]:
     if sort == BOOL:
-        return rng.random() < 0.5
+        return lambda: rng.random() < 0.5
     if sort == INT:
-        return rng.randint(-bound, bound)
+        return functools.partial(rng.randint, -bound, bound)
     if sort.name == "BitVec":
         assert sort.width is not None
-        return rng.randrange(1 << sort.width)
+        return functools.partial(rng.randrange, 1 << sort.width)
     raise EvaluationError(f"cannot sample sort {sort}")
 
 
+def _fits_int64(sort: Sort, bound: int) -> bool:
+    if sort == INT:
+        return bound < 1 << 63
+    return sort.width is not None and sort.width < 64
+
+
+@functools.lru_cache(maxsize=16)
+def sweep_columns(sorts: Tuple[Sort, ...], seed: int, samples: int,
+                  bound: int) -> Tuple[Sequence[Value], ...]:
+    """The seeded random sweep points, one column per variable (read only).
+
+    Drawn once per key, point by point and variable by variable as
+    `random.Random(seed)` always drew them, so every verdict is unchanged.
+    Int and narrow BitVec columns are `array('q')`, Bool columns lists.
+    """
+    rng = random.Random(seed)
+    draws = [_sampler(s, rng, bound) for s in sorts]
+    columns = [array("q") if _fits_int64(s, bound) else [] for s in sorts]
+    for _ in range(samples):
+        for column, draw in zip(columns, draws):
+            column.append(draw())
+    return tuple(columns)
+
+
+_DEADLINE_EVERY = 1024  # sweep points between two looks at the clock
+_EXPIRED = object()
+
+
+def _first_falsifying(points: Iterable[Tuple[Value, ...]],
+                      falsified: Callable[[Tuple[Value, ...]], bool],
+                      deadline: Optional[float]) -> object:
+    """The first falsifying point, None when there is none, or _EXPIRED when
+    the deadline passes first (the clock is read every _DEADLINE_EVERY points)."""
+    points = iter(points)
+    while True:
+        if deadline is not None and time.monotonic() > deadline:
+            return _EXPIRED
+        batch = list(itertools.islice(points, _DEADLINE_EVERY))
+        if not batch:
+            return None
+        hit = next(filter(falsified, batch), None)
+        if hit is not None:
+            return hit
+
+
 def check_candidate_internal(query: SynthQuery, cand: Candidate,
-                             config: SearchConfig = SearchConfig()
+                             config: SearchConfig = SearchConfig(),
+                             deadline: Optional[float] = None
                              ) -> VerificationResult:
     """Search for an input falsifying the substituted constraints.
 
     Exhaustive grid over [-B, B]^n for n <= max_grid_vars variables, then
     seeded random sampling over a wider range. A Valid verdict is therefore
     bounded-confidence. Points where evaluation fails (division by zero)
-    cannot witness falsification and are skipped.
+    cannot witness falsification and are skipped. Past the absolute
+    `deadline` (time.monotonic) the sweep stops with Unknown("deadline").
     """
     if query.logic not in ("LIA", "BV", "NIA"):
         return VerificationResult.unknown(
@@ -369,18 +593,19 @@ def check_candidate_internal(query: SynthQuery, cand: Candidate,
         except OverflowError:
             return False
 
+    def random_points() -> Iterator[Tuple[Value, ...]]:
+        # lazy: a counterexample on the grid needs no random points drawn
+        yield from zip(*sweep_columns(tuple(sorts), config.seed,
+                                      config.random_samples, config.random_bound))
+
+    grid: Iterable[Tuple[Value, ...]] = ()
     if len(names) <= config.max_grid_vars:
-        domains = [_domain_points(s, config.grid_bound) for s in sorts]
-        for point in itertools.product(*domains):
-            if falsified(point):
-                return _confirmed_counterexample(phi, names, point, dict(query.universals))
-
-    rng = random.Random(config.seed)
-    for _ in range(config.random_samples):
-        point = tuple(_random_value(s, rng, config.random_bound) for s in sorts)
-        if falsified(point):
-            return _confirmed_counterexample(phi, names, point, dict(query.universals))
-
+        grid = itertools.product(*[_domain_points(s, config.grid_bound) for s in sorts])
+    hit = _first_falsifying(itertools.chain(grid, random_points()), falsified, deadline)
+    if hit is _EXPIRED:
+        return VerificationResult.unknown("deadline")
+    if hit is not None:
+        return _confirmed_counterexample(phi, names, hit, dict(query.universals))
     return VerificationResult.valid(bounded=True)
 
 
@@ -557,7 +782,7 @@ class Verifier:
 
     def check(self, query: SynthQuery, cand: Candidate,
               deadline: Optional[float] = None) -> VerificationResult:
-        internal = check_candidate_internal(query, cand, self.search_config)
+        internal = check_candidate_internal(query, cand, self.search_config, deadline)
         if internal.is_counterexample:
             return internal
         if self.solver_command is None:

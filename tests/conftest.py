@@ -4,10 +4,16 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import pytest
+from hypothesis import settings
 
 from synthsel.llm.backends import BackendReply
 from synthsel.llm.prompts import Message
 from synthsel.sygus import parse_query
+
+# derandomized, so every run draws the same examples; no per-example time
+# limit, so a slow shared machine cannot turn a pass into a flaky failure
+settings.register_profile("synthsel", derandomize=True, deadline=None)
+settings.load_profile("synthsel")
 
 MAX3_TEXT = """\
 (set-logic LIA)

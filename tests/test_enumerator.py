@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from synthsel import enumerator
 from synthsel.enumerator import (
     EnumeratorConfig,
     PartialProgram,
@@ -16,11 +17,18 @@ from synthsel.enumerator import (
     min_completion_costs,
 )
 from synthsel.sygus import (
+    App,
+    Grammar,
+    IntLit,
+    Ite,
     Var,
+    BOOL,
+    INT,
     grammar_for_query,
     parse_query,
     substitute_solution,
 )
+from synthsel.sygus.grammar import Hole, Production
 from synthsel.verify import Verifier, evaluate
 
 from conftest import random_small_grammar
@@ -167,11 +175,11 @@ def test_astar_finite_grammar_exhausts():
     assert res.status is SearchStatus.EXHAUSTED
 
 
-def test_astar_frontier_cap_times_out(max3_query):
+def test_astar_frontier_cap_is_its_own_stop_reason(max3_query):
     g = grammar_for_query(max3_query)
     config = EnumeratorConfig(max_frontier=1000)
     # examples that rule out every cheap candidate force a deep search,
-    # so the frontier cap must convert it into a timeout
+    # so the frontier cap must end it, reported apart from the deadline
     examples = [
         {"v0": 0, "v1": 0, "v2": 0},
         {"v0": 5, "v1": 1, "v2": 1},
@@ -180,7 +188,8 @@ def test_astar_frontier_cap_times_out(max3_query):
         {"v0": 2, "v1": 3, "v2": 9},
     ]
     res = astar_synthesize(g, examples, max3_query, _deadline(30), config)
-    assert res.status is SearchStatus.TIMEOUT
+    assert res.status is SearchStatus.FRONTIER_CAP
+    assert res.candidate is None and res.expansions > 0
 
 
 # ---------------------------------------------------------------------------
@@ -233,3 +242,151 @@ def test_cegis_deadline_respected(max3_query):
     elapsed = time.monotonic() - start
     assert res.status is SearchStatus.TIMEOUT
     assert elapsed < 4.0  # deadline plus bounded overshoot
+
+
+def test_cegis_sums_search_counters_over_phases(max2_query, monkeypatch):
+    phases = []
+    search = enumerator.astar_synthesize
+
+    def recorded(*args, **kwargs):
+        phases.append(search(*args, **kwargs))
+        return phases[-1]
+
+    monkeypatch.setattr(enumerator, "astar_synthesize", recorded)
+    res = cegis_solve(max2_query, grammar_for_query(max2_query), _deadline(60),
+                      Verifier())
+    assert res.status is SearchStatus.SOLVED and res.iterations == len(phases) > 1
+    assert res.expansions == sum(p.expansions for p in phases)
+    assert res.dequeued_complete == sum(p.dequeued_complete for p in phases)
+
+
+# ---------------------------------------------------------------------------
+# the compiled consistency check against the reference (tree-walking) check
+# ---------------------------------------------------------------------------
+
+def _both_paths(monkeypatch, run):
+    """`run()` on the compiled check, then on the reference check alone."""
+    compiled = run()
+    with monkeypatch.context() as m:
+        m.setattr(enumerator, "_compiled_check", enumerator._reference_check)
+        reference = run()
+    return compiled, reference
+
+
+def _summary(res):
+    return (res.status, res.candidate, res.expansions, res.dequeued_complete,
+            getattr(res, "iterations", None))
+
+
+def _min2_text(rng):
+    a, b = rng.sample("abuvxy", 2)
+    call = f"(f {a} {b})"
+    return (f"(set-logic LIA)\n(synth-fun f (({a} Int) ({b} Int)) Int)\n"
+            f"(declare-var {a} Int)\n(declare-var {b} Int)\n"
+            f"(constraint (<= {call} {a}))\n(constraint (<= {call} {b}))\n"
+            f"(constraint (or (= {a} {call}) (= {b} {call})))\n(check-synth)\n")
+
+
+def _clamp_text(rng):
+    x, c = rng.choice("abuvxy"), rng.randint(2, 9)
+    op = rng.choice(("<=", ">="))
+    call = f"(f {x})"
+    return (f"(set-logic LIA)\n(synth-fun f (({x} Int)) Int)\n(declare-var {x} Int)\n"
+            f"(constraint ({op} {call} {x}))\n(constraint ({op} {call} {c}))\n"
+            f"(constraint (or (= {call} {x}) (= {call} {c})))\n(check-synth)\n")
+
+
+@pytest.mark.parametrize("make", [lambda rng: None, _min2_text, _clamp_text])
+def test_compiled_cegis_matches_reference(make, max2_query, monkeypatch):
+    rng = random.Random(11)
+    queries = [max2_query] if make(rng) is None else [
+        parse_query(make(random.Random(seed))) for seed in range(3)]
+    for q in queries:
+        g = grammar_for_query(q)
+        compiled, reference = _both_paths(
+            monkeypatch, lambda: cegis_solve(q, g, _deadline(60), Verifier()))
+        assert compiled.status is SearchStatus.SOLVED
+        assert _summary(compiled) == _summary(reference)
+        assert compiled.counterexamples == reference.counterexamples
+
+
+# constraints over f(x) for the random grammars; the last two put f or div
+# inside an argument of f: the phase goes to the reference check whenever
+# such an argument fails to evaluate on an example (f always, div at x = 0)
+_CONSTRAINTS = (
+    "(>= (f x) x)", "(= (f x) (+ x 3))", "(<= (f x) 4)",
+    "(or (= (f x) 2) (>= (f (+ x 1)) x))", "(=> (>= x 0) (= (f x) (* 2 x)))",
+    "(= (ite (>= x 0) (f x) (f (- 0 x))) (f 1))", "(not (= (f x) (f 0) (f 2)))",
+    "(= (f (f x)) x)", "(>= (f (div 4 x)) 1)",
+)
+
+
+def _random_typed_grammar(rng):
+    """Int/Bool grammars over the parameter x with division, mod, ite and
+    nested templates, so compiled candidates raise, short-circuit and mix."""
+    I, B = Hole("I"), Hole("B")
+    # a binary production keeps the frontier growing, so max_frontier ends
+    # every search that finds nothing
+    ints = [Var("x"), IntLit(rng.randrange(-2, 3)), App("+", (I, I))]
+    ints += rng.sample([App("-", (I, I)), App("*", (I, I)),
+                        App("div", (I, I)), App("mod", (I, I)), Ite(B, I, I),
+                        App("+", (I, App("*", (IntLit(2), I)))), App("-", (I,))],
+                       rng.randrange(1, 5))
+    bools = [App(">=", (I, I))]
+    bools += rng.sample([App("=", (I, I)), App("and", (B, B)), App("or", (B, B)),
+                         App("not", (B,)), App("=>", (B, B, B))], rng.randrange(0, 3))
+    return Grammar(start="I", sorts={"I": INT, "B": BOOL}, productions={
+        "I": tuple(Production("I", t) for t in ints),
+        "B": tuple(Production("B", t) for t in bools)})
+
+
+def _random_phase(rng):
+    constraints = rng.sample(_CONSTRAINTS, rng.randrange(1, 4))
+    q = parse_query("(set-logic LIA)\n(synth-fun f ((x Int)) Int)\n(declare-var x Int)\n"
+                    + "".join(f"(constraint {c})\n" for c in constraints)
+                    + "(check-synth)\n")
+    examples = [{"x": rng.randrange(-4, 5)} for _ in range(rng.randrange(1, 4))]
+    return _random_typed_grammar(rng), q, examples
+
+
+def test_compiled_astar_matches_reference_on_random_grammars(monkeypatch):
+    rng = random.Random(7)
+    config = EnumeratorConfig(max_frontier=3000)
+    for _ in range(40):
+        g, q, examples = _random_phase(rng)
+        compiled, reference = _both_paths(
+            monkeypatch, lambda: astar_synthesize(g, examples, q, _deadline(60), config))
+        assert compiled.status is not SearchStatus.TIMEOUT
+        assert _summary(compiled) == _summary(reference)
+
+
+def test_compiled_check_matches_reference_per_program():
+    # past the first accepted program too: random derivations, both checks
+    rng = random.Random(3)
+    for _ in range(40):
+        g, q, examples = _random_phase(rng)
+        flat, by_nt = enumerator._flat_productions(g)
+        compiled = enumerator._compiled_check(flat, examples, q)
+        reference = enumerator._reference_check(flat, examples, q)
+        for _ in range(30):
+            choices, pending = [], [g.start]
+            while pending and len(choices) < 12:
+                idx = rng.choice(by_nt[pending.pop(0)])
+                choices.append(idx)
+                pending[:0] = flat[idx].holes
+            if not pending:
+                assert compiled(tuple(choices)) == reference(tuple(choices))
+
+
+def test_enumerator_outcome_reports_counters_and_stop_reason(max2_query):
+    from synthsel.orchestrator import SolverDeployer
+    from synthsel.budget import ScheduleEntry
+    from synthsel.bandit import SolverId
+
+    entry = ScheduleEntry(SolverId.enumerator(), time=60.0, cost=100.0)
+    outcome = SolverDeployer(Verifier())._deploy_enumerator(max2_query, entry)
+    res = cegis_solve(max2_query, grammar_for_query(max2_query), _deadline(60),
+                      Verifier())
+    assert outcome.detail == (
+        f"cegis solved: {res.iterations} iterations, {res.expansions} expansions, "
+        f"{res.dequeued_complete} candidates")

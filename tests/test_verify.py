@@ -1,8 +1,26 @@
+import functools
+import random
 import time
+from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from synthsel.sygus import parse_define_fun, parse_query, parse_term_text, print_term, INT
+from synthsel.sygus import (
+    App,
+    BoolLit,
+    BVLit,
+    IntLit,
+    Ite,
+    Sort,
+    Var,
+    BOOL,
+    INT,
+    parse_define_fun,
+    parse_query,
+    parse_term_text,
+    print_term,
+)
 from synthsel.verify import (
     DivisionByZero,
     EvaluationError,
@@ -11,9 +29,11 @@ from synthsel.verify import (
     Verifier,
     check_candidate_external,
     check_candidate_internal,
+    compile_term,
     emit_smtlib,
     evaluate,
     substitute_solution,
+    sweep_columns,
 )
 
 from conftest import MAX3_SOLUTION
@@ -264,3 +284,169 @@ def test_verifier_internal_counterexample_skips_external(max3_query):
     cand = parse_define_fun(
         "(define-fun f ((v0 Int) (v1 Int) (v2 Int)) Int v0)")
     assert v.check(max3_query, cand).is_counterexample
+
+
+def test_verifier_expired_deadline_is_unknown(max3_query):
+    # the correct max3 sweeps ~285k points; a deadline already past must stop
+    # it at once instead of returning Valid after the whole grid
+    cand = parse_define_fun(MAX3_SOLUTION)
+    started = time.monotonic()
+    res = Verifier().check(max3_query, cand, started - 1.0)
+    assert res.is_unknown and res.reason == "deadline"
+    assert time.monotonic() - started < 0.05
+    assert Verifier().check(max3_query, cand, time.monotonic() + 60.0).is_valid
+
+
+# ---------------------------------------------------------------------------
+# the memoised random sweep points
+# ---------------------------------------------------------------------------
+
+def _fresh_draw(sorts, seed, samples, bound):
+    """The sweep points as the per-point loop drew them."""
+    rng = random.Random(seed)
+    points = []
+    for _ in range(samples):
+        point = []
+        for s in sorts:
+            if s == BOOL:
+                point.append(rng.random() < 0.5)
+            elif s == INT:
+                point.append(rng.randint(-bound, bound))
+            else:
+                point.append(rng.randrange(1 << s.width))
+        points.append(tuple(point))
+    return points
+
+
+@pytest.mark.parametrize("sorts,bound", [
+    ((INT,), 1_000_000),
+    ((BOOL, INT, Sort.bitvec(8)), 50),
+    ((Sort.bitvec(64), INT, BOOL), 7),
+    ((INT, INT), 1 << 70),
+])
+def test_sweep_columns_equal_fresh_draw(sorts, bound):
+    for seed in (0, 5):
+        columns = sweep_columns(sorts, seed, 300, bound)
+        assert list(zip(*columns)) == _fresh_draw(sorts, seed, 300, bound)
+        assert sweep_columns(sorts, seed, 300, bound) is columns
+        for s, column in zip(sorts, columns):
+            assert isinstance(column, array) == (s in (INT, Sort.bitvec(8))
+                                                 and bound < 1 << 63)
+
+
+# ---------------------------------------------------------------------------
+# the compiled evaluator against the tree walker
+# ---------------------------------------------------------------------------
+
+BV4 = Sort.bitvec(4)
+VAR_SORTS = {"x": INT, "y": INT, "p": BOOL, "q": BOOL, "u": BV4, "w": BV4}
+VAR_NAMES = tuple(VAR_SORTS)
+
+
+def _leaves(sort):
+    names = [Var(n) for n, s in VAR_SORTS.items() if s == sort]
+    if sort == INT:
+        lits = st.builds(IntLit, st.integers(-2, 2))
+    elif sort == BOOL:
+        lits = st.builds(BoolLit, st.booleans())
+    else:
+        lits = st.builds(BVLit, st.integers(0, 15), st.just(4))
+    return st.one_of(st.sampled_from(names), lits)
+
+
+# a Bool leaf that raises on every point, so eager connectives show
+_RAISES = App(">=", (App("div", (Var("y"), IntLit(0))), IntLit(0)))
+
+
+def _app(op, *arg_strategies):
+    return st.tuples(*arg_strategies).map(lambda args: App(op, args))
+
+
+def _nary(op, sub, lo=2, hi=4):
+    return st.lists(sub, min_size=lo, max_size=hi).map(lambda args: App(op, tuple(args)))
+
+
+@functools.lru_cache(maxsize=None)
+def terms(sort, depth):
+    """Well-sorted terms of `sort` up to `depth`: division and mod by small
+    divisors (often zero), n-ary and/or/=>/= whose arguments may raise,
+    lazy ite, and applications of an uninterpreted f (which always raise)."""
+    if depth == 0:
+        if sort == BOOL:
+            return st.one_of(_leaves(sort), _leaves(sort), st.just(_RAISES))
+        return _leaves(sort)
+    i, b, v = terms(INT, depth - 1), terms(BOOL, depth - 1), terms(BV4, depth - 1)
+    same = terms(sort, depth - 1)
+    ite = st.builds(Ite, b, same, same)
+    if sort == INT:
+        return st.one_of(
+            _leaves(INT), ite, _nary("+", i), _nary("-", i, 1), _nary("*", i),
+            _app("div", i, i), _app("mod", i, i), _app("f", i), _app("f", _app("f", i)))
+    if sort == BOOL:
+        # connectives half the time, so eager arguments meet raising ones
+        return st.one_of(
+            st.one_of(ite, _nary("=", b), _nary("and", b), _nary("or", b),
+                      _nary("=>", b), _app("not", b)),
+            st.one_of(_leaves(BOOL), _app(">=", i, i), _app("<=", i, i),
+                      _app(">", i, i), _app("<", i, i), _nary("=", i), _nary("=", v),
+                      _app("bvult", v, v), _app("f", i)))
+    return st.one_of(
+        _leaves(BV4), ite, *(_app(op, v, v) for op in
+                             ("bvadd", "bvsub", "bvand", "bvor", "bvxor")),
+        _app("bvnot", v))
+
+
+def _outcome(run):
+    try:
+        value = run()
+    except EvaluationError:
+        return "raises"
+    return type(value), value
+
+
+points = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.booleans(),
+                   st.booleans(), st.integers(0, 15), st.integers(0, 15))
+
+
+@settings(max_examples=400)
+@given(st.sampled_from([INT, BOOL, BOOL, BV4]).flatmap(lambda s: terms(s, 3)),
+       st.lists(points, min_size=1, max_size=4), st.booleans())
+def test_compiled_evaluator_matches_evaluate(term, envs, with_sorts):
+    # without sorts, a bitvector operation whose spine ends in a variable
+    # cannot be sized: both must raise there
+    sorts = VAR_SORTS if with_sorts else None
+    compiled = compile_term(term, VAR_NAMES, sorts)
+    for env in envs:
+        assignment = dict(zip(VAR_NAMES, env))
+        assert (_outcome(lambda: compiled(env))
+                == _outcome(lambda: evaluate(term, assignment, sorts))), print_term(term)
+
+
+@given(st.sampled_from(["and", "or", "=>", "="]),
+       st.lists(st.one_of(_leaves(BOOL), _app(">=", _leaves(INT), _leaves(INT))),
+                min_size=1, max_size=3),
+       st.integers(1, 3), points)
+def test_compiled_connectives_raise_on_any_raising_argument(op, args, at, env):
+    # arguments are evaluated before the connective applies, so one that
+    # raises after any prefix (which could decide an `and` or `or`) raises
+    args.insert(at, _RAISES)
+    term = App(op, tuple(args))
+    assert _outcome(lambda: evaluate(term, dict(zip(VAR_NAMES, env)), VAR_SORTS)) == "raises"
+    assert _outcome(lambda: compile_term(term, VAR_NAMES, VAR_SORTS)(env)) == "raises"
+
+
+def test_compiled_ite_is_lazy():
+    env = {"x": INT}
+    cases = {
+        "(ite true x (div x 0))": (int, 3),          # the branch not taken
+        "(ite (= x 3) (div x 0) x)": "raises",
+        "(=> (>= x 0) (>= x 1) (< x 9))": (bool, True),
+        "(- x 1 1)": (int, 1),
+    }
+    for text, want in cases.items():
+        term = parse_term_text(text, env)
+        assert _outcome(lambda: compile_term(term, ["x"], env)((3,))) == want, text
+        assert _outcome(lambda: evaluate(term, {"x": 3}, env)) == want, text
+    unbound = compile_term(Var("z"), ["x"])
+    with pytest.raises(EvaluationError):
+        unbound((1,))
