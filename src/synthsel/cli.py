@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .config import RunConfig
-from .llm import HttpBackend, RecordingBackend, ReplayBackend
+from .llm import HttpBackend, ModelRouter, RecordingBackend, ReplayBackend
 from .orchestrator import (
     SolverDeployer,
     new_state,
@@ -102,21 +102,19 @@ def make_deployer(config: RunConfig) -> SolverDeployer:
             backend = ReplayBackend(config.fixtures,
                                     strict=not config.tolerate_replay_miss)
         else:
-            endpoint = next((m.endpoint for m in config.models if m.endpoint),
-                            None)
-            if not endpoint:
-                raise ValueError("http backend needs a model endpoint in the "
-                                 "config file")
-            key_env = next((m.api_key_env for m in config.models
-                            if m.api_key_env), None)
-            http = HttpBackend(endpoint=endpoint, api_key_env=key_env,
-                               temperature=config.temperature)
+            missing = [m.name for m in config.models if not m.endpoint]
+            if missing:
+                raise ValueError(f"{config.backend} backend needs an endpoint in "
+                                 f"the config file for every model; none for "
+                                 f"{', '.join(missing)}")
+            backend = ModelRouter({
+                m.name: HttpBackend(endpoint=m.endpoint, api_key_env=m.api_key_env,
+                                    temperature=config.temperature)
+                for m in config.models})
             if config.backend == "record":
                 if not config.fixtures:
                     raise ValueError("record backend needs --fixtures")
-                backend = RecordingBackend(http, config.fixtures)
-            else:
-                backend = http
+                backend = RecordingBackend(backend, config.fixtures)
     return SolverDeployer(verifier=verifier, backend=backend)
 
 

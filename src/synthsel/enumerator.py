@@ -6,9 +6,10 @@ unexpanded nonterminals; expanding the leftmost nonterminal by a production
 costs that nonterminal's edge cost, and the heuristic sums the minimal
 completion cost of every pending nonterminal.
 
-A dequeued complete program is checked against the phase's examples by
-closures compiled once per grammar production (`verify.compile_template`);
-the tree-walking evaluator stays as the fallback and the test oracle.
+A dequeued complete program is checked against the phase's examples by the
+compiled evaluator (`verify.compile_template`, one generated function per
+grammar production); the tree-walking evaluator stays as the fallback and
+the test oracle.
 """
 
 from __future__ import annotations
@@ -219,7 +220,7 @@ def _invocations(query: SynthQuery, examples: Sequence[Assignment]
 
 def _compiled_check(flat: Sequence[Production], examples: Sequence[Assignment],
                     query: SynthQuery) -> Check:
-    """The same decisions as `_reference_check`, from closures: the body is
+    """The same decisions as `_reference_check`, compiled: the body is
     evaluated at the precomputed invocation points of f and the constraints
     by one predicate over the examples' values and f's results. A program
     whose compiled evaluation raises, and every program of a phase where an

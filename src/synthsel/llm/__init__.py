@@ -20,6 +20,7 @@ from .backends import (
     BackendReply,
     ChatBackend,
     HttpBackend,
+    ModelRouter,
     RecordingBackend,
     ReplayBackend,
     ReplayMissError,
@@ -41,8 +42,8 @@ __all__ = [
     "translate_constraints_nl",
     "ChatTranscript", "CountedMessage", "count_tokens",
     "BackendError", "BackendReply", "ChatBackend", "HttpBackend",
-    "RecordingBackend", "ReplayBackend", "ReplayMissError", "fixture_key",
-    "write_fixture",
+    "ModelRouter", "RecordingBackend", "ReplayBackend", "ReplayMissError",
+    "fixture_key", "write_fixture",
     "ExtractionError", "LlmRunResult", "MAX_ATTEMPTS", "extract_candidate",
     "solve_with_llm",
 ]

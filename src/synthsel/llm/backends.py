@@ -1,4 +1,5 @@
-"""Chat-completion backends: live HTTP, deterministic replay, and recording.
+"""Chat-completion backends: live HTTP, deterministic replay, recording, and
+a per-model router.
 
 Replay fixtures are JSON lines of {key_hash, response_text, input_tokens,
 output_tokens}, keyed by a stable hash of the model name and the full rendered
@@ -13,7 +14,7 @@ import logging
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Protocol, Sequence
+from typing import Mapping, Optional, Protocol, Sequence
 
 import requests
 
@@ -143,6 +144,17 @@ class HttpBackend:
             input_tokens=usage.get("prompt_tokens"),
             output_tokens=usage.get("completion_tokens"),
         )
+
+
+@dataclass
+class ModelRouter:
+    """Sends each model's requests to that model's own backend."""
+
+    backends: Mapping[str, ChatBackend]
+
+    def complete(self, model: str, messages: Sequence[Message],
+                 timeout: Optional[float] = None) -> BackendReply:
+        return self.backends[model].complete(model, messages, timeout=timeout)
 
 
 @dataclass

@@ -291,9 +291,13 @@ def solve_query(query: SynthQuery, query_id: str, config: RunConfig,
             continue
         raw = deployer.deploy(query, query_id, features, entry, state, config)
         charged = min(raw.time, entry.time + config.grace)
+        detail = raw.detail
+        if raw.time > charged:  # charged time is clamped: keep the overrun visible
+            overrun = f"overran slice: wall {raw.time:.3f} s"
+            detail = f"{detail}; {overrun}" if detail else overrun
         rewards = _all_rewards(charged, raw.cost, raw.solved,
                                config.time_budget, config.cost_budget)
-        outcome = dataclasses.replace(raw, time=charged, rewards=rewards)
+        outcome = dataclasses.replace(raw, time=charged, rewards=rewards, detail=detail)
         outcomes.append(outcome)
         if outcome.solved:
             winner = outcome.solver

@@ -1,5 +1,10 @@
-"""Candidate verification: a concrete evaluator, a bounded internal
+"""Candidate verification: one compiled evaluator, a bounded internal
 counterexample search, and an external SMT-solver subprocess client.
+
+`compile_term`/`compile_template` turn terms and grammar templates into
+generated Python functions with `evaluate`'s semantics; they serve the A*
+consistency check and the verifier sweep. The tree walker `evaluate` is the
+oracle and the single-point evaluator.
 """
 
 from __future__ import annotations
@@ -7,7 +12,6 @@ from __future__ import annotations
 import functools
 import itertools
 import logging
-import operator
 import random
 import subprocess
 import time
@@ -34,6 +38,7 @@ from .sygus import (
     substitute_solution,
 )
 from .sygus.parser import Token, read_sexprs, tokenize
+from .sygus.terms import subterms
 
 log = logging.getLogger(__name__)
 
@@ -121,7 +126,7 @@ def evaluate(term: Term, assignment: Assignment,
         if op == "<":
             return args[0] < args[1]
         if op == "=":
-            return all(a == b for a, b in zip(args, args[1:]))
+            return _eq(*args)
         if op == "and":
             return all(args)
         if op == "or":
@@ -129,10 +134,7 @@ def evaluate(term: Term, assignment: Assignment,
         if op == "not":
             return not args[0]
         if op == "=>":
-            acc = args[-1]
-            for v in reversed(args[:-1]):
-                acc = (not v) or acc
-            return acc
+            return _implies(*args)
         if op in _BV_OPS:
             return _eval_bv(op, term, args, sorts)
         raise EvaluationError(f"cannot evaluate uninterpreted function {op!r}")
@@ -179,7 +181,7 @@ def _eval_bv(op: str, term: App, args: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
-# Compiled evaluation: closures with evaluate's semantics
+# Compiled evaluation: generated Python source with evaluate's semantics
 # ---------------------------------------------------------------------------
 
 Compiled = Callable[[Sequence[Value]], Value]
@@ -190,12 +192,11 @@ Builder = Callable[[Sequence[Node]], Node]
 
 def compile_term(term: Term, var_names: Sequence[str],
                  sorts: Optional[Mapping[str, Sort]] = None) -> Compiled:
-    """Closure `c` with `c(values) == evaluate(term, dict(zip(var_names,
+    """Function `c` with `c(values) == evaluate(term, dict(zip(var_names,
     values)), sorts)` on well-sorted terms, raising EvaluationError exactly
-    where evaluate raises: arguments of every operator (`and`, `or`, `=>`
-    and `=` included) are evaluated eagerly and left to right, `ite`
-    evaluates only the branch taken, and bitvector widths are fixed here by
-    the same leftmost-spine rule as `_bv_width`."""
+    where evaluate raises: `ite` evaluates only the branch taken, every
+    other operator evaluates its arguments left to right, and bitvector
+    widths are fixed here by the same leftmost-spine rule as `_bv_width`."""
     return compile_template(term, var_names, sorts)(())[0]
 
 
@@ -203,152 +204,147 @@ def compile_template(template: Term, var_names: Sequence[str],
                      sorts: Optional[Mapping[str, Sort]] = None) -> Builder:
     """Compile a grammar template once; the builder takes the compiled nodes
     of its holes (preorder) and returns the node of the filled term, as
-    `fill_holes` does for terms. A hole-free term takes no nodes."""
+    `fill_holes` does for terms. A hole-free term takes no nodes.
+
+    The template becomes one generated function of the values tuple in
+    which a hole calls its node's function. A hole's width can size a
+    bitvector mask, so the source is generated per tuple of hole widths."""
     index = {name: i for i, name in enumerate(var_names)}
+    makers: dict = {}
+
+    def build(kids: Sequence[Node]) -> Node:
+        widths = tuple(w for _, w in kids)
+        found = makers.get(widths)
+        if found is None:
+            source, width = _source(template, index, sorts, widths)
+            found = makers[widths] = _compile_source(source), width
+        make, width = found
+        return make(*[f for f, _ in kids]), width
+
+    if any(isinstance(t, Hole) for t in subterms(template)):
+        return build
+    node = build(())
+    return lambda kids: node
+
+
+def _source(template: Term, index: Mapping[str, int],
+            sorts: Optional[Mapping[str, Sort]],
+            hole_widths: Sequence[Optional[int]]) -> Tuple[str, Optional[int]]:
+    """Source of `_make(k0, k1, ...)`, which returns the template's function
+    of `env` given its holes' functions, and the template's width."""
     holes = itertools.count()
+    used: set[int] = set()
 
-    def comp(t: Term) -> Builder:
+    def emit(t: Term) -> Tuple[str, Optional[int], bool]:
+        # (expression, width, whether evaluating it can raise)
         if isinstance(t, Hole):
-            return operator.itemgetter(next(holes))
-        if isinstance(t, App):
-            op, subs = t.op, [comp(a) for a in t.args]
-            return lambda kids: _compiled_app(op, [s(kids) for s in subs])
+            i = next(holes)
+            return f"k{i}(env)", hole_widths[i], True
+        if isinstance(t, (IntLit, BoolLit, BVLit)):
+            return repr(t.value), t.width if isinstance(t, BVLit) else None, False
+        if isinstance(t, Var):
+            sort = sorts.get(t.name) if sorts is not None else None
+            width = sort.width if sort is not None else None
+            if t.name not in index:
+                return f"_unbound({t.name!r})", width, True
+            used.add(index[t.name])
+            return f"v{index[t.name]}", width, False
         if isinstance(t, Ite):
-            cond, then, other = comp(t.cond), comp(t.then_branch), comp(t.else_branch)
-            return lambda kids: _compiled_ite(cond(kids), then(kids), other(kids))
-        node = _compiled_leaf(t, index, sorts)
-        return lambda kids: node
+            cond, then, other = emit(t.cond), emit(t.then_branch), emit(t.else_branch)
+            return (f"({then[0]} if {cond[0]} else {other[0]})", then[1],
+                    cond[2] or then[2] or other[2])
+        if isinstance(t, App):
+            args = [emit(a) for a in t.args]
+            width = args[0][1] if args else None  # _bv_width follows args[0]
+            expr, raises = _apply(t.op, [a for a, _, _ in args], width,
+                                  any(r for _, _, r in args[1:]))
+            return expr, width, raises or any(r for _, _, r in args)
+        raise EvaluationError(f"not a term: {t!r}")
 
-    return comp(template)
-
-
-def _compiled_leaf(term: Term, index: Mapping[str, int],
-                   sorts: Optional[Mapping[str, Sort]]) -> Node:
-    if isinstance(term, (IntLit, BoolLit, BVLit)):
-        value = term.value
-        width = term.width if isinstance(term, BVLit) else None
-        return (lambda env: value), width
-    if isinstance(term, Var):
-        sort = sorts.get(term.name) if sorts is not None else None
-        width = sort.width if sort is not None else None
-        if term.name in index:
-            return operator.itemgetter(index[term.name]), width
-        message = f"unbound variable {term.name!r}"
-
-        def unbound(env: Sequence[Value]) -> Value:
-            raise EvaluationError(message)
-        return unbound, width
-    raise EvaluationError(f"not a term: {term!r}")
+    expr, width, _ = emit(template)
+    kids = ", ".join(f"k{i}" for i in range(next(holes)))
+    reads = "".join(f"        v{i} = env[{i}]\n" for i in sorted(used))
+    return (f"def _make({kids}):\n    def _f(env):\n{reads}"
+            f"        return {expr}\n    return _f\n"), width
 
 
-def _compiled_ite(cond: Node, then: Node, other: Node) -> Node:
-    c, t, e = cond[0], then[0], other[0]
-
-    def ite(env: Sequence[Value]) -> Value:
-        test = c(env)
-        if test is True:
-            return t(env)
-        if test is False:
-            return e(env)
-        raise EvaluationError("ite condition did not evaluate to Bool")
-    return ite, then[1]
+_INFIX = {"+": "+", "-": "-", "*": "*", ">=": ">=", "<=": "<=", ">": ">",
+          "<": "<", "bvult": "<", "bvand": "&", "bvor": "|", "bvxor": "^"}
 
 
-def _compiled_app(op: str, nodes: Sequence[Node]) -> Node:
-    fns = [f for f, _ in nodes]
-    width = nodes[0][1] if nodes else None  # _bv_width follows args[0]
-    return _app_closure(op, fns, width), width
-
-
-def _app_closure(op: str, fns: Sequence[Compiled], width: Optional[int]) -> Compiled:
-    a = fns[0] if fns else None
-    b = fns[1] if len(fns) > 1 else None
-    binary = len(fns) == 2
-
-    def values(env: Sequence[Value]) -> list:
-        return [f(env) for f in fns]
-
+def _apply(op: str, args: Sequence[str], width: Optional[int],
+           later_raises: bool) -> Tuple[str, bool]:
+    """Expression applying `op` to the argument expressions, and whether the
+    application itself can raise. `and`, `or`, `=>` and n-ary `=` take
+    Python's short-circuit forms only when no argument after the first can
+    raise, which then gives the same value as evaluating every argument."""
+    if op == "-" and len(args) == 1:
+        return f"(-{args[0]})", False
     if op in _BV_OPS and op != "bvult" and width is None:
-        def no_width(env: Sequence[Value]) -> Value:
-            values(env)
-            raise EvaluationError(f"cannot infer bitvector width for {op!r}")
-        return no_width
-    mask = (1 << width) - 1 if width is not None else 0
-    if op == "+":
-        return (lambda env: a(env) + b(env)) if binary else (lambda env: sum(values(env)))
-    if op == "-":
-        if len(fns) == 1:
-            return lambda env: -a(env)
-        if binary:
-            return lambda env: a(env) - b(env)
-
-        def minus(env: Sequence[Value]) -> Value:
-            first, *rest = values(env)
-            for v in rest:
-                first -= v
-            return first
-        return minus
-    if op == "*":
-        if binary:
-            return lambda env: a(env) * b(env)
-
-        def times(env: Sequence[Value]) -> Value:
-            acc = 1
-            for v in values(env):
-                acc *= v
-            return acc
-        return times
-    if op == "div":
-        return lambda env: _euclidean_div(a(env), b(env))
-    if op == "mod":
-        return lambda env: _euclidean_mod(a(env), b(env))
-    if op == ">=":
-        return lambda env: a(env) >= b(env)
-    if op == "<=":
-        return lambda env: a(env) <= b(env)
-    if op == ">":
-        return lambda env: a(env) > b(env)
-    if op in ("<", "bvult"):
-        return lambda env: a(env) < b(env)
-    if op == "=":
-        if binary:
-            return lambda env: a(env) == b(env)
-
-        def equal(env: Sequence[Value]) -> Value:
-            vs = values(env)
-            return all(x == y for x, y in zip(vs, vs[1:]))
-        return equal
-    if op == "and":
-        return (lambda env: all((a(env), b(env)))) if binary else (lambda env: all(values(env)))
-    if op == "or":
-        return (lambda env: any((a(env), b(env)))) if binary else (lambda env: any(values(env)))
+        return f"_unsized({op!r}, {', '.join(args)})", True
+    if op in _INFIX:
+        return "(" + f" {_INFIX[op]} ".join(args) + ")", False
+    if op in ("div", "mod"):
+        return f"_e{op}({args[0]}, {args[1]})", True
     if op == "not":
-        return lambda env: not a(env)
-    if op == "=>":
-        def implies(env: Sequence[Value]) -> Value:
-            vs = values(env)
-            acc = vs[-1]
-            for v in reversed(vs[:-1]):
-                acc = (not v) or acc
-            return acc
-        return implies
-    if op == "bvadd":
-        return lambda env: (a(env) + b(env)) & mask
-    if op == "bvsub":
-        return lambda env: (a(env) - b(env)) & mask
-    if op == "bvand":
-        return lambda env: a(env) & b(env)
-    if op == "bvor":
-        return lambda env: a(env) | b(env)
-    if op == "bvxor":
-        return lambda env: a(env) ^ b(env)
-    if op == "bvnot":
-        return lambda env: (~a(env)) & mask
+        return f"(not {args[0]})", False
+    if op in ("bvadd", "bvsub", "bvnot"):
+        mask = (1 << width) - 1
+        if op == "bvnot":
+            return f"((~{args[0]}) & {mask})", False
+        return f"(({args[0]} {'+' if op == 'bvadd' else '-'} {args[1]}) & {mask})", False
+    if op == "=" and (len(args) == 2 or not later_raises):
+        return "(" + " == ".join(args) + ")", False
+    if op in ("and", "or") and not later_raises:
+        return "(" + f" {op} ".join(args) + ")", False
+    if op == "=>" and not later_raises:
+        expr = args[-1]
+        for a in reversed(args[:-1]):
+            expr = f"(not {a} or {expr})"
+        return expr, False
+    if op in ("and", "or"):  # a tuple display evaluates every argument first
+        packed = "".join(f"{a}, " for a in args)
+        return f"{'all' if op == 'and' else 'any'}(({packed}))", False
+    if op in ("=", "=>"):
+        return f"{'_eq' if op == '=' else '_implies'}({', '.join(args)})", False
+    return f"_uninterpreted({op!r}, {', '.join(args)})", True
 
-    def uninterpreted(env: Sequence[Value]) -> Value:
-        values(env)
-        raise EvaluationError(f"cannot evaluate uninterpreted function {op!r}")
-    return uninterpreted
+
+def _eq(*args: Value) -> bool:
+    return all(a == b for a, b in zip(args, args[1:]))
+
+
+def _implies(*args: Value) -> Value:
+    acc = args[-1]
+    for v in reversed(args[:-1]):
+        acc = (not v) or acc
+    return acc
+
+
+def _unbound(name: str) -> Value:
+    raise EvaluationError(f"unbound variable {name!r}")
+
+
+def _unsized(op: str, *args: Value) -> Value:
+    raise EvaluationError(f"cannot infer bitvector width for {op!r}")
+
+
+def _uninterpreted(op: str, *args: Value) -> Value:
+    raise EvaluationError(f"cannot evaluate uninterpreted function {op!r}")
+
+
+_GENERATED_GLOBALS = {"_ediv": _euclidean_div, "_emod": _euclidean_mod, "_eq": _eq,
+                      "_implies": _implies, "_unbound": _unbound,
+                      "_unsized": _unsized, "_uninterpreted": _uninterpreted}
+
+
+@functools.lru_cache(maxsize=1024)
+def _compile_source(source: str) -> Callable[..., Compiled]:
+    """The `_make` of generated source, built once per distinct source: the
+    same templates and predicates recur across CEGIS phases and queries."""
+    namespace = dict(_GENERATED_GLOBALS)
+    exec(source, namespace)  # noqa: S102 - generated from parsed terms; names are mangled
+    return namespace["_make"]
 
 
 # ---------------------------------------------------------------------------
@@ -411,76 +407,6 @@ class SearchConfig:
     random_bound: int = 1_000_000
     seed: int = 0
     max_grid_vars: int = 3
-
-
-def _compile_predicate(term: Term, var_names: Sequence[str],
-                       sorts: Optional[Mapping[str, Sort]] = None
-                       ) -> Callable[..., bool]:
-    """Compile a Bool term into a positional Python lambda for fast sweeps."""
-    names = {name: f"_v{i}" for i, name in enumerate(var_names)}
-
-    def emit(t: Term) -> str:
-        if isinstance(t, IntLit):
-            return repr(t.value)
-        if isinstance(t, BoolLit):
-            return "True" if t.value else "False"
-        if isinstance(t, BVLit):
-            return repr(t.value)
-        if isinstance(t, Var):
-            return names[t.name]
-        if isinstance(t, Ite):
-            return (f"({emit(t.then_branch)} if {emit(t.cond)} "
-                    f"else {emit(t.else_branch)})")
-        assert isinstance(t, App)
-        parts = [emit(a) for a in t.args]
-        op = t.op
-        if op in ("+", "*"):
-            return "(" + f" {op} ".join(parts) + ")"
-        if op == "-":
-            if len(parts) == 1:
-                return f"(-{parts[0]})"
-            return "(" + " - ".join(parts) + ")"
-        if op in (">=", "<=", ">", "<"):
-            return f"({parts[0]} {op} {parts[1]})"
-        if op == "=":
-            return "(" + " == ".join(parts) + ")"
-        if op == "and":
-            return "(" + " and ".join(parts) + ")"
-        if op == "or":
-            return "(" + " or ".join(parts) + ")"
-        if op == "not":
-            return f"(not {parts[0]})"
-        if op == "=>":
-            expr = parts[-1]
-            for p in reversed(parts[:-1]):
-                expr = f"((not {p}) or {expr})"
-            return expr
-        if op == "div":
-            return f"_ediv({parts[0]}, {parts[1]})"
-        if op == "mod":
-            return f"_emod({parts[0]}, {parts[1]})"
-        if op in _BV_OPS:
-            width = _bv_width(t, sorts) if op != "bvult" else 0
-            mask = (1 << width) - 1
-            if op == "bvult":
-                return f"({parts[0]} < {parts[1]})"
-            if op == "bvadd":
-                return f"(({parts[0]} + {parts[1]}) & {mask})"
-            if op == "bvsub":
-                return f"(({parts[0]} - {parts[1]}) & {mask})"
-            if op == "bvand":
-                return f"({parts[0]} & {parts[1]})"
-            if op == "bvor":
-                return f"({parts[0]} | {parts[1]})"
-            if op == "bvxor":
-                return f"({parts[0]} ^ {parts[1]})"
-            if op == "bvnot":
-                return f"((~{parts[0]}) & {mask})"
-        raise EvaluationError(f"cannot compile operator {op!r}")
-
-    src = f"lambda {', '.join(names.values()) or '*_ignored'}: {emit(term)}"
-    ns = {"_ediv": _euclidean_div, "_emod": _euclidean_mod}
-    return eval(src, ns)  # noqa: S307 - source is generated from validated terms
 
 
 def _domain_points(sort: Sort, bound: int) -> Sequence[Value]:
@@ -558,9 +484,11 @@ def check_candidate_internal(query: SynthQuery, cand: Candidate,
 
     Exhaustive grid over [-B, B]^n for n <= max_grid_vars variables, then
     seeded random sampling over a wider range. A Valid verdict is therefore
-    bounded-confidence. Points where evaluation fails (division by zero)
-    cannot witness falsification and are skipped. Past the absolute
-    `deadline` (time.monotonic) the sweep stops with Unknown("deadline").
+    bounded-confidence. Points where evaluation divides by zero cannot
+    witness falsification and are skipped; any other evaluation failure
+    (an unbound variable, an uninterpreted function, an unsized bitvector
+    operator) ends the sweep with Unknown. Past the absolute `deadline`
+    (time.monotonic) the sweep stops with Unknown("deadline").
     """
     if query.logic not in ("LIA", "BV", "NIA"):
         return VerificationResult.unknown(
@@ -580,17 +508,12 @@ def check_candidate_internal(query: SynthQuery, cand: Candidate,
         return (VerificationResult.valid(bounded=False)
                 if ok else VerificationResult.counterexample({}))
 
-    try:
-        pred = _compile_predicate(phi, names, dict(query.universals))
-    except EvaluationError as exc:
-        return VerificationResult.unknown(str(exc))
+    pred = compile_term(phi, names, dict(query.universals))
 
     def falsified(point: Tuple[Value, ...]) -> bool:
         try:
-            return not pred(*point)
-        except (DivisionByZero, ZeroDivisionError):
-            return False
-        except OverflowError:
+            return not pred(point)
+        except DivisionByZero:
             return False
 
     def random_points() -> Iterator[Tuple[Value, ...]]:
@@ -601,7 +524,11 @@ def check_candidate_internal(query: SynthQuery, cand: Candidate,
     grid: Iterable[Tuple[Value, ...]] = ()
     if len(names) <= config.max_grid_vars:
         grid = itertools.product(*[_domain_points(s, config.grid_bound) for s in sorts])
-    hit = _first_falsifying(itertools.chain(grid, random_points()), falsified, deadline)
+    try:
+        hit = _first_falsifying(itertools.chain(grid, random_points()), falsified,
+                                deadline)
+    except EvaluationError as exc:  # unbound, uninterpreted or unsized
+        return VerificationResult.unknown(str(exc))
     if hit is _EXPIRED:
         return VerificationResult.unknown("deadline")
     if hit is not None:

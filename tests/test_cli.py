@@ -141,3 +141,64 @@ def test_config_rejects_unknown_keys():
 
 def test_usage_error_exit_code(capsys):
     assert main(["frobnicate"]) == 2
+
+
+class _ChatReply:
+    def __init__(self, text):
+        self.text = text
+
+    def raise_for_status(self):
+        pass
+
+    def json(self):
+        return {"choices": [{"message": {"content": self.text}}]}
+
+
+def _no_network(*args, **kwargs):
+    raise AssertionError("no request may be sent")
+
+
+def test_each_model_uses_its_own_endpoint(tmp_path, monkeypatch):
+    import requests
+
+    from synthsel.cli import make_deployer
+    from synthsel.llm import Message, RecordingBackend
+
+    sent = []
+
+    def post(url, json, headers, timeout):
+        sent.append((url, json["model"], headers.get("Authorization")))
+        return _ChatReply(f"from {url}")
+
+    monkeypatch.setattr(requests, "post", post)
+    monkeypatch.setenv("KEY_A", "a-secret")
+    monkeypatch.setenv("KEY_B", "b-secret")
+    models = (ModelConfig("model-a", endpoint="http://a.invalid/v1", api_key_env="KEY_A"),
+              ModelConfig("model-b", endpoint="http://b.invalid/v1", api_key_env="KEY_B"))
+    fixtures = tmp_path / "recorded.jsonl"
+    messages = [Message("user", "hello")]
+    for backend in ("http", "record"):
+        chat = make_deployer(RunConfig(models=models, backend=backend,
+                                       fixtures=str(fixtures))).backend
+        assert isinstance(chat, RecordingBackend) == (backend == "record")
+        assert chat.complete("model-b", messages).text == "from http://b.invalid/v1"
+        assert chat.complete("model-a", messages).text == "from http://a.invalid/v1"
+    assert sent == [("http://b.invalid/v1", "model-b", "Bearer b-secret"),
+                    ("http://a.invalid/v1", "model-a", "Bearer a-secret")] * 2
+    assert len(fixtures.read_text().splitlines()) == 2  # only the record pass
+
+
+@pytest.mark.parametrize("backend", ["http", "record"])
+def test_model_without_endpoint_is_usage_error(backend, tmp_path, monkeypatch, capsys):
+    import requests
+
+    monkeypatch.setattr(requests, "post", _no_network)
+    cfg = RunConfig(models=(ModelConfig("model-a", endpoint="http://a.invalid/v1"),
+                            ModelConfig("model-b")),
+                    backend=backend, fixtures=str(tmp_path / "recorded.jsonl"))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg.to_json()))
+    path = tmp_path / "max2.sl"
+    path.write_text(MAX2_TEXT)
+    assert main(["solve", str(path), "--config", str(cfg_path)]) == 2
+    assert "model-b" in capsys.readouterr().err

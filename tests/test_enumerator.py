@@ -378,6 +378,56 @@ def test_compiled_check_matches_reference_per_program():
                 assert compiled(tuple(choices)) == reference(tuple(choices))
 
 
+def _bv_query(constraint):
+    bv8 = "(_ BitVec 8)"
+    return parse_query(f"(set-logic BV)\n(synth-fun f ((x {bv8}) (y {bv8})) {bv8})\n"
+                       f"(declare-var x {bv8})\n(declare-var y {bv8})\n"
+                       f"(constraint {constraint})\n(check-synth)\n")
+
+
+# the bitvector targets of the benchmark corpus
+_BV_TARGETS = ("(bvand x (bvnot y))", "(bvor x (bvnot y))", "(bvand (bvnot x) y)",
+               "(bvxor x (bvnot y))", "(bvnot (bvand x y))")
+
+
+@pytest.mark.parametrize("target", _BV_TARGETS)
+def test_compiled_cegis_matches_reference_on_bitvectors(target, monkeypatch):
+    # the default BV grammar's masks come through holes (bvadd/bvnot of a kid)
+    q = _bv_query(f"(= (f x y) {target})")
+    g = grammar_for_query(q)
+    compiled, reference = _both_paths(
+        monkeypatch, lambda: cegis_solve(q, g, _deadline(60), Verifier()))
+    assert compiled.status is SearchStatus.SOLVED
+    assert _summary(compiled) == _summary(reference)
+    assert compiled.counterexamples == reference.counterexamples
+
+
+def test_compiled_check_matches_reference_per_bitvector_program():
+    # bvult against #x80 accepts about half the programs, so a missing or
+    # wrong mask (bvadd/bvsub wrap-around, bvnot) changes decisions
+    rng = random.Random(5)
+    q = _bv_query("(bvult (f x y) #x80)")
+    g = grammar_for_query(q)
+    flat, by_nt = enumerator._flat_productions(g)
+    decided = set()
+    for _ in range(10):
+        examples = [{"x": rng.randrange(256), "y": rng.randrange(256)}
+                    for _ in range(rng.randrange(1, 4))]
+        compiled = enumerator._compiled_check(flat, examples, q)
+        reference = enumerator._reference_check(flat, examples, q)
+        for _ in range(40):
+            choices, pending = [], [g.start]
+            while pending and len(choices) < 12:
+                idx = rng.choice(by_nt[pending.pop(0)])
+                choices.append(idx)
+                pending[:0] = flat[idx].holes
+            if not pending:
+                got = compiled(tuple(choices))
+                assert got == reference(tuple(choices))
+                decided.add(got is None)
+    assert decided == {True, False}
+
+
 def test_enumerator_outcome_reports_counters_and_stop_reason(max2_query):
     from synthsel.orchestrator import SolverDeployer
     from synthsel.budget import ScheduleEntry

@@ -255,6 +255,24 @@ def test_grace_clamps_charged_time():
     assert record.outcomes[0].time == pytest.approx(100.5)
 
 
+@pytest.mark.parametrize("over, detail", [
+    (1.234, "stub; overran slice: wall 101.234 s"),
+    (0.5, "stub"),  # within the grace: nothing to report
+])
+def test_overrun_keeps_charged_time_and_reports_wall_time(over, detail):
+    config = _config(selector="fixed:m-p4", grace=0.5)
+
+    class Overrunner:
+        def deploy(self, query, qid, features, entry, state, cfg):
+            return DeploymentOutcome(entry.solver, False, None, time=entry.time + over,
+                                     cost=1.0, detail="stub")
+
+    record = solve_query(parse_query(MAX2_TEXT), "q", config, new_state(config, 0),
+                         Overrunner())
+    assert record.outcomes[0].time == pytest.approx(100.0 + min(over, 0.5))
+    assert record.outcomes[0].detail == detail
+
+
 # ---------------------------------------------------------------------------
 # corpus runs
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 import time
 from array import array
@@ -10,6 +11,7 @@ from synthsel.sygus import (
     App,
     BoolLit,
     BVLit,
+    Hole,
     IntLit,
     Ite,
     Sort,
@@ -29,6 +31,7 @@ from synthsel.verify import (
     Verifier,
     check_candidate_external,
     check_candidate_internal,
+    compile_template,
     compile_term,
     emit_smtlib,
     evaluate,
@@ -159,6 +162,22 @@ def test_internal_division_by_zero_skipped():
 """)
     cand = parse_define_fun("(define-fun f ((v0 Int) (v1 Int)) Int v0)")
     assert check_candidate_internal(q, cand).is_valid
+
+
+def test_internal_sweep_skips_points_where_an_unread_argument_raises():
+    # at x = 0 a short-circuit `and` would stop at (>= x 1) and call the
+    # point falsified, but evaluate divides by zero there: it is skipped,
+    # and x = 3 (10 mod 3 = 1) is the first real counterexample
+    q = parse_query("""(set-logic LIA)
+(synth-fun f ((x Int)) Int)
+(declare-var x Int)
+(constraint (or (< x 0) (and (>= (f x) 1) (= (mod 10 x) 0))))
+(check-synth)
+""")
+    cand = parse_define_fun("(define-fun f ((x Int)) Int x)")
+    res = check_candidate_internal(q, cand)
+    assert res.is_counterexample, res
+    assert res.assignment_dict() == {"x": 3}
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +452,19 @@ def test_compiled_connectives_raise_on_any_raising_argument(op, args, at, env):
     term = App(op, tuple(args))
     assert _outcome(lambda: evaluate(term, dict(zip(VAR_NAMES, env)), VAR_SORTS)) == "raises"
     assert _outcome(lambda: compile_term(term, VAR_NAMES, VAR_SORTS)(env)) == "raises"
+
+
+@pytest.mark.parametrize("op", ["and", "or", "=>", "="])
+def test_compiled_connectives_over_holes_evaluate_every_hole(op):
+    # a hole's function may raise, so a connective over holes takes the
+    # eager form whatever its first arguments decide
+    build = compile_template(App(op, (Hole("B"),) * 3), VAR_NAMES, VAR_SORTS)
+    raising = (compile_term(_RAISES, VAR_NAMES, VAR_SORTS), None)
+    env = (1, 1, False, False, 0, 0)
+    for first, second in itertools.product((True, False), repeat=2):
+        constants = [(compile_term(BoolLit(v), VAR_NAMES), None) for v in (first, second)]
+        for kids in ([*constants, raising], [constants[0], raising, constants[1]]):
+            assert _outcome(lambda: build(kids)[0](env)) == "raises", (first, second)
 
 
 def test_compiled_ite_is_lazy():
