@@ -30,6 +30,7 @@ from synthsel.experiments import (
 from synthsel.orchestrator import (
     DeploymentOutcome,
     MatrixDeployer,
+    all_rewards,
     placeholder_candidate,
     run_corpus,
     run_corpus_multi,
@@ -44,6 +45,9 @@ from synthsel.sygus import parse_query
 
 
 def matrix_outcomes(matrix, T, C, query_text):
+    """Each cell as the outcome of one solver given the full budgets, with
+    the rewards solve_query would record for it."""
+    candidate = placeholder_candidate(parse_query(query_text))
     out = {}
     for qid, row in matrix.items():
         cells = {}
@@ -53,14 +57,8 @@ def matrix_outcomes(matrix, T, C, query_text):
             c = min(cell.cost, C)
             cells[solver] = DeploymentOutcome(
                 solver=solver, solved=solved,
-                candidate=placeholder_candidate(parse_query(query_text))
-                if solved else None,
-                time=t, cost=c,
-                rewards={
-                    "time": (1 - t / T) ** 4 if solved else 0.0,
-                    "cost": (1 - c / C) ** 4 if solved else 0.0,
-                    "binary": 1.0 if solved else 0.0,
-                })
+                candidate=candidate if solved else None,
+                time=t, cost=c, rewards=all_rewards(t, c, solved, T, C))
         out[qid] = cells
     return out
 

@@ -13,6 +13,7 @@ import json
 import os
 import random
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, Tuple
 
@@ -85,7 +86,7 @@ class SolveRecord:
     cost: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "features", tuple(float(x) for x in self.features))
+        object.__setattr__(self, "features", tuple(map(float, self.features)))
         if not 0.0 <= self.reward <= 1.0:
             raise ValueError(f"reward must be in [0, 1], got {self.reward}")
         if self.time < 0 or self.cost < 0:
@@ -112,16 +113,39 @@ class SolveRecord:
 
 
 class BanditStore:
-    """Append-only list of solve records, their (n, d) feature matrix (row i
-    holds records[i]), and the exploration RNG."""
+    """Append-only list of solve records, the columns the k-NN selector reads,
+    and the exploration RNG.
+
+    Row i of every column belongs to records[i]: the (n, d) feature matrix,
+    the solver column (each SolverId interned to a small int, the index of
+    that solver in `solvers`), and the time and cost columns. They grow
+    together by doubling their capacity."""
 
     def __init__(self, seed: int = 0,
                  records: Iterable[SolveRecord] = ()) -> None:
-        self.records: list[SolveRecord] = []
-        self._matrix = np.empty((0, 0))  # rows beyond len(records) are spare
+        self.records: list[SolveRecord] = list(records)
         self.rng = random.Random(seed)
-        for rec in records:
-            self.append(rec)
+        self.solvers: list[SolverId] = []
+        self._solver_ids: dict[SolverId, int] = {}
+        dims = {len(r.features) for r in self.records}
+        if len(dims) > 1:
+            raise ValueError(f"dimensionality mismatch: records have "
+                             f"{sorted(dims)} features")
+        # one array construction per column, with the capacity that appending
+        # the records one by one would reach; rows beyond len(records) are spare
+        n, d = len(self.records), dims.pop() if dims else 0
+        cap = max(16, 1 << (n - 1).bit_length()) if n else 0
+        features = chain.from_iterable(r.features for r in self.records)
+        self._matrix = _filled(features, n * d, cap * d, float).reshape(cap, d)
+        self._solver = _filled((self._intern(r.solver) for r in self.records),
+                               n, cap, np.intp)
+        self._time = _filled((r.time for r in self.records), n, cap, float)
+        self._cost = _filled((r.cost for r in self.records), n, cap, float)
+        self._order_key: Optional[tuple] = None
+        self._order = np.empty(0, dtype=np.intp)
+        # (path, record count, size, mtime) of the file as the last load or
+        # save left it: a save there appends only the newer records
+        self._file: Optional[tuple] = None
 
     def __len__(self) -> int:
         return len(self.records)
@@ -130,34 +154,121 @@ class BanditStore:
     def features(self) -> np.ndarray:
         return self._matrix[:len(self.records)]
 
+    @property
+    def solver_column(self) -> np.ndarray:
+        return self._solver[:len(self.records)]
+
+    @property
+    def time_column(self) -> np.ndarray:
+        return self._time[:len(self.records)]
+
+    @property
+    def cost_column(self) -> np.ndarray:
+        return self._cost[:len(self.records)]
+
+    def solver_index(self, solver: SolverId) -> Optional[int]:
+        """The solver column's value for `solver`; None when it has no record."""
+        return self._solver_ids.get(solver)
+
+    def _intern(self, solver: SolverId) -> int:
+        index = self._solver_ids.setdefault(solver, len(self.solvers))
+        if index == len(self.solvers):
+            self.solvers.append(solver)
+        return index
+
     def append(self, record: SolveRecord) -> None:
         n, d = len(self.records), len(record.features)
         if n and d != self._matrix.shape[1]:
             raise ValueError(f"dimensionality mismatch: record has {d} "
                              f"features, the store {self._matrix.shape[1]}")
         if n == len(self._matrix):  # full: double the capacity
-            grown = np.empty((max(2 * n, 16), d))
-            grown[:n] = self._matrix.reshape(n, d)  # (0, 0) while empty
-            self._matrix = grown
+            cap = max(2 * n, 16)
+            self._matrix = _grown(self._matrix.reshape(n, d), (cap, d))
+            self._solver = _grown(self._solver, (cap,))
+            self._time = _grown(self._time, (cap,))
+            self._cost = _grown(self._cost, (cap,))
         self._matrix[n] = record.features
+        self._solver[n] = self._intern(record.solver)
+        self._time[n] = record.time
+        self._cost[n] = record.cost
         self.records.append(record)
+
+    def nearest_order(self, features: Sequence[float]) -> np.ndarray:
+        """Every row index, nearest to `features` first; ties keep insertion
+        order (the older record first). The last order is kept until the
+        store or the query changes, so one query's ranking and schedule sort
+        the store once. The result is read-only."""
+        target = np.asarray(features, dtype=float)
+        key = (len(self.records), target.shape, target.tobytes())
+        if key != self._order_key:
+            self._order = (np.argsort(distance(self.features, target),
+                                      kind="stable")
+                           if self.records else np.empty(0, dtype=np.intp))
+            self._order.flags.writeable = False
+            self._order_key = key
+        return self._order
 
     # -- persistence (JSON lines, one record per line) ----------------------
 
     def save(self, path: str | Path) -> None:
-        """Write to a temporary file, then rename it over `path` atomically."""
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for rec in self.records:
-                fh.write(json.dumps(rec.to_json()) + "\n")
-        os.replace(tmp, path)
+        """Append the records added since the last load from or save to
+        `path` when the file is still as that left it (same size and
+        modification time). Otherwise write every record to a temporary file
+        and rename it over `path` atomically."""
+        target = os.path.abspath(path)
+        added: Optional[list[SolveRecord]] = None
+        if self._file is not None and self._file[0] == target:
+            try:
+                st = os.stat(target)
+            except FileNotFoundError:
+                pass
+            else:
+                if (st.st_size, st.st_mtime_ns) == self._file[2:]:
+                    added = self.records[self._file[1]:]
+        if added is None:
+            tmp = f"{target}.tmp"
+            with open(tmp, "w", encoding="utf-8") as fh:
+                for rec in self.records:
+                    fh.write(json.dumps(rec.to_json()) + "\n")
+            os.replace(tmp, target)
+        elif added:
+            # encode first: a record that fails to encode leaves the file as is
+            text = "".join(json.dumps(rec.to_json()) + "\n" for rec in added)
+            with open(target, "a", encoding="utf-8") as fh:
+                fh.write(text)
+        st = os.stat(target)
+        self._file = (target, len(self.records), st.st_size, st.st_mtime_ns)
 
     @staticmethod
     def load(path: str | Path, seed: int = 0) -> "BanditStore":
+        """Read a saved store. A last line without its newline is a torn
+        append: it is dropped, and the next save rewrites the file."""
+        records, torn = [], False
         with open(path, encoding="utf-8") as fh:
-            records = [SolveRecord.from_json(json.loads(line))
-                       for line in fh if line.strip()]
-        return BanditStore(seed=seed, records=records)
+            for line in fh:
+                if not line.endswith("\n"):  # only the last line can
+                    torn = bool(line.strip())
+                elif line.strip():
+                    records.append(SolveRecord.from_json(json.loads(line)))
+            st = os.fstat(fh.fileno())
+        store = BanditStore(seed=seed, records=records)
+        if not torn:
+            store._file = (os.path.abspath(path), len(store), st.st_size,
+                           st.st_mtime_ns)
+        return store
+
+
+def _filled(values: Iterable[float], count: int, capacity: int,
+            dtype: type) -> np.ndarray:
+    column = np.empty(capacity, dtype=dtype)
+    column[:count] = np.fromiter(values, dtype, count)
+    return column
+
+
+def _grown(column: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    grown = np.empty(shape, dtype=column.dtype)
+    grown[:len(column)] = column
+    return grown
 
 
 def record_outcome(store: BanditStore, record: SolveRecord, solved: bool) -> bool:
@@ -248,10 +359,7 @@ def nearest_records(store: BanditStore, features: Sequence[float], k: int
     fewer than k). Ties break by insertion order: the older record wins."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if not store.records:
-        return []
-    order = np.argsort(distance(store.features, features), kind="stable")[:k]
-    return [store.records[i] for i in order]
+    return [store.records[i] for i in store.nearest_order(features)[:k]]
 
 
 def _reward_sums(records: Iterable[SolveRecord],
@@ -314,9 +422,11 @@ def rank_double(store: BanditStore, features: Sequence[float], k: int,
     arms: list[str] = list(models)
     if include_enumerator:
         arms.append(ENUMERATOR_KIND)
-    # one nearest-first pass over the whole store serves both layers
-    neighbours = nearest_records(store, features, max(k, len(store)))
-    order = _rank(_reward_sums(neighbours[:k], model_arm), arms, store.rng)
+    order = _rank(_reward_sums(nearest_records(store, features, k), model_arm),
+                  arms, store.rng)
+    # the store's kept nearest-first order serves the prompt layer too
+    nearest = store.nearest_order(features)
+    nearest_solvers = store.solver_column[nearest]
     ranked: list[SolverId] = []
     for arm in order:
         if arm == ENUMERATOR_KIND and include_enumerator:
@@ -324,8 +434,9 @@ def rank_double(store: BanditStore, features: Sequence[float], k: int,
             continue
         rng = (rngs or {}).get(arm) or random.Random(
             store.rng.randrange(2 ** 31))
-        own = [r for r in neighbours
-               if r.solver.kind == LLM_KIND and r.solver.model == arm][:k]
+        of_arm = np.array([s.kind == LLM_KIND and s.model == arm
+                           for s in store.solvers], dtype=bool)
+        own = [store.records[i] for i in nearest[of_arm[nearest_solvers]][:k]]
         styles = _rank(_reward_sums(own, lambda s: s.style),
                        prompts.get(arm, PROMPT_STYLE_RANGE), rng)
         ranked.extend(SolverId.llm(arm, style) for style in styles)

@@ -14,7 +14,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from .bandit import BanditStore, SolveRecord, SolverId, nearest_records
+import numpy as np
+
+from .bandit import BanditStore, SolverId
+# perfbench traces budget.nearest_records beside bandit.nearest_records
+from .bandit import nearest_records  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -84,6 +88,75 @@ class SolverSchedule:
         return sum(e.cost for e in self.entries)
 
 
+def nearest_per_solver(store: BanditStore, features: Sequence[float],
+                       k: int) -> dict[int, np.ndarray]:
+    """Each solver's k nearest rows of the store (all of them when it has
+    fewer), nearest first, keyed by its value in the solver column.
+
+    One pass over the store's nearest-first order: a stable argsort of the
+    solver column along that order groups the rows by solver without
+    reordering any group, and a row is kept when its rank within its group
+    (a cumcount) is below k."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    order = store.nearest_order(features)
+    if not len(order):
+        return {}
+    # the narrowest dtype that holds every solver index: numpy's stable sort
+    # of 8- and 16-bit integers is a radix sort
+    solvers = store.solver_column[order].astype(
+        np.min_scalar_type(len(store.solvers)))
+    grouped = np.argsort(solvers, kind="stable")
+    ids = solvers[grouped]
+    starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+    sizes = np.diff(np.append(starts, len(ids)))
+    rank = np.arange(len(ids)) - np.repeat(starts, sizes)
+    rows = order[grouped[rank < k]]
+    kept = np.minimum(sizes, k)
+    return {solver: rows[end - n:end] for solver, n, end in zip(
+        ids[starts].tolist(), kept.tolist(), np.cumsum(kept).tolist())}
+
+
+def _samples(ranking: Sequence[SolverId], store: BanditStore,
+             nearest: dict[int, np.ndarray], dimension: str
+             ) -> list[list[float]]:
+    """Per ranked solver, the positive values of `dimension` among its k
+    nearest rows, nearest first, as Python floats: fit_exponential sums
+    them with Python's sum, in that order."""
+    if dimension not in ("cost", "time"):
+        raise ValueError(f"unknown dimension {dimension!r}")
+    column = store.cost_column if dimension == "cost" else store.time_column
+    out = []
+    for solver in ranking:
+        rows = nearest.get(store.solver_index(solver))
+        values = column[rows].tolist() if rows is not None else []
+        out.append([v for v in values if v > 0])
+    return out
+
+
+def _allocate(samples_per_solver: Sequence[Sequence[float]], budget: float,
+              delta: float) -> list[float]:
+    if not samples_per_solver:
+        raise ValueError("cannot allocate over an empty ranking")
+    allocations = [0.0] * len(samples_per_solver)
+    remaining = budget
+    for i, samples in enumerate(samples_per_solver):
+        if remaining <= 0:
+            break
+        if samples:
+            fit = fit_exponential(samples)
+            want = allocate_one(fit, budget, delta)
+        else:
+            sampleless_left = sum(1 for s in samples_per_solver[i:] if not s)
+            want = remaining / sampleless_left
+        got = min(want, remaining)
+        allocations[i] = got
+        remaining -= got
+    if remaining > 0:
+        allocations[-1] += remaining
+    return allocations
+
+
 def allocate_sequence(ranking: Sequence[SolverId], store: BanditStore,
                       features: Sequence[float], k: int,
                       budget: float, delta: float,
@@ -93,42 +166,13 @@ def allocate_sequence(ranking: Sequence[SolverId], store: BanditStore,
     allocation, capped by what remains. Solvers with no nearby samples split
     the remaining budget evenly among all sample-less solvers still to come;
     once the budget runs out, every following solver gets zero; leftover after
-    the walk is handed to the final solver."""
-    if not ranking:
-        raise ValueError("cannot allocate over an empty ranking")
-    if dimension not in ("cost", "time"):
-        raise ValueError(f"unknown dimension {dimension!r}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    the walk is handed to the final solver.
 
-    # one nearest-first pass; each solver's k nearest are its first k in it
-    nearest: dict[SolverId, list[SolveRecord]] = {}
-    for rec in nearest_records(store, features, max(k, len(store))):
-        nearest.setdefault(rec.solver, []).append(rec)
-    samples_per_solver = [
-        [v for v in (getattr(r, dimension) for r in nearest.get(s, [])[:k])
-         if v > 0]
-        for s in ranking]
-
-    allocations = [0.0] * len(ranking)
-    remaining = budget
-    for i, solver in enumerate(ranking):
-        if remaining <= 0:
-            break
-        samples = samples_per_solver[i]
-        if samples:
-            fit = fit_exponential(samples)
-            want = allocate_one(fit, budget, delta)
-        else:
-            sampleless_left = sum(1 for j in range(i, len(ranking))
-                                  if not samples_per_solver[j])
-            want = remaining / sampleless_left
-        got = min(want, remaining)
-        allocations[i] = got
-        remaining -= got
-    if remaining > 0:
-        allocations[-1] += remaining
-    return allocations
+    Every solver's k nearest come from one nearest-first pass over the store
+    (`nearest_per_solver`), grouped by the store's solver column."""
+    return _allocate(_samples(ranking, store,
+                              nearest_per_solver(store, features, k),
+                              dimension), budget, delta)
 
 
 def build_schedule(ranking: Sequence[SolverId], store: BanditStore,
@@ -139,11 +183,12 @@ def build_schedule(ranking: Sequence[SolverId], store: BanditStore,
     """Cost slices first, then time slices over the solvers that received a
     nonzero cost slice (the coupling rule: no tokens means no time; the time
     freed that way is redistributed by re-running the greedy walk)."""
-    costs = allocate_sequence(ranking, store, features, k, C, delta_cost, "cost")
+    nearest = nearest_per_solver(store, features, k)
+    costs = _allocate(_samples(ranking, store, nearest, "cost"), C, delta_cost)
     funded = [s for s, c in zip(ranking, costs) if c > 0]
     if funded:
-        funded_times = iter(allocate_sequence(funded, store, features, k, T,
-                                              delta_time, "time"))
+        funded_times = iter(_allocate(_samples(funded, store, nearest, "time"),
+                                      T, delta_time))
         times = [next(funded_times) if c > 0 else 0.0 for c in costs]
     else:
         times = [0.0] * len(ranking)

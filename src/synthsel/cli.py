@@ -4,7 +4,8 @@
     synthsel run CORPUS_DIR [flags]   online run over a corpus of .sl files
     synthsel rescore REPORT --reward  re-score a stored report
 
-Exit codes: 0 solved / success, 1 unsolved, 2 usage or input error.
+Exit codes: 0 solved / success, 1 unsolved, 2 usage or input error, 3 run
+stopped by an error (its partial report is written).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ log = logging.getLogger(__name__)
 EXIT_SOLVED = 0
 EXIT_UNSOLVED = 1
 EXIT_USAGE = 2
+EXIT_ABORTED = 3
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,17 +163,27 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     runs = config.runs
     summary = None
-    if runs > 1:
-        summary = run_corpus_multi(paths, config, config.seed, runs, deployer)
-        report = summary.reports[0]
-        print(f"runs: {runs}  solved: {summary.mean_solved:.1f} "
-              f"± {summary.std_solved:.1f} of {report.n_queries}")
-    else:
-        report = run_corpus(paths, config, config.seed, deployer)
-        agg = report.aggregates()
-        print(f"solved {agg['n_solved']}/{agg['n_queries']} "
-              f"({agg['pct_solved']:.1f}%)  par2 {agg['par2']:.1f}")
     out_dir = config.out or "synthsel-out"
+    try:
+        if runs > 1:
+            summary = run_corpus_multi(paths, config, config.seed, runs,
+                                       deployer)
+            report = summary.reports[0]
+            print(f"runs: {runs}  solved: {summary.mean_solved:.1f} "
+                  f"± {summary.std_solved:.1f} of {report.n_queries}")
+        else:
+            report = run_corpus(paths, config, config.seed, deployer)
+            agg = report.aggregates()
+            print(f"solved {agg['n_solved']}/{agg['n_queries']} "
+                  f"({agg['pct_solved']:.1f}%)  par2 {agg['par2']:.1f}")
+    except Exception as exc:
+        partial = getattr(exc, "partial_report", None)
+        if partial is None:
+            raise
+        log.exception("run stopped after %d queries", partial.n_queries)
+        for name, path in write_run_outputs(out_dir, partial).items():
+            print(f"wrote partial {name}: {path}")
+        return EXIT_ABORTED
     written = write_run_outputs(out_dir, report, summary)
     for name, path in written.items():
         print(f"wrote {name}: {path}")

@@ -268,8 +268,9 @@ class QueryRecord:
         )
 
 
-def _all_rewards(t: float, c: float, solved: bool,
-                 T: float, C: float) -> dict[str, float]:
+def all_rewards(t: float, c: float, solved: bool,
+                T: float, C: float) -> dict[str, float]:
+    """The time, cost and binary rewards of one outcome under budgets T, C."""
     return {
         "time": RewardKind("time", T, C).compute(t, c, solved),
         "cost": RewardKind("cost", T, C).compute(t, c, solved),
@@ -295,8 +296,8 @@ def solve_query(query: SynthQuery, query_id: str, config: RunConfig,
         if raw.time > charged:  # charged time is clamped: keep the overrun visible
             overrun = f"overran slice: wall {raw.time:.3f} s"
             detail = f"{detail}; {overrun}" if detail else overrun
-        rewards = _all_rewards(charged, raw.cost, raw.solved,
-                               config.time_budget, config.cost_budget)
+        rewards = all_rewards(charged, raw.cost, raw.solved,
+                              config.time_budget, config.cost_budget)
         outcome = dataclasses.replace(raw, time=charged, rewards=rewards, detail=detail)
         outcomes.append(outcome)
         if outcome.solved:
@@ -465,37 +466,43 @@ class RunReport:
 def run_corpus(paths: Sequence[str], config: RunConfig, seed: int,
                deployer: Deployer,
                loader: QueryLoader = load_query_file) -> RunReport:
-    """One online pass over the corpus in a seed-shuffled order."""
+    """One online pass over the corpus in a seed-shuffled order.
+
+    An interrupt ends the pass early with a report of the queries done. Any
+    other exception propagates with that partial report attached as its
+    `partial_report`. Either way the learned state is saved first."""
     ordered = sorted(str(p) for p in paths)  # portable pre-shuffle order
     random.Random(seed).shuffle(ordered)
     state = new_state(config, seed)
-    records: list[QueryRecord] = []
-    skipped: list[str] = []
+    report = RunReport(
+        seed=seed,
+        time_budget=config.time_budget,
+        cost_budget=config.cost_budget,
+        selector=config.selector,
+        reward=config.reward,
+        records=[],
+    )
     try:
         for path in ordered:
             try:
                 query = loader(path)
             except (OSError, SygusError) as exc:
                 log.warning("skipping unreadable query %s: %s", path, exc)
-                skipped.append(path)
+                report.skipped.append(path)
                 continue
-            records.append(solve_query(query, path, config, state, deployer))
+            report.records.append(solve_query(query, path, config, state,
+                                              deployer))
     except KeyboardInterrupt:
         # interrupted runs still flush what they have
         log.warning("interrupted after %d queries; reporting partial results",
-                    len(records))
+                    report.n_queries)
+    except Exception as exc:
+        exc.partial_report = report  # type: ignore[attr-defined]
+        raise
     finally:  # a crash still keeps the records learned so far
         if config.state:
             state.store.save(config.state)
-    return RunReport(
-        seed=seed,
-        time_budget=config.time_budget,
-        cost_budget=config.cost_budget,
-        selector=config.selector,
-        reward=config.reward,
-        records=records,
-        skipped=skipped,
-    )
+    return report
 
 
 @dataclass

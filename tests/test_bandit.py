@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -369,3 +370,92 @@ def test_store_feature_matrix_tracks_appends():
     for p in points:
         store.append(rec(p, A1))
     assert store.features.tolist() == [list(p) for p in points]
+
+
+def test_store_columns_built_in_bulk_match_appends():
+    rng = random.Random(3)
+    solvers = [E, A1, A2, B1]
+    records = [rec((rng.random(), rng.random()), rng.choice(solvers),
+                   t=rng.uniform(0, 9), c=rng.uniform(0, 900))
+               for _ in range(50)]
+    bulk = BanditStore(seed=0, records=records)
+    grown = BanditStore(seed=0)
+    for r in records:
+        grown.append(r)
+    for store in (bulk, grown):
+        assert store.features.tolist() == [list(r.features) for r in records]
+        assert store.time_column.tolist() == [r.time for r in records]
+        assert store.cost_column.tolist() == [r.cost for r in records]
+        assert [store.solvers[i] for i in store.solver_column] == \
+            [r.solver for r in records]
+        assert store.solver_index(SolverId.llm("modelZ", 1)) is None
+    bulk.append(records[0])  # grows past the bulk-built capacity
+    assert bulk.features.tolist()[-1] == list(records[0].features)
+    with pytest.raises(ValueError):
+        BanditStore(records=[rec((0.0,), A1), rec((0.0, 1.0), A1)])
+
+
+def test_store_nearest_order_is_kept_per_query_and_store_size():
+    store = BanditStore(seed=0, records=[rec((float(i),), A1) for i in range(5)])
+    first = store.nearest_order((3.0,))
+    assert first.tolist() == [3, 2, 4, 1, 0]
+    assert store.nearest_order(np.array([3.0])) is first
+    assert not first.flags.writeable
+    assert store.nearest_order((0.0,)).tolist() == [0, 1, 2, 3, 4]
+    store.append(rec((3.0,), B1))
+    assert store.nearest_order((3.0,)).tolist() == [3, 5, 2, 4, 1, 0]
+
+
+def _full_rewrite(store, path):
+    BanditStore(records=store.records).save(path)
+    return path.read_bytes()
+
+
+def test_store_save_appends_new_records(tmp_path):
+    path = tmp_path / "state.jsonl"
+    store = BanditStore(seed=1, records=[rec((0.0,), A1)])
+    store.save(path)
+    inode = path.stat().st_ino
+    for i in range(3):
+        store.append(rec((float(i),), B1, reward=0.5, t=i + 0.25))
+        store.save(path)
+        assert path.stat().st_ino == inode  # appended, not replaced
+    store.save(path)  # nothing new: the file stays as it is
+    assert path.read_bytes() == _full_rewrite(store, tmp_path / "full.jsonl")
+    loaded = BanditStore.load(path, seed=2)
+    loaded.append(rec((7.0,), E, c=0.4))
+    loaded.save(path)  # a loaded store appends too
+    assert path.stat().st_ino == inode
+    assert path.read_bytes() == _full_rewrite(loaded, tmp_path / "full.jsonl")
+
+
+def test_store_save_rewrites_a_file_changed_since(tmp_path):
+    path = tmp_path / "state.jsonl"
+    store = BanditStore(seed=1, records=[rec((0.0,), A1)])
+    store.save(path)
+    with open(path, "a", encoding="utf-8") as fh:  # someone else's append
+        fh.write('{"stray": true}\n')
+    store.append(rec((1.0,), B1))
+    store.save(path)
+    assert path.read_bytes() == _full_rewrite(store, tmp_path / "full.jsonl")
+    other = tmp_path / "other.jsonl"
+    store.save(other)  # another path: a full write, then appends there
+    store.append(rec((2.0,), E, c=0.4))
+    store.save(other)
+    assert other.read_bytes() == _full_rewrite(store, tmp_path / "full.jsonl")
+
+
+def test_store_load_drops_a_torn_last_line(tmp_path):
+    path = tmp_path / "state.jsonl"
+    records = [rec((float(i),), A1) for i in range(3)]
+    BanditStore(records=records).save(path)
+    intact = path.read_bytes()
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"features": [9.0], "solver": {"ki')  # an append cut short
+    store = BanditStore.load(path)
+    assert store.records == records
+    store.save(path)  # rewrites the file without the torn line
+    assert path.read_bytes() == intact
+    store.append(rec((5.0,), B1))
+    store.save(path)
+    assert BanditStore.load(path).records == records + [rec((5.0,), B1)]

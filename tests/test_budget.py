@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import random
 
 import numpy as np
@@ -15,6 +17,7 @@ from synthsel.budget import (
     build_schedule,
     fit_exponential,
     linear_schedule,
+    nearest_per_solver,
 )
 
 E = SolverId.enumerator()
@@ -290,3 +293,148 @@ def test_build_schedule_matches_bruteforce_reference():
         got = build_schedule(ranking, store, q, k, T, C, 0.05, 0.1)
         assert got == _reference_schedule(ranking, records, q, k, T, C,
                                           0.05, 0.1)
+
+
+# Differential cases for the column grouping (nearest_per_solver): every
+# schedule must equal the brute-force reference bit for bit.
+
+ABSENT = [SolverId.llm("modelD", s) for s in (1, 2, 3)]
+SOLVERS = [E, A1, A2, B1, SolverId.llm("modelB", 4), SolverId.llm("modelC", 6)]
+
+
+def _random_record(rng, points, solvers, zero_share=0.2):
+    return SolveRecord(
+        rng.choice(points), rng.choice(solvers), rng.random(),
+        0.0 if rng.random() < zero_share else rng.uniform(0.01, 50.0),
+        0.0 if rng.random() < zero_share else rng.uniform(0.1, 5000.0))
+
+
+def _bruteforce_rows(records, q, k, solver):
+    mine = [i for i, r in enumerate(records) if r.solver == solver]
+    mine.sort(key=lambda i: (math.sqrt(sum(
+        (a - b) ** 2 for a, b in zip(records[i].features, q))), i))
+    return mine[:k]
+
+
+def _assert_matches_reference(rng, store, records, pool, points, ks, trials):
+    for _ in range(trials):
+        ranking = rng.sample(pool, k=rng.randrange(1, len(pool) + 1))
+        q = rng.choice(points) if rng.random() < 0.7 else tuple(
+            float(rng.randrange(-3, 4)) for _ in points[0])
+        k = rng.choice(ks)
+        T, C = rng.uniform(10.0, 200.0), rng.uniform(100.0, 50_000.0)
+        assert build_schedule(ranking, store, q, k, T, C, 0.05, 0.1) == \
+            _reference_schedule(ranking, records, q, k, T, C, 0.05, 0.1)
+        nearest = nearest_per_solver(store, q, k)
+        for solver in set(pool):
+            rows = nearest.get(store.solver_index(solver))
+            got = [] if rows is None else rows.tolist()
+            assert got == _bruteforce_rows(records, q, k, solver)
+
+
+def _points(rng, dim, n):
+    return [tuple(float(rng.randrange(-3, 4)) for _ in range(dim))
+            for _ in range(n)]
+
+
+def test_schedule_differential_absent_solvers():
+    rng = random.Random(21)
+    for trial in range(30):
+        points = _points(rng, 3, 8)
+        records = [_random_record(rng, points, SOLVERS[:3])
+                   for _ in range(rng.randrange(0, 80))]
+        store = BanditStore(seed=trial, records=records)
+        # most of the pool never appears in the store
+        _assert_matches_reference(rng, store, records, SOLVERS + ABSENT,
+                                  points, range(1, 10), 5)
+
+
+def test_schedule_differential_all_zero_samples():
+    rng = random.Random(22)
+    for trial in range(30):
+        points = _points(rng, 2, 6)
+        records = [_random_record(rng, points, SOLVERS, zero_share=0.6)
+                   for _ in range(rng.randrange(20, 80))]
+        # A2 and B1 never record a positive time or cost
+        records = [SolveRecord(r.features, r.solver, r.reward, 0.0, 0.0)
+                   if r.solver in (A2, B1) else r for r in records]
+        store = BanditStore(seed=trial, records=records)
+        _assert_matches_reference(rng, store, records, SOLVERS, points,
+                                  range(1, 12), 5)
+
+
+def test_schedule_differential_k_at_least_record_count():
+    rng = random.Random(23)
+    for trial in range(30):
+        points = _points(rng, 4, 10)
+        records = [_random_record(rng, points, SOLVERS)
+                   for _ in range(rng.randrange(1, 30))]
+        store = BanditStore(seed=trial, records=records)
+        most = max(sum(1 for r in records if r.solver == s) for s in SOLVERS)
+        _assert_matches_reference(rng, store, records, SOLVERS, points,
+                                  range(most, most + 4), 5)
+
+
+def test_schedule_differential_heavy_distance_ties():
+    rng = random.Random(24)
+    for trial in range(30):
+        points = _points(rng, 1, 2)  # at most two distinct points
+        records = [_random_record(rng, points, SOLVERS)
+                   for _ in range(rng.randrange(40, 200))]
+        store = BanditStore(seed=trial, records=records)
+        _assert_matches_reference(rng, store, records, SOLVERS, points,
+                                  range(1, 25), 5)
+
+
+def test_schedule_differential_store_grown_by_appends():
+    rng = random.Random(25)
+    for trial in range(6):
+        points = _points(rng, 3, 5)
+        records = [_random_record(rng, points, SOLVERS)
+                   for _ in range(rng.randrange(300, 700))]
+        store = BanditStore(seed=trial)
+        for i, r in enumerate(records):  # five or more capacity doublings
+            store.append(r)
+            if i % 97 == 0:  # interleave queries with growth
+                _assert_matches_reference(rng, store, records[:i + 1], SOLVERS,
+                                          points, range(1, 20), 1)
+        _assert_matches_reference(rng, store, records, SOLVERS, points,
+                                  range(1, 20), 5)
+
+
+def test_schedule_differential_after_save_and_load(tmp_path):
+    rng = random.Random(26)
+    path = tmp_path / "state.jsonl"
+    for trial in range(10):
+        points = _points(rng, 3, 6)
+        records = [_random_record(rng, points, SOLVERS)
+                   for _ in range(rng.randrange(1, 120))]
+        store = BanditStore(seed=trial)
+        for r in records[:len(records) // 2]:
+            store.append(r)
+        store.save(path)
+        for r in records[len(records) // 2:]:
+            store.append(r)
+        store.save(path)  # appends the second half
+        loaded = BanditStore.load(path)
+        assert loaded.records == records
+        assert loaded.features.tolist() == store.features.tolist()
+        assert loaded.time_column.tolist() == store.time_column.tolist()
+        assert loaded.cost_column.tolist() == store.cost_column.tolist()
+        assert [loaded.solvers[i] for i in loaded.solver_column] == \
+            [r.solver for r in records]
+        _assert_matches_reference(rng, loaded, records, SOLVERS, points,
+                                  range(1, 15), 5)
+
+
+def test_fit_sums_left_to_right():
+    # the schedule's rates are bit-identical only with Python's sequential
+    # sum; numpy's pairwise sum rounds differently on some of these
+    rng = random.Random(27)
+    differs = 0
+    for _ in range(200):
+        samples = [rng.uniform(0.01, 5000.0) for _ in range(rng.randrange(9, 40))]
+        left_to_right = functools.reduce(operator.add, samples)
+        assert fit_exponential(samples).rate == len(samples) / left_to_right
+        differs += float(np.sum(samples)) != left_to_right
+    assert differs

@@ -202,3 +202,40 @@ def test_model_without_endpoint_is_usage_error(backend, tmp_path, monkeypatch, c
     path.write_text(MAX2_TEXT)
     assert main(["solve", str(path), "--config", str(cfg_path)]) == 2
     assert "model-b" in capsys.readouterr().err
+
+
+def test_run_crash_writes_partial_report_and_exits_nonzero(tmp_path, monkeypatch, capsys):
+    import synthsel.cli as cli
+    from synthsel.llm.backends import ReplayMissError
+
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for i in range(3):
+        (corpus / f"q{i}.sl").write_text(MAX2_TEXT)
+    real = cli.make_deployer
+
+    def crash_on_second(config):
+        deployer = real(config)
+        seen = []
+        solve = deployer.deploy
+
+        def deploy(query, qid, *args):
+            if qid not in seen:
+                seen.append(qid)
+            if len(seen) == 2:
+                raise ReplayMissError("no recorded response")
+            return solve(query, qid, *args)
+
+        deployer.deploy = deploy
+        return deployer
+
+    monkeypatch.setattr(cli, "make_deployer", crash_on_second)
+    out_dir, state = tmp_path / "out", tmp_path / "state.jsonl"
+    code = main(["run", str(corpus), "--selector", "fixed:enumerator",
+                 "--time-budget", "30", "--seed", "3", "--state", str(state),
+                 "--out", str(out_dir)])
+    assert code == cli.EXIT_ABORTED
+    report = json.loads((out_dir / "report.json").read_text())
+    assert len(report["records"]) == 1 and report["records"][0]["solved"]
+    assert len((out_dir / "events.jsonl").read_text().splitlines()) == 1
+    assert len(state.read_text().splitlines()) == 1

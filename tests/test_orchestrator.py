@@ -456,8 +456,13 @@ def test_run_corpus_keeps_learned_state_on_crash(tmp_path):
                 raise ReplayMissError("no recorded response")
             return super().deploy(query, qid, features, entry, state, cfg)
 
-    with pytest.raises(ReplayMissError):
+    with pytest.raises(ReplayMissError) as raised:
         run_corpus(paths, config, seed=0,
                    deployer=CrashOnThird(_matrix_for(paths, config)))
     # the two queries solved before the crash are kept
     assert len(BanditStore.load(state_file)) == 2
+    # and reported: the partial report rides on the exception
+    partial = raised.value.partial_report
+    assert [r.query_id for r in partial.records] == seen[:2]
+    assert all(r.solved and r.winner == P4 for r in partial.records)
+    assert partial.aggregates()["n_solved"] == 2
