@@ -10,6 +10,7 @@ in random order.
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 from dataclasses import dataclass
@@ -89,6 +90,9 @@ class SolveRecord:
         object.__setattr__(self, "features", tuple(map(float, self.features)))
         if not 0.0 <= self.reward <= 1.0:
             raise ValueError(f"reward must be in [0, 1], got {self.reward}")
+        if not (math.isfinite(self.time) and math.isfinite(self.cost)
+                and all(map(math.isfinite, self.features))):
+            raise ValueError("features, time and cost must be finite")
         if self.time < 0 or self.cost < 0:
             raise ValueError("time and cost must be nonnegative")
 

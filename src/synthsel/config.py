@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Tuple
 
-from .bandit import SolverId
+from .bandit import PROMPT_STYLE_RANGE, SolverId
 from .featurize import FeaturizerConfig
 
 SELECTORS = ("single", "double", "linear-single", "linear-double")
@@ -27,6 +27,20 @@ class ModelConfig:
     styles: Tuple[int, ...] = (1, 2, 3, 4, 5, 6)
     endpoint: Optional[str] = None
     api_key_env: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if not self.name:
+            raise ValueError("every model needs a name")
+        if not self.styles:
+            raise ValueError(f"model {self.name!r} has no prompt styles")
+        bad = [s for s in self.styles
+               if type(s) is not int or s not in PROMPT_STYLE_RANGE]
+        if bad:
+            raise ValueError(f"model {self.name!r} has prompt styles outside "
+                             f"1..6: {bad}")
+        if len(set(self.styles)) != len(self.styles):
+            raise ValueError(f"model {self.name!r} repeats a prompt style: "
+                             f"{list(self.styles)}")
 
     def to_json(self) -> dict:
         return {
@@ -70,8 +84,14 @@ class RunConfig:
     normalize_features: bool = False
 
     def __post_init__(self) -> None:
-        if not (self.selector in SELECTORS or self.selector.startswith("fixed:")):
+        if self.selector.startswith("fixed:"):
+            SolverId.parse(self.selector.split(":", 1)[1])
+        elif self.selector not in SELECTORS:
             raise ValueError(f"unknown selector {self.selector!r}")
+        names = [m.name for m in self.models]
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        if repeated:
+            raise ValueError(f"model names must be unique; repeated: {repeated}")
         if self.reward not in REWARDS:
             raise ValueError(f"unknown reward {self.reward!r}")
         if self.backend not in BACKENDS:

@@ -21,10 +21,10 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
-from typing import Callable, Mapping, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Optional, Sequence, Tuple, TypeVar
 
-from .sygus import (App, Candidate, Grammar, Ite, SygusError, SynthQuery, Term, Var,
-                    conjoin, fill_holes, substitute_solution)
+from .sygus import (App, Candidate, Grammar, SygusError, SynthQuery, Term, Var,
+                    conjoin, fill_holes, map_children, substitute_solution)
 from .sygus.grammar import Production
 from .sygus.terms import BOOL
 from .verify import (Assignment, EvaluationError, Verifier, compile_template,
@@ -50,21 +50,19 @@ class SearchResult:
 
 @dataclass(frozen=True)
 class EnumeratorConfig:
-    edge_cost_scale: float = 1.0   # proportionality constant for edge costs
     max_frontier: int = 4_000_000  # frontier memory cap; breach ends the search
 
 
-def edge_cost(nonterminal: str, grammar: Grammar,
-              scale: float = 1.0) -> float:
+def edge_cost(nonterminal: str, grammar: Grammar) -> float:
     """Cost of one expansion step: the number of choices at that nonterminal."""
     try:
         prods = grammar.productions[nonterminal]
     except KeyError:
         raise KeyError(f"unknown nonterminal {nonterminal!r}") from None
-    return scale * len(prods)
+    return float(len(prods))
 
 
-def min_completion_costs(grammar: Grammar, scale: float = 1.0) -> dict[str, float]:
+def min_completion_costs(grammar: Grammar) -> dict[str, float]:
     """Least total edge cost to rewrite each nonterminal into a hole-free term
     (least fixpoint; finite because the grammar has no dead nonterminals)."""
     mc: dict[str, float] = {nt: math.inf for nt in grammar.productions}
@@ -72,7 +70,7 @@ def min_completion_costs(grammar: Grammar, scale: float = 1.0) -> dict[str, floa
     while changed:
         changed = False
         for nt, prods in grammar.productions.items():
-            base = edge_cost(nt, grammar, scale)
+            base = edge_cost(nt, grammar)
             best = mc[nt]
             for p in prods:
                 total = base + sum(mc[h] for h in p.holes)
@@ -85,26 +83,6 @@ def min_completion_costs(grammar: Grammar, scale: float = 1.0) -> dict[str, floa
     if stuck:
         raise ValueError(f"nonterminals cannot complete: {stuck}")
     return mc
-
-
-@dataclass(frozen=True)
-class PartialProgram:
-    """A sentential form: the productions applied so far, leftmost-first, and
-    the pending nonterminals left to expand."""
-
-    choices: Tuple[int, ...]       # indices into the grammar's production list
-    pending: Tuple[str, ...]
-    cost: float                    # sum of edge costs spent so far
-
-
-def heuristic(partial: PartialProgram, grammar: Grammar,
-              mc: Optional[Mapping[str, float]] = None,
-              scale: float = 1.0) -> float:
-    """Estimated remaining cost: sum of minimal completion costs over the
-    pending nonterminals; zero exactly when the program is complete."""
-    if mc is None:
-        mc = min_completion_costs(grammar, scale)
-    return sum(mc[nt] for nt in partial.pending)
 
 
 def _flat_productions(grammar: Grammar) -> Tuple[list[Production], dict[str, list[int]]]:
@@ -196,13 +174,9 @@ def _invocations(query: SynthQuery, examples: Sequence[Assignment]
     slots: dict[Term, str] = {}
 
     def replace(t: Term) -> Term:
-        if isinstance(t, App):
-            if t.op == fn.name:
-                return Var(slots.setdefault(t, f"#{len(slots)}"))
-            return App(t.op, tuple(replace(a) for a in t.args))
-        if isinstance(t, Ite):
-            return Ite(replace(t.cond), replace(t.then_branch), replace(t.else_branch))
-        return t
+        if isinstance(t, App) and t.op == fn.name:
+            return Var(slots.setdefault(t, f"#{len(slots)}"))
+        return map_children(t, replace)
 
     phi = conjoin([replace(c) for c in query.constraints])
     names = [n for n, _ in query.universals]
@@ -272,18 +246,18 @@ def astar_synthesize(grammar: Grammar,
     constraint on every example; priority is spent cost plus heuristic, ties
     FIFO. `deadline` is absolute (time.monotonic); checked on every expansion.
     """
-    scale = config.edge_cost_scale
-    mc = min_completion_costs(grammar, scale)
+    mc = min_completion_costs(grammar)
     flat, by_nt = _flat_productions(grammar)
-    costs = {nt: edge_cost(nt, grammar, scale) for nt in grammar.productions}
+    costs = {nt: edge_cost(nt, grammar) for nt in grammar.productions}
     holes = [p.holes for p in flat]
     holes_mc = [sum(mc[h] for h in p.holes) for p in flat]
     check = _compiled_check(flat, examples, query)
 
     counter = itertools.count()  # FIFO among equal priorities
     # a frontier entry is (priority, tie, choices, pending, cost, heuristic):
-    # the fields of a PartialProgram plus its heuristic, so children update
-    # the heuristic in O(holes)
+    # the sentential form (production choices so far, leftmost first, and
+    # the pending nonterminals), the edge cost spent, and the heuristic, so
+    # children update the heuristic in O(holes)
     g0 = mc[grammar.start]
     frontier: list = [(g0, next(counter), (), (grammar.start,), 0.0, g0)]
     expansions = 0

@@ -167,14 +167,8 @@ class RecordingBackend:
     def complete(self, model: str, messages: Sequence[Message],
                  timeout: Optional[float] = None) -> BackendReply:
         reply = self.inner.complete(model, messages, timeout=timeout)
-        entry = {
-            "key_hash": fixture_key(model, messages),
-            "response_text": reply.text,
-            "input_tokens": reply.input_tokens,
-            "output_tokens": reply.output_tokens,
-        }
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry) + "\n")
+        write_fixture(self.path, model, messages, reply.text,
+                      reply.input_tokens, reply.output_tokens)
         return reply
 
 

@@ -16,6 +16,7 @@ from .terms import (
     App,
     BVLit,
     FunctionSignature,
+    Hole,
     IntLit,
     Ite,
     Sort,
@@ -25,22 +26,14 @@ from .terms import (
     BOOL,
     INT,
     is_operator,
+    map_children,
     print_term,
+    subterms,
 )
 
 
 class GrammarError(SygusError):
     pass
-
-
-@dataclass(frozen=True)
-class Hole:
-    """A nonterminal occurrence inside a production template."""
-
-    nonterminal: str
-
-    def __str__(self) -> str:
-        return self.nonterminal
 
 
 TemplateTerm = Term  # may additionally contain Hole leaves
@@ -53,58 +46,27 @@ class Production:
     holes: Tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "holes", tuple(_holes_preorder(self.template)))
+        object.__setattr__(self, "holes", tuple(
+            t.nonterminal for t in subterms(self.template) if isinstance(t, Hole)))
 
     def __str__(self) -> str:
-        return f"{self.nonterminal} -> {template_str(self.template)}"
-
-
-def _holes_preorder(template: TemplateTerm) -> list[str]:
-    out: list[str] = []
-
-    def walk(t: TemplateTerm) -> None:
-        if isinstance(t, Hole):
-            out.append(t.nonterminal)
-        elif isinstance(t, App):
-            for a in t.args:
-                walk(a)
-        elif isinstance(t, Ite):
-            walk(t.cond)
-            walk(t.then_branch)
-            walk(t.else_branch)
-
-    walk(template)
-    return out
-
-
-def template_str(template: TemplateTerm) -> str:
-    if isinstance(template, Hole):
-        return template.nonterminal
-    if isinstance(template, App):
-        return "(" + template.op + "".join(" " + template_str(a) for a in template.args) + ")"
-    if isinstance(template, Ite):
-        return ("(ite " + template_str(template.cond) + " "
-                + template_str(template.then_branch) + " "
-                + template_str(template.else_branch) + ")")
-    return print_term(template)
+        return f"{self.nonterminal} -> {print_term(self.template)}"
 
 
 def fill_holes(template: TemplateTerm, subterms: Sequence[Term]) -> Term:
     """Replace holes, preorder, by the given terms; len(subterms) must match."""
-    it = iter(subterms)
+    kids = iter(subterms)
 
     def walk(t: TemplateTerm) -> Term:
         if isinstance(t, Hole):
-            return next(it)
-        if isinstance(t, App):
-            return App(t.op, tuple(walk(a) for a in t.args))
-        if isinstance(t, Ite):
-            return Ite(walk(t.cond), walk(t.then_branch), walk(t.else_branch))
-        return t
+            kid = next(kids, None)
+            if kid is None:
+                raise GrammarError("too few subterms for template")
+            return kid
+        return map_children(t, walk)
 
     result = walk(template)
-    leftover = next(it, None)
-    if leftover is not None:
+    if next(kids, None) is not None:
         raise GrammarError("too many subterms for template")
     return result
 
@@ -128,27 +90,15 @@ class Grammar:
     def terminal_symbols(self) -> set[str]:
         """Operator and leaf tokens occurring in templates (excluding holes)."""
         out: set[str] = set()
-
-        def walk(t: TemplateTerm) -> None:
-            if isinstance(t, Hole):
-                return
-            if isinstance(t, App):
-                out.add(t.op)
-                for a in t.args:
-                    walk(a)
-            elif isinstance(t, Ite):
-                out.add("ite")
-                walk(t.cond)
-                walk(t.then_branch)
-                walk(t.else_branch)
-            elif isinstance(t, Var):
-                out.add(t.name)
-            else:
-                out.add(print_term(t))
-
         for prods in self.productions.values():
             for p in prods:
-                walk(p.template)
+                for t in subterms(p.template):
+                    if isinstance(t, App):
+                        out.add(t.op)
+                    elif isinstance(t, Ite):
+                        out.add("ite")
+                    elif not isinstance(t, Hole):
+                        out.add(print_term(t))
         return out
 
     def validate(self) -> None:

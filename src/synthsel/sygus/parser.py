@@ -8,6 +8,7 @@ rewritten into three plain constraints with the pre/trans/post macros inlined.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
@@ -25,11 +26,14 @@ from .terms import (
     Var,
     BOOL,
     INT,
+    apply_candidate,
+    conjoin,
     infer_sort,
     is_operator,
     print_param_list,
     print_term,
     substitute_vars,
+    subterms,
 )
 
 
@@ -56,34 +60,15 @@ class Token:
     col: int
 
 
+_TOKEN = re.compile(r"[()]|[^\s();]+|;.*")
+
+
 def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch.isspace():
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            tokens.append(Token(ch, line, col))
-            col += 1
-            i += 1
-        else:
-            start = i
-            start_col = col
-            while i < n and not text[i].isspace() and text[i] not in "();":
-                i += 1
-                col += 1
-            tokens.append(Token(text[start:i], line, start_col))
-    return tokens
+    """Parentheses and atoms with their 1-based line and column; a `;`
+    comment runs to the end of its line and yields no token."""
+    return [Token(m.group(), line, m.start() + 1)
+            for line, row in enumerate(text.split("\n"), 1)
+            for m in _TOKEN.finditer(row) if m.group()[0] != ";"]
 
 
 # ---------------------------------------------------------------------------
@@ -264,24 +249,12 @@ class SynthQuery:
 
     def int_literals(self) -> Tuple[int, ...]:
         """Distinct integer literals appearing in the constraints, sorted."""
-        from .terms import subterms
-
-        seen: set[int] = set()
-        for c in self.constraints:
-            for t in subterms(c):
-                if isinstance(t, IntLit):
-                    seen.add(t.value)
-        return tuple(sorted(seen))
+        return tuple(sorted({t.value for c in self.constraints
+                             for t in subterms(c) if isinstance(t, IntLit)}))
 
     def bv_literals(self) -> Tuple[Tuple[int, int], ...]:
-        from .terms import subterms
-
-        seen: set[Tuple[int, int]] = set()
-        for c in self.constraints:
-            for t in subterms(c):
-                if isinstance(t, BVLit):
-                    seen.add((t.value, t.width))
-        return tuple(sorted(seen))
+        return tuple(sorted({(t.value, t.width) for c in self.constraints
+                             for t in subterms(c) if isinstance(t, BVLit)}))
 
 
 def parse_query(text: str) -> SynthQuery:
@@ -478,8 +451,6 @@ def substitute_solution(query: SynthQuery, cand: Candidate) -> Term:
     """Conjunction of the query's constraints with every application of the
     synthesized function replaced by cand's body (parameters bound to the
     application's arguments, innermost applications first)."""
-    from .terms import apply_candidate, conjoin
-
     fn = query.synth_fun
     if (cand.name != fn.name or cand.return_sort != fn.return_sort
             or cand.signature.param_sorts != fn.param_sorts):

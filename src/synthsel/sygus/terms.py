@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 
 class SygusError(Exception):
@@ -114,7 +114,46 @@ class Ite:
         return print_term(self)
 
 
+@dataclass(frozen=True)
+class Hole:
+    """A nonterminal occurrence inside a grammar production's template."""
+
+    nonterminal: str
+
+    def __str__(self) -> str:
+        return self.nonterminal
+
+
 Term = Union[IntLit, BoolLit, BVLit, Var, App, Ite]
+
+
+def children(term: Term) -> Tuple[Term, ...]:
+    """The direct subterms of `term`, left to right; a leaf has none."""
+    if isinstance(term, App):
+        return term.args
+    if isinstance(term, Ite):
+        return (term.cond, term.then_branch, term.else_branch)
+    return ()
+
+
+def map_children(term: Term, f: Callable[[Term], Term]) -> Term:
+    """`term` rebuilt with `f` applied to each direct subterm, left to right;
+    a leaf is returned as it is."""
+    if isinstance(term, App):
+        return App(term.op, tuple(map(f, term.args)))
+    if isinstance(term, Ite):
+        return Ite(f(term.cond), f(term.then_branch), f(term.else_branch))
+    return term
+
+
+def subterms(term: Term) -> Iterator[Term]:
+    """Every node of `term`, itself included, in preorder, left to right."""
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        yield t
+        if isinstance(t, (App, Ite)):  # leaves, most nodes, skip the call
+            stack += children(t)[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -300,60 +339,27 @@ class Candidate:
 
 
 def free_variables(term: Term) -> set[str]:
-    out: set[str] = set()
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Var):
-            out.add(t.name)
-        elif isinstance(t, App):
-            stack.extend(t.args)
-        elif isinstance(t, Ite):
-            stack.extend((t.cond, t.then_branch, t.else_branch))
-    return out
-
-
-def subterms(term: Term) -> Iterator[Term]:
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        yield t
-        if isinstance(t, App):
-            stack.extend(t.args)
-        elif isinstance(t, Ite):
-            stack.extend((t.cond, t.then_branch, t.else_branch))
+    return {t.name for t in subterms(term) if isinstance(t, Var)}
 
 
 def substitute_vars(term: Term, binding: Mapping[str, Term]) -> Term:
     """Replace variables by terms; simultaneous, safe because terms bind nothing."""
     if isinstance(term, Var):
         return binding.get(term.name, term)
-    if isinstance(term, App):
-        return App(term.op, tuple(substitute_vars(a, binding) for a in term.args))
-    if isinstance(term, Ite):
-        return Ite(
-            substitute_vars(term.cond, binding),
-            substitute_vars(term.then_branch, binding),
-            substitute_vars(term.else_branch, binding),
-        )
-    return term
+    return map_children(term, lambda t: substitute_vars(t, binding))
 
 
 def apply_candidate(term: Term, cand: Candidate) -> Term:
     """Rewrite every application of cand's function to cand's body, innermost out."""
-    if isinstance(term, App):
-        new_args = tuple(apply_candidate(a, cand) for a in term.args)
-        if term.op == cand.name:
-            binding = dict(zip(cand.signature.param_names, new_args))
-            return substitute_vars(cand.body, binding)
-        return App(term.op, new_args)
-    if isinstance(term, Ite):
-        return Ite(
-            apply_candidate(term.cond, cand),
-            apply_candidate(term.then_branch, cand),
-            apply_candidate(term.else_branch, cand),
-        )
-    return term
+    names = cand.signature.param_names
+
+    def walk(t: Term) -> Term:
+        t = map_children(t, walk)
+        if isinstance(t, App) and t.op == cand.name:
+            return substitute_vars(cand.body, dict(zip(names, t.args)))
+        return t
+
+    return walk(term)
 
 
 def conjoin(terms: Sequence[Term]) -> Term:
@@ -369,6 +375,7 @@ def conjoin(terms: Sequence[Term]) -> Term:
 # ---------------------------------------------------------------------------
 
 def print_term(term: Term) -> str:
+    """The term's text; a template's holes print as their nonterminal names."""
     parts: list[str] = []
     _print_into(term, parts)
     return "".join(parts)
@@ -386,6 +393,8 @@ def _print_into(term: Term, out: list[str]) -> None:
         out.append("#b" + format(term.value, f"0{term.width}b"))
     elif isinstance(term, Var):
         out.append(term.name)
+    elif isinstance(term, Hole):
+        out.append(term.nonterminal)
     elif isinstance(term, App):
         out.append("(")
         out.append(term.op)

@@ -1,14 +1,15 @@
 import stat
 import sys
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence, Tuple
 
 import pytest
 from hypothesis import settings
 
+from synthsel.enumerator import min_completion_costs
 from synthsel.llm.backends import BackendReply
 from synthsel.llm.prompts import Message
-from synthsel.sygus import parse_query
+from synthsel.sygus import Grammar, parse_query
 
 # derandomized, so every run draws the same examples; no per-example time
 # limit, so a slow shared machine cannot turn a pass into a flaky failure
@@ -121,3 +122,23 @@ def random_small_grammar(rng):
         productions[nt] = tuple(Production(nt, t) for t in templates)
     return Grammar(start=nts[0], sorts={nt: INT for nt in nts},
                    productions=productions)
+
+
+@dataclass(frozen=True)
+class PartialProgram:
+    """A sentential form: the productions applied so far, leftmost-first, and
+    the pending nonterminals left to expand."""
+
+    choices: Tuple[int, ...]       # indices into the grammar's production list
+    pending: Tuple[str, ...]
+    cost: float                    # sum of edge costs spent so far
+
+
+def heuristic(partial: PartialProgram, grammar: Grammar,
+              mc: Optional[Mapping[str, float]] = None) -> float:
+    """The A* search's estimate of the remaining cost: the sum of minimal
+    completion costs over the pending nonterminals; zero exactly when the
+    program is complete."""
+    if mc is None:
+        mc = min_completion_costs(grammar)
+    return sum(mc[nt] for nt in partial.pending)

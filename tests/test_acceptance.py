@@ -26,11 +26,9 @@ from synthsel.bandit import (
 )
 from synthsel.budget import ExponentialFit, allocate_one, build_schedule, fit_exponential
 from synthsel.enumerator import (
-    PartialProgram,
     SearchStatus,
     cegis_solve,
     edge_cost,
-    heuristic,
     min_completion_costs,
 )
 from synthsel.experiments import (
@@ -69,7 +67,9 @@ from conftest import (
     MAX2_SOLUTION,
     MAX2_TEXT,
     MAX3_SOLUTION,
+    PartialProgram,
     ScriptedBackend,
+    heuristic,
     random_small_grammar,
 )
 

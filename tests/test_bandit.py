@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -150,6 +151,28 @@ def test_record_validation():
         SolveRecord((0.0,), A1, reward=1.5, time=0, cost=0)
     with pytest.raises(ValueError):
         SolveRecord((0.0,), A1, reward=0.5, time=-1, cost=0)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("field", ["features", "time", "cost"])
+def test_record_rejects_non_finite_values(field, bad):
+    kwargs = {"features": (0.0, 1.0), "solver": A1, "reward": 0.5,
+              "time": 1.0, "cost": 10.0}
+    kwargs[field] = (0.0, bad) if field == "features" else bad
+    with pytest.raises(ValueError, match="finite"):
+        SolveRecord(**kwargs)
+
+
+@pytest.mark.parametrize("literal", ["Infinity", "NaN"])
+def test_store_load_rejects_a_non_finite_record(literal, tmp_path):
+    path = tmp_path / "state.jsonl"
+    BanditStore(records=[rec((0.0,), A1)]).save(path)
+    line = json.dumps(rec((1.0,), E).to_json()).replace('"cost": 10.0',
+                                                         f'"cost": {literal}')
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    with pytest.raises(ValueError, match="finite"):
+        BanditStore.load(path)
 
 
 # ---------------------------------------------------------------------------

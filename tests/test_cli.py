@@ -239,3 +239,30 @@ def test_run_crash_writes_partial_report_and_exits_nonzero(tmp_path, monkeypatch
     assert len(report["records"]) == 1 and report["records"][0]["solved"]
     assert len((out_dir / "events.jsonl").read_text().splitlines()) == 1
     assert len(state.read_text().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["run", "solve"])
+@pytest.mark.parametrize("config, needle", [
+    ({"selector": "fixed:bogus"}, "bogus"),
+    ({"selector": "fixed:gpt-p9"}, "prompt style"),
+    ({"models": [{"name": "gpt", "styles": [7]}]}, "outside 1..6"),
+    ({"models": [{"name": "gpt", "styles": []}]}, "no prompt styles"),
+    ({"models": [{"name": "gpt", "styles": [2, 2]}]}, "repeats a prompt style"),
+    ({"models": [{"name": "gpt"}, {"name": "gpt"}]}, "repeated: ['gpt']"),
+    ({"models": [{"name": ""}]}, "needs a name"),
+])
+def test_config_that_cannot_mean_what_it_says_is_usage_error(
+        command, config, needle, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "max2.sl").write_text(MAX2_TEXT)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    out_dir = tmp_path / "out"
+    target = corpus if command == "run" else corpus / "max2.sl"
+    code = main([command, str(target), "--config", str(cfg_path),
+                 "--fixtures", str(tmp_path / "fixtures.jsonl"),
+                 "--time-budget", "1", "--out", str(out_dir)])
+    assert code == 2
+    assert needle in capsys.readouterr().err
+    assert not out_dir.exists()  # rejected before any query ran

@@ -7,12 +7,10 @@ import pytest
 from synthsel import enumerator
 from synthsel.enumerator import (
     EnumeratorConfig,
-    PartialProgram,
     SearchStatus,
     astar_synthesize,
     cegis_solve,
     edge_cost,
-    heuristic,
     initial_example,
     min_completion_costs,
 )
@@ -31,7 +29,7 @@ from synthsel.sygus import (
 from synthsel.sygus.grammar import Hole, Production
 from synthsel.verify import Verifier, evaluate
 
-from conftest import random_small_grammar
+from conftest import PartialProgram, heuristic, random_small_grammar
 
 
 def _deadline(seconds: float) -> float:
@@ -46,7 +44,6 @@ def test_edge_cost_counts_productions(max3_query):
     g = grammar_for_query(max3_query)
     assert edge_cost("I", g) == 9
     assert edge_cost("B", g) == 6
-    assert edge_cost("I", g, scale=2.0) == 18
     with pytest.raises(KeyError):
         edge_cost("Z", g)
 
@@ -79,7 +76,7 @@ def test_single_production_grammar_costs():
     assert min_completion_costs(g) == {"N": 1.0}
 
 
-def _brute_min_completion(grammar, nt, depth, scale=1.0, _memo=None):
+def _brute_min_completion(grammar, nt, depth, _memo=None):
     """Minimal derivation cost over derivations of bounded depth, computed by
     exhaustive expansion (memoized on (nt, depth) to stay affordable)."""
     if _memo is None:
@@ -90,11 +87,11 @@ def _brute_min_completion(grammar, nt, depth, scale=1.0, _memo=None):
     if key in _memo:
         return _memo[key]
     best = math.inf
-    base = edge_cost(nt, grammar, scale)
+    base = edge_cost(nt, grammar)
     for p in grammar.productions[nt]:
         total = base
         for h in p.holes:
-            total += _brute_min_completion(grammar, h, depth - 1, scale, _memo)
+            total += _brute_min_completion(grammar, h, depth - 1, _memo)
         best = min(best, total)
     _memo[key] = best
     return best

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +10,7 @@ from synthsel.sygus import (
     Candidate,
     GrammarError,
     IntLit,
+    Ite,
     ParseError,
     SygusError,
     UnsupportedError,
@@ -26,8 +29,10 @@ from synthsel.sygus import (
     print_query,
     print_term,
     substitute_solution,
+    tokenize,
 )
-from synthsel.sygus.grammar import Hole, fill_holes
+from synthsel.sygus.grammar import Hole, Production, fill_holes
+from synthsel.sygus.parser import Token
 
 from conftest import MAX2_TEXT, MAX3_TEXT
 
@@ -336,6 +341,17 @@ def test_user_grammar_unit_production_inlined():
     assert len(g.productions["Start"]) == 3
 
 
+def test_fill_holes_rejects_a_wrong_number_of_subterms():
+    template = App("+", (Hole("I"), Ite(Hole("B"), Hole("I"), IntLit(1))))
+    kids = [Var("x"), BoolLit(True), IntLit(2)]
+    assert print_term(fill_holes(template, kids)) == "(+ x (ite true 2 1))"
+    for n in range(3):
+        with pytest.raises(GrammarError, match="too few"):
+            fill_holes(template, kids[:n])
+    with pytest.raises(GrammarError, match="too many"):
+        fill_holes(template, kids + [IntLit(3)])
+
+
 def test_user_grammar_rejects_unknown_symbol():
     sig = parse_query(MAX2_TEXT).synth_fun
     with pytest.raises(GrammarError):
@@ -390,3 +406,72 @@ def _terms(depth=2):
 def test_print_parse_round_trip_random_terms(term):
     env = {"v0": INT, "v1": INT, "v2": INT}
     assert parse_term_text(print_term(term), env) == term
+
+
+# templates whose hole tokens ("N0", "N1", "Start") differ from every other
+# token, so a hole can be found in the printed text by its name
+_HOLE_TOKEN = re.compile(r"\b(?:N0|N1|Start)\b")
+
+
+def _templates():
+    leaf = st.one_of(st.sampled_from(["N0", "N1", "Start"]).map(Hole),
+                     st.integers(-5, 5).map(IntLit), _names.map(Var))
+    return st.recursive(leaf, lambda sub: st.one_of(
+        st.tuples(st.sampled_from(["+", "-", "*"]), sub, sub)
+          .map(lambda t: App(t[0], t[1:])),
+        st.tuples(st.sampled_from(["not", "-"]), sub)
+          .map(lambda t: App(t[0], t[1:])),
+        st.tuples(sub, sub, sub).map(lambda t: Ite(*t)),
+    ), max_leaves=10)
+
+
+@given(_templates(), st.data())
+def test_fill_holes_replaces_printed_holes_left_to_right(template, data):
+    n = len(_HOLE_TOKEN.findall(print_term(template)))
+    kids = data.draw(st.lists(_terms(1), min_size=n, max_size=n))
+    printed = iter([print_term(k) for k in kids])
+    expected = _HOLE_TOKEN.sub(lambda m: next(printed), print_term(template))
+    assert print_term(fill_holes(template, kids)) == expected
+
+
+@given(_templates())
+def test_production_holes_are_the_printed_holes_in_order(template):
+    assert list(Production("N0", template).holes) == \
+        _HOLE_TOKEN.findall(print_term(template))
+
+
+def _tokenize_by_characters(text):
+    """The character-at-a-time lexer the regular expression replaced."""
+    tokens = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+        elif ch.isspace():
+            col += 1
+            i += 1
+        elif ch == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif ch in "()":
+            tokens.append(Token(ch, line, col))
+            col += 1
+            i += 1
+        else:
+            start = i
+            start_col = col
+            while i < n and not text[i].isspace() and text[i] not in "();":
+                i += 1
+                col += 1
+            tokens.append(Token(text[start:i], line, start_col))
+    return tokens
+
+
+@given(st.text(alphabet="();\n \t\r\x0b\x0c\x1c\x85\xa0\u2028ab-#1", max_size=60)
+       | st.text(max_size=40))
+def test_tokenize_matches_the_character_lexer(text):
+    assert tokenize(text) == _tokenize_by_characters(text)
