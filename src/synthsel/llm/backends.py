@@ -28,7 +28,13 @@ class BackendError(Exception):
 
 
 class ReplayMissError(BackendError):
-    """No recorded response for this prompt in the fixture file."""
+    """No recorded response for this prompt in the fixture file. `strict` is
+    the replaying backend's switch: a strict miss stops the run, a tolerated
+    one ends this solver's attempt at the query unsolved."""
+
+    def __init__(self, message: str, strict: bool = True):
+        super().__init__(message)
+        self.strict = strict
 
 
 @dataclass(frozen=True)
@@ -53,8 +59,9 @@ def fixture_key(model: str, messages: Sequence[Message]) -> str:
 
 @dataclass
 class ReplayBackend:
-    """Answers prompts from recorded fixtures; misses raise in strict mode and
-    surface as an unsolved outcome otherwise."""
+    """Answers prompts from recorded fixtures. A miss raises ReplayMissError
+    carrying `strict`: a strict miss stops the run, a tolerated one leaves the
+    solver unsolved with detail "replay gap: ..."."""
 
     path: str | Path
     strict: bool = True
@@ -79,7 +86,7 @@ class ReplayBackend:
         if not queue:
             raise ReplayMissError(
                 f"no fixture for key {key[:12]}… (model {model!r}, "
-                f"{len(messages)} messages)")
+                f"{len(messages)} messages)", strict=self.strict)
         entry = queue.pop(0) if len(queue) > 1 else queue[0]
         return BackendReply(
             text=entry["response_text"],

@@ -15,8 +15,7 @@ from typing import Optional, Sequence, Union
 
 from ..bandit import SolverId, estimate_cost
 from ..outcomes import DeploymentOutcome
-from ..sygus import Candidate, SygusError, SynthQuery, print_term
-from ..sygus.parser import read_sexprs, tokenize, candidate_from_sexpr
+from ..sygus import Candidate, SygusError, SynthQuery, parse_define_fun, print_term
 from ..verify import Verifier, evaluate, EvaluationError
 from .backends import BackendError, ChatBackend, ReplayMissError
 from .prompts import (
@@ -59,8 +58,7 @@ def extract_candidate(response_text: str,
     if expecting == "lisp":
         return text
     try:
-        exprs = read_sexprs(tokenize(text))
-        return candidate_from_sexpr(exprs[0])
+        return parse_define_fun(text)
     except SygusError as exc:
         raise ExtractionError(f"cannot parse define-fun: {exc}") from exc
 
@@ -103,8 +101,7 @@ class LlmRunResult:
 def solve_with_llm(query: SynthQuery, solver: SolverId,
                    time_slice: float, cost_slice: float,
                    backend: ChatBackend, verifier: Verifier,
-                   few_shot_pool: Sequence[SolvedExample] = (),
-                   tolerate_replay_miss: bool = False) -> LlmRunResult:
+                   few_shot_pool: Sequence[SolvedExample] = ()) -> LlmRunResult:
     """Run one LLM-prompt solver within its (time, cost) slice."""
     assert solver.kind == "llm" and solver.model and solver.style
     style = PromptStyle.from_index(solver.style)
@@ -141,9 +138,9 @@ def solve_with_llm(query: SynthQuery, solver: SolverId,
             reply = backend.complete(solver.model, transcript.as_messages(),
                                      timeout=remaining)
         except ReplayMissError as exc:
-            if tolerate_replay_miss:
-                return finish(False, None, detail=f"replay gap: {exc}")
-            raise
+            if exc.strict:
+                raise
+            return finish(False, None, detail=f"replay gap: {exc}")
         except BackendError as exc:
             return finish(False, None, detail=f"backend failure: {exc}")
         attempts += 1

@@ -105,7 +105,6 @@ class SolverDeployer:
             query, solver, entry.time, entry.cost,
             backend=self.backend, verifier=self.verifier,
             few_shot_pool=state.few_shot_pool,
-            tolerate_replay_miss=config.tolerate_replay_miss,
         )
         return result.outcome
 

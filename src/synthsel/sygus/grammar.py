@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
-from .parser import SExpr, Token, UnsupportedError, parse_sort, read_sexprs, tokenize, _parse_literal
+from .parser import (ParseError, SExpr, Token, UnsupportedError, _head, _parse_term,
+                     _TermContext, parse_sort, read_sexprs, tokenize)
 from .terms import (
     App,
     BVLit,
@@ -25,7 +26,6 @@ from .terms import (
     Var,
     BOOL,
     INT,
-    is_operator,
     map_children,
     print_term,
     subterms,
@@ -268,7 +268,8 @@ def parse_user_grammar(text: str, signature: FunctionSignature) -> Grammar:
     """Read a SyGuS grammar block.
 
     Accepts both the v2 form (predeclaration list followed by grouped rules)
-    and the v1 form (grouped rules only). Unit productions N -> M are inlined;
+    and the v1 form (grouped rules only). Rules are read by the term parser,
+    nonterminal names as holes. Unit productions N -> M are inlined;
     (Constant S) and (Variable S) generators are not supported.
     """
     exprs = read_sexprs(tokenize(text))
@@ -295,35 +296,17 @@ def parse_user_grammar(text: str, signature: FunctionSignature) -> Grammar:
             raise GrammarError(f"rule list for {nt!r} must be parenthesized")
         raw_rules[nt] = list(entries)
 
-    params = dict(signature.params)
-
-    def to_template(sexpr: SExpr) -> TemplateTerm:
-        if isinstance(sexpr, Token):
-            if sexpr.text in raw_rules:
-                return Hole(sexpr.text)
-            lit = _parse_literal(sexpr)
-            if lit is not None:
-                return lit
-            if sexpr.text in params:
-                return Var(sexpr.text)
-            raise GrammarError(f"grammar references unknown symbol {sexpr.text!r}")
-        if not sexpr or not isinstance(sexpr[0], Token):
-            raise GrammarError("malformed grammar term")
-        op = sexpr[0].text
-        if op in ("Constant", "Variable", "InputVariable", "LocalVariable"):
-            raise UnsupportedError(f"grammar generator {op!r} is not supported")
-        args = tuple(to_template(a) for a in sexpr[1:])
-        if op == "ite":
-            if len(args) != 3:
-                raise GrammarError("ite expects 3 arguments in grammar")
-            return Ite(args[0], args[1], args[2])
-        if not is_operator(op):
-            raise GrammarError(f"grammar references unknown operator {op!r}")
-        return App(op, args)
-
-    templates: dict[str, list[TemplateTerm]] = {
-        nt: [to_template(e) for e in entries] for nt, entries in raw_rules.items()
-    }
+    ctx = _TermContext(dict(signature.params), None, {}, frozenset(raw_rules))
+    templates: dict[str, list[TemplateTerm]] = {nt: [] for nt in raw_rules}
+    for nt, entries in raw_rules.items():
+        for entry in entries:
+            if _head(entry) in ("Constant", "Variable", "InputVariable", "LocalVariable"):
+                raise UnsupportedError(
+                    f"grammar generator {_head(entry)!r} is not supported")
+            try:
+                templates[nt].append(_parse_term(entry, ctx))
+            except ParseError as exc:
+                raise GrammarError(f"in the rules for {nt!r}: {exc}") from None
     _inline_unit_productions(templates)
 
     productions = {

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Tuple, Union
+from typing import AbstractSet, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .terms import (
     App,
@@ -18,6 +18,7 @@ from .terms import (
     BVLit,
     Candidate,
     FunctionSignature,
+    Hole,
     IntLit,
     Ite,
     Sort,
@@ -53,8 +54,7 @@ class UnsupportedError(SygusError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     text: str
     line: int
     col: int
@@ -137,11 +137,16 @@ def parse_sort(sexpr: SExpr) -> Sort:
             return BOOL
         raise UnsupportedError(f"unsupported sort {sexpr.text!r} "
                                f"(line {sexpr.line}, column {sexpr.col})")
-    if (len(sexpr) == 3 and _head(sexpr) == "_"
-            and isinstance(sexpr[1], Token) and sexpr[1].text == "BitVec"
-            and isinstance(sexpr[2], Token) and sexpr[2].text.isdigit()):
-        return Sort.bitvec(int(sexpr[2].text))
+    width = _BITVEC_SORT.fullmatch(_print_sexpr(sexpr))
+    if width:
+        return Sort.bitvec(int(width[1]))
     raise UnsupportedError(f"unsupported sort at line {_where(sexpr)[0]}")
+
+
+# numerals are ASCII digits: str.isdigit() and int() also accept '²' or '٣'
+_BITVEC_SORT = re.compile(r"\(_ BitVec ([0-9]+)\)")
+_BV_LITERAL = re.compile(r"#b[01]+|#x[0-9a-fA-F]+")
+_INDEXED_BV_LITERAL = re.compile(r"\(_ bv([0-9]+) ([0-9]+)\)")
 
 
 def _parse_literal(tok: Token) -> Optional[Term]:
@@ -151,15 +156,13 @@ def _parse_literal(tok: Token) -> Optional[Term]:
     if text == "false":
         return BoolLit(False)
     digits = text[1:] if text.startswith("-") else text
-    if digits.isdigit():
+    if digits.isdigit() and digits.isascii():
         return IntLit(int(text))
-    if text.startswith("#b") and len(text) > 2 and set(text[2:]) <= {"0", "1"}:
-        return BVLit(int(text[2:], 2), len(text) - 2)
-    if text.startswith("#x") and len(text) > 2:
-        try:
-            return BVLit(int(text[2:], 16), 4 * (len(text) - 2))
-        except ValueError:
-            return None
+    if text.startswith("#") and _BV_LITERAL.fullmatch(text):
+        digits = text[2:]
+        if text[1] == "b":
+            return BVLit(int(digits, 2), len(digits))
+        return BVLit(int(digits, 16), 4 * len(digits))
     return None
 
 
@@ -180,10 +183,14 @@ class _TermContext:
     var_sorts: dict[str, Sort]
     synth_fun: Optional[FunctionSignature]
     macros: dict[str, _Macro]
+    # a grammar's nonterminal names: such a token is read as a Hole
+    nonterminals: AbstractSet[str] = frozenset()
 
 
 def _parse_term(sexpr: SExpr, ctx: _TermContext) -> Term:
     if isinstance(sexpr, Token):
+        if sexpr.text in ctx.nonterminals:
+            return Hole(sexpr.text)
         lit = _parse_literal(sexpr)
         if lit is not None:
             return lit
@@ -194,6 +201,14 @@ def _parse_term(sexpr: SExpr, ctx: _TermContext) -> Term:
         raise ParseError("empty application", 0, 0)
     op_tok = _expect_atom(sexpr[0], "an operator symbol")
     op = op_tok.text
+    if op == "_":  # SMT-LIB's indexed bitvector literal (_ bvN width)
+        bv = _INDEXED_BV_LITERAL.fullmatch(_print_sexpr(sexpr))
+        if not bv:
+            raise ParseError("expected (_ bvN width)", op_tok.line, op_tok.col)
+        try:
+            return BVLit(int(bv[1]), int(bv[2]))
+        except SygusError as exc:
+            raise ParseError(str(exc), op_tok.line, op_tok.col) from None
     args = [_parse_term(a, ctx) for a in sexpr[1:]]
     if op == "ite":
         if len(args) != 3:

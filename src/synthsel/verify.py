@@ -34,10 +34,11 @@ from .sygus import (
     Var,
     BOOL,
     INT,
+    infer_sort,
     print_term,
     substitute_solution,
 )
-from .sygus.parser import Token, read_sexprs, tokenize
+from .sygus.parser import Token, _head, candidate_from_sexpr, read_sexprs, tokenize
 from .sygus.terms import subterms
 
 log = logging.getLogger(__name__)
@@ -639,56 +640,27 @@ def check_candidate_external(query: SynthQuery, cand: Candidate,
 
 
 def _parse_model(text: str, sorts: Mapping[str, Sort]) -> dict[str, Value]:
-    """Read `(define-fun name () Sort value)` entries from a get-model reply."""
-    exprs = read_sexprs(tokenize(text))
-    entries: list = []
-    for e in exprs:
-        if isinstance(e, list) and e and isinstance(e[0], Token) \
-                and e[0].text == "define-fun":
-            entries.append(e)
-        elif isinstance(e, list):
-            for sub in e:
-                if isinstance(sub, list) and sub and isinstance(sub[0], Token) \
-                        and sub[0].text == "define-fun":
-                    entries.append(sub)
+    """Values of the universals from a get-model reply: its `(define-fun x ()
+    S v)` entries, at top level or inside one wrapper list such as `(model
+    ...)`. Each value must be a literal of x's declared sort."""
     assignment: dict[str, Value] = {}
-    for entry in entries:
-        if len(entry) != 5 or not isinstance(entry[1], Token):
-            continue
-        name = entry[1].text
-        if name not in sorts:
-            continue
-        assignment[name] = _model_value(entry[4], sorts[name])
+    for top in read_sexprs(tokenize(text)):
+        wrapper = isinstance(top, list) and _head(top) != "define-fun"
+        for entry in top if wrapper else [top]:
+            if (_head(entry) != "define-fun" or len(entry) != 5 or entry[2] != []
+                    or not isinstance(entry[1], Token) or entry[1].text not in sorts):
+                continue  # a wrapper's head, or a function other than a universal
+            cand = candidate_from_sexpr(entry)
+            value, sort = cand.body, sorts[cand.name]
+            if (cand.return_sort != sort or not isinstance(value, (IntLit, BoolLit, BVLit))
+                    or infer_sort(value, {}) != sort):
+                raise SygusError(f"value of {cand.name!r} is not a {sort} literal: "
+                                 f"{print_term(value)}")
+            assignment[cand.name] = value.value
     missing = set(sorts) - set(assignment)
     if missing:
         raise SygusError(f"model is missing values for {sorted(missing)}")
     return assignment
-
-
-def _model_value(sexpr, sort: Sort) -> Value:
-    if isinstance(sexpr, Token):
-        text = sexpr.text
-        if sort == BOOL:
-            if text in ("true", "false"):
-                return text == "true"
-            raise SygusError(f"expected a Bool value, got {text!r}")
-        if text.startswith("#b"):
-            return int(text[2:], 2)
-        if text.startswith("#x"):
-            return int(text[2:], 16)
-        try:
-            return int(text)
-        except ValueError:
-            raise SygusError(f"expected a numeral, got {text!r}") from None
-    if (isinstance(sexpr, list) and len(sexpr) == 2
-            and isinstance(sexpr[0], Token) and sexpr[0].text == "-"):
-        inner = _model_value(sexpr[1], sort)
-        return -inner  # type: ignore[operator]
-    if (isinstance(sexpr, list) and len(sexpr) == 3
-            and isinstance(sexpr[0], Token) and sexpr[0].text == "_"
-            and isinstance(sexpr[1], Token) and sexpr[1].text.startswith("bv")):
-        return int(sexpr[1].text[2:])
-    raise SygusError(f"cannot read model value {sexpr!r}")
 
 
 # ---------------------------------------------------------------------------

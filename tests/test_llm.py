@@ -439,8 +439,8 @@ def test_loop_replay_miss_modes(max2_query, tmp_path):
         solve_with_llm(max2_query, solver, 30.0, 1e9,
                        backend=ReplayBackend(fixture), verifier=Verifier())
     tolerant = solve_with_llm(max2_query, solver, 30.0, 1e9,
-                              backend=ReplayBackend(fixture),
-                              verifier=Verifier(), tolerate_replay_miss=True)
+                              backend=ReplayBackend(fixture, strict=False),
+                              verifier=Verifier())
     assert not tolerant.outcome.solved
     assert "replay gap" in tolerant.outcome.detail
 

@@ -1,12 +1,15 @@
+import json
 import re
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from synthsel.sygus import (
     App,
     ArityError,
     BoolLit,
+    BVLit,
     Candidate,
     GrammarError,
     IntLit,
@@ -29,10 +32,11 @@ from synthsel.sygus import (
     print_query,
     print_term,
     substitute_solution,
+    subterms,
     tokenize,
 )
 from synthsel.sygus.grammar import Hole, Production, fill_holes
-from synthsel.sygus.parser import Token
+from synthsel.sygus.parser import Token, _head
 
 from conftest import MAX2_TEXT, MAX3_TEXT
 
@@ -475,3 +479,219 @@ def _tokenize_by_characters(text):
        | st.text(max_size=40))
 def test_tokenize_matches_the_character_lexer(text):
     assert tokenize(text) == _tokenize_by_characters(text)
+
+
+# ---------------------------------------------------------------------------
+# One term reader: numerals, indexed literals, grammar rules
+# ---------------------------------------------------------------------------
+
+def _max2_with(constraint="(= (f x y) x)", declare=""):
+    return f"""(set-logic LIA)
+(synth-fun f ((x Int) (y Int)) Int)
+(declare-var x Int)
+(declare-var y Int)
+{declare}
+(constraint {constraint})
+(check-synth)
+"""
+
+
+@pytest.mark.parametrize("atom", ["²", "-²", "1²", "#x٣", "#x1_0", "#x+f", "#b", "#b12"])
+def test_a_numeral_is_ascii_digits(atom):
+    # str.isdigit() accepts '²', and int() then raised ValueError instead of
+    # a SygusError; int(_, 16) accepts '٣', '_' and a sign
+    with pytest.raises(ParseError, match="undeclared symbol"):
+        parse_query(_max2_with(f"(= (f x y) {atom})"))
+
+
+@pytest.mark.parametrize("width", ["²", "٣", "-8", "8.0"])
+def test_a_bitvector_width_is_a_numeral(width):
+    with pytest.raises(UnsupportedError):
+        parse_query(_max2_with(declare=f"(declare-var z (_ BitVec {width}))"))
+
+
+def test_a_corpus_run_skips_a_file_with_a_non_ascii_numeral(tmp_path):
+    from synthsel.cli import main
+
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "max2.sl").write_text(MAX2_TEXT)
+    (corpus / "superscript.sl").write_text(_max2_with("(= (f x y) ²)"))
+    out_dir = tmp_path / "out"
+    code = main(["run", str(corpus), "--selector", "fixed:enumerator",
+                 "--time-budget", "30", "--seed", "3",
+                 "--state", str(tmp_path / "state.jsonl"), "--out", str(out_dir)])
+    assert code == 0
+    report = json.loads((out_dir / "report.json").read_text())
+    assert [Path(r["query_id"]).name for r in report["records"]] == ["max2.sl"]
+    assert [Path(p).name for p in report["skipped"]] == ["superscript.sl"]
+
+
+_BV_QUERY = """(set-logic BV)
+(synth-fun g ((w (_ BitVec 8))) (_ BitVec 8))
+(declare-var w (_ BitVec 8))
+(constraint (= (g w) (bvadd w (_ bv5 8))))
+(check-synth)
+"""
+
+
+def test_indexed_bitvector_literal_round_trips_through_print_query():
+    q = parse_query(_BV_QUERY)
+    assert BVLit(5, 8) in set(subterms(q.constraints[0]))
+    printed = print_query(q)
+    assert "(bvadd w #b00000101)" in printed
+    again = parse_query(printed)
+    assert again.constraints == q.constraints
+    assert print_query(again) == printed
+
+
+@pytest.mark.parametrize("literal", ["(_ bv256 8)", "(_ bv5 0)", "(_ bv² 8)",
+                                     "(_ bv5 ²)", "(_ bv 8)", "(_ bv5)",
+                                     "(_ BitVec 8)", "(_ bvx5 8)"])
+def test_indexed_literal_must_be_a_bitvector_in_range(literal):
+    with pytest.raises(ParseError):
+        parse_query(_BV_QUERY.replace("(_ bv5 8)", literal))
+
+
+def test_grammar_folds_a_negated_numeral_into_one_literal():
+    sig = parse_query(_max2_with()).synth_fun
+    g = parse_user_grammar("((I Int (x (- 3) (- I) (_ bv5 8))))", sig)
+    templates = [p.template for p in g.productions["I"]]
+    assert templates == [Var("x"), IntLit(-3), App("-", (Hole("I"),)), BVLit(5, 8)]
+    assert [str(p) for p in g.productions["I"]] == \
+        ["I -> x", "I -> (- 3)", "I -> (- I)", "I -> #b00000101"]
+
+
+@pytest.mark.parametrize("rules, error", [
+    ("((I Int ((Constant Int))))", UnsupportedError),
+    ("((I Int (x (Variable Int))))", UnsupportedError),
+    ("((I Int ((+ x (Constant Int)))))", GrammarError),  # nested: not a term
+    ("((I Int ((+ x))))", GrammarError),
+    ("((I Int ((ite x x))))", GrammarError),
+    ("((I Int ((frob x))))", GrammarError),
+    ("((I Int (())))", GrammarError),
+    ("((I Int (((+) x))))", GrammarError),
+    ("((I Int ((+ x ²))))", GrammarError),
+])
+def test_grammar_rule_errors(rules, error):
+    sig = parse_query(_max2_with()).synth_fun
+    with pytest.raises(error) as raised:
+        parse_user_grammar(rules, sig)
+    assert type(raised.value) is error
+
+
+# parse_user_grammar's own term reader from before grammar rules were read by
+# the query parser, kept as the oracle of the differential test below (it
+# shares the parser's reading of a single literal token).
+
+def _frozen_to_template(nonterminals, params):
+    from synthsel.sygus.parser import _parse_literal
+    from synthsel.sygus.terms import is_operator
+
+    def to_template(sexpr):
+        if isinstance(sexpr, Token):
+            if sexpr.text in nonterminals:
+                return Hole(sexpr.text)
+            lit = _parse_literal(sexpr)
+            if lit is not None:
+                return lit
+            if sexpr.text in params:
+                return Var(sexpr.text)
+            raise GrammarError(f"grammar references unknown symbol {sexpr.text!r}")
+        if not sexpr or not isinstance(sexpr[0], Token):
+            raise GrammarError("malformed grammar term")
+        op = sexpr[0].text
+        if op in ("Constant", "Variable", "InputVariable", "LocalVariable"):
+            raise UnsupportedError(f"grammar generator {op!r} is not supported")
+        args = tuple(to_template(a) for a in sexpr[1:])
+        if op == "ite":
+            if len(args) != 3:
+                raise GrammarError("ite expects 3 arguments in grammar")
+            return Ite(args[0], args[1], args[2])
+        if not is_operator(op):
+            raise GrammarError(f"grammar references unknown operator {op!r}")
+        return App(op, args)
+
+    return to_template
+
+
+def _frozen_user_grammar(text, signature):
+    """(grammar, None) or (None, (error, failing entry or None))."""
+    from synthsel.sygus.grammar import Grammar, _inline_unit_productions
+    from synthsel.sygus.parser import parse_sort, read_sexprs
+
+    (groups,) = read_sexprs(tokenize(text))
+    raw_rules = {g[0].text: list(g[2]) for g in groups}
+    to_template = _frozen_to_template(raw_rules, dict(signature.params))
+    templates = {}
+    for nt, entries in raw_rules.items():
+        templates[nt] = []
+        for entry in entries:
+            try:
+                templates[nt].append(to_template(entry))
+            except SygusError as exc:
+                return None, (exc, entry)
+    try:
+        _inline_unit_productions(templates)
+        return Grammar(
+            start=next(iter(raw_rules)),
+            sorts={g[0].text: parse_sort(g[1]) for g in groups},
+            productions={nt: tuple(Production(nt, t) for t in temps)
+                         for nt, temps in templates.items()}), None
+    except SygusError as exc:
+        return None, (exc, None)
+
+
+_NONTERMINALS = ["N0", "N1", "N2"]
+_GENERATORS = ("Constant", "Variable")
+# Mostly well-formed rules; each kind of error shows up now and then. `(- n)`
+# now folds for every literal n but prints as before only for a numeral
+# n > 0, so unary minus is drawn over those and over non-literals.
+_RULE_ATOMS = st.sampled_from(
+    (_NONTERMINALS + ["x", "y", "0", "1", "7", "-4", "(- 4)", "(- 12)",
+                      "(- N1)", "(- x)", "true", "false"]) * 2
+    + ["zz"])
+_RULE_APPS = st.sampled_from(
+    [("+", 2), ("*", 2), (">=", 2), ("=", 2), ("and", 2), ("not", 1),
+     ("ite", 3), ("+", 3)] * 12
+    + [("+", 1), ("ite", 2), ("frob", 1), ("Constant", 1), ("Variable", 0)])
+_RULE_TERMS = st.recursive(
+    _RULE_ATOMS,
+    lambda kids: _RULE_APPS.flatmap(lambda app: st.lists(
+        kids, min_size=app[1], max_size=app[1]).map(
+            lambda args: "(" + " ".join([app[0], *args]) + ")")),
+    max_leaves=4)
+_RULE_ENTRIES = st.lists(
+    st.sampled_from([_RULE_TERMS] * 29 + [st.sampled_from(["(Constant Int)",
+                                                            "(Variable Int)"])]
+                    ).flatmap(lambda entry: entry),
+    min_size=1, max_size=3)
+
+
+@settings(max_examples=200)
+@given(st.lists(_RULE_ENTRIES, min_size=3, max_size=3))
+def test_user_grammar_matches_its_former_reader(rule_lists):
+    sig = parse_query(_max2_with()).synth_fun
+    text = "(" + " ".join(f"({nt} Int ({' '.join(entries)}))"
+                          for nt, entries in zip(_NONTERMINALS, rule_lists)) + ")"
+    expected, failure = _frozen_user_grammar(text, sig)
+    if failure is None:
+        got = parse_user_grammar(text, sig)
+        # `(- n)` is now the literal -n, so `-4` and `(- 4)` are one template
+        # that unit inlining keeps once; each still prints as before
+        def printed(g):
+            return {nt: list(dict.fromkeys(map(str, prods)))
+                    for nt, prods in g.productions.items()}
+        assert printed(got) == printed(expected)
+        assert got.start == expected.start and got.sorts == expected.sorts
+        return
+    exc, entry = failure
+    if isinstance(exc, ArityError):
+        want = GrammarError  # read by the query parser: a rule error like any other
+    elif isinstance(exc, UnsupportedError) and _head(entry) not in _GENERATORS:
+        want = GrammarError  # a generator nested inside a term
+    else:
+        want = type(exc)
+    with pytest.raises(SygusError) as raised:
+        parse_user_grammar(text, sig)
+    assert type(raised.value) is want, (text, exc)

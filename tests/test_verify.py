@@ -236,6 +236,50 @@ def test_external_bogus_model_downgraded(max3_query, stub_solver_factory):
     assert res.is_unknown
 
 
+_MIXED_QUERY = """(set-logic ALL)
+(synth-fun f ((x Int)) Int)
+(declare-var x Int)
+(declare-var b Bool)
+(declare-var w (_ BitVec 8))
+(constraint (=> (and b (= w #x05)) (= (f x) x)))
+(check-synth)
+"""
+_X, _B, _W = ("(define-fun x () Int (- 3))", "(define-fun b () Bool true)",
+              "(define-fun w () (_ BitVec 8) #b00000101)")
+
+
+@pytest.mark.parametrize("model", [
+    f"({_X} {_B} {_W})",
+    f"(model {_X} {_B} {_W.replace('#b00000101', '#x05')})",
+    f"{_X}\n{_B}\n{_W.replace('#b00000101', '(_ bv5 8)')}",
+    # an auxiliary function, with parameters, is skipped unread
+    f"((define-fun k!0 ((a Int)) Int (k!1 a)) {_X} {_B} {_W})",
+])
+def test_external_model_shapes(model, stub_solver_factory):
+    cmd = stub_solver_factory("model_solver", f"sat\n{model}\n")
+    cand = parse_define_fun("(define-fun f ((x Int)) Int 0)")
+    res = check_candidate_external(parse_query(_MIXED_QUERY), cand, [cmd])
+    assert res.is_counterexample, res.reason
+    assert res.assignment_dict() == {"x": -3, "b": True, "w": 5}
+
+
+@pytest.mark.parametrize("x, b, w", [
+    ("(define-fun x () Bool true)", _B, _W),         # the wrong sort
+    ("(define-fun x () Int #b101)", _B, _W),         # a bitvector for an Int
+    (_X, _B, "(define-fun w () (_ BitVec 8) 5)"),    # a numeral for a BitVec
+    (_X, _B, "(define-fun w () (_ BitVec 8) #b101)"),  # the wrong width
+    ("(define-fun x () Int (+ 1 2))", _B, _W),       # not a literal
+    (_X, _B, "(define-fun w () (_ BitVec 8) v)"),    # not a term
+    (_X, "", _W),                                     # a missing universal
+])
+def test_external_malformed_model_is_unknown(x, b, w, stub_solver_factory):
+    cmd = stub_solver_factory("model_solver", f"sat\n({x} {b} {w})\n")
+    cand = parse_define_fun("(define-fun f ((x Int)) Int 0)")
+    res = check_candidate_external(parse_query(_MIXED_QUERY), cand, [cmd])
+    assert res.is_unknown
+    assert res.reason.startswith("malformed model:")
+
+
 def test_external_unknown(max3_query, stub_solver_factory):
     cmd = stub_solver_factory("unknown_solver", "unknown\n")
     cand = parse_define_fun(MAX3_SOLUTION)
