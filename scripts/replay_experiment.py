@@ -5,7 +5,7 @@ Builds the 60-query corpus and its mocked outcome matrix, then compares:
   - every fixed single solver (full budget per query),
   - the single- and double-layer k-NN selectors under each reward function,
   - the linear budget split,
-  - the virtual best.
+  - the virtual best: per query, the best of the fixed-solver runs.
 
 Writes a Table-2-style summary CSV plus the cumulative Par-2 curve of the
 best selector run, and prints the summary.
@@ -24,14 +24,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from synthsel.experiments import (
     build_outcome_matrix,
     experiment_config,
-    solver_solve_counts,
     write_cluster_corpus,
 )
 from synthsel.orchestrator import (
-    DeploymentOutcome,
     MatrixDeployer,
-    all_rewards,
-    placeholder_candidate,
     run_corpus,
     run_corpus_multi,
     virtual_best,
@@ -41,26 +37,6 @@ from synthsel.reports import (
     write_cumulative_par2_csv,
     write_summary_csv,
 )
-from synthsel.sygus import parse_query
-
-
-def matrix_outcomes(matrix, T, C, query_text):
-    """Each cell as the outcome of one solver given the full budgets, with
-    the rewards solve_query would record for it."""
-    candidate = placeholder_candidate(parse_query(query_text))
-    out = {}
-    for qid, row in matrix.items():
-        cells = {}
-        for solver, cell in row.items():
-            solved = cell.solves and cell.time <= T and cell.cost <= C
-            t = cell.time if solved else T
-            c = min(cell.cost, C)
-            cells[solver] = DeploymentOutcome(
-                solver=solver, solved=solved,
-                candidate=candidate if solved else None,
-                time=t, cost=c, rewards=all_rewards(t, c, solved, T, C))
-        out[qid] = cells
-    return out
 
 
 def main() -> int:
@@ -79,17 +55,21 @@ def main() -> int:
     matrix = build_outcome_matrix(paths, solvers)
     deployer = MatrixDeployer(matrix)
 
-    rows = []
-
-    outcomes = matrix_outcomes(matrix, base.time_budget, base.cost_budget,
-                               Path(paths[0]).read_text())
-    vb = virtual_best(outcomes, "binary", base.time_budget)
-    rows.append({
+    # every single solver, full budget each query
+    fixed = {solver: run_corpus(paths,
+                                experiment_config(selector=f"fixed:{solver}"),
+                                args.seed, deployer)
+             for solver in solvers}
+    finals = {}
+    for solver, rep in fixed.items():
+        for rec in rep.records:
+            finals.setdefault(rec.query_id, {})[solver] = rec.outcomes[-1]
+    vb = virtual_best(finals, "binary", base.time_budget)
+    rows = [{
         "selector": "virtual-best", "reward": "binary",
         "pct_solved": round(100.0 * vb.solved / vb.total, 1),
         "n_solved": vb.solved, "par2": round(vb.par2, 1),
-        "reward_cost": "", "reward_time": "", "avg_time": "", "avg_cost": "",
-    })
+    }]
 
     best_selector_report = None
     for selector in ("single", "double", "linear-single", "linear-double"):
@@ -109,11 +89,8 @@ def main() -> int:
             if selector == "single" and reward == "binary":
                 best_selector_report = rep
 
-    counts = solver_solve_counts(matrix)
-    for solver in sorted(solvers, key=lambda s: -counts[str(s)]):
-        config = experiment_config(selector=f"fixed:{solver}")
-        rep = run_corpus(paths, config, args.seed, deployer)
-        rows.append(summary_row(rep, label=str(solver)))
+    rows.extend(summary_row(fixed[solver], label=str(solver))
+                for solver in sorted(solvers, key=lambda s: -fixed[s].n_solved))
 
     write_summary_csv(out_dir / "summary.csv", rows)
     if best_selector_report is not None:

@@ -246,14 +246,23 @@ class BanditStore:
     @staticmethod
     def load(path: str | Path, seed: int = 0) -> "BanditStore":
         """Read a saved store. A last line without its newline is a torn
-        append: it is dropped, and the next save rewrites the file."""
+        append: it is dropped, and the next save rewrites the file. Any other
+        line that is not a record raises ValueError naming file and line."""
         records, torn = [], False
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
+            for number, line in enumerate(fh, 1):
                 if not line.endswith("\n"):  # only the last line can
                     torn = bool(line.strip())
                 elif line.strip():
-                    records.append(SolveRecord.from_json(json.loads(line)))
+                    try:
+                        rec = SolveRecord.from_json(json.loads(line))
+                        if records and len(rec.features) != len(records[0].features):
+                            raise ValueError("a feature count unlike the first record's")
+                    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                        raise ValueError(f"{path}, line {number}: not a solve "
+                                         f"record ({type(exc).__name__}: {exc})"
+                                         ) from None
+                    records.append(rec)
             st = os.fstat(fh.fileno())
         store = BanditStore(seed=seed, records=records)
         if not torn:
@@ -288,6 +297,9 @@ def record_outcome(store: BanditStore, record: SolveRecord, solved: bool) -> boo
 # Reward functions
 # ---------------------------------------------------------------------------
 
+REWARDS = ("time", "cost", "binary")
+
+
 def reward_time(t: float, T: float, solved: bool) -> float:
     """(1 - t/T)^4 when solved, else 0."""
     if T <= 0:
@@ -318,12 +330,12 @@ def reward_binary(solved: bool) -> float:
 class RewardKind:
     """Which reward drives learning, with the budgets it is scored against."""
 
-    kind: str  # "time" | "cost" | "binary"
+    kind: str  # one of REWARDS
     T: float = 100.0
     C: float = 100_000.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("time", "cost", "binary"):
+        if self.kind not in REWARDS:
             raise ValueError(f"unknown reward kind {self.kind!r}")
         if self.T <= 0 or self.C <= 0:
             raise ValueError("budgets T and C must be positive")

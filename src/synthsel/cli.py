@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+from .bandit import REWARDS
 from .config import RunConfig
 from .llm import HttpBackend, ModelRouter, RecordingBackend, ReplayBackend
 from .orchestrator import (
@@ -49,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--selector",
                        help="single | double | linear-single | linear-double "
                             "| fixed:<solver-id>")
-        p.add_argument("--reward", choices=("time", "cost", "binary"))
+        p.add_argument("--reward", choices=REWARDS)
         p.add_argument("--time-budget", type=float, dest="time_budget")
         p.add_argument("--cost-budget", type=float, dest="cost_budget")
         p.add_argument("--k", type=int)
@@ -76,8 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rescore = sub.add_parser("rescore",
                                help="re-score a report under another reward")
     p_rescore.add_argument("report")
-    p_rescore.add_argument("--reward", required=True,
-                           choices=("time", "cost", "binary"))
+    p_rescore.add_argument("--reward", required=True, choices=REWARDS)
     p_rescore.add_argument("--out", help="write the re-scored summary here")
 
     return parser
@@ -124,6 +124,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     try:
         config = resolve_config(args)
         deployer = make_deployer(config)
+        state = new_state(config, config.seed)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -137,7 +138,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"error: {args.path}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    state = new_state(config, config.seed)
     record = solve_query(query, args.path, config, state, deployer)
     if config.state:
         state.store.save(config.state)
@@ -179,6 +179,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     except Exception as exc:
         partial = getattr(exc, "partial_report", None)
         if partial is None:
+            if isinstance(exc, (ValueError, OSError)):  # the state did not load
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_USAGE
             raise
         log.exception("run stopped after %d queries", partial.n_queries)
         for name, path in write_run_outputs(out_dir, partial).items():

@@ -13,11 +13,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Tuple
 
-from .bandit import PROMPT_STYLE_RANGE, SolverId
+from .bandit import LLM_KIND, PROMPT_STYLE_RANGE, REWARDS, SolverId
 from .featurize import FeaturizerConfig
 
 SELECTORS = ("single", "double", "linear-single", "linear-double")
-REWARDS = ("time", "cost", "binary")
 BACKENDS = ("replay", "http", "record")
 
 
@@ -84,11 +83,14 @@ class RunConfig:
     normalize_features: bool = False
 
     def __post_init__(self) -> None:
+        names = [m.name for m in self.models]
         if self.selector.startswith("fixed:"):
-            SolverId.parse(self.selector.split(":", 1)[1])
+            fixed = SolverId.parse(self.selector.split(":", 1)[1])
+            if fixed.kind == LLM_KIND and fixed.model not in names:
+                raise ValueError(f"selector {self.selector!r} names model "
+                                 f"{fixed.model!r}, which is not configured")
         elif self.selector not in SELECTORS:
             raise ValueError(f"unknown selector {self.selector!r}")
-        names = [m.name for m in self.models]
         repeated = sorted({n for n in names if names.count(n) > 1})
         if repeated:
             raise ValueError(f"model names must be unique; repeated: {repeated}")

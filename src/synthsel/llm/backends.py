@@ -72,12 +72,19 @@ class ReplayBackend:
         path = Path(self.path)
         if path.exists():
             with open(path, encoding="utf-8") as fh:
-                for line in fh:
+                for number, line in enumerate(fh, 1):
                     line = line.strip()
                     if not line:
                         continue
-                    entry = json.loads(line)
-                    self._entries.setdefault(entry["key_hash"], []).append(entry)
+                    try:  # the token counts may be missing or null
+                        entry = json.loads(line)
+                        if not isinstance(entry["response_text"], str):
+                            raise TypeError("response_text is not a string")
+                        self._entries.setdefault(entry["key_hash"], []).append(entry)
+                    except (ValueError, KeyError, TypeError) as exc:
+                        raise ValueError(f"{path}, line {number}: not a replay "
+                                         f"fixture ({type(exc).__name__}: {exc})"
+                                         ) from None
 
     def complete(self, model: str, messages: Sequence[Message],
                  timeout: Optional[float] = None) -> BackendReply:

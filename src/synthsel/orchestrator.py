@@ -20,6 +20,7 @@ import numpy as np
 from .bandit import (
     BanditStore,
     ENUMERATOR_COST,
+    REWARDS,
     RewardKind,
     SolveRecord,
     SolverId,
@@ -78,9 +79,8 @@ def new_state(config: RunConfig, seed: int) -> RunState:
 # ---------------------------------------------------------------------------
 
 class Deployer(Protocol):
-    def deploy(self, query: SynthQuery, query_id: str,
-               features: np.ndarray, entry: ScheduleEntry,
-               state: RunState, config: RunConfig) -> DeploymentOutcome: ...
+    def deploy(self, query: SynthQuery, query_id: str, entry: ScheduleEntry,
+               state: RunState) -> DeploymentOutcome: ...
 
 
 @dataclass
@@ -92,9 +92,8 @@ class SolverDeployer:
     backend: Optional[ChatBackend] = None
     enumerator_config: EnumeratorConfig = field(default_factory=EnumeratorConfig)
 
-    def deploy(self, query: SynthQuery, query_id: str,
-               features: np.ndarray, entry: ScheduleEntry,
-               state: RunState, config: RunConfig) -> DeploymentOutcome:
+    def deploy(self, query: SynthQuery, query_id: str, entry: ScheduleEntry,
+               state: RunState) -> DeploymentOutcome:
         solver = entry.solver
         if solver.kind == "enumerator":
             return self._deploy_enumerator(query, entry)
@@ -169,9 +168,8 @@ class MatrixDeployer:
 
     matrix: OutcomeMatrix
 
-    def deploy(self, query: SynthQuery, query_id: str,
-               features: np.ndarray, entry: ScheduleEntry,
-               state: RunState, config: RunConfig) -> DeploymentOutcome:
+    def deploy(self, query: SynthQuery, query_id: str, entry: ScheduleEntry,
+               state: RunState) -> DeploymentOutcome:
         cell = self.matrix[query_id][entry.solver]
         enum_cost = entry.solver.kind == "enumerator"
         if cell.solves and cell.time <= entry.time and (
@@ -269,12 +267,8 @@ class QueryRecord:
 
 def all_rewards(t: float, c: float, solved: bool,
                 T: float, C: float) -> dict[str, float]:
-    """The time, cost and binary rewards of one outcome under budgets T, C."""
-    return {
-        "time": RewardKind("time", T, C).compute(t, c, solved),
-        "cost": RewardKind("cost", T, C).compute(t, c, solved),
-        "binary": RewardKind("binary", T, C).compute(t, c, solved),
-    }
+    """Every kind of reward of one outcome under budgets T, C."""
+    return {kind: RewardKind(kind, T, C).compute(t, c, solved) for kind in REWARDS}
 
 
 def solve_query(query: SynthQuery, query_id: str, config: RunConfig,
@@ -289,7 +283,7 @@ def solve_query(query: SynthQuery, query_id: str, config: RunConfig,
     for entry in schedule:
         if entry.time <= 0:
             continue
-        raw = deployer.deploy(query, query_id, features, entry, state, config)
+        raw = deployer.deploy(query, query_id, entry, state)
         charged = min(raw.time, entry.time + config.grace)
         detail = raw.detail
         if raw.time > charged:  # charged time is clamped: keep the overrun visible
@@ -406,23 +400,22 @@ class RunReport:
     def n_solved(self) -> int:
         return sum(1 for r in self.records if r.solved)
 
+    def reward_total(self, kind: str) -> float:
+        """Sum over solved queries of the final outcome's stored reward."""
+        return sum(r.outcomes[-1].reward(kind) for r in self.records if r.solved)
+
     def aggregates(self) -> dict:
         n = self.n_queries
         solved = self.n_solved
         total_time = sum(r.elapsed for r in self.records)
         total_cost = sum(sum(o.cost for o in r.outcomes) for r in self.records)
-
-        def reward_total(kind: str) -> float:
-            return sum(r.outcomes[-1].reward(kind)
-                       for r in self.records if r.solved)
-
         return {
             "n_queries": n,
             "n_solved": solved,
             "pct_solved": (100.0 * solved / n) if n else 0.0,
             "par2": par2(self.records, self.time_budget),
-            "reward_time": reward_total("time"),
-            "reward_cost": reward_total("cost"),
+            "reward_time": self.reward_total("time"),
+            "reward_cost": self.reward_total("cost"),
             "reward_binary": float(solved),
             "avg_time": (total_time / n) if n else 0.0,
             "avg_cost": (total_cost / n) if n else 0.0,

@@ -8,6 +8,7 @@ import json
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
+from .bandit import REWARDS
 from .orchestrator import MultiRunSummary, RunReport
 
 SUMMARY_COLUMNS = (
@@ -92,21 +93,11 @@ def write_run_outputs(out_dir: str | Path, report: RunReport,
 def rescore(report: RunReport, reward_kind: str) -> dict[str, object]:
     """Aggregates under another reward kind, straight from the stored
     per-outcome rewards -- no solver re-runs."""
-    if reward_kind not in ("time", "cost", "binary"):
+    if reward_kind not in REWARDS:
         raise ValueError(f"unknown reward kind {reward_kind!r}")
     agg = report.aggregates()
-    total = sum(r.outcomes[-1].reward(reward_kind)
-                for r in report.records if r.solved)
-    return {
-        "selector": report.selector,
-        "reward": reward_kind,
-        "n_queries": agg["n_queries"],
-        "n_solved": agg["n_solved"],
-        "pct_solved": agg["pct_solved"],
-        "par2": agg["par2"],
-        "total_reward": total,
-        "reward_time": agg["reward_time"],
-        "reward_cost": agg["reward_cost"],
-        "avg_time": agg["avg_time"],
-        "avg_cost": agg["avg_cost"],
-    }
+    return {"selector": report.selector, "reward": reward_kind,
+            **{k: agg[k] for k in ("n_queries", "n_solved", "pct_solved", "par2")},
+            "total_reward": report.reward_total(reward_kind),
+            **{k: agg[k] for k in ("reward_time", "reward_cost", "avg_time",
+                                   "avg_cost")}}

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
-from .parser import (ParseError, SExpr, Token, UnsupportedError, _head, _parse_term,
-                     _TermContext, parse_sort, read_sexprs, tokenize)
+from .parser import (GrammarError, GrammarRules, UnsupportedError, read_grammar_rules,
+                     read_sexprs, tokenize)
 from .terms import (
     App,
     BVLit,
@@ -21,7 +21,6 @@ from .terms import (
     IntLit,
     Ite,
     Sort,
-    SygusError,
     Term,
     Var,
     BOOL,
@@ -30,10 +29,6 @@ from .terms import (
     print_term,
     subterms,
 )
-
-
-class GrammarError(SygusError):
-    pass
 
 
 TemplateTerm = Term  # may additionally contain Hole leaves
@@ -254,8 +249,8 @@ def _bv_grammar(signature: FunctionSignature,
 
 def grammar_for_query(query) -> Grammar:
     """Default or user grammar for a parsed query."""
-    if query.user_grammar_sexpr:
-        return parse_user_grammar(query.user_grammar_sexpr, query.synth_fun)
+    if query.user_grammar is not None:
+        return grammar_from_rules(query.user_grammar)
     return default_grammar(query.logic, query.synth_fun,
                            query.int_literals(), query.bv_literals())
 
@@ -265,56 +260,23 @@ def grammar_for_query(query) -> Grammar:
 # ---------------------------------------------------------------------------
 
 def parse_user_grammar(text: str, signature: FunctionSignature) -> Grammar:
-    """Read a SyGuS grammar block.
+    """Read a SyGuS grammar block (see `read_grammar_rules`) into a Grammar."""
+    return grammar_from_rules(read_grammar_rules(read_sexprs(tokenize(text)),
+                                                 signature))
 
-    Accepts both the v2 form (predeclaration list followed by grouped rules)
-    and the v1 form (grouped rules only). Rules are read by the term parser,
-    nonterminal names as holes. Unit productions N -> M are inlined;
-    (Constant S) and (Variable S) generators are not supported.
-    """
-    exprs = read_sexprs(tokenize(text))
-    if len(exprs) == 2:
-        # v2: predeclaration list ((N Sort) ...) followed by grouped rules
-        rule_groups = exprs[1]
-    elif len(exprs) == 1:
-        rule_groups = exprs[0]
-    else:
-        raise GrammarError(f"expected 1 or 2 grammar blocks, got {len(exprs)}")
 
-    sorts: dict[str, Sort] = {}
-    raw_rules: dict[str, list[SExpr]] = {}
-    if not isinstance(rule_groups, list):
-        raise GrammarError("malformed grammar rules")
-    for group in rule_groups:
-        if not (isinstance(group, list) and len(group) == 3
-                and isinstance(group[0], Token)):
-            raise GrammarError("each grammar rule group must be (N Sort (terms...))")
-        nt = group[0].text
-        sorts[nt] = parse_sort(group[1])
-        entries = group[2]
-        if not isinstance(entries, list):
-            raise GrammarError(f"rule list for {nt!r} must be parenthesized")
-        raw_rules[nt] = list(entries)
-
-    ctx = _TermContext(dict(signature.params), None, {}, frozenset(raw_rules))
-    templates: dict[str, list[TemplateTerm]] = {nt: [] for nt in raw_rules}
-    for nt, entries in raw_rules.items():
-        for entry in entries:
-            if _head(entry) in ("Constant", "Variable", "InputVariable", "LocalVariable"):
-                raise UnsupportedError(
-                    f"grammar generator {_head(entry)!r} is not supported")
-            try:
-                templates[nt].append(_parse_term(entry, ctx))
-            except ParseError as exc:
-                raise GrammarError(f"in the rules for {nt!r}: {exc}") from None
+def grammar_from_rules(rules: GrammarRules) -> Grammar:
+    """The grammar of a block as read. Unit productions N -> M are inlined;
+    (Constant S) and (Variable S) generators are not supported."""
+    if rules.generator is not None:
+        raise UnsupportedError(
+            f"grammar generator {rules.generator!r} is not supported")
+    templates = {nt: list(temps) for nt, _, temps in rules.nonterminals}
     _inline_unit_productions(templates)
-
-    productions = {
-        nt: tuple(Production(nt, t) for t in temps)
-        for nt, temps in templates.items()
-    }
-    start = next(iter(raw_rules))
-    return Grammar(start=start, sorts=sorts, productions=productions)
+    return Grammar(start=rules.nonterminals[0][0],
+                   sorts={nt: sort for nt, sort, _ in rules.nonterminals},
+                   productions={nt: tuple(Production(nt, t) for t in temps)
+                                for nt, temps in templates.items()})
 
 
 def _inline_unit_productions(templates: dict[str, list[TemplateTerm]]) -> None:

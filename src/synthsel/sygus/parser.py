@@ -49,6 +49,10 @@ class UnsupportedError(SygusError):
     pass
 
 
+class GrammarError(SygusError):
+    pass
+
+
 # ---------------------------------------------------------------------------
 # Lexing
 # ---------------------------------------------------------------------------
@@ -232,6 +236,49 @@ def _parse_term(sexpr: SExpr, ctx: _TermContext) -> Term:
     raise ParseError(f"undeclared symbol {op!r}", op_tok.line, op_tok.col)
 
 
+@dataclass(frozen=True)
+class GrammarRules:
+    """A synth-fun's grammar block as read: (nonterminal, sort, rules) in the
+    order given, the first being the start symbol, with nonterminal names in
+    the rules read as holes. A generator entry such as (Constant Int) stops
+    the reading; `generator` then names it and `nonterminals` is empty."""
+
+    nonterminals: Tuple[Tuple[str, Sort, Tuple[Term, ...]], ...]
+    generator: Optional[str] = None
+
+
+def read_grammar_rules(blocks: Sequence[SExpr],
+                       signature: FunctionSignature) -> GrammarRules:
+    """Read a grammar block in the v2 form (a predeclaration list, then the
+    grouped rules) or the v1 form (the grouped rules only)."""
+    if len(blocks) not in (1, 2):
+        raise ParseError(f"expected 1 or 2 grammar blocks, got {len(blocks)}",
+                         *_where(blocks[-1:]))
+    groups = blocks[-1]
+    if not (isinstance(groups, list) and groups):
+        raise ParseError("malformed grammar rules", *_where(groups))
+    for group in groups:
+        if not (isinstance(group, list) and len(group) == 3
+                and isinstance(group[0], Token) and isinstance(group[2], list)):
+            raise ParseError("each grammar rule group must be (N Sort (rules...))",
+                             *_where(group))
+    ctx = _TermContext(dict(signature.params), None, {},
+                       frozenset(group[0].text for group in groups))
+    nonterminals = []
+    for name, sort, entries in groups:
+        rules = []
+        for entry in entries:
+            if _head(entry) in ("Constant", "Variable", "InputVariable",
+                                "LocalVariable"):
+                return GrammarRules((), _head(entry))
+            try:
+                rules.append(_parse_term(entry, ctx))
+            except ParseError as exc:
+                raise GrammarError(f"in the rules for {name.text!r}: {exc}") from None
+        nonterminals.append((name.text, parse_sort(sort), tuple(rules)))
+    return GrammarRules(tuple(nonterminals))
+
+
 def _parse_params(sexpr: SExpr) -> Tuple[Tuple[str, Sort], ...]:
     if not isinstance(sexpr, list):
         raise ParseError("expected a parameter list", *_where(sexpr))
@@ -258,7 +305,8 @@ class SynthQuery:
     synth_fun: FunctionSignature
     universals: Tuple[Tuple[str, Sort], ...]
     constraints: Tuple[Term, ...]
-    user_grammar_sexpr: Optional[str] = None
+    user_grammar_sexpr: Optional[str] = None  # as printed in prompts
+    user_grammar: Optional[GrammarRules] = None
     from_inv_constraint: bool = False
     source_token_count: int = 0
 
@@ -284,6 +332,7 @@ def parse_query(text: str) -> SynthQuery:
     logic: Optional[str] = None
     synth_fun: Optional[FunctionSignature] = None
     grammar_sexpr: Optional[str] = None
+    grammar: Optional[GrammarRules] = None
     universals: list[Tuple[str, Sort]] = []
     constraints: list[Term] = []
     macros: dict[str, _Macro] = {}
@@ -331,6 +380,7 @@ def parse_query(text: str) -> SynthQuery:
             synth_fun = FunctionSignature(name, params, ret)
             if rest:
                 grammar_sexpr = " ".join(_print_sexpr(x) for x in rest)
+                grammar = read_grammar_rules(rest, synth_fun)
         elif head == "define-fun":
             if len(cmd) != 5:
                 raise ParseError("define-fun expects name, params, sort, body",
@@ -387,6 +437,7 @@ def parse_query(text: str) -> SynthQuery:
         universals=tuple(universals),
         constraints=tuple(constraints),
         user_grammar_sexpr=grammar_sexpr,
+        user_grammar=grammar,
         from_inv_constraint=from_inv,
         source_token_count=len(tokens),
     )

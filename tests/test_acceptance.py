@@ -8,14 +8,19 @@ repository notes; the test stays red rather than being weakened.
 Deselect it with: pytest -m "not known_infeasible".
 """
 
+import csv
+import importlib.util
 import math
 import random
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from synthsel.bandit import (
+    REWARDS,
     BanditStore,
     SolveRecord,
     SolverId,
@@ -471,6 +476,44 @@ def test_criterion_12_end_to_end_replay_experiment(tmp_path):
         f"12 end-to-end replay experiment "
         f"(kNN {summary.mean_solved:.1f}/60 vs best single "
         f"{counts[best_single_id]}/60, virtual best {vb.solved}/60)")
+
+
+def test_virtual_best_of_the_fixed_runs_matches_the_matrix(tmp_path):
+    # the experiment script takes the virtual best from the final outcomes of
+    # its fixed-solver runs; the matrix read cell by cell is the oracle
+    paths = write_cluster_corpus(tmp_path / "corpus")
+    config = experiment_config()
+    solvers = config.portfolio()
+    matrix = build_outcome_matrix(paths, solvers)
+    finals = {}
+    for s in solvers:
+        rep = run_corpus(paths, experiment_config(selector=f"fixed:{s}"),
+                         seed=12, deployer=MatrixDeployer(matrix))
+        for rec in rep.records:
+            finals.setdefault(rec.query_id, {})[s] = rec.outcomes[-1]
+    oracle = _matrix_as_outcomes(matrix, config.time_budget, config.cost_budget)
+    for kind in REWARDS:
+        assert (virtual_best(finals, kind, config.time_budget)
+                == virtual_best(oracle, kind, config.time_budget)), kind
+
+
+def test_replay_experiment_script_runs(tmp_path, monkeypatch, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "replay_experiment.py"
+    spec = importlib.util.spec_from_file_location("replay_experiment", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    out = tmp_path / "out"
+    monkeypatch.setattr(sys, "argv", ["replay_experiment.py", "--out", str(out),
+                                      "--runs", "1"])
+    assert module.main() == 0
+    with open(out / "summary.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    # the virtual best, 4 selectors x 3 rewards, then the 13 fixed solvers
+    assert len(rows) == 1 + 12 + 13
+    assert rows[0]["selector"] == "virtual-best" and rows[0]["n_solved"] == "55"
+    fixed = [int(row["n_solved"]) for row in rows[13:]]
+    assert fixed == sorted(fixed, reverse=True) and fixed[0] == 36
+    assert capsys.readouterr().out.splitlines()[1].startswith("virtual-best ")
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,7 @@ def test_run_crash_writes_partial_report_and_exits_nonzero(tmp_path, monkeypatch
     ({"models": [{"name": "gpt", "styles": [2, 2]}]}, "repeats a prompt style"),
     ({"models": [{"name": "gpt"}, {"name": "gpt"}]}, "repeated: ['gpt']"),
     ({"models": [{"name": ""}]}, "needs a name"),
+    ({"selector": "fixed:gpt-p4"}, "'gpt', which is not configured"),
 ])
 def test_config_that_cannot_mean_what_it_says_is_usage_error(
         command, config, needle, tmp_path, capsys):
@@ -266,3 +267,87 @@ def test_config_that_cannot_mean_what_it_says_is_usage_error(
     assert code == 2
     assert needle in capsys.readouterr().err
     assert not out_dir.exists()  # rejected before any query ran
+
+
+def _command_target(command, tmp_path, text=MAX2_TEXT):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "q.sl").write_text(text)
+    return corpus if command == "run" else corpus / "q.sl"
+
+
+_STATE_RECORD = ('{"features": [1.0, 2.0], "solver": {"kind": "enumerator"}, '
+                 '"reward": %s, "time": 1.0, "cost": 0.4}')
+
+
+@pytest.mark.parametrize("command", ["run", "solve"])
+@pytest.mark.parametrize("line, needle", [
+    pytest.param(_STATE_RECORD % "2.0", "reward must be in [0, 1], got 2.0",
+                 id="reward"),
+    pytest.param("garbage", "JSONDecodeError", id="not-json"),
+    pytest.param('{"features": [1.0], "solver": {"kind": "enumerator"}, '
+                 '"reward": 1.0, "time": 1.0, "cost": 0.4}',
+                 "a feature count unlike the first record's", id="dimensions"),
+])
+def test_malformed_state_file_is_an_input_error(command, line, needle,
+                                                tmp_path, capsys):
+    state = tmp_path / "state.jsonl"
+    text = _STATE_RECORD % "0.5" + "\n" + line + "\n"
+    state.write_text(text)
+    out_dir = tmp_path / "out"
+    code = main([command, str(_command_target(command, tmp_path)),
+                 "--selector", "fixed:enumerator", "--time-budget", "30",
+                 "--state", str(state), "--out", str(out_dir)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{state}, line 2: not a solve record" in err and needle in err
+    assert state.read_text() == text  # left as it was
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "solve"])
+@pytest.mark.parametrize("line, needle", [
+    pytest.param('{"response_text": "x"}', "KeyError: 'key_hash'", id="no-key"),
+    pytest.param("[1, 2]", "TypeError", id="not-an-object"),
+    pytest.param('{"key_hash": "k", "response_text": 7}',
+                 "response_text is not a string", id="no-text"),
+])
+def test_malformed_fixture_file_is_an_input_error(command, line, needle,
+                                                  tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"models": [{"name": "gpt"}]}))
+    fixtures = tmp_path / "fixtures.jsonl"
+    # token counts may be missing or null
+    fixtures.write_text('{"key_hash": "k", "response_text": "x", '
+                        '"input_tokens": null}\n' + line + "\n")
+    out_dir = tmp_path / "out"
+    code = main([command, str(_command_target(command, tmp_path)),
+                 "--config", str(cfg_path), "--fixtures", str(fixtures),
+                 "--selector", "fixed:gpt-p4", "--out", str(out_dir)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{fixtures}, line 2: not a replay fixture" in err and needle in err
+    assert not out_dir.exists()
+
+
+_BAD_GRAMMAR_MAX2 = MAX2_TEXT.replace(
+    "(synth-fun f ((v0 Int) (v1 Int)) Int)", """(synth-fun f ((v0 Int) (v1 Int)) Int
+  ((I Int) (B Bool))
+  ((I Int (v0 v1
+           (+ I zz)
+           (ite B I I)))
+   (B Bool ((>= I I)))))""")
+
+
+def test_malformed_user_grammar_is_a_malformed_query(tmp_path, capsys):
+    path = _command_target("solve", tmp_path, _BAD_GRAMMAR_MAX2)
+    assert main(["solve", str(path), "--selector", "fixed:enumerator",
+                 "--time-budget", "30"]) == 2
+    err = capsys.readouterr().err
+    # the position is the file's, not one in the grammar text re-joined
+    assert "undeclared symbol 'zz' (line 5, column 17)" in err
+    out_dir = tmp_path / "out"
+    assert main(["run", str(path.parent), "--selector", "fixed:enumerator",
+                 "--time-budget", "30", "--out", str(out_dir)]) == 0
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["records"] == [] and report["skipped"] == [str(path)]

@@ -1,7 +1,6 @@
 import json
 import random
 
-import numpy as np
 import pytest
 
 from synthsel.bandit import BanditStore, SolverId
@@ -246,7 +245,7 @@ def test_grace_clamps_charged_time():
     query = parse_query(MAX2_TEXT)
 
     class Overrunner:
-        def deploy(self, query, qid, features, entry, state, cfg):
+        def deploy(self, query, qid, entry, state):
             return DeploymentOutcome(entry.solver, False, None,
                                      time=entry.time + 30.0, cost=1.0)
 
@@ -263,7 +262,7 @@ def test_overrun_keeps_charged_time_and_reports_wall_time(over, detail):
     config = _config(selector="fixed:m-p4", grace=0.5)
 
     class Overrunner:
-        def deploy(self, query, qid, features, entry, state, cfg):
+        def deploy(self, query, qid, entry, state):
             return DeploymentOutcome(entry.solver, False, None, time=entry.time + over,
                                      cost=1.0, detail="stub")
 
@@ -309,9 +308,9 @@ def test_run_corpus_online_ordering(tmp_path):
     sizes = []
 
     class SpyDeployer(MatrixDeployer):
-        def deploy(self, query, qid, features, entry, state, cfg):
+        def deploy(self, query, qid, entry, state):
             sizes.append(len(state.store))
-            return super().deploy(query, qid, features, entry, state, cfg)
+            return super().deploy(query, qid, entry, state)
 
     run_corpus(paths, config, seed=2,
                deployer=SpyDeployer(_matrix_for(paths, config)))
@@ -418,7 +417,7 @@ def test_solver_deployer_enumerator_solves_max2():
     deployer = SolverDeployer(verifier=Verifier())
     state = new_state(config, 0)
     entry = ScheduleEntry(E, time=60.0, cost=100.0)
-    outcome = deployer.deploy(query, "q", np.zeros(1), entry, state, config)
+    outcome = deployer.deploy(query, "q", entry, state)
     assert outcome.solved
     assert outcome.cost == 0.4
     assert Verifier().check(query, outcome.candidate).is_valid
@@ -434,10 +433,25 @@ def test_enumerator_reports_true_verdict_provenance():
     deployer = SolverDeployer(
         verifier=Verifier(solver_command=("/nonexistent-smt",)))
     entry = ScheduleEntry(E, time=60.0, cost=100.0)
-    outcome = deployer.deploy(query, "q", np.zeros(1), entry,
-                              new_state(config, 0), config)
+    outcome = deployer.deploy(query, "q", entry, new_state(config, 0))
     assert outcome.solved
     assert outcome.verdict_provenance == "internal"
+
+
+def test_grammar_generator_query_parses_but_the_enumerator_has_no_grammar():
+    # the LLM arms can still answer it: the prompt shows the grammar as given
+    from synthsel.budget import ScheduleEntry
+
+    grammar = "((I Int (v0 v1 (Constant Int) (+ I I))))"
+    query = parse_query(MAX2_TEXT.replace(
+        "(synth-fun f ((v0 Int) (v1 Int)) Int)",
+        f"(synth-fun f ((v0 Int) (v1 Int)) Int {grammar})"))
+    assert query.user_grammar_sexpr == grammar
+    outcome = SolverDeployer(verifier=Verifier()).deploy(
+        query, "q", ScheduleEntry(E, time=5.0, cost=100.0),
+        new_state(_config(), 0))
+    assert not outcome.solved
+    assert outcome.detail == "no grammar: grammar generator 'Constant' is not supported"
 
 
 def test_run_corpus_keeps_learned_state_on_crash(tmp_path):
@@ -449,12 +463,12 @@ def test_run_corpus_keeps_learned_state_on_crash(tmp_path):
     seen = []
 
     class CrashOnThird(MatrixDeployer):
-        def deploy(self, query, qid, features, entry, state, cfg):
+        def deploy(self, query, qid, entry, state):
             if qid not in seen:
                 seen.append(qid)
             if len(seen) == 3:
                 raise ReplayMissError("no recorded response")
-            return super().deploy(query, qid, features, entry, state, cfg)
+            return super().deploy(query, qid, entry, state)
 
     with pytest.raises(ReplayMissError) as raised:
         run_corpus(paths, config, seed=0,
