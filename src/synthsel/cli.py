@@ -155,6 +155,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if config.runs > 1 and config.state:
+        # independent runs share no learning state, so the file would be
+        # neither read nor written
+        print("error: --runs above 1 cannot be combined with --state",
+              file=sys.stderr)
+        return EXIT_USAGE
     corpus_dir = Path(args.corpus)
     paths = sorted(str(p) for p in corpus_dir.rglob("*.sl"))
     if not paths:

@@ -381,6 +381,12 @@ def parse_query(text: str) -> SynthQuery:
             if rest:
                 grammar_sexpr = " ".join(_print_sexpr(x) for x in rest)
                 grammar = read_grammar_rules(rest, synth_fun)
+                if grammar.generator is None:
+                    # rules that form no grammar (dead or unknown nonterminals,
+                    # cyclic unit productions) make the query malformed; a
+                    # generator only keeps the enumerator out
+                    from .grammar import grammar_from_rules  # it imports this module
+                    grammar_from_rules(grammar)
         elif head == "define-fun":
             if len(cmd) != 5:
                 raise ParseError("define-fun expects name, params, sort, body",

@@ -1,10 +1,10 @@
 """Candidate verification: one compiled evaluator, a bounded internal
 counterexample search, and an external SMT-solver subprocess client.
 
-`compile_term`/`compile_template` turn terms and grammar templates into
-generated Python functions with `evaluate`'s semantics; they serve the A*
-consistency check and the verifier sweep. The tree walker `evaluate` is the
-oracle and the single-point evaluator.
+Terms and grammar templates become generated Python with `evaluate`'s
+semantics (`compile_term`/`compile_template` for the A* check). The sweep
+is one generated loop per candidate over cached grid and sample columns.
+The tree walker `evaluate` is the oracle and the single-point evaluator.
 """
 
 from __future__ import annotations
@@ -12,12 +12,13 @@ from __future__ import annotations
 import functools
 import itertools
 import logging
+import math
 import random
 import subprocess
 import time
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from .sygus import (
     App,
@@ -145,8 +146,8 @@ def evaluate(term: Term, assignment: Assignment,
 _BV_OPS = {"bvadd", "bvsub", "bvand", "bvor", "bvxor", "bvnot", "bvult"}
 
 
-def _bv_width(term: Term, sorts: Optional[Mapping[str, Sort]]) -> int:
-    """Static bitvector width of a term, following the leftmost spine."""
+def _bv_width(term: Term, sorts: Optional[Mapping[str, Sort]]) -> Optional[int]:
+    """Static bitvector width of a term by its leftmost spine, or None."""
     if isinstance(term, BVLit):
         return term.width
     if isinstance(term, Var) and sorts is not None:
@@ -157,7 +158,7 @@ def _bv_width(term: Term, sorts: Optional[Mapping[str, Sort]]) -> int:
         return _bv_width(term.args[0], sorts)
     if isinstance(term, Ite):
         return _bv_width(term.then_branch, sorts)
-    raise EvaluationError(f"cannot infer bitvector width for {print_term(term)}")
+    return None
 
 
 def _eval_bv(op: str, term: App, args: Sequence[int],
@@ -165,6 +166,8 @@ def _eval_bv(op: str, term: App, args: Sequence[int],
     if op == "bvult":
         return args[0] < args[1]
     width = _bv_width(term, sorts)
+    if width is None:
+        raise EvaluationError(f"cannot infer bitvector width for {print_term(term)}")
     mask = (1 << width) - 1
     if op == "bvadd":
         return (args[0] + args[1]) & mask
@@ -186,7 +189,7 @@ def _eval_bv(op: str, term: App, args: Sequence[int],
 # ---------------------------------------------------------------------------
 
 Compiled = Callable[[Sequence[Value]], Value]
-# a compiled node and the width _bv_width gives its term (None where it raises)
+# a compiled node and the width _bv_width gives its term (None where it has none)
 Node = Tuple[Compiled, Optional[int]]
 Builder = Callable[[Sequence[Node]], Node]
 
@@ -217,7 +220,10 @@ def compile_template(template: Term, var_names: Sequence[str],
         widths = tuple(w for _, w in kids)
         found = makers.get(widths)
         if found is None:
-            source, width = _source(template, index, sorts, widths)
+            expr, width, used = _expression(template, index, sorts, widths)
+            reads = "".join(f"        v{i} = env[{i}]\n" for i in sorted(used))
+            source = (f"def _make({', '.join(f'k{i}' for i in range(len(kids)))}):\n"
+                      f"    def _f(env):\n{reads}        return {expr}\n    return _f\n")
             found = makers[widths] = _compile_source(source), width
         make, width = found
         return make(*[f for f, _ in kids]), width
@@ -228,11 +234,12 @@ def compile_template(template: Term, var_names: Sequence[str],
     return lambda kids: node
 
 
-def _source(template: Term, index: Mapping[str, int],
-            sorts: Optional[Mapping[str, Sort]],
-            hole_widths: Sequence[Optional[int]]) -> Tuple[str, Optional[int]]:
-    """Source of `_make(k0, k1, ...)`, which returns the template's function
-    of `env` given its holes' functions, and the template's width."""
+def _expression(template: Term, index: Mapping[str, int],
+                sorts: Optional[Mapping[str, Sort]], hole_widths: Sequence[Optional[int]]
+                ) -> Tuple[str, Optional[int], set[int]]:
+    """The template as a Python expression over the locals `v<i>` (the
+    variable at index i) and `k<j>(env)` (its j-th hole), its width and the
+    variable indices it reads."""
     holes = itertools.count()
     used: set[int] = set()
 
@@ -247,7 +254,7 @@ def _source(template: Term, index: Mapping[str, int],
             sort = sorts.get(t.name) if sorts is not None else None
             width = sort.width if sort is not None else None
             if t.name not in index:
-                return f"_unbound({t.name!r})", width, True
+                return _raising(f"unbound variable {t.name!r}", []), width, True
             used.add(index[t.name])
             return f"v{index[t.name]}", width, False
         if isinstance(t, Ite):
@@ -257,16 +264,21 @@ def _source(template: Term, index: Mapping[str, int],
         if isinstance(t, App):
             args = [emit(a) for a in t.args]
             width = args[0][1] if args else None  # _bv_width follows args[0]
+            if t.op in _BV_OPS and t.op != "bvult" and width is None:
+                return (_raising(f"cannot infer bitvector width for {print_term(t)}",
+                                 [a for a, _, _ in args]), None, True)
             expr, raises = _apply(t.op, [a for a, _, _ in args], width,
                                   any(r for _, _, r in args[1:]))
             return expr, width, raises or any(r for _, _, r in args)
         raise EvaluationError(f"not a term: {t!r}")
 
     expr, width, _ = emit(template)
-    kids = ", ".join(f"k{i}" for i in range(next(holes)))
-    reads = "".join(f"        v{i} = env[{i}]\n" for i in sorted(used))
-    return (f"def _make({kids}):\n    def _f(env):\n{reads}"
-            f"        return {expr}\n    return _f\n"), width
+    return expr, width, used
+
+
+def _raising(message: str, args: Sequence[str]) -> str:
+    """Expression evaluating `args`, then raising EvaluationError(message)."""
+    return f"_raise({message!r}, {''.join(f'{a}, ' for a in args)})"
 
 
 _INFIX = {"+": "+", "-": "-", "*": "*", ">=": ">=", "<=": "<=", ">": ">",
@@ -281,8 +293,6 @@ def _apply(op: str, args: Sequence[str], width: Optional[int],
     raise, which then gives the same value as evaluating every argument."""
     if op == "-" and len(args) == 1:
         return f"(-{args[0]})", False
-    if op in _BV_OPS and op != "bvult" and width is None:
-        return f"_unsized({op!r}, {', '.join(args)})", True
     if op in _INFIX:
         return "(" + f" {_INFIX[op]} ".join(args) + ")", False
     if op in ("div", "mod"):
@@ -308,7 +318,7 @@ def _apply(op: str, args: Sequence[str], width: Optional[int],
         return f"{'all' if op == 'and' else 'any'}(({packed}))", False
     if op in ("=", "=>"):
         return f"{'_eq' if op == '=' else '_implies'}({', '.join(args)})", False
-    return f"_uninterpreted({op!r}, {', '.join(args)})", True
+    return _raising(f"cannot evaluate uninterpreted function {op!r}", args), True
 
 
 def _eq(*args: Value) -> bool:
@@ -322,27 +332,18 @@ def _implies(*args: Value) -> Value:
     return acc
 
 
-def _unbound(name: str) -> Value:
-    raise EvaluationError(f"unbound variable {name!r}")
-
-
-def _unsized(op: str, *args: Value) -> Value:
-    raise EvaluationError(f"cannot infer bitvector width for {op!r}")
-
-
-def _uninterpreted(op: str, *args: Value) -> Value:
-    raise EvaluationError(f"cannot evaluate uninterpreted function {op!r}")
+def _raise(message: str, *args: Value) -> Value:
+    raise EvaluationError(message)
 
 
 _GENERATED_GLOBALS = {"_ediv": _euclidean_div, "_emod": _euclidean_mod, "_eq": _eq,
-                      "_implies": _implies, "_unbound": _unbound,
-                      "_unsized": _unsized, "_uninterpreted": _uninterpreted}
+                      "_implies": _implies, "_raise": _raise, "_DivByZero": DivisionByZero}
 
 
 @functools.lru_cache(maxsize=1024)
-def _compile_source(source: str) -> Callable[..., Compiled]:
-    """The `_make` of generated source, built once per distinct source: the
-    same templates and predicates recur across CEGIS phases and queries."""
+def _compile_source(source: str) -> Callable[..., Callable]:
+    """The `_make` of generated source (a template's maker or a sweep), built
+    once per distinct source: the same ones recur across CEGIS phases and queries."""
     namespace = dict(_GENERATED_GLOBALS)
     exec(source, namespace)  # noqa: S102 - generated from parsed terms; names are mangled
     return namespace["_make"]
@@ -456,25 +457,33 @@ def sweep_columns(sorts: Tuple[Sort, ...], seed: int, samples: int,
     return tuple(columns)
 
 
+@functools.lru_cache(maxsize=16)
+def grid_columns(sorts: Tuple[Sort, ...], bound: int) -> Tuple[Sequence[Value], ...]:
+    """The exhaustive grid points in `itertools.product` order, one column per
+    variable (read only), typed by `sweep_columns`' rule."""
+    domains = [_domain_points(s, bound) for s in sorts]
+    columns = []
+    for i, sort in enumerate(sorts):
+        inner = math.prod(map(len, domains[i + 1:]))
+        run = itertools.chain.from_iterable(itertools.repeat(v, inner) for v in domains[i])
+        column = array("q", run) if _fits_int64(sort, bound) else list(run)
+        columns.append(column * math.prod(map(len, domains[:i])))
+    return tuple(columns)
+
+
+def _compile_sweep(phi: Term, names: Sequence[str], sorts: Mapping[str, Sort]
+                   ) -> Callable[..., Optional[Tuple[Value, ...]]]:
+    """`sweep(c0, c1, ...)` over one column per variable: the first point
+    where `phi` is false, skipping points that divide by zero, or None."""
+    expr = _expression(phi, {n: i for i, n in enumerate(names)}, sorts, ())[0]
+    values, columns = (", ".join(f"{x}{i}" for i in range(len(names))) for x in "vc")
+    loop = "v0 in c0" if len(names) == 1 else f"{values} in zip({columns})"
+    return _compile_source(
+        f"def _make({columns}):\n  for {loop}:\n    try:\n      if not {expr}:\n"
+        f"        return ({values},)\n    except _DivByZero:\n      pass\n")
+
+
 _DEADLINE_EVERY = 1024  # sweep points between two looks at the clock
-_EXPIRED = object()
-
-
-def _first_falsifying(points: Iterable[Tuple[Value, ...]],
-                      falsified: Callable[[Tuple[Value, ...]], bool],
-                      deadline: Optional[float]) -> object:
-    """The first falsifying point, None when there is none, or _EXPIRED when
-    the deadline passes first (the clock is read every _DEADLINE_EVERY points)."""
-    points = iter(points)
-    while True:
-        if deadline is not None and time.monotonic() > deadline:
-            return _EXPIRED
-        batch = list(itertools.islice(points, _DEADLINE_EVERY))
-        if not batch:
-            return None
-        hit = next(filter(falsified, batch), None)
-        if hit is not None:
-            return hit
 
 
 def check_candidate_internal(query: SynthQuery, cand: Candidate,
@@ -500,7 +509,8 @@ def check_candidate_internal(query: SynthQuery, cand: Candidate,
         return VerificationResult.unknown(f"substitution failed: {exc}")
 
     names = [n for n, _ in query.universals]
-    sorts = [s for _, s in query.universals]
+    sorts = tuple(s for _, s in query.universals)
+    env = dict(query.universals)
     if not names:
         try:
             ok = evaluate(phi, {})
@@ -509,38 +519,28 @@ def check_candidate_internal(query: SynthQuery, cand: Candidate,
         return (VerificationResult.valid(bounded=False)
                 if ok else VerificationResult.counterexample({}))
 
-    pred = compile_term(phi, names, dict(query.universals))
-
-    def falsified(point: Tuple[Value, ...]) -> bool:
-        try:
-            return not pred(point)
-        except DivisionByZero:
-            return False
-
-    def random_points() -> Iterator[Tuple[Value, ...]]:
+    def point_columns() -> Iterator[Tuple[Sequence[Value], ...]]:
         # lazy: a counterexample on the grid needs no random points drawn
-        yield from zip(*sweep_columns(tuple(sorts), config.seed,
-                                      config.random_samples, config.random_bound))
+        if len(names) <= config.max_grid_vars:
+            yield grid_columns(sorts, config.grid_bound)
+        yield sweep_columns(sorts, config.seed, config.random_samples, config.random_bound)
 
-    grid: Iterable[Tuple[Value, ...]] = ()
-    if len(names) <= config.max_grid_vars:
-        grid = itertools.product(*[_domain_points(s, config.grid_bound) for s in sorts])
     try:
-        hit = _first_falsifying(itertools.chain(grid, random_points()), falsified,
-                                deadline)
+        sweep = _compile_sweep(phi, names, env)
+        for columns in point_columns():
+            for start in range(0, len(columns[0]), _DEADLINE_EVERY):
+                if deadline is not None and time.monotonic() > deadline:
+                    return VerificationResult.unknown("deadline")
+                hit = sweep(*[c[start:start + _DEADLINE_EVERY] for c in columns])
+                if hit is not None:
+                    return _confirmed_counterexample(phi, names, hit, env)
     except EvaluationError as exc:  # unbound, uninterpreted or unsized
         return VerificationResult.unknown(str(exc))
-    if hit is _EXPIRED:
-        return VerificationResult.unknown("deadline")
-    if hit is not None:
-        return _confirmed_counterexample(phi, names, hit, dict(query.universals))
     return VerificationResult.valid(bounded=True)
 
 
-def _confirmed_counterexample(phi: Term, names: Sequence[str],
-                              point: Tuple[Value, ...],
-                              sorts: Optional[Mapping[str, Sort]] = None
-                              ) -> VerificationResult:
+def _confirmed_counterexample(phi: Term, names: Sequence[str], point: Tuple[Value, ...],
+                              sorts: Mapping[str, Sort]) -> VerificationResult:
     # re-check through the reference evaluator before reporting
     assignment = dict(zip(names, point))
     try:

@@ -93,6 +93,20 @@ def test_run_deterministic_with_seed(tmp_path, capsys):
     assert run("out_a") == run("out_b")
 
 
+def test_run_several_runs_with_state_is_usage_error(tmp_path, capsys):
+    # independent runs share no learning state: the file would be neither
+    # read nor written
+    state = tmp_path / "st.jsonl"
+    out_dir = tmp_path / "out"
+    code = main(["run", str(_command_target("run", tmp_path)), "--runs", "2",
+                 "--state", str(state), "--selector", "fixed:enumerator",
+                 "--time-budget", "30", "--out", str(out_dir)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--runs" in err and "--state" in err
+    assert not state.exists() and not out_dir.exists()
+
+
 def test_rescore_cli(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
@@ -346,6 +360,27 @@ def test_malformed_user_grammar_is_a_malformed_query(tmp_path, capsys):
     err = capsys.readouterr().err
     # the position is the file's, not one in the grammar text re-joined
     assert "undeclared symbol 'zz' (line 5, column 17)" in err
+    out_dir = tmp_path / "out"
+    assert main(["run", str(path.parent), "--selector", "fixed:enumerator",
+                 "--time-budget", "30", "--out", str(out_dir)]) == 0
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["records"] == [] and report["skipped"] == [str(path)]
+
+
+@pytest.mark.parametrize("rules, needle", [
+    pytest.param("((I Int (v0 v1 (+ I J))) (J Int ((+ J J))))",
+                 "dead nonterminals (derive no terminal string): ['J']", id="dead"),
+    pytest.param("((I Int (J)) (J Int (I v0)))", "cyclic unit production",
+                 id="cyclic"),
+])
+def test_rules_that_form_no_grammar_are_a_malformed_query(rules, needle, tmp_path,
+                                                          capsys):
+    text = MAX2_TEXT.replace("(synth-fun f ((v0 Int) (v1 Int)) Int)",
+                             f"(synth-fun f ((v0 Int) (v1 Int)) Int {rules})")
+    path = _command_target("solve", tmp_path, text)
+    assert main(["solve", str(path), "--selector", "fixed:enumerator",
+                 "--time-budget", "30"]) == 2
+    assert needle in capsys.readouterr().err
     out_dir = tmp_path / "out"
     assert main(["run", str(path.parent), "--selector", "fixed:enumerator",
                  "--time-budget", "30", "--out", str(out_dir)]) == 0

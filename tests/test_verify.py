@@ -3,18 +3,23 @@ import itertools
 import random
 import time
 from array import array
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import synthsel.verify as verify
 from synthsel.sygus import (
     App,
     BoolLit,
     BVLit,
+    Candidate,
+    FunctionSignature,
     Hole,
     IntLit,
     Ite,
     Sort,
+    SynthQuery,
     Var,
     BOOL,
     INT,
@@ -22,12 +27,14 @@ from synthsel.sygus import (
     parse_query,
     parse_term_text,
     print_term,
+    subterms,
 )
 from synthsel.verify import (
     DivisionByZero,
     EvaluationError,
     SearchConfig,
     SolverLaunchError,
+    VerificationResult,
     Verifier,
     check_candidate_external,
     check_candidate_internal,
@@ -35,6 +42,7 @@ from synthsel.verify import (
     compile_term,
     emit_smtlib,
     evaluate,
+    grid_columns,
     substitute_solution,
     sweep_columns,
 )
@@ -360,6 +368,24 @@ def test_verifier_expired_deadline_is_unknown(max3_query):
     assert Verifier().check(max3_query, cand, time.monotonic() + 60.0).is_valid
 
 
+def test_sweep_stops_when_the_deadline_passes_midway(max3_query, monkeypatch):
+    cand = parse_define_fun(MAX3_SOLUTION)
+    config = SearchConfig()
+    # 269 chunks of grid, so the 271st read of the clock falls in the samples
+    for k in (0, 1, 100, 270):
+        reads = itertools.count(1)
+        monkeypatch.setattr(verify.time, "monotonic",
+                            lambda: 2.0 if next(reads) > k else 0.0)
+        res = check_candidate_internal(max3_query, cand, config, deadline=1.0)
+        assert res == VerificationResult.unknown("deadline"), k
+        assert next(reads) == k + 2  # it stopped at the first late reading
+    seen = []
+    monkeypatch.setattr(verify.time, "monotonic", lambda: seen.append(0) or 0.0)
+    assert check_candidate_internal(max3_query, cand, config, deadline=1.0).is_valid
+    points = (2 * config.grid_bound + 1) ** 3 + config.random_samples
+    assert len(seen) >= points / verify._DEADLINE_EVERY
+
+
 # ---------------------------------------------------------------------------
 # the memoised random sweep points
 # ---------------------------------------------------------------------------
@@ -395,6 +421,30 @@ def test_sweep_columns_equal_fresh_draw(sorts, bound):
         for s, column in zip(sorts, columns):
             assert isinstance(column, array) == (s in (INT, Sort.bitvec(8))
                                                  and bound < 1 << 63)
+
+
+def _grid_domain(sort, bound):
+    if sort == BOOL:
+        return [False, True]
+    if sort == INT:
+        return list(range(-bound, bound + 1))
+    return list(range(min(1 << sort.width, 2 * bound + 1)))
+
+
+@pytest.mark.parametrize("sorts", [
+    (INT,),
+    (BOOL, INT, Sort.bitvec(8)),
+    (Sort.bitvec(64), INT, BOOL),
+    (Sort.bitvec(2), Sort.bitvec(4)),
+])
+def test_grid_columns_in_product_order(sorts):
+    for bound in (1, 5):
+        columns = grid_columns(sorts, bound)
+        assert list(zip(*columns)) == list(itertools.product(
+            *[_grid_domain(s, bound) for s in sorts]))
+        assert grid_columns(sorts, bound) is columns
+        for s, column in zip(sorts, columns):
+            assert isinstance(column, array) == (s != BOOL and s != Sort.bitvec(64))
 
 
 # ---------------------------------------------------------------------------
@@ -526,3 +576,64 @@ def test_compiled_ite_is_lazy():
     unbound = compile_term(Var("z"), ["x"])
     with pytest.raises(EvaluationError):
         unbound((1,))
+
+
+# ---------------------------------------------------------------------------
+# the generated sweep against a point-by-point walk with evaluate
+# ---------------------------------------------------------------------------
+
+def _reference_sweep(phi, universals, config):
+    """The grid, then the random points, walked one point at a time."""
+    names = [n for n, _ in universals]
+    sorts = tuple(s for _, s in universals)
+    grid = ()
+    if len(names) <= config.max_grid_vars:
+        grid = itertools.product(*[_grid_domain(s, config.grid_bound) for s in sorts])
+    samples = zip(*sweep_columns(sorts, config.seed, config.random_samples,
+                                 config.random_bound))
+    for point in itertools.chain(grid, samples):
+        assignment = dict(zip(names, point))
+        try:
+            if not evaluate(phi, assignment, dict(universals)):
+                return VerificationResult.counterexample(assignment)
+        except DivisionByZero:
+            continue
+        except EvaluationError as exc:
+            return VerificationResult.unknown(str(exc))
+    return VerificationResult.valid(bounded=True)
+
+
+_NO_ARGS = FunctionSignature("g", (), INT)
+
+
+@st.composite
+def _constraint_and_universals(draw):
+    """A constraint and 1-3 universals, mostly among its variables: those
+    it uses beyond them are unbound."""
+    phi = draw(terms(BOOL, 3))
+    used = [n for n in VAR_NAMES if Var(n) in set(subterms(phi))]
+    return phi, draw(st.lists(st.sampled_from(used or list(VAR_NAMES)),
+                              min_size=1, max_size=3, unique=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_constraint_and_universals(),
+       st.builds(SearchConfig, grid_bound=st.integers(1, 3),
+                 random_samples=st.integers(0, 200),
+                 random_bound=st.sampled_from([3, 1000]),
+                 seed=st.integers(0, 3), max_grid_vars=st.integers(0, 3)),
+       st.sampled_from([1, 5, 1024]))
+# p = false comes first: the ite takes w, and then u, which is unbound and
+# so has no sort, leaves bvadd without a width
+@example((App("bvult", (App("bvadd", (Ite(Var("p"), Var("u"), Var("w")), Var("w"))),
+                        BVLit(8, 4))), ["p", "w"]),
+         SearchConfig(grid_bound=1, random_samples=10), 1024)
+def test_sweep_matches_a_point_by_point_walk(case, config, every):
+    # division and mod take variable divisors, which are often zero on the grid
+    phi, names = case
+    universals = tuple((n, VAR_SORTS[n]) for n in names)
+    query = SynthQuery("LIA", _NO_ARGS, universals, (phi,))
+    cand = Candidate("g", (), INT, IntLit(0))
+    with mock.patch.object(verify, "_DEADLINE_EVERY", every):
+        got = check_candidate_internal(query, cand, config)
+    assert got == _reference_sweep(phi, universals, config), print_term(phi)
