@@ -106,10 +106,24 @@ class SolveRecord:
         }
 
     @staticmethod
-    def from_json(obj: Mapping) -> "SolveRecord":
+    def from_json(obj: Mapping,
+                  solvers: Optional[dict[tuple, SolverId]] = None
+                  ) -> "SolveRecord":
+        """The record `obj` encodes. With `solvers`, records whose solver
+        JSON holds the same values of the same types share one SolverId:
+        the first one read, kept there."""
+        raw = obj["solver"]
+        if solvers is None:
+            solver = SolverId.from_json(raw)
+        else:
+            key = (raw["kind"], raw.get("model"), raw.get("style"))
+            key += (type(key[1]), type(key[2]))
+            solver = solvers.get(key)
+            if solver is None:
+                solver = solvers[key] = SolverId.from_json(raw)
         return SolveRecord(
             features=tuple(obj["features"]),
-            solver=SolverId.from_json(obj["solver"]),
+            solver=solver,
             reward=float(obj["reward"]),
             time=float(obj["time"]),
             cost=float(obj["cost"]),
@@ -120,10 +134,12 @@ class BanditStore:
     """Append-only list of solve records, the columns the k-NN selector reads,
     and the exploration RNG.
 
-    Row i of every column belongs to records[i]: the (n, d) feature matrix,
-    the solver column (each SolverId interned to a small int, the index of
-    that solver in `solvers`), and the time and cost columns. They grow
-    together by doubling their capacity."""
+    Each distinct feature point is interned to a small int, as each distinct
+    SolverId is: `points` holds the distinct points, one row each in the
+    order first seen, and `solvers` the distinct solvers. Row i of the point,
+    solver, time and cost columns belongs to records[i]. Each solver also
+    keeps its own row indices in insertion order, which stay valid because
+    rows are only ever appended. Every array grows by doubling its capacity."""
 
     def __init__(self, seed: int = 0,
                  records: Iterable[SolveRecord] = ()) -> None:
@@ -131,22 +147,32 @@ class BanditStore:
         self.rng = random.Random(seed)
         self.solvers: list[SolverId] = []
         self._solver_ids: dict[SolverId, int] = {}
+        self._point_ids: dict[Tuple[float, ...], int] = {}
         dims = {len(r.features) for r in self.records}
         if len(dims) > 1:
             raise ValueError(f"dimensionality mismatch: records have "
                              f"{sorted(dims)} features")
         # one array construction per column, with the capacity that appending
-        # the records one by one would reach; rows beyond len(records) are spare
+        # the records one by one would reach
         n, d = len(self.records), dims.pop() if dims else 0
-        cap = max(16, 1 << (n - 1).bit_length()) if n else 0
-        features = chain.from_iterable(r.features for r in self.records)
-        self._matrix = _filled(features, n * d, cap * d, float).reshape(cap, d)
-        self._solver = _filled((self._intern(r.solver) for r in self.records),
-                               n, cap, np.intp)
-        self._time = _filled((r.time for r in self.records), n, cap, float)
-        self._cost = _filled((r.cost for r in self.records), n, cap, float)
+        point_of = [self._point_ids.setdefault(r.features, len(self._point_ids))
+                    for r in self.records]
+        solver_of = [self._intern(r.solver) for r in self.records]
+        self._points = _Grown(chain.from_iterable(self._point_ids),
+                              len(self._point_ids), float, (d,))
+        self._point = _Grown(point_of, n, np.intp)
+        self._solver = _Grown(solver_of, n, np.intp)
+        self._time = _Grown((r.time for r in self.records), n, float)
+        self._cost = _Grown((r.cost for r in self.records), n, float)
+        own: list[list[int]] = [[] for _ in self.solvers]
+        for row, solver in enumerate(solver_of):
+            own[solver].append(row)
+        self._own = [_Grown(rows, len(rows), np.intp) for rows in own]
+        # the last nearest_order: its key, its result, and each solver's
+        # first k in it once asked for
         self._order_key: Optional[tuple] = None
         self._order = np.empty(0, dtype=np.intp)
+        self._nearest_rows: Optional[list[np.ndarray]] = None
         # (path, record count, size, mtime) of the file as the last load or
         # save left it: a save there appends only the newer records
         self._file: Optional[tuple] = None
@@ -155,20 +181,30 @@ class BanditStore:
         return len(self.records)
 
     @property
+    def points(self) -> np.ndarray:
+        """The distinct feature points, one row each, in the order first seen."""
+        return self._points.values
+
+    @property
+    def point_column(self) -> np.ndarray:
+        return self._point.values
+
+    @property
     def features(self) -> np.ndarray:
-        return self._matrix[:len(self.records)]
+        """The (n, d) feature matrix, gathered from the distinct points."""
+        return self.points[self.point_column]
 
     @property
     def solver_column(self) -> np.ndarray:
-        return self._solver[:len(self.records)]
+        return self._solver.values
 
     @property
     def time_column(self) -> np.ndarray:
-        return self._time[:len(self.records)]
+        return self._time.values
 
     @property
     def cost_column(self) -> np.ndarray:
-        return self._cost[:len(self.records)]
+        return self._cost.values
 
     def solver_index(self, solver: SolverId) -> Optional[int]:
         """The solver column's value for `solver`; None when it has no record."""
@@ -181,36 +217,74 @@ class BanditStore:
         return index
 
     def append(self, record: SolveRecord) -> None:
-        n, d = len(self.records), len(record.features)
-        if n and d != self._matrix.shape[1]:
+        d = len(record.features)
+        if self.records and d != self._points.data.shape[1]:
             raise ValueError(f"dimensionality mismatch: record has {d} "
-                             f"features, the store {self._matrix.shape[1]}")
-        if n == len(self._matrix):  # full: double the capacity
-            cap = max(2 * n, 16)
-            self._matrix = _grown(self._matrix.reshape(n, d), (cap, d))
-            self._solver = _grown(self._solver, (cap,))
-            self._time = _grown(self._time, (cap,))
-            self._cost = _grown(self._cost, (cap,))
-        self._matrix[n] = record.features
-        self._solver[n] = self._intern(record.solver)
-        self._time[n] = record.time
-        self._cost[n] = record.cost
+                             f"features, the store {self._points.data.shape[1]}")
+        point = self._point_ids.setdefault(record.features, self._points.size)
+        if point == self._points.size:
+            self._points.append(record.features)
+        solver = self._intern(record.solver)
+        if solver == len(self._own):
+            self._own.append(_Grown((), 0, np.intp))
+        self._own[solver].append(len(self.records))
+        self._point.append(point)
+        self._solver.append(solver)
+        self._time.append(record.time)
+        self._cost.append(record.cost)
         self.records.append(record)
 
-    def nearest_order(self, features: Sequence[float]) -> np.ndarray:
-        """Every row index, nearest to `features` first; ties keep insertion
-        order (the older record first). The last order is kept until the
-        store or the query changes, so one query's ranking and schedule sort
-        the store once. The result is read-only."""
+    def nearest_order(self, features: Sequence[float],
+                      k: Optional[int] = None) -> np.ndarray:
+        """The rows among their own solver's k nearest to `features` (every
+        row when k is None), nearest first; ties keep insertion order (the
+        older record first).
+
+        The distance is computed once per distinct point and gathered per
+        row. For each solver with more than k rows, a partition finds its
+        k-th smallest distance and every row at or below it is kept, ties
+        included; the union of the kept rows, in row order, is stable-sorted
+        by distance, so by (distance, row). The union holds the first k of
+        any set of whole solvers (all of them, one model's, one solver's): a
+        row among them has at most k - 1 rows of its own solver ahead of it,
+        so it is among its solver's first k. The last result is kept until
+        the store, the query or k changes, so one query's ranking and
+        schedule compute it once. The result is read-only."""
         target = np.asarray(features, dtype=float)
-        key = (len(self.records), target.shape, target.tobytes())
-        if key != self._order_key:
-            self._order = (np.argsort(distance(self.features, target),
-                                      kind="stable")
-                           if self.records else np.empty(0, dtype=np.intp))
-            self._order.flags.writeable = False
-            self._order_key = key
-        return self._order
+        n = len(self.records)
+        if k is None:
+            k = n
+        elif k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        key = (n, k, target.shape, target.tobytes())
+        if key == self._order_key:
+            return self._order
+        order = np.empty(0, dtype=np.intp)
+        if n:
+            row_distance = distance(self.points, target)[self.point_column]
+            cuts = np.full(len(self.solvers), np.inf)
+            for solver, own in enumerate(self._own):
+                if own.size > k:
+                    mine = row_distance[own.values]  # a copy: partitioned in place
+                    mine.partition(k - 1)
+                    cuts[solver] = mine[k - 1]
+            union = np.flatnonzero(row_distance <= cuts[self.solver_column])
+            order = union[np.argsort(row_distance[union], kind="stable")]
+        order.flags.writeable = False
+        self._order, self._nearest_rows = order, None
+        self._order_key = key
+        return order
+
+    def nearest_rows(self, features: Sequence[float], k: int
+                     ) -> list[np.ndarray]:
+        """Each solver's k nearest rows to `features` (all of them when it
+        has fewer), nearest first, indexed like `solvers`."""
+        order = self.nearest_order(features, k)
+        if self._nearest_rows is None:
+            solvers = self.solver_column[order]
+            self._nearest_rows = [order[solvers == s][:k]
+                                  for s in range(len(self.solvers))]
+        return self._nearest_rows
 
     # -- persistence (JSON lines, one record per line) ----------------------
 
@@ -247,21 +321,32 @@ class BanditStore:
     def load(path: str | Path, seed: int = 0) -> "BanditStore":
         """Read a saved store. A last line without its newline is a torn
         append: it is dropped, and the next save rewrites the file. Any other
-        line that is not a record raises ValueError naming file and line."""
-        records, torn = [], False
+        line that is not a record raises ValueError naming file and line.
+
+        Every record is validated as SolveRecord validates it; the records
+        share one SolverId per distinct solver and one features tuple per
+        distinct point."""
+        records: list[SolveRecord] = []
+        torn = False
+        solvers: dict[tuple, SolverId] = {}
+        points: dict[Tuple[float, ...], Tuple[float, ...]] = {}
         with open(path, encoding="utf-8") as fh:
             for number, line in enumerate(fh, 1):
                 if not line.endswith("\n"):  # only the last line can
                     torn = bool(line.strip())
                 elif line.strip():
                     try:
-                        rec = SolveRecord.from_json(json.loads(line))
+                        rec = SolveRecord.from_json(json.loads(line), solvers)
                         if records and len(rec.features) != len(records[0].features):
                             raise ValueError("a feature count unlike the first record's")
                     except (ValueError, KeyError, TypeError, AttributeError) as exc:
                         raise ValueError(f"{path}, line {number}: not a solve "
                                          f"record ({type(exc).__name__}: {exc})"
                                          ) from None
+                    # an equal tuple: swapping it in frees the duplicate
+                    shared = points.setdefault(rec.features, rec.features)
+                    if shared is not rec.features:
+                        object.__setattr__(rec, "features", shared)
                     records.append(rec)
             st = os.fstat(fh.fileno())
         store = BanditStore(seed=seed, records=records)
@@ -271,17 +356,37 @@ class BanditStore:
         return store
 
 
-def _filled(values: Iterable[float], count: int, capacity: int,
-            dtype: type) -> np.ndarray:
-    column = np.empty(capacity, dtype=dtype)
-    column[:count] = np.fromiter(values, dtype, count)
-    return column
+def _capacity(count: int) -> int:
+    return max(16, 1 << (count - 1).bit_length()) if count else 0
 
 
-def _grown(column: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
-    grown = np.empty(shape, dtype=column.dtype)
-    grown[:len(column)] = column
-    return grown
+class _Grown:
+    """A numpy array of rows grown by doubling its capacity; `values` is the
+    filled part, the first `size` rows."""
+
+    __slots__ = ("data", "size")
+
+    def __init__(self, values: Iterable, size: int, dtype: type,
+                 shape: Tuple[int, ...] = ()) -> None:
+        width = math.prod(shape)
+        self.data = np.empty((_capacity(size),) + shape, dtype=dtype)
+        self.data[:size] = np.fromiter(values, dtype, size * width).reshape(
+            (size,) + shape)
+        self.size = size
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.data[:self.size]
+
+    def append(self, row) -> None:
+        if self.size == len(self.data):  # full: double the capacity
+            grown = np.empty((max(2 * self.size, 16),) + np.shape(row),
+                             dtype=self.data.dtype)
+            if self.size:
+                grown[:self.size] = self.data
+            self.data = grown
+        self.data[self.size] = row
+        self.size += 1
 
 
 def record_outcome(store: BanditStore, record: SolveRecord, solved: bool) -> bool:
@@ -375,7 +480,8 @@ def nearest_records(store: BanditStore, features: Sequence[float], k: int
     fewer than k). Ties break by insertion order: the older record wins."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return [store.records[i] for i in store.nearest_order(features)[:k]]
+    return [store.records[i]
+            for i in store.nearest_order(features, k)[:k].tolist()]
 
 
 def _reward_sums(records: Iterable[SolveRecord],
@@ -441,7 +547,7 @@ def rank_double(store: BanditStore, features: Sequence[float], k: int,
     order = _rank(_reward_sums(nearest_records(store, features, k), model_arm),
                   arms, store.rng)
     # the store's kept nearest-first order serves the prompt layer too
-    nearest = store.nearest_order(features)
+    nearest = store.nearest_order(features, k)
     nearest_solvers = store.solver_column[nearest]
     ranked: list[SolverId] = []
     for arm in order:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,13 +46,20 @@ def fit_exponential(samples: Sequence[float]) -> ExponentialFit:
 def allocate_one(fit: ExponentialFit, budget: float, delta: float) -> float:
     """Smallest allocation a with P(a < requirement < budget) <= delta,
     i.e. -ln(delta + exp(-rate * budget)) / rate, clamped into [0, budget]."""
+    _check_allocation(budget, delta)
+    return _allocation(fit.rate, budget, delta)
+
+
+def _check_allocation(budget: float, delta: float) -> None:
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    lam = fit.rate
-    tail = delta + math.exp(-lam * budget)
-    a = -math.log(tail) / lam
+
+
+def _allocation(rate: float, budget: float, delta: float) -> float:
+    tail = delta + math.exp(-rate * budget)
+    a = -math.log(tail) / rate
     return min(max(a, 0.0), budget)
 
 
@@ -88,67 +95,33 @@ class SolverSchedule:
         return sum(e.cost for e in self.entries)
 
 
-def nearest_per_solver(store: BanditStore, features: Sequence[float],
-                       k: int) -> dict[int, np.ndarray]:
-    """Each solver's k nearest rows of the store (all of them when it has
-    fewer), nearest first, keyed by its value in the solver column.
-
-    One pass over the store's nearest-first order: a stable argsort of the
-    solver column along that order groups the rows by solver without
-    reordering any group, and a row is kept when its rank within its group
-    (a cumcount) is below k."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    order = store.nearest_order(features)
-    if not len(order):
-        return {}
-    # the narrowest dtype that holds every solver index: numpy's stable sort
-    # of 8- and 16-bit integers is a radix sort
-    solvers = store.solver_column[order].astype(
-        np.min_scalar_type(len(store.solvers)))
-    grouped = np.argsort(solvers, kind="stable")
-    ids = solvers[grouped]
-    starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
-    sizes = np.diff(np.append(starts, len(ids)))
-    rank = np.arange(len(ids)) - np.repeat(starts, sizes)
-    rows = order[grouped[rank < k]]
-    kept = np.minimum(sizes, k)
-    return {solver: rows[end - n:end] for solver, n, end in zip(
-        ids[starts].tolist(), kept.tolist(), np.cumsum(kept).tolist())}
-
-
-def _samples(ranking: Sequence[SolverId], store: BanditStore,
-             nearest: dict[int, np.ndarray], dimension: str
-             ) -> list[list[float]]:
-    """Per ranked solver, the positive values of `dimension` among its k
-    nearest rows, nearest first, as Python floats: fit_exponential sums
-    them with Python's sum, in that order."""
-    if dimension not in ("cost", "time"):
-        raise ValueError(f"unknown dimension {dimension!r}")
-    column = store.cost_column if dimension == "cost" else store.time_column
-    out = []
-    for solver in ranking:
-        rows = nearest.get(store.solver_index(solver))
-        values = column[rows].tolist() if rows is not None else []
-        out.append([v for v in values if v > 0])
-    return out
+def _samples(solvers: Sequence[Optional[int]], nearest: Sequence[np.ndarray],
+             column: np.ndarray) -> list[list[float]]:
+    """Per solver (its value in the store's solver column, None when it has
+    no record), the positive values of `column` among its k nearest rows,
+    nearest first, as Python floats: the allocation sums them with Python's
+    sum, in that order."""
+    return [[v for v in column[nearest[s]].tolist() if v > 0]
+            if s is not None else [] for s in solvers]
 
 
 def _allocate(samples_per_solver: Sequence[Sequence[float]], budget: float,
               delta: float) -> list[float]:
     if not samples_per_solver:
         raise ValueError("cannot allocate over an empty ranking")
+    _check_allocation(budget, delta)
     allocations = [0.0] * len(samples_per_solver)
     remaining = budget
+    sampleless_left = sum(1 for s in samples_per_solver if not s)
     for i, samples in enumerate(samples_per_solver):
         if remaining <= 0:
             break
         if samples:
-            fit = fit_exponential(samples)
-            want = allocate_one(fit, budget, delta)
+            # fit_exponential's rate, then allocate_one's closed form
+            want = _allocation(len(samples) / sum(samples), budget, delta)
         else:
-            sampleless_left = sum(1 for s in samples_per_solver[i:] if not s)
             want = remaining / sampleless_left
+            sampleless_left -= 1
         got = min(want, remaining)
         allocations[i] = got
         remaining -= got
@@ -168,11 +141,14 @@ def allocate_sequence(ranking: Sequence[SolverId], store: BanditStore,
     once the budget runs out, every following solver gets zero; leftover after
     the walk is handed to the final solver.
 
-    Every solver's k nearest come from one nearest-first pass over the store
-    (`nearest_per_solver`), grouped by the store's solver column."""
-    return _allocate(_samples(ranking, store,
-                              nearest_per_solver(store, features, k),
-                              dimension), budget, delta)
+    Every solver's k nearest are the store's per-solver rows of the query's
+    one nearest-first pass (BanditStore.nearest_rows)."""
+    if dimension not in ("cost", "time"):
+        raise ValueError(f"unknown dimension {dimension!r}")
+    column = store.cost_column if dimension == "cost" else store.time_column
+    solvers = [store.solver_index(s) for s in ranking]
+    return _allocate(_samples(solvers, store.nearest_rows(features, k), column),
+                     budget, delta)
 
 
 def build_schedule(ranking: Sequence[SolverId], store: BanditStore,
@@ -182,13 +158,17 @@ def build_schedule(ranking: Sequence[SolverId], store: BanditStore,
                    delta_cost: float = 0.05) -> SolverSchedule:
     """Cost slices first, then time slices over the solvers that received a
     nonzero cost slice (the coupling rule: no tokens means no time; the time
-    freed that way is redistributed by re-running the greedy walk)."""
-    nearest = nearest_per_solver(store, features, k)
-    costs = _allocate(_samples(ranking, store, nearest, "cost"), C, delta_cost)
-    funded = [s for s, c in zip(ranking, costs) if c > 0]
+    freed that way is redistributed by re-running the greedy walk). Both
+    walks read the store's per-solver nearest rows of the query's one
+    nearest-first pass."""
+    solvers = [store.solver_index(s) for s in ranking]
+    nearest = store.nearest_rows(features, k)
+    costs = _allocate(_samples(solvers, nearest, store.cost_column),
+                      C, delta_cost)
+    funded = [s for s, c in zip(solvers, costs) if c > 0]
     if funded:
-        funded_times = iter(_allocate(_samples(funded, store, nearest, "time"),
-                                      T, delta_time))
+        funded_times = iter(_allocate(
+            _samples(funded, nearest, store.time_column), T, delta_time))
         times = [next(funded_times) if c > 0 else 0.0 for c in costs]
     else:
         times = [0.0] * len(ranking)

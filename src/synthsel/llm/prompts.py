@@ -9,9 +9,11 @@ else interpolates the query.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Optional, Sequence, Tuple, Union
 
-from ..sygus import App, BoolLit, BVLit, IntLit, Ite, SynthQuery, Term, Var, print_term
+from ..sygus import (App, BoolLit, BVLit, Candidate, IntLit, Ite, SynthQuery, Term,
+                     Var, print_define_fun, print_query, print_term)
 
 
 @dataclass(frozen=True)
@@ -59,11 +61,23 @@ class Message:
 
 @dataclass(frozen=True)
 class SolvedExample:
-    """A previously solved problem, kept around for few-shot prompting."""
+    """A previously solved problem, kept around for few-shot prompting. The
+    query and its solution are given as text, or as the parsed query and
+    the candidate, printed the first time a prompt shows them."""
 
-    query_text: str
-    solution_text: str
+    query: Union[SynthQuery, str]
+    solution: Union[Candidate, str]
     logic: str
+
+    @cached_property
+    def query_text(self) -> str:
+        return (self.query if isinstance(self.query, str)
+                else print_query(self.query))
+
+    @cached_property
+    def solution_text(self) -> str:
+        return (self.solution if isinstance(self.solution, str)
+                else print_define_fun(self.solution))
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +285,6 @@ def render_stage2_prompt(style: PromptStyle) -> Message:
 
 
 def query_text(query: SynthQuery) -> str:
-    from ..sygus import print_query
-
     return print_query(query)
 
 

@@ -43,8 +43,6 @@ from .sygus import (
     SynthQuery,
     grammar_for_query,
     parse_query,
-    print_define_fun,
-    print_query,
 )
 from .sygus.terms import BOOL, INT, Var
 from .verify import Verifier
@@ -62,6 +60,7 @@ class RunState:
 
     store: BanditStore                     # every solve record of the run
     prompt_rngs: dict[str, random.Random]  # per-model prompt-layer shuffles
+    portfolio: Tuple[SolverId, ...]        # the configured solvers
     few_shot_pool: list[SolvedExample] = field(default_factory=list)
 
 
@@ -71,7 +70,8 @@ def new_state(config: RunConfig, seed: int) -> RunState:
     if config.state and Path(config.state).exists():
         store = BanditStore.load(config.state, seed=rng.randrange(2 ** 31))
     return RunState(store=store, prompt_rngs={
-        m.name: random.Random(rng.randrange(2 ** 31)) for m in config.models})
+        m.name: random.Random(rng.randrange(2 ** 31)) for m in config.models},
+        portfolio=tuple(config.portfolio()))
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +200,8 @@ def rank_solvers(config: RunConfig, state: RunState,
     selector = config.selector
     if selector.startswith("fixed:"):
         return [SolverId.parse(selector.split(":", 1)[1])]
-    portfolio = config.portfolio()
     if selector in ("single", "linear-single"):
-        return rank_single(state.store, features, config.k, portfolio)
+        return rank_single(state.store, features, config.k, state.portfolio)
     if selector in ("double", "linear-double"):
         return rank_double(
             state.store, features, config.k,
@@ -306,10 +305,7 @@ def solve_query(query: SynthQuery, query_id: str, config: RunConfig,
         record_outcome(state.store, rec, solved=True)
         if final.candidate is not None:
             state.few_shot_pool.append(SolvedExample(
-                query_text=print_query(query),
-                solution_text=print_define_fun(final.candidate),
-                logic=classify_logic(query),
-            ))
+                query, final.candidate, classify_logic(query)))
 
     return QueryRecord(
         query_id=query_id,

@@ -175,6 +175,26 @@ def test_store_load_rejects_a_non_finite_record(literal, tmp_path):
         BanditStore.load(path)
 
 
+def test_store_load_shares_solvers_and_points_and_names_a_bad_solver(tmp_path):
+    path = tmp_path / "state.jsonl"
+    records = [rec((0.0, 1.0), A1), rec((0.0, 1.0), A1), rec((2.0, 1.0), E)]
+    BanditStore(records=records).save(path)
+    loaded = BanditStore.load(path)
+    assert loaded.records == records
+    first, second, third = loaded.records
+    assert first.solver is second.solver
+    assert first.features is second.features
+    assert loaded.points.tolist() == [[0.0, 1.0], [2.0, 1.0]]
+    assert loaded.point_column.tolist() == [0, 0, 1]
+    # an unhashable solver field is a bad line, not a crash past the check
+    bad = json.dumps(rec((1.0, 1.0), A1).to_json()).replace(
+        '"model": "modelA"', '"model": ["modelA"]')
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(bad + "\n")
+    with pytest.raises(ValueError, match="line 4: not a solve record"):
+        BanditStore.load(path)
+
+
 # ---------------------------------------------------------------------------
 # nearest neighbors and ranking
 # ---------------------------------------------------------------------------

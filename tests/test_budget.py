@@ -7,7 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from synthsel.bandit import BanditStore, SolveRecord, SolverId
+from synthsel.bandit import (
+    BanditStore,
+    SolveRecord,
+    SolverId,
+    knn_scores,
+    model_arm,
+    nearest_records,
+    rank_double,
+    rank_single,
+)
+from synthsel.featurize import distance
 from synthsel.budget import (
     ExponentialFit,
     ScheduleEntry,
@@ -17,7 +27,6 @@ from synthsel.budget import (
     build_schedule,
     fit_exponential,
     linear_schedule,
-    nearest_per_solver,
 )
 
 E = SolverId.enumerator()
@@ -295,7 +304,7 @@ def test_build_schedule_matches_bruteforce_reference():
                                           0.05, 0.1)
 
 
-# Differential cases for the column grouping (nearest_per_solver): every
+# Differential cases for the per-solver rows (BanditStore.nearest_rows): every
 # schedule must equal the brute-force reference bit for bit.
 
 ABSENT = [SolverId.llm("modelD", s) for s in (1, 2, 3)]
@@ -325,11 +334,85 @@ def _assert_matches_reference(rng, store, records, pool, points, ks, trials):
         T, C = rng.uniform(10.0, 200.0), rng.uniform(100.0, 50_000.0)
         assert build_schedule(ranking, store, q, k, T, C, 0.05, 0.1) == \
             _reference_schedule(ranking, records, q, k, T, C, 0.05, 0.1)
-        nearest = nearest_per_solver(store, q, k)
+        nearest = store.nearest_rows(q, k)
         for solver in set(pool):
-            rows = nearest.get(store.solver_index(solver))
-            got = [] if rows is None else rows.tolist()
+            index = store.solver_index(solver)
+            got = [] if index is None else nearest[index].tolist()
             assert got == _bruteforce_rows(records, q, k, solver)
+        _assert_nearest_matches_full_sort(store, records, q, k, pool,
+                                          rng.randrange(2 ** 31))
+
+
+def _reference_rank(scores, arms, rng):
+    """bandit._rank: scored arms by descending score (equal scores in
+    shuffled order), then the rest shuffled."""
+    present = [a for a in arms if a in scores]
+    absent = [a for a in arms if a not in scores]
+    rng.shuffle(present)
+    present.sort(key=lambda a: -scores[a])
+    rng.shuffle(absent)
+    return present + absent
+
+
+def _reward_sums(rows, records, key):
+    sums = {}
+    for i in rows:
+        arm = key(records[i].solver)
+        sums[arm] = sums.get(arm, 0.0) + records[i].reward
+    return sums
+
+
+def _assert_nearest_matches_full_sort(store, records, q, k, pool, seed):
+    """The store's k-NN reads against one full stable sort of every record
+    by distance, the order the store kept before it partitioned per solver."""
+    matrix = np.array([r.features for r in records], dtype=float).reshape(
+        len(records), len(q))
+    target = np.asarray(q, dtype=float)
+    dist = distance(matrix, target)
+    if records:
+        # one distance per distinct point, gathered: the same bits per row
+        gathered = distance(store.points, target)[store.point_column]
+        assert gathered.tobytes() == dist.tobytes()
+        assert store.features.tolist() == matrix.tolist()
+    full = np.argsort(dist, kind="stable").tolist()
+    assert store.nearest_order(q).tolist() == full
+    # each solver's k-th smallest distance, and every row at or below it
+    cut = {}
+    for solver in {r.solver for r in records}:
+        mine = sorted(dist[i] for i, r in enumerate(records) if r.solver == solver)
+        cut[solver] = mine[k - 1] if len(mine) > k else math.inf
+    assert store.nearest_order(q, k).tolist() == [
+        i for i in full if dist[i] <= cut[records[i].solver]]
+    assert nearest_records(store, q, k) == [records[i] for i in full[:k]]
+
+    scores = _reward_sums(full[:k], records, lambda s: s)
+    assert knn_scores(store, q, k) == scores  # same sums in the same order
+    assert rank_single(store, q, k, pool, rng=random.Random(seed)) == \
+        _reference_rank(scores, pool, random.Random(seed))
+
+    models = sorted({s.model for s in pool if s.kind == "llm"})
+    prompts = {m: tuple(sorted({s.style for s in pool if s.model == m}))
+               for m in models}
+    # the first model draws its prompt-layer RNG from store.rng
+    seeds = {m: seed + i for i, m in enumerate(models[1:])}
+    store.rng.seed(seed)
+    got = rank_double(store, q, k, models, prompts,
+                      rngs={m: random.Random(s) for m, s in seeds.items()})
+    rngs = {m: random.Random(s) for m, s in seeds.items()}
+    rng = random.Random(seed)
+    expected = []
+    for arm in _reference_rank(_reward_sums(full[:k], records, model_arm),
+                               models + ["enumerator"], rng):
+        if arm == "enumerator":
+            expected.append(E)
+            continue
+        own = [i for i in full if records[i].solver.kind == "llm"
+               and records[i].solver.model == arm][:k]
+        styles = _reference_rank(
+            _reward_sums(own, records, lambda s: s.style), prompts[arm],
+            rngs.get(arm) or random.Random(rng.randrange(2 ** 31)))
+        expected.extend(SolverId.llm(arm, style) for style in styles)
+    assert got == expected
 
 
 def _points(rng, dim, n):
@@ -425,6 +508,65 @@ def test_schedule_differential_after_save_and_load(tmp_path):
             [r.solver for r in records]
         _assert_matches_reference(rng, loaded, records, SOLVERS, points,
                                   range(1, 15), 5)
+
+
+def test_schedule_differential_one_solver():
+    rng = random.Random(28)
+    for trial in range(20):
+        points = _points(rng, 2, rng.randrange(1, 5))
+        records = [_random_record(rng, points, [A1])
+                   for _ in range(rng.randrange(1, 60))]
+        store = BanditStore(seed=trial, records=records)
+        _assert_matches_reference(rng, store, records, [A1, B1], points,
+                                  (1, 2, 5, 60, 61), 5)
+
+
+def test_schedule_differential_ties_across_distinct_points():
+    rng = random.Random(29)
+    # every permutation and sign flip of (0, 1, 2): distinct points at one
+    # exact distance from the origin, several at one distance from others
+    base = [(0.0, 1.0, 2.0), (0.0, 2.0, 1.0), (1.0, 0.0, 2.0),
+            (1.0, 2.0, 0.0), (2.0, 0.0, 1.0), (2.0, 1.0, 0.0)]
+    points = [tuple(sign * x for x in p) for p in base for sign in (1.0, -1.0)]
+    points.append((0.0, 0.0, 0.0))
+    for trial in range(20):
+        records = [_random_record(rng, points, SOLVERS)
+                   for _ in range(rng.randrange(20, 160))]
+        store = BanditStore(seed=trial, records=records)
+        _assert_matches_reference(rng, store, records, SOLVERS, points,
+                                  range(1, 30), 8)
+
+
+def test_schedule_differential_real_valued_features():
+    # non-integer coordinates in wide vectors: the gathered per-point
+    # distances must keep the bits a distance over every row gives
+    rng = random.Random(30)
+    for trial, dim in enumerate((3, 17, 33) * 3):
+        points = [tuple(rng.uniform(-50.0, 50.0) for _ in range(dim))
+                  for _ in range(rng.randrange(1, 12))]
+        records = [_random_record(rng, points, SOLVERS)
+                   for _ in range(rng.randrange(1, 150))]
+        store = BanditStore(seed=trial, records=records)
+        _assert_matches_reference(rng, store, records, SOLVERS, points,
+                                  range(1, 20), 5)
+
+
+def test_schedule_differential_appends_after_load(tmp_path):
+    rng = random.Random(31)
+    path = tmp_path / "state.jsonl"
+    for trial in range(10):
+        points = _points(rng, 3, 6)
+        records = [_random_record(rng, points[:3], SOLVERS[:4])
+                   for _ in range(rng.randrange(1, 80))]
+        BanditStore(records=records).save(path)
+        store = BanditStore.load(path)
+        # new points and new solvers after the load, across a doubling
+        for _ in range(rng.randrange(20, 140)):
+            record = _random_record(rng, points, SOLVERS)
+            store.append(record)
+            records.append(record)
+        _assert_matches_reference(rng, store, records, SOLVERS + ABSENT,
+                                  points, range(1, 20), 5)
 
 
 def test_fit_sums_left_to_right():
