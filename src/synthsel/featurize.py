@@ -12,7 +12,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .sygus import App, BoolLit, BVLit, IntLit, Ite, SynthQuery, print_query, subterms, tokenize
+from .sygus import (App, BoolLit, BVLit, IntLit, Ite, SynthQuery, print_query, read_sexprs,
+                    subterms)
 
 KEYWORDS: Tuple[str, ...] = (
     "+", "-", "*", "div", "mod", "ite", "and", "or", "not", "=",
@@ -89,7 +90,7 @@ def featurize(query: SynthQuery,
 
     length = query.source_token_count
     if length <= 0:
-        length = len(tokenize(print_query(query)))
+        length = read_sexprs(print_query(query))[1]
 
     logic = classify_logic(query)
     one_hot = [1.0 if logic == c else 0.0 for c in LOGIC_CLASSES]

@@ -9,6 +9,7 @@ from .prompts import (
     ROLE_SENTENCE,
     STYLE_MATRIX,
     SolvedExample,
+    remember_example,
     render_initial_prompt,
     render_stage2_prompt,
     select_few_shot,
@@ -38,7 +39,8 @@ from .solve import (
 __all__ = [
     "EMOTIONAL_PARAGRAPH", "FEW_SHOT_COUNT", "LISP_STAGE2_PROMPT", "Message",
     "PromptStyle", "ROLE_SENTENCE", "STYLE_MATRIX", "SolvedExample",
-    "render_initial_prompt", "render_stage2_prompt", "select_few_shot",
+    "remember_example", "render_initial_prompt", "render_stage2_prompt",
+    "select_few_shot",
     "translate_constraints_nl",
     "ChatTranscript", "CountedMessage", "count_tokens",
     "BackendError", "BackendReply", "ChatBackend", "HttpBackend",

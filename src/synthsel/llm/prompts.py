@@ -239,6 +239,18 @@ def select_few_shot(pool: Sequence[SolvedExample], logic: str,
     return (same + rest)[:count]
 
 
+def remember_example(pool: list[SolvedExample], example: SolvedExample,
+                     count: int = FEW_SHOT_COUNT) -> None:
+    """Append `example` to `pool` and drop the oldest example of its logic
+    tag beyond `count`. `select_few_shot` then picks what it would from the
+    whole history: an example among the `count` most recent of the other
+    tags is among the `count` most recent of its own."""
+    pool.append(example)
+    same = [i for i, ex in enumerate(pool) if ex.logic == example.logic]
+    if len(same) > count:
+        del pool[same[0]]
+
+
 def render_initial_prompt(query: SynthQuery, style: PromptStyle,
                           few_shot_pool: Sequence[SolvedExample] = ()
                           ) -> list[Message]:

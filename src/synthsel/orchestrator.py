@@ -32,7 +32,7 @@ from .budget import ScheduleEntry, SolverSchedule, build_schedule, linear_schedu
 from .config import RunConfig
 from .enumerator import EnumeratorConfig, SearchStatus, cegis_solve
 from .featurize import classify_logic, featurize
-from .llm import ChatBackend, SolvedExample, solve_with_llm
+from .llm import ChatBackend, SolvedExample, remember_example, solve_with_llm
 from .outcomes import DeploymentOutcome
 from .sygus import (
     Candidate,
@@ -61,6 +61,7 @@ class RunState:
     store: BanditStore                     # every solve record of the run
     prompt_rngs: dict[str, random.Random]  # per-model prompt-layer shuffles
     portfolio: Tuple[SolverId, ...]        # the configured solvers
+    # the few-shot examples a prompt may still show: see remember_example
     few_shot_pool: list[SolvedExample] = field(default_factory=list)
 
 
@@ -304,7 +305,7 @@ def solve_query(query: SynthQuery, query_id: str, config: RunConfig,
                           final.time, final.cost)
         record_outcome(state.store, rec, solved=True)
         if final.candidate is not None:
-            state.few_shot_pool.append(SolvedExample(
+            remember_example(state.few_shot_pool, SolvedExample(
                 query, final.candidate, classify_logic(query)))
 
     return QueryRecord(

@@ -50,9 +50,14 @@ def write_cumulative_par2_csv(path: str | Path, report: RunReport) -> None:
             writer.writerow([idx, round(score, 3)])
 
 
+def _write_json(path: str | Path, data: object) -> None:
+    # encoded in one call and written once: json.dump would stream the
+    # text to the file chunk by chunk
+    Path(path).write_text(json.dumps(data, indent=2), encoding="utf-8")
+
+
 def write_report_json(path: str | Path, report: RunReport) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_json(), fh, indent=2)
+    _write_json(path, report.to_json())
 
 
 def write_events_jsonl(path: str | Path, report: RunReport) -> None:
@@ -85,8 +90,7 @@ def write_run_outputs(out_dir: str | Path, report: RunReport,
     write_events_jsonl(paths["events"], report)
     if summary is not None:
         paths["multirun"] = out / "multirun.json"
-        with open(paths["multirun"], "w", encoding="utf-8") as fh:
-            json.dump(summary.to_json(), fh, indent=2)
+        _write_json(paths["multirun"], summary.to_json())
     return paths
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
 from .parser import (GrammarError, GrammarRules, UnsupportedError, read_grammar_rules,
-                     read_sexprs, tokenize)
+                     read_sexprs)
 from .terms import (
     App,
     BVLit,
@@ -261,8 +261,8 @@ def grammar_for_query(query) -> Grammar:
 
 def parse_user_grammar(text: str, signature: FunctionSignature) -> Grammar:
     """Read a SyGuS grammar block (see `read_grammar_rules`) into a Grammar."""
-    return grammar_from_rules(read_grammar_rules(read_sexprs(tokenize(text)),
-                                                 signature))
+    return grammar_from_rules(read_grammar_rules(read_sexprs(text)[0],
+                                                 signature, text))
 
 
 def grammar_from_rules(rules: GrammarRules) -> Grammar:

@@ -1,16 +1,16 @@
-"""SyGuS-IF reader: lexer, s-expression reader, and query construction.
+"""SyGuS-IF reader: one-pass s-expression reader and query construction.
 
 Supported commands: set-logic, declare-var, synth-fun (with or without a
 grammar), synth-inv, define-fun, constraint, inv-constraint, check-synth.
-Comments (`;` to end of line) are stripped during lexing. inv-constraint is
+Comments (`;` to end of line) are skipped while reading. inv-constraint is
 rewritten into three plain constraints with the pre/trans/post macros inlined.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import AbstractSet, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import AbstractSet, Mapping, Optional, Sequence, Tuple, Union
 
 from .terms import (
     App,
@@ -27,10 +27,13 @@ from .terms import (
     Var,
     BOOL,
     INT,
+    app_sort,
     apply_candidate,
     conjoin,
     infer_sort,
     is_operator,
+    ite_sort,
+    literal_sort,
     print_param_list,
     print_term,
     substitute_vars,
@@ -54,97 +57,89 @@ class GrammarError(SygusError):
 
 
 # ---------------------------------------------------------------------------
-# Lexing
+# S-expression reading
 # ---------------------------------------------------------------------------
 
-
-class Token(NamedTuple):
-    text: str
-    line: int
-    col: int
-
+# An atom is its text and its offset in the source; a list is a list.
+Atom = Tuple[str, int]
+SExpr = Union[Atom, list]
 
 _TOKEN = re.compile(r"[()]|[^\s();]+|;.*")
 
 
-def tokenize(text: str) -> list[Token]:
-    """Parentheses and atoms with their 1-based line and column; a `;`
-    comment runs to the end of its line and yields no token."""
-    return [Token(m.group(), line, m.start() + 1)
-            for line, row in enumerate(text.split("\n"), 1)
-            for m in _TOKEN.finditer(row) if m.group()[0] != ";"]
+def read_sexprs(text: str) -> Tuple[list[SExpr], int]:
+    """The s-expressions of `text` and its token count (parentheses and
+    atoms; a `;` comment runs to the end of its line and counts for
+    nothing), in one scan that builds the lists on an explicit stack."""
+    items: list[SExpr] = []
+    parents: list[list[SExpr]] = []  # the lists enclosing `items`
+    opened: list[int] = []  # offset of the '(' of `items` and of each parent
+    count = 0
+    for m in _TOKEN.finditer(text):
+        tok = m[0]
+        if tok == "(":
+            parents.append(items)
+            opened.append(m.start())
+            items = []
+        elif tok == ")":
+            if not parents:
+                raise ParseError("unexpected ')'", *_position(text, m.start()))
+            parents[-1].append(items)
+            items = parents.pop()
+            opened.pop()
+        elif tok[0] == ";":
+            continue
+        else:
+            items.append((tok, m.start()))
+        count += 1
+    if opened:
+        raise ParseError("unbalanced '('", *_position(text, opened[-1]))
+    return items, count
 
 
-# ---------------------------------------------------------------------------
-# S-expression reading
-# ---------------------------------------------------------------------------
-
-SExpr = Union[Token, list]
-
-
-def read_sexprs(tokens: Sequence[Token]) -> list[SExpr]:
-    exprs: list[SExpr] = []
-    pos = 0
-
-    def read_one() -> SExpr:
-        nonlocal pos
-        tok = tokens[pos]
-        if tok.text == "(":
-            pos += 1
-            items: list[SExpr] = []
-            while True:
-                if pos >= len(tokens):
-                    raise ParseError("unbalanced '('", tok.line, tok.col)
-                if tokens[pos].text == ")":
-                    pos += 1
-                    return items
-                items.append(read_one())
-        if tok.text == ")":
-            raise ParseError("unexpected ')'", tok.line, tok.col)
-        pos += 1
-        return tok
-
-    while pos < len(tokens):
-        exprs.append(read_one())
-    return exprs
+def _position(text: str, offset: int) -> Tuple[int, int]:
+    """1-based line and column of `offset` in `text`; only '\\n' ends a line."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def _head(sexpr: SExpr) -> str:
-    if isinstance(sexpr, list) and sexpr and isinstance(sexpr[0], Token):
-        return sexpr[0].text
+    if type(sexpr) is list and sexpr and type(sexpr[0]) is tuple:
+        return sexpr[0][0]
     return ""
 
 
-def _where(sexpr: SExpr) -> Tuple[int, int]:
-    if isinstance(sexpr, Token):
-        return sexpr.line, sexpr.col
-    if sexpr and isinstance(sexpr, list):
-        return _where(sexpr[0])
-    return 0, 0
+def _where(sexpr: SExpr, text: str) -> Tuple[int, int]:
+    """Line and column of an atom, or of a list's first atom (0, 0 if none)."""
+    while type(sexpr) is list:
+        if not sexpr:
+            return 0, 0
+        sexpr = sexpr[0]
+    return _position(text, sexpr[1])
 
 
-def _expect_atom(sexpr: SExpr, what: str) -> Token:
-    if not isinstance(sexpr, Token):
-        raise ParseError(f"expected {what}", *_where(sexpr))
-    return sexpr
+def _expect_atom(sexpr: SExpr, what: str, text: str) -> str:
+    if type(sexpr) is not tuple:
+        raise ParseError(f"expected {what}", *_where(sexpr, text))
+    return sexpr[0]
 
 
 # ---------------------------------------------------------------------------
 # Sorts and terms
 # ---------------------------------------------------------------------------
 
-def parse_sort(sexpr: SExpr) -> Sort:
-    if isinstance(sexpr, Token):
-        if sexpr.text == "Int":
+def parse_sort(sexpr: SExpr, text: str) -> Sort:
+    if type(sexpr) is tuple:
+        name = sexpr[0]
+        if name == "Int":
             return INT
-        if sexpr.text == "Bool":
+        if name == "Bool":
             return BOOL
-        raise UnsupportedError(f"unsupported sort {sexpr.text!r} "
-                               f"(line {sexpr.line}, column {sexpr.col})")
+        line, col = _position(text, sexpr[1])
+        raise UnsupportedError(f"unsupported sort {name!r} (line {line}, column {col})")
     width = _BITVEC_SORT.fullmatch(_print_sexpr(sexpr))
     if width:
         return Sort.bitvec(int(width[1]))
-    raise UnsupportedError(f"unsupported sort at line {_where(sexpr)[0]}")
+    raise UnsupportedError(f"unsupported sort at line {_where(sexpr, text)[0]}")
 
 
 # numerals are ASCII digits: str.isdigit() and int() also accept '²' or '٣'
@@ -153,8 +148,7 @@ _BV_LITERAL = re.compile(r"#b[01]+|#x[0-9a-fA-F]+")
 _INDEXED_BV_LITERAL = re.compile(r"\(_ bv([0-9]+) ([0-9]+)\)")
 
 
-def _parse_literal(tok: Token) -> Optional[Term]:
-    text = tok.text
+def _parse_literal(text: str) -> Optional[Term]:
     if text == "true":
         return BoolLit(True)
     if text == "false":
@@ -184,56 +178,97 @@ class _Macro:
 
 @dataclass
 class _TermContext:
+    text: str  # the source, for the line and column of an error
     var_sorts: dict[str, Sort]
     synth_fun: Optional[FunctionSignature]
     macros: dict[str, _Macro]
     # a grammar's nonterminal names: such a token is read as a Hole
     nonterminals: AbstractSet[str] = frozenset()
+    # each atom read so far under this context, with its term and sort
+    leaves: dict[str, Tuple[Term, Optional[Sort]]] = field(default_factory=dict)
 
 
-def _parse_term(sexpr: SExpr, ctx: _TermContext) -> Term:
-    if isinstance(sexpr, Token):
-        if sexpr.text in ctx.nonterminals:
-            return Hole(sexpr.text)
-        lit = _parse_literal(sexpr)
-        if lit is not None:
-            return lit
-        if sexpr.text in ctx.var_sorts:
-            return Var(sexpr.text)
-        raise ParseError(f"undeclared symbol {sexpr.text!r}", sexpr.line, sexpr.col)
+def _parse_term(sexpr: SExpr, ctx: _TermContext) -> Tuple[Term, Optional[Sort]]:
+    """The term `sexpr` reads as, and its sort, inferred bottom-up while the
+    term is built by the per-node rules of `infer_sort`. The sort is None
+    where a rule fails or a hole is read: `infer_sort` on the term then
+    raises that failure's error, after every error of the reading."""
+    if type(sexpr) is tuple:
+        leaf = ctx.leaves.get(sexpr[0])
+        if leaf is None:
+            leaf = ctx.leaves[sexpr[0]] = _parse_leaf(sexpr, ctx)
+        return leaf
     if not sexpr:
         raise ParseError("empty application", 0, 0)
-    op_tok = _expect_atom(sexpr[0], "an operator symbol")
-    op = op_tok.text
+    if type(sexpr[0]) is not tuple:
+        raise ParseError("expected an operator symbol", *_where(sexpr, ctx.text))
+    op = sexpr[0][0]
     if op == "_":  # SMT-LIB's indexed bitvector literal (_ bvN width)
         bv = _INDEXED_BV_LITERAL.fullmatch(_print_sexpr(sexpr))
         if not bv:
-            raise ParseError("expected (_ bvN width)", op_tok.line, op_tok.col)
+            raise ParseError("expected (_ bvN width)", *_where(sexpr, ctx.text))
         try:
-            return BVLit(int(bv[1]), int(bv[2]))
+            lit = BVLit(int(bv[1]), int(bv[2]))
         except SygusError as exc:
-            raise ParseError(str(exc), op_tok.line, op_tok.col) from None
-    args = [_parse_term(a, ctx) for a in sexpr[1:]]
+            raise ParseError(str(exc), *_where(sexpr, ctx.text)) from None
+        return lit, literal_sort(lit)
+    args = []
+    sorts = []
+    known = True  # every argument has a sort
+    for a in sexpr[1:]:
+        arg, sort = _parse_term(a, ctx)
+        args.append(arg)
+        sorts.append(sort)
+        if sort is None:
+            known = False
+    sort = None
     if op == "ite":
         if len(args) != 3:
-            raise ParseError("ite expects exactly 3 arguments", op_tok.line, op_tok.col)
-        return Ite(args[0], args[1], args[2])
+            raise ParseError("ite expects exactly 3 arguments", *_where(sexpr, ctx.text))
+        if known:
+            try:
+                sort = ite_sort(*sorts)
+            except SygusError:
+                pass
+        return Ite(*args), sort
     if op == "-" and len(args) == 1 and isinstance(args[0], IntLit):
-        return IntLit(-args[0].value)  # (- 5) is the literal -5
-    if op in ctx.macros:
-        macro = ctx.macros[op]
-        if len(args) != len(macro.signature.params):
-            raise ParseError(
-                f"{op!r} expects {len(macro.signature.params)} arguments, got {len(args)}",
-                op_tok.line, op_tok.col,
-            )
-        return macro.apply(args)
+        return IntLit(-args[0].value), INT  # (- 5) is the literal -5
+    macro = ctx.macros.get(op)
+    if macro is not None:
+        sig = macro.signature
+        if len(args) != len(sig.params):
+            raise ParseError(f"{op!r} expects {len(sig.params)} arguments, got {len(args)}",
+                             *_where(sexpr, ctx.text))
+        # the body was checked to have the return sort over the parameters'
+        if known and tuple(sorts) == sig.param_sorts:
+            sort = sig.return_sort
+        return macro.apply(args), sort
     if is_operator(op) or (ctx.synth_fun and op == ctx.synth_fun.name):
         try:
-            return App(op, tuple(args))
+            term = App(op, tuple(args))
         except SygusError as exc:
-            raise ParseError(str(exc), op_tok.line, op_tok.col) from None
-    raise ParseError(f"undeclared symbol {op!r}", op_tok.line, op_tok.col)
+            raise ParseError(str(exc), *_where(sexpr, ctx.text)) from None
+        if known:
+            try:
+                sort = app_sort(op, sorts, ctx.synth_fun)
+            except SygusError:
+                pass
+        return term, sort
+    raise ParseError(f"undeclared symbol {op!r}", *_where(sexpr, ctx.text))
+
+
+def _parse_leaf(atom: Atom, ctx: _TermContext) -> Tuple[Term, Optional[Sort]]:
+    """An atom is a nonterminal, else a literal, else a declared variable."""
+    text = atom[0]
+    if text in ctx.nonterminals:
+        return Hole(text), None
+    lit = _parse_literal(text)
+    if lit is not None:
+        return lit, literal_sort(lit)
+    sort = ctx.var_sorts.get(text)
+    if sort is not None:
+        return Var(text), sort
+    raise ParseError(f"undeclared symbol {text!r}", *_position(ctx.text, atom[1]))
 
 
 @dataclass(frozen=True)
@@ -247,47 +282,48 @@ class GrammarRules:
     generator: Optional[str] = None
 
 
-def read_grammar_rules(blocks: Sequence[SExpr],
-                       signature: FunctionSignature) -> GrammarRules:
+def read_grammar_rules(blocks: Sequence[SExpr], signature: FunctionSignature,
+                       text: str) -> GrammarRules:
     """Read a grammar block in the v2 form (a predeclaration list, then the
-    grouped rules) or the v1 form (the grouped rules only)."""
+    grouped rules) or the v1 form (the grouped rules only); `text` is the
+    source the blocks were read from."""
     if len(blocks) not in (1, 2):
         raise ParseError(f"expected 1 or 2 grammar blocks, got {len(blocks)}",
-                         *_where(blocks[-1:]))
+                         *_where(blocks[-1:], text))
     groups = blocks[-1]
-    if not (isinstance(groups, list) and groups):
-        raise ParseError("malformed grammar rules", *_where(groups))
+    if not (type(groups) is list and groups):
+        raise ParseError("malformed grammar rules", *_where(groups, text))
     for group in groups:
-        if not (isinstance(group, list) and len(group) == 3
-                and isinstance(group[0], Token) and isinstance(group[2], list)):
+        if not (type(group) is list and len(group) == 3
+                and type(group[0]) is tuple and type(group[2]) is list):
             raise ParseError("each grammar rule group must be (N Sort (rules...))",
-                             *_where(group))
-    ctx = _TermContext(dict(signature.params), None, {},
-                       frozenset(group[0].text for group in groups))
+                             *_where(group, text))
+    ctx = _TermContext(text, dict(signature.params), None, {},
+                       frozenset(group[0][0] for group in groups))
     nonterminals = []
-    for name, sort, entries in groups:
+    for (name, _), sort, entries in groups:
         rules = []
         for entry in entries:
             if _head(entry) in ("Constant", "Variable", "InputVariable",
                                 "LocalVariable"):
                 return GrammarRules((), _head(entry))
             try:
-                rules.append(_parse_term(entry, ctx))
+                rules.append(_parse_term(entry, ctx)[0])
             except ParseError as exc:
-                raise GrammarError(f"in the rules for {name.text!r}: {exc}") from None
-        nonterminals.append((name.text, parse_sort(sort), tuple(rules)))
+                raise GrammarError(f"in the rules for {name!r}: {exc}") from None
+        nonterminals.append((name, parse_sort(sort, text), tuple(rules)))
     return GrammarRules(tuple(nonterminals))
 
 
-def _parse_params(sexpr: SExpr) -> Tuple[Tuple[str, Sort], ...]:
-    if not isinstance(sexpr, list):
-        raise ParseError("expected a parameter list", *_where(sexpr))
+def _parse_params(sexpr: SExpr, text: str) -> Tuple[Tuple[str, Sort], ...]:
+    if type(sexpr) is not list:
+        raise ParseError("expected a parameter list", *_where(sexpr, text))
     params = []
     for entry in sexpr:
-        if not (isinstance(entry, list) and len(entry) == 2):
-            raise ParseError("expected (name Sort)", *_where(entry))
-        name = _expect_atom(entry[0], "a parameter name").text
-        params.append((name, parse_sort(entry[1])))
+        if not (type(entry) is list and len(entry) == 2):
+            raise ParseError("expected (name Sort)", *_where(entry, text))
+        name = _expect_atom(entry[0], "a parameter name", text)
+        params.append((name, parse_sort(entry[1], text)))
     return tuple(params)
 
 
@@ -326,8 +362,7 @@ def parse_query(text: str) -> SynthQuery:
     The printed form of the result round-trips to a semantically identical
     query. Exactly one synth-fun is required.
     """
-    tokens = tokenize(text)
-    commands = read_sexprs(tokens)
+    commands, token_count = read_sexprs(text)
 
     logic: Optional[str] = None
     synth_fun: Optional[FunctionSignature] = None
@@ -338,29 +373,29 @@ def parse_query(text: str) -> SynthQuery:
     macros: dict[str, _Macro] = {}
     from_inv = False
     saw_check_synth = False
-
-    def ctx() -> _TermContext:
-        return _TermContext(dict(universals), synth_fun, macros)
+    # the constraints' context, made afresh after the universals change
+    # (synth_fun is set before the first constraint and cannot change)
+    constraint_ctx: Optional[_TermContext] = None
 
     for cmd in commands:
         head = _head(cmd)
-        line, col = _where(cmd)
         if not head:
-            raise ParseError("expected a command", line, col)
+            raise ParseError("expected a command", *_where(cmd, text))
         if head == "set-logic":
             if len(cmd) != 2:
-                raise ParseError("set-logic expects one argument", line, col)
-            logic = _expect_atom(cmd[1], "a logic name").text
+                raise ParseError("set-logic expects one argument", *_where(cmd, text))
+            logic = _expect_atom(cmd[1], "a logic name", text)
         elif head in ("declare-var", "declare-primed-var"):
             if len(cmd) != 3:
-                raise ParseError(f"{head} expects a name and a sort", line, col)
-            name = _expect_atom(cmd[1], "a variable name").text
-            sort = parse_sort(cmd[2])
+                raise ParseError(f"{head} expects a name and a sort", *_where(cmd, text))
+            name = _expect_atom(cmd[1], "a variable name", text)
+            sort = parse_sort(cmd[2], text)
             if any(n == name for n, _ in universals):
-                raise ParseError(f"variable {name!r} declared twice", line, col)
+                raise ParseError(f"variable {name!r} declared twice", *_where(cmd, text))
             universals.append((name, sort))
             if head == "declare-primed-var":
                 universals.append((name + "!", sort))
+            constraint_ctx = None
         elif head in ("synth-fun", "synth-inv"):
             if synth_fun is not None:
                 raise UnsupportedError(
@@ -368,19 +403,19 @@ def parse_query(text: str) -> SynthQuery:
                     "this tool handles exactly one function per query"
                 )
             if len(cmd) < (3 if head == "synth-inv" else 4):
-                raise ParseError(f"malformed {head}", line, col)
-            name = _expect_atom(cmd[1], "a function name").text
-            params = _parse_params(cmd[2])
+                raise ParseError(f"malformed {head}", *_where(cmd, text))
+            name = _expect_atom(cmd[1], "a function name", text)
+            params = _parse_params(cmd[2], text)
             if head == "synth-inv":
                 ret = BOOL
                 rest = cmd[3:]
             else:
-                ret = parse_sort(cmd[3])
+                ret = parse_sort(cmd[3], text)
                 rest = cmd[4:]
             synth_fun = FunctionSignature(name, params, ret)
             if rest:
                 grammar_sexpr = " ".join(_print_sexpr(x) for x in rest)
-                grammar = read_grammar_rules(rest, synth_fun)
+                grammar = read_grammar_rules(rest, synth_fun, text)
                 if grammar.generator is None:
                     # rules that form no grammar (dead or unknown nonterminals,
                     # cyclic unit productions) make the query malformed; a
@@ -390,43 +425,48 @@ def parse_query(text: str) -> SynthQuery:
         elif head == "define-fun":
             if len(cmd) != 5:
                 raise ParseError("define-fun expects name, params, sort, body",
-                                 line, col)
-            name = _expect_atom(cmd[1], "a function name").text
-            params = _parse_params(cmd[2])
-            ret = parse_sort(cmd[3])
-            local = _TermContext(dict(params), synth_fun, macros)
-            body = _parse_term(cmd[4], local)
-            got = infer_sort(body, dict(params),
-                             {synth_fun.name: synth_fun} if synth_fun else None)
+                                 *_where(cmd, text))
+            name = _expect_atom(cmd[1], "a function name", text)
+            params = _parse_params(cmd[2], text)
+            ret = parse_sort(cmd[3], text)
+            local = _TermContext(text, dict(params), synth_fun, macros)
+            body, got = _parse_term(cmd[4], local)
+            if got is None:
+                got = infer_sort(body, dict(params),
+                                 {synth_fun.name: synth_fun} if synth_fun else None)
             if got != ret:
-                raise ParseError(
-                    f"define-fun {name!r} body has sort {got}, declared {ret}",
-                    line, col,
-                )
+                raise ParseError(f"define-fun {name!r} body has sort {got}, declared {ret}",
+                                 *_where(cmd, text))
             macros[name] = _Macro(FunctionSignature(name, params, ret), body)
         elif head == "constraint":
             if len(cmd) != 2:
-                raise ParseError("constraint expects one term", line, col)
+                raise ParseError("constraint expects one term", *_where(cmd, text))
             if synth_fun is None:
-                raise ParseError("constraint before synth-fun", line, col)
-            term = _parse_term(cmd[1], ctx())
-            sort = infer_sort(term, dict(universals), {synth_fun.name: synth_fun})
+                raise ParseError("constraint before synth-fun", *_where(cmd, text))
+            if constraint_ctx is None:
+                constraint_ctx = _TermContext(text, dict(universals), synth_fun, macros)
+            term, sort = _parse_term(cmd[1], constraint_ctx)
+            if sort is None:
+                sort = infer_sort(term, constraint_ctx.var_sorts,
+                                  {synth_fun.name: synth_fun})
             if sort != BOOL:
-                raise ParseError(f"constraint must be Bool, got {sort}", line, col)
+                raise ParseError(f"constraint must be Bool, got {sort}", *_where(cmd, text))
             constraints.append(term)
         elif head == "inv-constraint":
             if len(cmd) != 5:
-                raise ParseError(
-                    "inv-constraint expects inv, pre, trans, post", line, col)
+                raise ParseError("inv-constraint expects inv, pre, trans, post",
+                                 *_where(cmd, text))
             if synth_fun is None:
-                raise ParseError("inv-constraint before synth-inv", line, col)
-            names = [_expect_atom(x, "a function name").text for x in cmd[1:]]
-            constraints.extend(
-                _desugar_inv(names, synth_fun, macros, universals, line, col))
+                raise ParseError("inv-constraint before synth-inv", *_where(cmd, text))
+            names = [_expect_atom(x, "a function name", text) for x in cmd[1:]]
+            constraints.extend(_desugar_inv(names, synth_fun, macros, universals,
+                                            *_where(cmd, text)))
+            constraint_ctx = None
             from_inv = True
         elif head == "check-synth":
             saw_check_synth = True
         else:
+            line, col = _where(cmd, text)
             raise UnsupportedError(
                 f"unsupported command {head!r} (line {line}, column {col})")
 
@@ -445,7 +485,7 @@ def parse_query(text: str) -> SynthQuery:
         user_grammar_sexpr=grammar_sexpr,
         user_grammar=grammar,
         from_inv_constraint=from_inv,
-        source_token_count=len(tokens),
+        source_token_count=token_count,
     )
 
 
@@ -495,8 +535,8 @@ def _desugar_inv(names: Sequence[str], inv: FunctionSignature,
 
 
 def _print_sexpr(sexpr: SExpr) -> str:
-    if isinstance(sexpr, Token):
-        return sexpr.text
+    if type(sexpr) is tuple:
+        return sexpr[0]
     return "(" + " ".join(_print_sexpr(x) for x in sexpr) + ")"
 
 
@@ -536,28 +576,29 @@ def substitute_solution(query: SynthQuery, cand: Candidate) -> Term:
 def parse_term_text(text: str, env: Mapping[str, Sort],
                     synth_fun: Optional[FunctionSignature] = None) -> Term:
     """Parse a single term over the given variable environment."""
-    exprs = read_sexprs(tokenize(text))
+    exprs, _ = read_sexprs(text)
     if len(exprs) != 1:
         raise ParseError(f"expected exactly one term, got {len(exprs)}", 1, 1)
-    ctx = _TermContext(dict(env), synth_fun, {})
-    return _parse_term(exprs[0], ctx)
+    ctx = _TermContext(text, dict(env), synth_fun, {})
+    return _parse_term(exprs[0], ctx)[0]
 
 
 def parse_define_fun(text: str) -> Candidate:
     """Parse one (define-fun name ((p S)...) S body) into a Candidate."""
-    exprs = read_sexprs(tokenize(text))
+    exprs, _ = read_sexprs(text)
     if len(exprs) != 1:
         raise ParseError("expected exactly one define-fun", 1, 1)
-    return candidate_from_sexpr(exprs[0])
+    return candidate_from_sexpr(exprs[0], text)
 
 
-def candidate_from_sexpr(sexpr: SExpr) -> Candidate:
+def candidate_from_sexpr(sexpr: SExpr, text: str) -> Candidate:
+    """The Candidate of a define-fun read from `text`."""
     if _head(sexpr) != "define-fun" or len(sexpr) != 5:
         raise ParseError("expected (define-fun name params sort body)",
-                         *_where(sexpr))
-    name = _expect_atom(sexpr[1], "a function name").text
-    params = _parse_params(sexpr[2])
-    ret = parse_sort(sexpr[3])
-    ctx = _TermContext(dict(params), None, {})
-    body = _parse_term(sexpr[4], ctx)
+                         *_where(sexpr, text))
+    name = _expect_atom(sexpr[1], "a function name", text)
+    params = _parse_params(sexpr[2], text)
+    ret = parse_sort(sexpr[3], text)
+    ctx = _TermContext(text, dict(params), None, {})
+    body = _parse_term(sexpr[4], ctx)[0]
     return Candidate(name, params, ret, body)

@@ -222,70 +222,89 @@ def infer_sort(term: Term, env: Mapping[str, Sort],
     """Sort of `term` given variable sorts `env`; raises on ill-sorted trees.
 
     fn_sigs maps uninterpreted (synth-fun) names to their signatures so
-    applications of the function under synthesis type-check.
+    applications of the function under synthesis type-check. Each node's
+    rule is `literal_sort`, `ite_sort` or `app_sort`, the rules the parser
+    applies while it builds a term.
     """
-    if isinstance(term, IntLit):
-        return INT
-    if isinstance(term, BoolLit):
-        return BOOL
-    if isinstance(term, BVLit):
-        return Sort.bitvec(term.width)
+    if isinstance(term, (IntLit, BoolLit, BVLit)):
+        return literal_sort(term)
     if isinstance(term, Var):
         try:
             return env[term.name]
         except KeyError:
             raise SortError(f"undeclared variable {term.name!r}") from None
     if isinstance(term, Ite):
-        csort = infer_sort(term.cond, env, fn_sigs)
-        if csort != BOOL:
-            raise SortError(f"ite condition must be Bool, got {csort}")
-        tsort = infer_sort(term.then_branch, env, fn_sigs)
-        esort = infer_sort(term.else_branch, env, fn_sigs)
-        if tsort != esort:
-            raise SortError(f"ite branches disagree: {tsort} vs {esort}")
-        return tsort
+        cond = infer_sort(term.cond, env, fn_sigs)
+        _check_ite_condition(cond)  # before the branches are read
+        return ite_sort(cond, infer_sort(term.then_branch, env, fn_sigs),
+                        infer_sort(term.else_branch, env, fn_sigs))
     if isinstance(term, App):
         arg_sorts = [infer_sort(a, env, fn_sigs) for a in term.args]
-        sig = OPERATORS.get(term.op)
-        if sig is None:
-            if fn_sigs and term.op in fn_sigs:
-                fsig = fn_sigs[term.op]
-                if len(arg_sorts) != len(fsig.param_sorts):
-                    raise ArityError(
-                        f"{term.op!r} expects {len(fsig.param_sorts)} arguments, "
-                        f"got {len(arg_sorts)}"
-                    )
-                for i, (got, want) in enumerate(zip(arg_sorts, fsig.param_sorts)):
-                    if got != want:
-                        raise SortError(
-                            f"argument {i} of {term.op!r} has sort {got}, expected {want}"
-                        )
-                return fsig.return_sort
-            raise SortError(f"unknown operator {term.op!r}")
-        if sig.arg_sort is None:
-            # all arguments of the same sort
-            first = arg_sorts[0]
-            for s in arg_sorts[1:]:
-                if s != first:
-                    raise SortError(f"{term.op!r} arguments disagree: {first} vs {s}")
-        elif sig.arg_sort is _BV:
-            widths = set()
-            for s in arg_sorts:
-                if s.name != "BitVec":
-                    raise SortError(f"{term.op!r} expects bitvector arguments, got {s}")
-                widths.add(s.width)
-            if len(widths) > 1:
-                raise SortError(f"{term.op!r} arguments have mixed widths {sorted(widths)}")
-        else:
-            for s in arg_sorts:
-                if s != sig.arg_sort:
-                    raise SortError(f"{term.op!r} expects {sig.arg_sort} arguments, got {s}")
-        if sig.result_sort is None:
-            return arg_sorts[0]
-        if sig.result_sort is _BV:
-            return arg_sorts[0]
-        return sig.result_sort
+        return app_sort(term.op, arg_sorts, fn_sigs.get(term.op) if fn_sigs else None)
     raise SortError(f"not a term: {term!r}")
+
+
+def literal_sort(lit: Union[IntLit, BoolLit, BVLit]) -> Sort:
+    if isinstance(lit, IntLit):
+        return INT
+    if isinstance(lit, BoolLit):
+        return BOOL
+    return Sort.bitvec(lit.width)
+
+
+def _check_ite_condition(cond: Sort) -> None:
+    if cond != BOOL:
+        raise SortError(f"ite condition must be Bool, got {cond}")
+
+
+def ite_sort(cond: Sort, then: Sort, else_: Sort) -> Sort:
+    """Sort of (ite c t e) from the sorts of c, t and e."""
+    _check_ite_condition(cond)
+    if then != else_:
+        raise SortError(f"ite branches disagree: {then} vs {else_}")
+    return then
+
+
+def app_sort(op: str, arg_sorts: Sequence[Sort],
+             fn: Optional["FunctionSignature"] = None) -> Sort:
+    """Sort of (op args...) from the arguments' sorts. `fn` is op's signature
+    when op is not an interpreted operator (the function under synthesis)."""
+    sig = OPERATORS.get(op)
+    if sig is None:
+        if fn is None:
+            raise SortError(f"unknown operator {op!r}")
+        if len(arg_sorts) != len(fn.params):
+            raise ArityError(
+                f"{op!r} expects {len(fn.params)} arguments, got {len(arg_sorts)}")
+        for i, (got, (_, want)) in enumerate(zip(arg_sorts, fn.params)):
+            if got is not want and got != want:
+                raise SortError(
+                    f"argument {i} of {op!r} has sort {got}, expected {want}")
+        return fn.return_sort
+    # `is` first: Sort's dataclass __eq__ is a Python call, and INT and BOOL
+    # are shared instances
+    if sig.arg_sort is None:
+        # all arguments of the same sort
+        first = arg_sorts[0]
+        for s in arg_sorts[1:]:
+            if s is not first and s != first:
+                raise SortError(f"{op!r} arguments disagree: {first} vs {s}")
+    elif sig.arg_sort is _BV:
+        widths = set()
+        for s in arg_sorts:
+            if s.name != "BitVec":
+                raise SortError(f"{op!r} expects bitvector arguments, got {s}")
+            widths.add(s.width)
+        if len(widths) > 1:
+            raise SortError(f"{op!r} arguments have mixed widths {sorted(widths)}")
+    else:
+        want = sig.arg_sort
+        for s in arg_sorts:
+            if s is not want and s != want:
+                raise SortError(f"{op!r} expects {want} arguments, got {s}")
+    if sig.result_sort is None or sig.result_sort is _BV:
+        return arg_sorts[0]
+    return sig.result_sort
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from .sygus import (
     print_term,
     substitute_solution,
 )
-from .sygus.parser import Token, _head, candidate_from_sexpr, read_sexprs, tokenize
+from .sygus.parser import _head, candidate_from_sexpr, read_sexprs
 from .sygus.terms import subterms
 
 log = logging.getLogger(__name__)
@@ -644,13 +644,13 @@ def _parse_model(text: str, sorts: Mapping[str, Sort]) -> dict[str, Value]:
     S v)` entries, at top level or inside one wrapper list such as `(model
     ...)`. Each value must be a literal of x's declared sort."""
     assignment: dict[str, Value] = {}
-    for top in read_sexprs(tokenize(text)):
+    for top in read_sexprs(text)[0]:
         wrapper = isinstance(top, list) and _head(top) != "define-fun"
         for entry in top if wrapper else [top]:
             if (_head(entry) != "define-fun" or len(entry) != 5 or entry[2] != []
-                    or not isinstance(entry[1], Token) or entry[1].text not in sorts):
+                    or type(entry[1]) is not tuple or entry[1][0] not in sorts):
                 continue  # a wrapper's head, or a function other than a universal
-            cand = candidate_from_sexpr(entry)
+            cand = candidate_from_sexpr(entry, text)
             value, sort = cand.body, sorts[cand.name]
             if (cand.return_sort != sort or not isinstance(value, (IntLit, BoolLit, BVLit))
                     or infer_sort(value, {}) != sort):

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from synthsel.bandit import SolverId
 from synthsel.llm import (
     EMOTIONAL_PARAGRAPH,
+    FEW_SHOT_COUNT,
     ExtractionError,
     HttpBackend,
     MAX_ATTEMPTS,
@@ -23,6 +24,7 @@ from synthsel.llm import (
     count_tokens,
     extract_candidate,
     fixture_key,
+    remember_example,
     render_initial_prompt,
     render_stage2_prompt,
     select_few_shot,
@@ -107,6 +109,21 @@ def test_select_few_shot_logic_preference():
             SolvedExample("c", "s", "BV"), SolvedExample("d", "s", "LIA")]
     chosen = select_few_shot(pool, "LIA")
     assert [e.query_text for e in chosen] == ["d", "b", "c"]
+
+
+_TAGS = ["LIA", "BV", "PBE", "INV"]
+
+
+@given(st.lists(st.sampled_from(_TAGS), max_size=40))
+def test_bounded_few_shot_pool_selects_as_the_full_pool(tags):
+    full, bounded = [], []
+    for i, tag in enumerate(tags):
+        example = SolvedExample(f"(problem {i})", "(s)", tag)
+        full.append(example)
+        remember_example(bounded, example)
+        assert len(bounded) <= FEW_SHOT_COUNT * len(set(tags))
+        for logic in _TAGS + ["NIA"]:
+            assert select_few_shot(bounded, logic) == select_few_shot(full, logic)
 
 
 def test_prompt_determinism(max3_query):

@@ -8,6 +8,7 @@ from synthsel.config import ModelConfig, RunConfig
 from synthsel.orchestrator import (
     MatrixCell,
     MatrixDeployer,
+    MultiRunSummary,
     QueryRecord,
     RunReport,
     SolverDeployer,
@@ -378,7 +379,11 @@ def test_report_json_round_trip_and_outputs(tmp_path):
     report = run_corpus(paths, config, seed=1,
                         deployer=MatrixDeployer(_matrix_for(paths, config)))
     out = tmp_path / "out"
-    written = write_run_outputs(out, report)
+    summary = MultiRunSummary([report], 1.0, 0.0)
+    written = write_run_outputs(out, report, summary)
+    # each file is the one encoding of its object
+    assert written["report"].read_text() == json.dumps(report.to_json(), indent=2)
+    assert written["multirun"].read_text() == json.dumps(summary.to_json(), indent=2)
     loaded = load_report(written["report"])
     assert loaded.aggregates() == report.aggregates()
     assert (out / "summary.csv").read_text().count("\n") == 2  # header + row

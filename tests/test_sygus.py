@@ -31,14 +31,16 @@ from synthsel.sygus import (
     print_define_fun,
     print_query,
     print_term,
+    read_sexprs,
     substitute_solution,
     subterms,
-    tokenize,
 )
 from synthsel.sygus.grammar import Hole, Production, fill_holes
-from synthsel.sygus.parser import Token, _head
+from synthsel.sygus.parser import _position
 
+import reference
 from conftest import MAX2_TEXT, MAX3_TEXT
+from reference import Token, _head
 
 
 # ---------------------------------------------------------------------------
@@ -475,10 +477,36 @@ def _tokenize_by_characters(text):
     return tokens
 
 
+def _as_tokens(sexpr, text):
+    """The reader's output with each atom's offset turned into a Token."""
+    if isinstance(sexpr, tuple):
+        return Token(sexpr[0], *_position(text, sexpr[1]))
+    return [_as_tokens(x, text) for x in sexpr]
+
+
+def _read_or_error(read):
+    try:
+        return read()
+    except ParseError as exc:
+        return str(exc), exc.line, exc.col
+
+
 @given(st.text(alphabet="();\n \t\r\x0b\x0c\x1c\x85\xa0\u2028ab-#1", max_size=60)
        | st.text(max_size=40))
 def test_tokenize_matches_the_character_lexer(text):
-    assert tokenize(text) == _tokenize_by_characters(text)
+    # every atom's text, line and column, the nesting and the token count
+    # match the character lexer read by the reference reader, and so does
+    # the error of an unbalanced text; without its parentheses, every text
+    # is read
+    for source in (text, text.replace("(", " ").replace(")", " ")):
+        tokens = _tokenize_by_characters(source)
+
+        def read():
+            exprs, count = read_sexprs(source)
+            return _as_tokens(exprs, source), count
+
+        assert _read_or_error(read) == _read_or_error(
+            lambda: (reference.read_sexprs(tokens), len(tokens)))
 
 
 # ---------------------------------------------------------------------------
@@ -582,10 +610,10 @@ def test_grammar_rule_errors(rules, error):
 
 # parse_user_grammar's own term reader from before grammar rules were read by
 # the query parser, kept as the oracle of the differential test below (it
-# shares the parser's reading of a single literal token).
+# shares the reference parser's reading of a single literal token).
 
 def _frozen_to_template(nonterminals, params):
-    from synthsel.sygus.parser import _parse_literal
+    from reference import _parse_literal
     from synthsel.sygus.terms import is_operator
 
     def to_template(sexpr):
@@ -618,7 +646,7 @@ def _frozen_to_template(nonterminals, params):
 def _frozen_user_grammar(text, signature):
     """(grammar, None) or (None, (error, failing entry or None))."""
     from synthsel.sygus.grammar import Grammar, _inline_unit_productions
-    from synthsel.sygus.parser import parse_sort, read_sexprs
+    from reference import parse_sort, read_sexprs, tokenize
 
     (groups,) = read_sexprs(tokenize(text))
     raw_rules = {g[0].text: list(g[2]) for g in groups}
