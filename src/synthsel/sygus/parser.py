@@ -42,9 +42,13 @@ from .terms import (
 
 
 class ParseError(SygusError):
-    def __init__(self, message: str, line: int = 0, col: int = 0):
+    def __init__(self, message: str, line: int = 0, col: int = 0,
+                 at: Optional[list] = None):
+        self.message = message
         self.line = line
         self.col = col
+        # a list with no atom to place the error by: `_place` finds its '('
+        self.at = at
         super().__init__(f"{message} (line {line}, column {col})" if line else message)
 
 
@@ -115,6 +119,26 @@ def _where(sexpr: SExpr, text: str) -> Tuple[int, int]:
             return 0, 0
         sexpr = sexpr[0]
     return _position(text, sexpr[1])
+
+
+def _place(exc: ParseError, text: str, roots: Sequence[SExpr]) -> None:
+    """Raises `exc` again at the '(' of its atomless list `at`, found by a
+    second scan of `text` that walks `roots`, the lists read from it, in
+    step; returns when `exc` has a position or names no list."""
+    if exc.line or exc.at is None:
+        return
+    walks = [iter(roots)]
+    for m in _TOKEN.finditer(text):
+        tok = m[0]
+        if tok == "(":
+            node = next(walks[-1])
+            if node is exc.at:
+                raise ParseError(exc.message, *_position(text, m.start())) from None
+            walks.append(iter(node))
+        elif tok == ")":
+            walks.pop()
+        elif tok[0] != ";":
+            next(walks[-1])
 
 
 def _expect_atom(sexpr: SExpr, what: str, text: str) -> str:
@@ -199,9 +223,9 @@ def _parse_term(sexpr: SExpr, ctx: _TermContext) -> Tuple[Term, Optional[Sort]]:
             leaf = ctx.leaves[sexpr[0]] = _parse_leaf(sexpr, ctx)
         return leaf
     if not sexpr:
-        raise ParseError("empty application", 0, 0)
+        raise ParseError("empty application", at=sexpr)
     if type(sexpr[0]) is not tuple:
-        raise ParseError("expected an operator symbol", *_where(sexpr, ctx.text))
+        raise ParseError("expected an operator symbol", *_where(sexpr, ctx.text), at=sexpr)
     op = sexpr[0][0]
     if op == "_":  # SMT-LIB's indexed bitvector literal (_ bvN width)
         bv = _INDEXED_BV_LITERAL.fullmatch(_print_sexpr(sexpr))
@@ -363,7 +387,14 @@ def parse_query(text: str) -> SynthQuery:
     query. Exactly one synth-fun is required.
     """
     commands, token_count = read_sexprs(text)
+    try:
+        return _query(commands, token_count, text)
+    except ParseError as exc:
+        _place(exc, text, commands)
+        raise
 
+
+def _query(commands: Sequence[SExpr], token_count: int, text: str) -> SynthQuery:
     logic: Optional[str] = None
     synth_fun: Optional[FunctionSignature] = None
     grammar_sexpr: Optional[str] = None
@@ -380,7 +411,7 @@ def parse_query(text: str) -> SynthQuery:
     for cmd in commands:
         head = _head(cmd)
         if not head:
-            raise ParseError("expected a command", *_where(cmd, text))
+            raise ParseError("expected a command", *_where(cmd, text), at=cmd)
         if head == "set-logic":
             if len(cmd) != 2:
                 raise ParseError("set-logic expects one argument", *_where(cmd, text))
@@ -580,7 +611,11 @@ def parse_term_text(text: str, env: Mapping[str, Sort],
     if len(exprs) != 1:
         raise ParseError(f"expected exactly one term, got {len(exprs)}", 1, 1)
     ctx = _TermContext(text, dict(env), synth_fun, {})
-    return _parse_term(exprs[0], ctx)[0]
+    try:
+        return _parse_term(exprs[0], ctx)[0]
+    except ParseError as exc:
+        _place(exc, text, exprs)
+        raise
 
 
 def parse_define_fun(text: str) -> Candidate:
@@ -588,7 +623,11 @@ def parse_define_fun(text: str) -> Candidate:
     exprs, _ = read_sexprs(text)
     if len(exprs) != 1:
         raise ParseError("expected exactly one define-fun", 1, 1)
-    return candidate_from_sexpr(exprs[0], text)
+    try:
+        return candidate_from_sexpr(exprs[0], text)
+    except ParseError as exc:
+        _place(exc, text, exprs)
+        raise
 
 
 def candidate_from_sexpr(sexpr: SExpr, text: str) -> Candidate:

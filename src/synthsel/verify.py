@@ -1,10 +1,14 @@
-"""Candidate verification: one compiled evaluator, a bounded internal
-counterexample search, and an external SMT-solver subprocess client.
+"""Candidate verification: one compiled evaluator, the internal checker
+(a counterexample sweep with an exact step for linear integer formulas),
+and an external SMT-solver subprocess client.
 
 Terms and grammar templates become generated Python with `evaluate`'s
 semantics (`compile_term`/`compile_template` for the A* check). The sweep
 is one generated loop per candidate over cached grid and sample columns.
-The tree walker `evaluate` is the oracle and the single-point evaluator.
+After its first chunk finds nothing, `lia.proves_valid` decides an LIA
+formula exactly; only BV and formulas outside its fragment get a bounded
+Valid. The tree walker `evaluate` is the oracle and the single-point
+evaluator.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Tuple
 
+from .lia import proves_valid
 from .sygus import (
     App,
     BoolLit,
@@ -493,12 +498,17 @@ def check_candidate_internal(query: SynthQuery, cand: Candidate,
     """Search for an input falsifying the substituted constraints.
 
     Exhaustive grid over [-B, B]^n for n <= max_grid_vars variables, then
-    seeded random sampling over a wider range. A Valid verdict is therefore
-    bounded-confidence. Points where evaluation divides by zero cannot
-    witness falsification and are skipped; any other evaluation failure
-    (an unbound variable, an uninterpreted function, an unsized bitvector
-    operator) ends the sweep with Unknown. Past the absolute `deadline`
-    (time.monotonic) the sweep stops with Unknown("deadline").
+    seeded random sampling over a wider range, in chunks of
+    `_DEADLINE_EVERY` points. When the first chunk finds nothing in an LIA
+    query, `proves_valid` is asked once: if it proves the formula, the
+    verdict is an exact Valid (bounded=False); else the sweep goes on from
+    the second chunk, so every counterexample and Unknown is the sweep's.
+    A Valid the sweep reaches (BV, or a formula the procedure cannot
+    decide) is bounded-confidence. Points where evaluation divides by zero
+    cannot witness falsification and are skipped; any other evaluation
+    failure (an unbound variable, an uninterpreted function, an unsized
+    bitvector operator) ends the sweep with Unknown. Past the absolute
+    `deadline` (time.monotonic) the sweep stops with Unknown("deadline").
     """
     if query.logic not in ("LIA", "BV", "NIA"):
         return VerificationResult.unknown(
@@ -525,6 +535,7 @@ def check_candidate_internal(query: SynthQuery, cand: Candidate,
             yield grid_columns(sorts, config.grid_bound)
         yield sweep_columns(sorts, config.seed, config.random_samples, config.random_bound)
 
+    decide = query.logic == "LIA"  # once, after the first chunk
     try:
         sweep = _compile_sweep(phi, names, env)
         for columns in point_columns():
@@ -534,6 +545,10 @@ def check_candidate_internal(query: SynthQuery, cand: Candidate,
                 hit = sweep(*[c[start:start + _DEADLINE_EVERY] for c in columns])
                 if hit is not None:
                     return _confirmed_counterexample(phi, names, hit, env)
+                if decide:
+                    if proves_valid(phi, query.universals):
+                        return VerificationResult.valid(bounded=False)
+                    decide = False
     except EvaluationError as exc:  # unbound, uninterpreted or unsized
         return VerificationResult.unknown(str(exc))
     return VerificationResult.valid(bounded=True)
@@ -671,16 +686,41 @@ def _parse_model(text: str, sorts: Mapping[str, Sort]) -> dict[str, Value]:
 class Verifier:
     """Internal-first verification with optional external confirmation.
 
-    The fast internal checker runs first. When an external solver command is
-    configured, its verdict supersedes a bounded internal Valid; an external
-    `unknown` leaves the candidate unconfirmed (treated as unsolved upstream).
+    The internal checker runs first; its Valid is exact for LIA formulas the
+    decision procedure proves and bounded otherwise. When an external solver
+    command is configured, its verdict supersedes an internal Valid; an
+    external `unknown` leaves the candidate unconfirmed (treated as unsolved
+    upstream).
+
+    Each distinct candidate is checked once per query: the Valid and
+    Counterexample verdicts of the last query object seen are kept, and a
+    check of another query starts afresh. A kept verdict is returned only
+    before the deadline; past it the answer is Unknown("deadline").
     """
 
     search_config: SearchConfig = field(default_factory=SearchConfig)
     solver_command: Optional[Tuple[str, ...]] = None
+    _memo: Tuple[Optional[SynthQuery], Optional[dict]] = field(
+        default=(None, None), init=False, repr=False, compare=False)
 
     def check(self, query: SynthQuery, cand: Candidate,
               deadline: Optional[float] = None) -> VerificationResult:
+        seen, verdicts = self._memo
+        if seen is not query:
+            verdicts = {}
+            self._memo = (query, verdicts)
+        known = verdicts.get(cand)
+        if known is not None:
+            if deadline is not None and time.monotonic() > deadline:
+                return VerificationResult.unknown("deadline")
+            return known
+        verdict = self._check(query, cand, deadline)
+        if not verdict.is_unknown:
+            verdicts[cand] = verdict
+        return verdict
+
+    def _check(self, query: SynthQuery, cand: Candidate,
+               deadline: Optional[float]) -> VerificationResult:
         internal = check_candidate_internal(query, cand, self.search_config, deadline)
         if internal.is_counterexample:
             return internal

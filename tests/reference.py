@@ -1,12 +1,18 @@
-"""The SyGuS front end as it was before the one-pass reader: a per-line
-lexer that builds a Token per atom, a recursive s-expression reader, the
-term reader, and a second `infer_sort` walk over every constraint and
-define-fun body. Kept as the oracle that the fast parser is checked against;
-it shares only the term nodes, the query and grammar records and the
-grammar validation with `synthsel.sygus`."""
+"""Reference implementations that the fast paths are checked against.
+
+- The SyGuS front end as it was before the one-pass reader: a per-line
+  lexer that builds a Token per atom, a recursive s-expression reader, the
+  term reader, and a second `infer_sort` walk over every constraint and
+  define-fun body. It shares only the term nodes, the query and grammar
+  records and the grammar validation with `synthsel.sygus`.
+- `reference_sweep`: the internal checker's search, one point at a time
+  with the tree walker `evaluate`, for the generated sweep and the LIA
+  decision procedure.
+"""
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import AbstractSet, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
@@ -19,6 +25,8 @@ from synthsel.sygus.terms import (
     OPERATORS, Sort, SortError, SygusError, Term, Var, BOOL, INT, _BV, is_operator,
     substitute_vars,
 )
+from synthsel.verify import (DivisionByZero, EvaluationError, SearchConfig,
+                             VerificationResult, evaluate, sweep_columns)
 
 
 class Token(NamedTuple):
@@ -521,3 +529,38 @@ def candidate_from_sexpr(sexpr: SExpr) -> Candidate:
     ctx = _TermContext(dict(params), None, {})
     body = _parse_term(sexpr[4], ctx)
     return Candidate(name, params, ret, body)
+
+
+# ---------------------------------------------------------------------------
+# The internal checker's search, point by point
+# ---------------------------------------------------------------------------
+
+def grid_domain(sort: Sort, bound: int) -> list:
+    """One variable's grid values, in sweep order."""
+    if sort == BOOL:
+        return [False, True]
+    if sort == INT:
+        return list(range(-bound, bound + 1))
+    return list(range(min(1 << sort.width, 2 * bound + 1)))
+
+
+def reference_sweep(phi: Term, universals: Sequence[Tuple[str, Sort]],
+                    config: SearchConfig) -> VerificationResult:
+    """The grid, then the random points, walked one point at a time."""
+    names = [n for n, _ in universals]
+    sorts = tuple(s for _, s in universals)
+    grid = ()
+    if len(names) <= config.max_grid_vars:
+        grid = itertools.product(*[grid_domain(s, config.grid_bound) for s in sorts])
+    samples = zip(*sweep_columns(sorts, config.seed, config.random_samples,
+                                 config.random_bound))
+    for point in itertools.chain(grid, samples):
+        assignment = dict(zip(names, point))
+        try:
+            if not evaluate(phi, assignment, dict(universals)):
+                return VerificationResult.counterexample(assignment)
+        except DivisionByZero:
+            continue
+        except EvaluationError as exc:
+            return VerificationResult.unknown(str(exc))
+    return VerificationResult.valid(bounded=True)

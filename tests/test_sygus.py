@@ -532,6 +532,27 @@ def test_a_numeral_is_ascii_digits(atom):
         parse_query(_max2_with(f"(= (f x y) {atom})"))
 
 
+@pytest.mark.parametrize("text, message", [
+    # line 6 is the constraint; an empty list is placed at its own '('
+    (_max2_with("(and () true)"), "empty application (line 6, column 18)"),
+    (_max2_with("(and (() 1) true)"), "expected an operator symbol (line 6, column 18)"),
+    (_max2_with("(= (f x y) x)") + "()\n", "expected a command (line 8, column 1)"),
+    (_max2_with("(= (f x y) x)") + "  ( ; a comment\n (\n))\n",
+     "expected a command (line 8, column 3)"),
+])
+def test_an_empty_list_error_has_a_position(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_query(text)
+    assert str(info.value) == message
+
+
+def test_an_empty_list_in_a_term_or_define_fun_has_a_position():
+    with pytest.raises(ParseError, match=r"^empty application \(line 2, column 3\)$"):
+        parse_term_text("(+ 1\n  ())", {"x": INT})
+    with pytest.raises(ParseError, match=r"^empty application \(line 1, column 34\)$"):
+        parse_define_fun("(define-fun f ((x Int)) Int (+ x ()))")
+
+
 @pytest.mark.parametrize("width", ["²", "٣", "-8", "8.0"])
 def test_a_bitvector_width_is_a_numeral(width):
     with pytest.raises(UnsupportedError):

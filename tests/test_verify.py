@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import random
@@ -47,7 +48,15 @@ from synthsel.verify import (
     sweep_columns,
 )
 
-from conftest import MAX3_SOLUTION
+from conftest import MAX2_SOLUTION, MAX2_TEXT, MAX3_SOLUTION
+from reference import grid_domain, reference_sweep
+
+# max3's answer minus (mod v0 1), which is 0 everywhere: `mod` is outside
+# the LIA decision procedure, so the checker sweeps every grid and sample
+# point and its Valid is bounded
+MAX3_SWEPT = ("(define-fun f ((v0 Int) (v1 Int) (v2 Int)) Int (- "
+              "(ite (>= v0 v1) (ite (>= v0 v2) v0 v2) (ite (>= v1 v2) v1 v2)) "
+              "(mod v0 1)))")
 
 
 # ---------------------------------------------------------------------------
@@ -123,10 +132,16 @@ def test_internal_finds_counterexample(max3_query):
 
 
 def test_internal_valid_max3(max3_query):
-    cand = parse_define_fun(MAX3_SOLUTION)
+    cand = parse_define_fun(MAX3_SWEPT)
     res = check_candidate_internal(max3_query, cand)
     assert res.is_valid
     assert res.bounded
+
+
+def test_internal_valid_max3_is_exact(max3_query):
+    res = check_candidate_internal(max3_query, parse_define_fun(MAX3_SOLUTION))
+    assert res == VerificationResult.valid(bounded=False)
+    assert res.provenance == "internal"
 
 
 def test_internal_empty_constraints_valid():
@@ -327,9 +342,14 @@ def test_emitted_script_reparses(max3_query):
 
 def test_verifier_internal_only(max3_query):
     v = Verifier()
-    cand = parse_define_fun(MAX3_SOLUTION)
+    cand = parse_define_fun(MAX3_SWEPT)
     res = v.check(max3_query, cand)
     assert res.is_valid and res.bounded
+
+
+def test_verifier_internal_only_exact(max3_query):
+    res = Verifier().check(max3_query, parse_define_fun(MAX3_SOLUTION))
+    assert res.is_valid and not res.bounded
 
 
 def test_verifier_external_confirms(max3_query, stub_solver_factory):
@@ -358,9 +378,9 @@ def test_verifier_internal_counterexample_skips_external(max3_query):
 
 
 def test_verifier_expired_deadline_is_unknown(max3_query):
-    # the correct max3 sweeps ~285k points; a deadline already past must stop
-    # it at once instead of returning Valid after the whole grid
-    cand = parse_define_fun(MAX3_SOLUTION)
+    # the swept max3 answer sweeps ~285k points; a deadline already past must
+    # stop it at once instead of returning Valid after the whole grid
+    cand = parse_define_fun(MAX3_SWEPT)
     started = time.monotonic()
     res = Verifier().check(max3_query, cand, started - 1.0)
     assert res.is_unknown and res.reason == "deadline"
@@ -368,8 +388,28 @@ def test_verifier_expired_deadline_is_unknown(max3_query):
     assert Verifier().check(max3_query, cand, time.monotonic() + 60.0).is_valid
 
 
-def test_sweep_stops_when_the_deadline_passes_midway(max3_query, monkeypatch):
+def test_verifier_expired_deadline_is_unknown_for_an_exact_answer(max3_query):
+    # the clock is read before the first chunk, so an exact Valid is not
+    # given past the deadline either
     cand = parse_define_fun(MAX3_SOLUTION)
+    res = Verifier().check(max3_query, cand, time.monotonic() - 1.0)
+    assert res == VerificationResult.unknown("deadline")
+    res = Verifier().check(max3_query, cand, time.monotonic() + 60.0)
+    assert res == VerificationResult.valid(bounded=False)
+
+
+def test_exact_verdict_reads_the_clock_once(max3_query, monkeypatch):
+    # one chunk of the grid, then the proof: no further reading
+    cand = parse_define_fun(MAX3_SOLUTION)
+    seen = []
+    monkeypatch.setattr(verify.time, "monotonic", lambda: seen.append(0) or 0.0)
+    res = check_candidate_internal(max3_query, cand, SearchConfig(), deadline=1.0)
+    assert res == VerificationResult.valid(bounded=False)
+    assert len(seen) == 1
+
+
+def test_sweep_stops_when_the_deadline_passes_midway(max3_query, monkeypatch):
+    cand = parse_define_fun(MAX3_SWEPT)
     config = SearchConfig()
     # 269 chunks of grid, so the 271st read of the clock falls in the samples
     for k in (0, 1, 100, 270):
@@ -423,14 +463,6 @@ def test_sweep_columns_equal_fresh_draw(sorts, bound):
                                                  and bound < 1 << 63)
 
 
-def _grid_domain(sort, bound):
-    if sort == BOOL:
-        return [False, True]
-    if sort == INT:
-        return list(range(-bound, bound + 1))
-    return list(range(min(1 << sort.width, 2 * bound + 1)))
-
-
 @pytest.mark.parametrize("sorts", [
     (INT,),
     (BOOL, INT, Sort.bitvec(8)),
@@ -441,7 +473,7 @@ def test_grid_columns_in_product_order(sorts):
     for bound in (1, 5):
         columns = grid_columns(sorts, bound)
         assert list(zip(*columns)) == list(itertools.product(
-            *[_grid_domain(s, bound) for s in sorts]))
+            *[grid_domain(s, bound) for s in sorts]))
         assert grid_columns(sorts, bound) is columns
         for s, column in zip(sorts, columns):
             assert isinstance(column, array) == (s != BOOL and s != Sort.bitvec(64))
@@ -582,27 +614,6 @@ def test_compiled_ite_is_lazy():
 # the generated sweep against a point-by-point walk with evaluate
 # ---------------------------------------------------------------------------
 
-def _reference_sweep(phi, universals, config):
-    """The grid, then the random points, walked one point at a time."""
-    names = [n for n, _ in universals]
-    sorts = tuple(s for _, s in universals)
-    grid = ()
-    if len(names) <= config.max_grid_vars:
-        grid = itertools.product(*[_grid_domain(s, config.grid_bound) for s in sorts])
-    samples = zip(*sweep_columns(sorts, config.seed, config.random_samples,
-                                 config.random_bound))
-    for point in itertools.chain(grid, samples):
-        assignment = dict(zip(names, point))
-        try:
-            if not evaluate(phi, assignment, dict(universals)):
-                return VerificationResult.counterexample(assignment)
-        except DivisionByZero:
-            continue
-        except EvaluationError as exc:
-            return VerificationResult.unknown(str(exc))
-    return VerificationResult.valid(bounded=True)
-
-
 _NO_ARGS = FunctionSignature("g", (), INT)
 
 
@@ -634,6 +645,91 @@ def test_sweep_matches_a_point_by_point_walk(case, config, every):
     universals = tuple((n, VAR_SORTS[n]) for n in names)
     query = SynthQuery("LIA", _NO_ARGS, universals, (phi,))
     cand = Candidate("g", (), INT, IntLit(0))
+    with mock.patch.object(verify, "_DEADLINE_EVERY", every), \
+            mock.patch.object(verify, "proves_valid", lambda phi, universals: False):
+        got = check_candidate_internal(query, cand, config)
+    assert got == reference_sweep(phi, universals, config), print_term(phi)
+
+
+def _up_to_bounded(verdict):
+    return dataclasses.replace(verdict, bounded=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_constraint_and_universals(),
+       st.builds(SearchConfig, grid_bound=st.integers(1, 3),
+                 random_samples=st.integers(0, 200),
+                 random_bound=st.sampled_from([3, 1000]),
+                 seed=st.integers(0, 3), max_grid_vars=st.integers(0, 3)),
+       st.sampled_from([1, 5, 1024]))
+def test_sweep_with_the_decision_procedure_matches_a_point_by_point_walk(
+        case, config, every):
+    # an exact Valid only where the walk finds no counterexample either
+    phi, names = case
+    universals = tuple((n, VAR_SORTS[n]) for n in names)
+    query = SynthQuery("LIA", _NO_ARGS, universals, (phi,))
+    cand = Candidate("g", (), INT, IntLit(0))
     with mock.patch.object(verify, "_DEADLINE_EVERY", every):
         got = check_candidate_internal(query, cand, config)
-    assert got == _reference_sweep(phi, universals, config), print_term(phi)
+    want = reference_sweep(phi, universals, config)
+    assert _up_to_bounded(got) == _up_to_bounded(want), print_term(phi)
+
+
+# ---------------------------------------------------------------------------
+# one verdict per candidate per query
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def counted(monkeypatch):
+    """The candidates `check_candidate_internal` is called with."""
+    calls = []
+    real = verify.check_candidate_internal
+
+    def spy(query, cand, *args):
+        calls.append(cand)
+        return real(query, cand, *args)
+
+    monkeypatch.setattr(verify, "check_candidate_internal", spy)
+    return calls
+
+
+_MAX2_V0 = "(define-fun f ((v0 Int) (v1 Int)) Int v0)"
+
+
+def test_verifier_checks_a_repeated_candidate_once(max2_query, counted):
+    v = Verifier()
+    wrong = v.check(max2_query, parse_define_fun(_MAX2_V0))
+    assert wrong.is_counterexample
+    # an equal candidate read again is the same candidate
+    assert v.check(max2_query, parse_define_fun(_MAX2_V0)) == wrong
+    right = v.check(max2_query, parse_define_fun(MAX2_SOLUTION))
+    assert right == VerificationResult.valid(bounded=False)
+    assert v.check(max2_query, parse_define_fun(MAX2_SOLUTION)) == right
+    assert len(counted) == 2
+
+
+def test_verifier_memo_is_per_query_object(max2_query, counted):
+    v = Verifier()
+    cand = parse_define_fun(_MAX2_V0)
+    v.check(max2_query, cand)
+    v.check(parse_query(MAX2_TEXT), cand)  # an equal query, another object
+    v.check(max2_query, cand)
+    assert len(counted) == 3
+
+
+def test_verifier_never_keeps_unknown(max2_query, counted):
+    v = Verifier()
+    cand = parse_define_fun(MAX2_SOLUTION)
+    assert v.check(max2_query, cand, time.monotonic() - 1.0).is_unknown
+    assert v.check(max2_query, cand).is_valid
+    assert len(counted) == 2
+
+
+def test_verifier_kept_verdict_past_the_deadline_is_unknown(max2_query, counted):
+    v = Verifier()
+    cand = parse_define_fun(_MAX2_V0)
+    assert v.check(max2_query, cand).is_counterexample
+    res = v.check(max2_query, cand, time.monotonic() - 1.0)
+    assert res == VerificationResult.unknown("deadline")
+    assert v.check(max2_query, cand, time.monotonic() + 60.0).is_counterexample
+    assert len(counted) == 1
