@@ -13,10 +13,10 @@ import json
 import math
 import os
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
-from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -87,7 +87,11 @@ class SolveRecord:
     cost: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "features", tuple(map(float, self.features)))
+        features = self.features
+        # a tuple of floats is kept as is, so a store's interned point stays shared
+        if type(features) is not tuple or not all(
+                type(x) is float for x in features):
+            object.__setattr__(self, "features", tuple(map(float, features)))
         if not 0.0 <= self.reward <= 1.0:
             raise ValueError(f"reward must be in [0, 1], got {self.reward}")
         if not (math.isfinite(self.time) and math.isfinite(self.cost)
@@ -106,24 +110,10 @@ class SolveRecord:
         }
 
     @staticmethod
-    def from_json(obj: Mapping,
-                  solvers: Optional[dict[tuple, SolverId]] = None
-                  ) -> "SolveRecord":
-        """The record `obj` encodes. With `solvers`, records whose solver
-        JSON holds the same values of the same types share one SolverId:
-        the first one read, kept there."""
-        raw = obj["solver"]
-        if solvers is None:
-            solver = SolverId.from_json(raw)
-        else:
-            key = (raw["kind"], raw.get("model"), raw.get("style"))
-            key += (type(key[1]), type(key[2]))
-            solver = solvers.get(key)
-            if solver is None:
-                solver = solvers[key] = SolverId.from_json(raw)
+    def from_json(obj: Mapping) -> "SolveRecord":
         return SolveRecord(
             features=tuple(obj["features"]),
-            solver=solver,
+            solver=SolverId.from_json(obj["solver"]),
             reward=float(obj["reward"]),
             time=float(obj["time"]),
             cost=float(obj["cost"]),
@@ -131,43 +121,31 @@ class SolveRecord:
 
 
 class BanditStore:
-    """Append-only list of solve records, the columns the k-NN selector reads,
-    and the exploration RNG.
+    """Append-only solve records, kept only as the columns the k-NN selector
+    reads, and the exploration RNG.
 
     Each distinct feature point is interned to a small int, as each distinct
     SolverId is: `points` holds the distinct points, one row each in the
     order first seen, and `solvers` the distinct solvers. Row i of the point,
-    solver, time and cost columns belongs to records[i]. Each solver also
+    solver, reward, time and cost columns is the i-th record appended;
+    `records` rebuilds records from those rows when asked. Each solver also
     keeps its own row indices in insertion order, which stay valid because
     rows are only ever appended. Every array grows by doubling its capacity."""
 
     def __init__(self, seed: int = 0,
                  records: Iterable[SolveRecord] = ()) -> None:
-        self.records: list[SolveRecord] = list(records)
         self.rng = random.Random(seed)
         self.solvers: list[SolverId] = []
         self._solver_ids: dict[SolverId, int] = {}
         self._point_ids: dict[Tuple[float, ...], int] = {}
-        dims = {len(r.features) for r in self.records}
-        if len(dims) > 1:
-            raise ValueError(f"dimensionality mismatch: records have "
-                             f"{sorted(dims)} features")
-        # one array construction per column, with the capacity that appending
-        # the records one by one would reach
-        n, d = len(self.records), dims.pop() if dims else 0
-        point_of = [self._point_ids.setdefault(r.features, len(self._point_ids))
-                    for r in self.records]
-        solver_of = [self._intern(r.solver) for r in self.records]
-        self._points = _Grown(chain.from_iterable(self._point_ids),
-                              len(self._point_ids), float, (d,))
-        self._point = _Grown(point_of, n, np.intp)
-        self._solver = _Grown(solver_of, n, np.intp)
-        self._time = _Grown((r.time for r in self.records), n, float)
-        self._cost = _Grown((r.cost for r in self.records), n, float)
-        own: list[list[int]] = [[] for _ in self.solvers]
-        for row, solver in enumerate(solver_of):
-            own[solver].append(row)
-        self._own = [_Grown(rows, len(rows), np.intp) for rows in own]
+        self._point_tuples: list[Tuple[float, ...]] = []  # by point int
+        self._points = _Grown(float, (0,))
+        self._point = _Grown(np.intp)
+        self._solver = _Grown(np.intp)
+        self._reward = _Grown(float)
+        self._time = _Grown(float)
+        self._cost = _Grown(float)
+        self._own: list[_Grown] = []
         # the last nearest_order: its key, its result, and each solver's
         # first k in it once asked for
         self._order_key: Optional[tuple] = None
@@ -176,9 +154,15 @@ class BanditStore:
         # (path, record count, size, mtime) of the file as the last load or
         # save left it: a save there appends only the newer records
         self._file: Optional[tuple] = None
+        for record in records:
+            self.append(record)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self._point.size
+
+    @property
+    def records(self) -> "RecordView":
+        return RecordView(self)
 
     @property
     def points(self) -> np.ndarray:
@@ -199,6 +183,10 @@ class BanditStore:
         return self._solver.values
 
     @property
+    def reward_column(self) -> np.ndarray:
+        return self._reward.values
+
+    @property
     def time_column(self) -> np.ndarray:
         return self._time.values
 
@@ -214,25 +202,26 @@ class BanditStore:
         index = self._solver_ids.setdefault(solver, len(self.solvers))
         if index == len(self.solvers):
             self.solvers.append(solver)
+            self._own.append(_Grown(np.intp))
         return index
 
     def append(self, record: SolveRecord) -> None:
-        d = len(record.features)
-        if self.records and d != self._points.data.shape[1]:
-            raise ValueError(f"dimensionality mismatch: record has {d} "
-                             f"features, the store {self._points.data.shape[1]}")
-        point = self._point_ids.setdefault(record.features, self._points.size)
-        if point == self._points.size:
+        d, width = len(record.features), self._points.data.shape[1]
+        if len(self) and d != width:
+            raise ValueError(f"a feature count unlike the first record's: "
+                             f"{d}, not {width}")
+        solver = self._intern(record.solver)  # an unhashable one changes nothing
+        point = self._point_ids.setdefault(record.features,
+                                           len(self._point_tuples))
+        if point == len(self._point_tuples):
+            self._point_tuples.append(record.features)
             self._points.append(record.features)
-        solver = self._intern(record.solver)
-        if solver == len(self._own):
-            self._own.append(_Grown((), 0, np.intp))
-        self._own[solver].append(len(self.records))
+        self._own[solver].append(len(self))
         self._point.append(point)
         self._solver.append(solver)
+        self._reward.append(record.reward)
         self._time.append(record.time)
         self._cost.append(record.cost)
-        self.records.append(record)
 
     def nearest_order(self, features: Sequence[float],
                       k: Optional[int] = None) -> np.ndarray:
@@ -251,7 +240,7 @@ class BanditStore:
         the store, the query or k changes, so one query's ranking and
         schedule compute it once. The result is read-only."""
         target = np.asarray(features, dtype=float)
-        n = len(self.records)
+        n = len(self)
         if k is None:
             k = n
         elif k < 1:
@@ -315,7 +304,7 @@ class BanditStore:
             with open(target, "a", encoding="utf-8") as fh:
                 fh.write(text)
         st = os.stat(target)
-        self._file = (target, len(self.records), st.st_size, st.st_mtime_ns)
+        self._file = (target, len(self), st.st_size, st.st_mtime_ns)
 
     @staticmethod
     def load(path: str | Path, seed: int = 0) -> "BanditStore":
@@ -323,41 +312,64 @@ class BanditStore:
         append: it is dropped, and the next save rewrites the file. Any other
         line that is not a record raises ValueError naming file and line.
 
-        Every record is validated as SolveRecord validates it; the records
-        share one SolverId per distinct solver and one features tuple per
-        distinct point."""
-        records: list[SolveRecord] = []
+        Every record is validated as SolveRecord validates it, then appended
+        as `append` checks it."""
+        store = BanditStore(seed=seed)
         torn = False
-        solvers: dict[tuple, SolverId] = {}
-        points: dict[Tuple[float, ...], Tuple[float, ...]] = {}
         with open(path, encoding="utf-8") as fh:
             for number, line in enumerate(fh, 1):
                 if not line.endswith("\n"):  # only the last line can
                     torn = bool(line.strip())
                 elif line.strip():
                     try:
-                        rec = SolveRecord.from_json(json.loads(line), solvers)
-                        if records and len(rec.features) != len(records[0].features):
-                            raise ValueError("a feature count unlike the first record's")
+                        store.append(SolveRecord.from_json(json.loads(line)))
                     except (ValueError, KeyError, TypeError, AttributeError) as exc:
                         raise ValueError(f"{path}, line {number}: not a solve "
                                          f"record ({type(exc).__name__}: {exc})"
                                          ) from None
-                    # an equal tuple: swapping it in frees the duplicate
-                    shared = points.setdefault(rec.features, rec.features)
-                    if shared is not rec.features:
-                        object.__setattr__(rec, "features", shared)
-                    records.append(rec)
             st = os.fstat(fh.fileno())
-        store = BanditStore(seed=seed, records=records)
         if not torn:
             store._file = (os.path.abspath(path), len(store), st.st_size,
                            st.st_mtime_ns)
         return store
 
 
-def _capacity(count: int) -> int:
-    return max(16, 1 << (count - 1).bit_length()) if count else 0
+class RecordView(Sequence):
+    """A store's records, read-only: item i is the SolveRecord of row i,
+    built from the columns with the store's interned features tuple and
+    SolverId. It compares equal to a list of the same records."""
+
+    __slots__ = ("_store",)
+
+    def __init__(self, store: BanditStore) -> None:
+        self._store = store
+
+    def __len__(self) -> int:
+        return len(self._store)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self._rows(index))
+        row = range(len(self))[index]  # IndexError past either end
+        return next(self._rows(slice(row, row + 1)))
+
+    def __iter__(self) -> Iterator[SolveRecord]:
+        return self._rows(slice(None))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, RecordView)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def _rows(self, rows: slice) -> Iterator[SolveRecord]:
+        """The records of `rows`, each built only when reached, so a pass
+        over the whole store holds one record at a time."""
+        s = self._store
+        for i in range(len(self))[rows]:
+            yield SolveRecord(s._point_tuples[s._point.data[i]],
+                              s.solvers[s._solver.data[i]],
+                              float(s._reward.data[i]), float(s._time.data[i]),
+                              float(s._cost.data[i]))
 
 
 class _Grown:
@@ -366,13 +378,9 @@ class _Grown:
 
     __slots__ = ("data", "size")
 
-    def __init__(self, values: Iterable, size: int, dtype: type,
-                 shape: Tuple[int, ...] = ()) -> None:
-        width = math.prod(shape)
-        self.data = np.empty((_capacity(size),) + shape, dtype=dtype)
-        self.data[:size] = np.fromiter(values, dtype, size * width).reshape(
-            (size,) + shape)
-        self.size = size
+    def __init__(self, dtype: type, shape: Tuple[int, ...] = ()) -> None:
+        self.data = np.empty((0,) + shape, dtype=dtype)
+        self.size = 0
 
     @property
     def values(self) -> np.ndarray:
@@ -387,15 +395,6 @@ class _Grown:
             self.data = grown
         self.data[self.size] = row
         self.size += 1
-
-
-def record_outcome(store: BanditStore, record: SolveRecord, solved: bool) -> bool:
-    """Append the record when the solve succeeded; failures leave the store
-    untouched. Returns whether a record was appended."""
-    if not solved:
-        return False
-    store.append(record)
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -480,17 +479,26 @@ def nearest_records(store: BanditStore, features: Sequence[float], k: int
     fewer than k). Ties break by insertion order: the older record wins."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return [store.records[i]
-            for i in store.nearest_order(features, k)[:k].tolist()]
+    records = store.records
+    return [records[i] for i in store.nearest_order(features, k)[:k].tolist()]
 
 
-def _reward_sums(records: Iterable[SolveRecord],
-                 key: Callable[[SolverId], Arm]) -> dict[Arm, float]:
-    scores: dict[Arm, float] = {}
-    for rec in records:
-        arm = key(rec.solver)
-        scores[arm] = scores.get(arm, 0.0) + rec.reward
-    return scores
+def _scores(store: BanditStore, order: np.ndarray, k: int,
+            key: Callable[[SolverId], Optional[Arm]]) -> dict[Arm, float]:
+    """Sum of rewards per arm over the first k rows of `order` whose solver
+    `key` maps to an arm (to None: to no arm), added in `order`'s order.
+    Every arm with a row among them appears, with a zero sum too."""
+    arms: dict[Arm, int] = {}
+    arm_of = np.array([-1 if (arm := key(s)) is None
+                       else arms.setdefault(arm, len(arms))
+                       for s in store.solvers], dtype=np.intp)
+    arm_at = arm_of[store.solver_column[order]]  # per position in order
+    first = np.flatnonzero(arm_at >= 0)[:k]
+    sums = np.bincount(arm_at[first], weights=store.reward_column[order[first]],
+                       minlength=len(arms))
+    counts = np.bincount(arm_at[first], minlength=len(arms))
+    return {arm: total for arm, total, count
+            in zip(arms, sums.tolist(), counts.tolist()) if count}
 
 
 def knn_scores(store: BanditStore, features: Sequence[float], k: int,
@@ -498,8 +506,8 @@ def knn_scores(store: BanditStore, features: Sequence[float], k: int,
                ) -> dict[Arm, float]:
     """Sum of rewards per solver (projected through `key`) over the k nearest
     records. Only solvers present among those neighbors appear."""
-    return _reward_sums(nearest_records(store, features, k),
-                        key or (lambda s: s))
+    return _scores(store, store.nearest_order(features, k), k,
+                   key or (lambda s: s))
 
 
 def _rank(scores: Mapping[Arm, float], arms: Sequence[Arm],
@@ -539,16 +547,12 @@ def rank_double(store: BanditStore, features: Sequence[float], k: int,
     """Two-layer ranking: models (and the enumerator) first, then each LLM's
     prompts over its own records in the store, shuffled by its RNG in `rngs`
     (else one seeded from `store.rng`); the enumerator expands to itself."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     arms: list[str] = list(models)
     if include_enumerator:
         arms.append(ENUMERATOR_KIND)
-    order = _rank(_reward_sums(nearest_records(store, features, k), model_arm),
-                  arms, store.rng)
-    # the store's kept nearest-first order serves the prompt layer too
+    # the store's kept nearest-first order serves both layers
     nearest = store.nearest_order(features, k)
-    nearest_solvers = store.solver_column[nearest]
+    order = _rank(_scores(store, nearest, k, model_arm), arms, store.rng)
     ranked: list[SolverId] = []
     for arm in order:
         if arm == ENUMERATOR_KIND and include_enumerator:
@@ -556,10 +560,12 @@ def rank_double(store: BanditStore, features: Sequence[float], k: int,
             continue
         rng = (rngs or {}).get(arm) or random.Random(
             store.rng.randrange(2 ** 31))
-        of_arm = np.array([s.kind == LLM_KIND and s.model == arm
-                           for s in store.solvers], dtype=bool)
-        own = [store.records[i] for i in nearest[of_arm[nearest_solvers]][:k]]
-        styles = _rank(_reward_sums(own, lambda s: s.style),
+        styles = _rank(_scores(store, nearest, k, _style_of(arm)),
                        prompts.get(arm, PROMPT_STYLE_RANGE), rng)
         ranked.extend(SolverId.llm(arm, style) for style in styles)
     return ranked
+
+
+def _style_of(model: str) -> Callable[[SolverId], Optional[int]]:
+    """Prompt-layer arm key: the style of `model`'s solvers, no arm else."""
+    return lambda s: s.style if s.kind == LLM_KIND and s.model == model else None

@@ -130,27 +130,6 @@ def _allocate(samples_per_solver: Sequence[Sequence[float]], budget: float,
     return allocations
 
 
-def allocate_sequence(ranking: Sequence[SolverId], store: BanditStore,
-                      features: Sequence[float], k: int,
-                      budget: float, delta: float,
-                      dimension: str) -> list[float]:
-    """Walk the ranking, fitting an exponential to each solver's k nearest
-    recorded values of `dimension` ("cost" or "time") and assigning its
-    allocation, capped by what remains. Solvers with no nearby samples split
-    the remaining budget evenly among all sample-less solvers still to come;
-    once the budget runs out, every following solver gets zero; leftover after
-    the walk is handed to the final solver.
-
-    Every solver's k nearest are the store's per-solver rows of the query's
-    one nearest-first pass (BanditStore.nearest_rows)."""
-    if dimension not in ("cost", "time"):
-        raise ValueError(f"unknown dimension {dimension!r}")
-    column = store.cost_column if dimension == "cost" else store.time_column
-    solvers = [store.solver_index(s) for s in ranking]
-    return _allocate(_samples(solvers, store.nearest_rows(features, k), column),
-                     budget, delta)
-
-
 def build_schedule(ranking: Sequence[SolverId], store: BanditStore,
                    features: Sequence[float], k: int,
                    T: float, C: float,

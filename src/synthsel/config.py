@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Tuple
 
-from .bandit import LLM_KIND, PROMPT_STYLE_RANGE, REWARDS, SolverId
+from .bandit import ENUMERATOR_KIND, LLM_KIND, PROMPT_STYLE_RANGE, REWARDS, SolverId
 from .featurize import FeaturizerConfig
 
 SELECTORS = ("single", "double", "linear-single", "linear-double")
@@ -94,6 +94,8 @@ class RunConfig:
         repeated = sorted({n for n in names if names.count(n) > 1})
         if repeated:
             raise ValueError(f"model names must be unique; repeated: {repeated}")
+        if ENUMERATOR_KIND in names:  # the two-layer ranking's enumerator arm
+            raise ValueError(f"a model cannot be named {ENUMERATOR_KIND!r}")
         if self.reward not in REWARDS:
             raise ValueError(f"unknown reward {self.reward!r}")
         if self.backend not in BACKENDS:

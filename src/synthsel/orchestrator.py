@@ -26,7 +26,6 @@ from .bandit import (
     SolverId,
     rank_double,
     rank_single,
-    record_outcome,
 )
 from .budget import ScheduleEntry, SolverSchedule, build_schedule, linear_schedule
 from .config import RunConfig
@@ -301,9 +300,8 @@ def solve_query(query: SynthQuery, query_id: str, config: RunConfig,
     if solved:
         final = outcomes[-1]
         reward = final.rewards[config.reward]
-        rec = SolveRecord(tuple(features), winner, reward,
-                          final.time, final.cost)
-        record_outcome(state.store, rec, solved=True)
+        state.store.append(SolveRecord(tuple(features), winner, reward,
+                                       final.time, final.cost))
         if final.candidate is not None:
             remember_example(state.few_shot_pool, SolvedExample(
                 query, final.candidate, classify_logic(query)))

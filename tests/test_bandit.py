@@ -17,7 +17,6 @@ from synthsel.bandit import (
     nearest_records,
     rank_double,
     rank_single,
-    record_outcome,
     reward_binary,
     reward_cost,
     reward_time,
@@ -122,14 +121,13 @@ def test_reward_kind():
 
 
 # ---------------------------------------------------------------------------
-# store + record_outcome
+# store
 # ---------------------------------------------------------------------------
 
 def test_record_outcome_success_only():
     store = BanditStore(seed=1)
     r = rec((0.0, 0.0), A1)
-    assert record_outcome(store, r, solved=True)
-    assert not record_outcome(store, rec((1.0, 1.0), B1), solved=False)
+    store.append(r)
     assert len(store) == 1
     assert store.records[0] == r
 
@@ -375,6 +373,22 @@ def test_rank_double_prompt_layer_matches_single_over_model_records():
             assert got == expected
 
 
+def test_a_zero_reward_neighbor_still_ranks_ahead_of_unseen_arms():
+    zero = RewardKind("time", T=10.0).compute(10.0, 0.0, True)  # solved at T
+    assert zero == 0.0
+    for seed in range(20):
+        store = BanditStore(seed=seed, records=[rec((0.0,), A2, reward=zero),
+                                                rec((0.1,), E, reward=zero)])
+        assert knn_scores(store, (0.0,), 2) == {A2: 0.0, E: 0.0}
+        assert set(rank_single(store, (0.0,), 2, [A1, B1, A2, E])[:2]) == {A2, E}
+        order = rank_double(store, (0.0,), 2, models=["modelA", "modelB"],
+                            prompts={"modelA": (1, 2, 3), "modelB": (1,)})
+        # modelA and the enumerator ahead of unseen modelB; A2 ahead of
+        # modelA's unseen styles
+        assert order[-1] == B1
+        assert [s for s in order if s.model == "modelA"][0] == A2
+
+
 def test_model_arm_projection():
     assert model_arm(A1) == "modelA"
     assert model_arm(E) == "enumerator"
@@ -415,25 +429,48 @@ def test_store_feature_matrix_tracks_appends():
     assert store.features.tolist() == [list(p) for p in points]
 
 
-def test_store_columns_built_in_bulk_match_appends():
+def test_store_columns_built_in_bulk_match_appends(tmp_path):
     rng = random.Random(3)
     solvers = [E, A1, A2, B1]
-    records = [rec((rng.random(), rng.random()), rng.choice(solvers),
+    points = [(rng.random(), rng.random()) for _ in range(30)]
+    records = [rec(rng.choice(points), rng.choice(solvers), reward=rng.random(),
                    t=rng.uniform(0, 9), c=rng.uniform(0, 900))
                for _ in range(50)]
-    bulk = BanditStore(seed=0, records=records)
+    built = BanditStore(seed=0, records=records)
     grown = BanditStore(seed=0)
     for r in records:
         grown.append(r)
-    for store in (bulk, grown):
+    path = tmp_path / "state.jsonl"
+    built.save(path)
+    loaded = BanditStore.load(path)
+    for store in (built, grown, loaded):
         assert store.features.tolist() == [list(r.features) for r in records]
+        assert store.reward_column.tolist() == [r.reward for r in records]
         assert store.time_column.tolist() == [r.time for r in records]
         assert store.cost_column.tolist() == [r.cost for r in records]
         assert [store.solvers[i] for i in store.solver_column] == \
             [r.solver for r in records]
         assert store.solver_index(SolverId.llm("modelZ", 1)) is None
-    bulk.append(records[0])  # grows past the bulk-built capacity
-    assert bulk.features.tolist()[-1] == list(records[0].features)
+        # the records view: equal to the list, with len, index and slice
+        view = store.records
+        assert view == records and records == view and list(view) == records
+        assert len(view) == len(store) == 50
+        assert view[0] == records[0] and view[-1] == records[-1]
+        assert view[10:20:3] == records[10:20:3]
+        assert view[::-1] == records[::-1]
+        with pytest.raises(IndexError):
+            view[50]
+        # one features tuple per distinct point, one SolverId per solver
+        features, solver_ids = {}, {}
+        for r in view:
+            assert features.setdefault(r.features, r.features) is r.features
+            assert solver_ids.setdefault(r.solver, r.solver) is r.solver
+        assert len(features) < len(view)
+        copy = tmp_path / "copy.jsonl"
+        store.save(copy)
+        assert copy.read_bytes() == path.read_bytes()
+    built.append(records[0])  # grows past the capacity 50 records reach
+    assert built.features.tolist()[-1] == list(records[0].features)
     with pytest.raises(ValueError):
         BanditStore(records=[rec((0.0,), A1), rec((0.0, 1.0), A1)])
 

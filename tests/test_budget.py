@@ -23,7 +23,6 @@ from synthsel.budget import (
     ScheduleEntry,
     SolverSchedule,
     allocate_one,
-    allocate_sequence,
     build_schedule,
     fit_exponential,
     linear_schedule,
@@ -110,7 +109,7 @@ def test_allocate_one_tail_bound_property(rate, budget, delta):
 
 
 # ---------------------------------------------------------------------------
-# allocate_sequence / build_schedule
+# build_schedule
 # ---------------------------------------------------------------------------
 
 def _store_with(costs_by_solver, times_by_solver=None):
@@ -121,6 +120,12 @@ def _store_with(costs_by_solver, times_by_solver=None):
         for c, t in zip(costs, times):
             store.append(rec(solver, c, t=t))
     return store
+
+
+def _cost_slices(ranking, store, features, budget, delta):
+    return [e.cost for e in build_schedule(ranking, store, features, 15,
+                                           T=100.0, C=budget,
+                                           delta_cost=delta)]
 
 
 def _rate_for_allocation(target, budget, delta):
@@ -142,8 +147,7 @@ def _rate_for_allocation(target, budget, delta):
 
 def test_single_solver_gets_everything():
     store = _store_with({A1: [100.0, 120.0]})
-    allocs = allocate_sequence([A1], store, (0.0, 0.0), 15, 1000.0, 0.05,
-                               "cost")
+    allocs = _cost_slices([A1], store, (0.0, 0.0), 1000.0, 0.05)
     assert allocs == [1000.0]
 
 
@@ -152,8 +156,7 @@ def test_greedy_two_solvers_cap_at_remainder():
     delta = 0.05
     sample = 1.0 / _rate_for_allocation(600.0, 1000.0, delta)
     store = _store_with({A1: [sample] * 3, B1: [sample] * 3})
-    allocs = allocate_sequence([A1, B1], store, (0.0, 0.0), 15, 1000.0, delta,
-                               "cost")
+    allocs = _cost_slices([A1, B1], store, (0.0, 0.0), 1000.0, delta)
     assert allocs[0] == pytest.approx(600.0, rel=1e-6)
     assert allocs[1] == pytest.approx(1000.0 - allocs[0])
     assert sum(allocs) == pytest.approx(1000.0)
@@ -164,8 +167,7 @@ def test_greedy_exhaustion_zeroes_tail():
     delta = 0.05
     sample = 1.0 / _rate_for_allocation(520.0, 1000.0, delta)
     store = _store_with({A1: [sample] * 3, A2: [sample] * 3, B1: [sample] * 3})
-    allocs = allocate_sequence([A1, A2, B1], store, (0.0, 0.0), 15, 1000.0,
-                               delta, "cost")
+    allocs = _cost_slices([A1, A2, B1], store, (0.0, 0.0), 1000.0, delta)
     assert allocs[0] == pytest.approx(520.0, rel=1e-6)
     assert allocs[1] == pytest.approx(480.0, rel=1e-6)
     assert allocs[2] == 0.0
@@ -173,8 +175,7 @@ def test_greedy_exhaustion_zeroes_tail():
 
 def test_sampleless_solvers_share_evenly():
     store = BanditStore(seed=0)
-    allocs = allocate_sequence([A1, B1], store, (0.0,), 15, 900.0, 0.05,
-                               "cost")
+    allocs = _cost_slices([A1, B1], store, (0.0,), 900.0, 0.05)
     # both cold: even split, then leftover-to-last is a no-op
     assert allocs == [450.0, 450.0]
 
@@ -182,8 +183,7 @@ def test_sampleless_solvers_share_evenly():
 def test_leftover_goes_to_final_solver():
     # one cheap learned solver then a cold one: remainder lands on the last
     store = _store_with({A1: [10.0] * 3})
-    allocs = allocate_sequence([A1, B1], store, (0.0, 0.0), 15, 1000.0, 0.05,
-                               "cost")
+    allocs = _cost_slices([A1, B1], store, (0.0, 0.0), 1000.0, 0.05)
     assert allocs[0] < 100.0
     assert allocs[1] == pytest.approx(1000.0 - allocs[0])
 

@@ -264,6 +264,7 @@ def test_run_crash_writes_partial_report_and_exits_nonzero(tmp_path, monkeypatch
     ({"models": [{"name": "gpt", "styles": [2, 2]}]}, "repeats a prompt style"),
     ({"models": [{"name": "gpt"}, {"name": "gpt"}]}, "repeated: ['gpt']"),
     ({"models": [{"name": ""}]}, "needs a name"),
+    ({"models": [{"name": "enumerator"}]}, "cannot be named 'enumerator'"),
     ({"selector": "fixed:gpt-p4"}, "'gpt', which is not configured"),
 ])
 def test_config_that_cannot_mean_what_it_says_is_usage_error(
