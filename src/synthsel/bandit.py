@@ -16,7 +16,7 @@ import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Iterable, Iterator, Mapping, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -126,17 +126,22 @@ class BanditStore:
 
     Each distinct feature point is interned to a small int, as each distinct
     SolverId is: `points` holds the distinct points, one row each in the
-    order first seen, and `solvers` the distinct solvers. Row i of the point,
-    solver, reward, time and cost columns is the i-th record appended;
-    `records` rebuilds records from those rows when asked. Each solver also
-    keeps its own row indices in insertion order, which stay valid because
-    rows are only ever appended. Every array grows by doubling its capacity."""
+    order first seen, and `solvers` the distinct solvers. Each solver also
+    gets the int of its model-layer arm when first seen: its LLM, or the
+    enumerator, which is its own arm. Row i
+    of the point, solver, reward, time and cost columns is the i-th record
+    appended; `records` rebuilds records from those rows when asked. Each
+    solver also keeps its own row indices in insertion order, which stay
+    valid because rows are only ever appended. Every array grows by doubling
+    its capacity."""
 
     def __init__(self, seed: int = 0,
                  records: Iterable[SolveRecord] = ()) -> None:
         self.rng = random.Random(seed)
         self.solvers: list[SolverId] = []
         self._solver_ids: dict[SolverId, int] = {}
+        self._model_ids: dict[str, int] = {}  # by model name, or "enumerator"
+        self._solver_model = _Grown(np.intp)  # by solver int
         self._point_ids: dict[Tuple[float, ...], int] = {}
         self._point_tuples: list[Tuple[float, ...]] = []  # by point int
         self._points = _Grown(float, (0,))
@@ -146,11 +151,9 @@ class BanditStore:
         self._time = _Grown(float)
         self._cost = _Grown(float)
         self._own: list[_Grown] = []
-        # the last nearest_order: its key, its result, and each solver's
-        # first k in it once asked for
+        # the last nearest_order: its key and its result
         self._order_key: Optional[tuple] = None
         self._order = np.empty(0, dtype=np.intp)
-        self._nearest_rows: Optional[list[np.ndarray]] = None
         # (path, record count, size, mtime) of the file as the last load or
         # save left it: a save there appends only the newer records
         self._file: Optional[tuple] = None
@@ -203,6 +206,8 @@ class BanditStore:
         if index == len(self.solvers):
             self.solvers.append(solver)
             self._own.append(_Grown(np.intp))
+            self._solver_model.append(self._model_ids.setdefault(
+                solver.model or ENUMERATOR_KIND, len(self._model_ids)))
         return index
 
     def append(self, record: SolveRecord) -> None:
@@ -260,20 +265,8 @@ class BanditStore:
             union = np.flatnonzero(row_distance <= cuts[self.solver_column])
             order = union[np.argsort(row_distance[union], kind="stable")]
         order.flags.writeable = False
-        self._order, self._nearest_rows = order, None
-        self._order_key = key
+        self._order, self._order_key = order, key
         return order
-
-    def nearest_rows(self, features: Sequence[float], k: int
-                     ) -> list[np.ndarray]:
-        """Each solver's k nearest rows to `features` (all of them when it
-        has fewer), nearest first, indexed like `solvers`."""
-        order = self.nearest_order(features, k)
-        if self._nearest_rows is None:
-            solvers = self.solver_column[order]
-            self._nearest_rows = [order[solvers == s][:k]
-                                  for s in range(len(self.solvers))]
-        return self._nearest_rows
 
     # -- persistence (JSON lines, one record per line) ----------------------
 
@@ -470,7 +463,7 @@ ENUMERATOR_COST = 0.4
 # Ranking
 # ---------------------------------------------------------------------------
 
-Arm = Hashable
+Arm = TypeVar("Arm")
 
 
 def nearest_records(store: BanditStore, features: Sequence[float], k: int
@@ -483,89 +476,88 @@ def nearest_records(store: BanditStore, features: Sequence[float], k: int
     return [records[i] for i in store.nearest_order(features, k)[:k].tolist()]
 
 
-def _scores(store: BanditStore, order: np.ndarray, k: int,
-            key: Callable[[SolverId], Optional[Arm]]) -> dict[Arm, float]:
-    """Sum of rewards per arm over the first k rows of `order` whose solver
-    `key` maps to an arm (to None: to no arm), added in `order`'s order.
-    Every arm with a row among them appears, with a zero sum too."""
-    arms: dict[Arm, int] = {}
-    arm_of = np.array([-1 if (arm := key(s)) is None
-                       else arms.setdefault(arm, len(arms))
-                       for s in store.solvers], dtype=np.intp)
-    arm_at = arm_of[store.solver_column[order]]  # per position in order
-    first = np.flatnonzero(arm_at >= 0)[:k]
-    sums = np.bincount(arm_at[first], weights=store.reward_column[order[first]],
-                       minlength=len(arms))
-    counts = np.bincount(arm_at[first], minlength=len(arms))
-    return {arm: total for arm, total, count
-            in zip(arms, sums.tolist(), counts.tolist()) if count}
+def first_k_per_group(groups: np.ndarray, k: int) -> np.ndarray:
+    """The positions of the first k of each value in `groups`, by value and,
+    within one value, in position order: over a nearest-first order's
+    solver or model ints, each solver's or model's k nearest, nearest first."""
+    by_group = np.argsort(groups, kind="stable")
+    ordered = groups[by_group]
+    # each entry's place within its group: its place less its group's first
+    place = np.arange(len(ordered)) - np.searchsorted(ordered, ordered)
+    return by_group[place < k]
 
 
-def knn_scores(store: BanditStore, features: Sequence[float], k: int,
-               key: Optional[Callable[[SolverId], Arm]] = None
-               ) -> dict[Arm, float]:
-    """Sum of rewards per solver (projected through `key`) over the k nearest
-    records. Only solvers present among those neighbors appear."""
-    return _scores(store, store.nearest_order(features, k), k,
-                   key or (lambda s: s))
+def _sums(store: BanditStore, rows: np.ndarray,
+          arms: np.ndarray) -> dict[int, float]:
+    """Sum of the rewards of `rows` per arm int (`arms` holds each row's),
+    added in row order. Every arm with a row appears, with a zero sum too."""
+    sums = np.bincount(arms, weights=store.reward_column[rows])
+    counts = np.bincount(arms)
+    return {arm: total for arm, (total, count)
+            in enumerate(zip(sums.tolist(), counts.tolist())) if count}
 
 
-def _rank(scores: Mapping[Arm, float], arms: Sequence[Arm],
+def knn_scores(store: BanditStore, features: Sequence[float], k: int
+               ) -> dict[SolverId, float]:
+    """Sum of rewards per solver over the k nearest records. Only solvers
+    present among those neighbors appear."""
+    top = store.nearest_order(features, k)[:k]
+    return {store.solvers[s]: total for s, total
+            in _sums(store, top, store.solver_column[top]).items()}
+
+
+def _rank(arms: Sequence[Arm], scores: Sequence[Optional[float]],
           rng: random.Random) -> list[Arm]:
+    """Arms with a score (None: none) by descending score, equal scores
+    shuffled uniformly, then the rest in uniformly random order."""
     if not arms:
         raise ValueError("cannot rank an empty solver set")
-    present = [a for a in arms if a in scores]
-    absent = [a for a in arms if a not in scores]
+    present = [(arm, score) for arm, score in zip(arms, scores)
+               if score is not None]
+    absent = [arm for arm, score in zip(arms, scores) if score is None]
     rng.shuffle(present)  # uniform order among equal scores after stable sort
-    present.sort(key=lambda a: -scores[a])
+    present.sort(key=lambda pair: -pair[1])
     rng.shuffle(absent)
-    return present + absent
+    return [arm for arm, _ in present] + absent
 
 
 def rank_single(store: BanditStore, features: Sequence[float], k: int,
-                arms: Sequence[Arm],
-                key: Optional[Callable[[SolverId], Arm]] = None,
-                rng: Optional[random.Random] = None) -> list[Arm]:
+                arms: Sequence[SolverId]) -> list[SolverId]:
     """Rank every arm: scored arms by descending reward sum over the k nearest
     records (equal scores shuffled uniformly), then the remaining arms in
-    uniformly random order. The result is a permutation of `arms`."""
-    return _rank(knn_scores(store, features, k, key=key), arms,
-                 rng or store.rng)
-
-
-def model_arm(solver: SolverId) -> str:
-    """Layer-1 arm key: the base model for LLM solvers, the enumerator itself."""
-    return solver.model if solver.kind == LLM_KIND else ENUMERATOR_KIND
+    uniformly random order, by `store.rng`. The result is a permutation of
+    `arms`."""
+    top = store.nearest_order(features, k)[:k]
+    scores = _sums(store, top, store.solver_column[top])
+    return _rank(arms, [scores.get(store.solver_index(a)) for a in arms],
+                 store.rng)
 
 
 def rank_double(store: BanditStore, features: Sequence[float], k: int,
-                models: Sequence[str],
-                prompts: Mapping[str, Sequence[int]],
-                include_enumerator: bool = True,
-                rngs: Optional[Mapping[str, random.Random]] = None
-                ) -> list[SolverId]:
-    """Two-layer ranking: models (and the enumerator) first, then each LLM's
-    prompts over its own records in the store, shuffled by its RNG in `rngs`
-    (else one seeded from `store.rng`); the enumerator expands to itself."""
-    arms: list[str] = list(models)
-    if include_enumerator:
-        arms.append(ENUMERATOR_KIND)
+                portfolio: Sequence[SolverId],
+                rngs: Mapping[str, random.Random]) -> list[SolverId]:
+    """Two-layer ranking of `portfolio`: its LLMs in first-seen order and
+    the enumerator last, by reward sums over the k nearest records of every
+    solver and `store.rng`; then each LLM's prompt styles, in portfolio
+    order, by sums over that LLM's own k nearest records and its RNG in
+    `rngs`. The enumerator expands to itself."""
+    arms: dict[str, list[SolverId]] = {}  # each model-layer arm's solvers
+    for solver in portfolio:
+        arms.setdefault(solver.model or ENUMERATOR_KIND, []).append(solver)
+    models = sorted(arms, key=lambda arm: arm == ENUMERATOR_KIND)
     # the store's kept nearest-first order serves both layers
-    nearest = store.nearest_order(features, k)
-    order = _rank(_scores(store, nearest, k, model_arm), arms, store.rng)
+    order = store.nearest_order(features, k)
+    solver_at = store.solver_column[order]
+    model_at = store._solver_model.values[solver_at]
+    scores = _sums(store, order[:k], model_at[:k])
+    models = _rank(models, [scores.get(store._model_ids.get(m)) for m in models],
+                   store.rng)
+    own = first_k_per_group(model_at, k)
+    scores = _sums(store, order[own], solver_at[own])
     ranked: list[SolverId] = []
-    for arm in order:
-        if arm == ENUMERATOR_KIND and include_enumerator:
-            ranked.append(SolverId.enumerator())
-            continue
-        rng = (rngs or {}).get(arm) or random.Random(
-            store.rng.randrange(2 ** 31))
-        styles = _rank(_scores(store, nearest, k, _style_of(arm)),
-                       prompts.get(arm, PROMPT_STYLE_RANGE), rng)
-        ranked.extend(SolverId.llm(arm, style) for style in styles)
+    for model in models:
+        solvers = arms[model]
+        ranked.extend(solvers if model == ENUMERATOR_KIND else _rank(
+            solvers, [scores.get(store.solver_index(s)) for s in solvers],
+            rngs[model]))
     return ranked
-
-
-def _style_of(model: str) -> Callable[[SolverId], Optional[int]]:
-    """Prompt-layer arm key: the style of `model`'s solvers, no arm else."""
-    return lambda s: s.style if s.kind == LLM_KIND and s.model == model else None

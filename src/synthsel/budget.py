@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bandit import BanditStore, SolverId
+from .bandit import BanditStore, SolverId, first_k_per_group
 # perfbench traces budget.nearest_records beside bandit.nearest_records
 from .bandit import nearest_records  # noqa: F401
 
@@ -63,45 +63,23 @@ def _allocation(rate: float, budget: float, delta: float) -> float:
     return min(max(a, 0.0), budget)
 
 
-@dataclass(frozen=True)
-class ScheduleEntry:
+class ScheduleEntry(NamedTuple):
+    """One ranked solver's time and cost slices. A schedule is a tuple of
+    these: slices are nonnegative, totals stay within the budgets, any
+    leftover sits on the final solver, and zero cost forces zero time."""
+
     solver: SolverId
     time: float
     cost: float
 
 
-@dataclass(frozen=True)
-class SolverSchedule:
-    """Ranked solvers with their time and cost slices.
-
-    Invariants: slices are nonnegative, totals stay within the budgets, any
-    leftover sits on the final solver, and zero cost forces zero time.
-    """
-
-    entries: Tuple[ScheduleEntry, ...]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def total_time(self) -> float:
-        return sum(e.time for e in self.entries)
-
-    @property
-    def total_cost(self) -> float:
-        return sum(e.cost for e in self.entries)
-
-
-def _samples(solvers: Sequence[Optional[int]], nearest: Sequence[np.ndarray],
-             column: np.ndarray) -> list[list[float]]:
+def _samples(solvers: Sequence[Optional[int]], bounds: Sequence[int],
+             values: list[float]) -> list[list[float]]:
     """Per solver (its value in the store's solver column, None when it has
-    no record), the positive values of `column` among its k nearest rows,
-    nearest first, as Python floats: the allocation sums them with Python's
-    sum, in that order."""
-    return [[v for v in column[nearest[s]].tolist() if v > 0]
+    no record), the positive `values` of its k nearest rows, which sit at
+    values[bounds[s]:bounds[s + 1]] nearest first. Python floats: the
+    allocation sums them with Python's sum, in that order."""
+    return [[v for v in values[bounds[s]:bounds[s + 1]] if v > 0]
             if s is not None else [] for s in solvers]
 
 
@@ -134,35 +112,36 @@ def build_schedule(ranking: Sequence[SolverId], store: BanditStore,
                    features: Sequence[float], k: int,
                    T: float, C: float,
                    delta_time: float = 0.05,
-                   delta_cost: float = 0.05) -> SolverSchedule:
+                   delta_cost: float = 0.05) -> Tuple[ScheduleEntry, ...]:
     """Cost slices first, then time slices over the solvers that received a
     nonzero cost slice (the coupling rule: no tokens means no time; the time
     freed that way is redistributed by re-running the greedy walk). Both
-    walks read the store's per-solver nearest rows of the query's one
+    walks read each solver's k nearest rows from the query's one
     nearest-first pass."""
     solvers = [store.solver_index(s) for s in ranking]
-    nearest = store.nearest_rows(features, k)
-    costs = _allocate(_samples(solvers, nearest, store.cost_column),
+    order = store.nearest_order(features, k)
+    solver_at = store.solver_column[order]
+    own = first_k_per_group(solver_at, k)
+    rows = order[own]
+    # solver s's rows sit at rows[bounds[s]:bounds[s + 1]]
+    bounds = np.searchsorted(solver_at[own],
+                             np.arange(len(store.solvers) + 1)).tolist()
+    costs = _allocate(_samples(solvers, bounds, store.cost_column[rows].tolist()),
                       C, delta_cost)
     funded = [s for s, c in zip(solvers, costs) if c > 0]
     if funded:
-        funded_times = iter(_allocate(
-            _samples(funded, nearest, store.time_column), T, delta_time))
+        funded_times = iter(_allocate(_samples(
+            funded, bounds, store.time_column[rows].tolist()), T, delta_time))
         times = [next(funded_times) if c > 0 else 0.0 for c in costs]
     else:
         times = [0.0] * len(ranking)
-    entries = tuple(
-        ScheduleEntry(solver=s, time=t, cost=c)
-        for s, t, c in zip(ranking, times, costs)
-    )
-    return SolverSchedule(entries)
+    return tuple(map(ScheduleEntry, ranking, times, costs))
 
 
-def linear_schedule(ranking: Sequence[SolverId], T: float, C: float) -> SolverSchedule:
+def linear_schedule(ranking: Sequence[SolverId], T: float, C: float
+                    ) -> Tuple[ScheduleEntry, ...]:
     """Equal division of both budgets across all ranked solvers."""
     if not ranking:
         raise ValueError("cannot allocate over an empty ranking")
     n = len(ranking)
-    return SolverSchedule(tuple(
-        ScheduleEntry(solver=s, time=T / n, cost=C / n) for s in ranking
-    ))
+    return tuple(ScheduleEntry(s, T / n, C / n) for s in ranking)

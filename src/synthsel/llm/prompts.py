@@ -271,7 +271,7 @@ def render_initial_prompt(query: SynthQuery, style: PromptStyle,
             "Provide a solution to the following synthesis problem. Reply "
             f"with exactly one (define-fun ...) s-expression for "
             f"\"{fn.name}\".\n\n"
-            + (query_text(query) if not style.natural_language else
+            + (print_query(query) if not style.natural_language else
                _signature_text(query) + "\nThe function must follow the "
                "constraints: \n" + _constraints_block(query, True))
         )
@@ -294,10 +294,6 @@ def render_stage2_prompt(style: PromptStyle) -> Message:
         )
         body += "\n\n" + examples
     return Message("user", body)
-
-
-def query_text(query: SynthQuery) -> str:
-    return print_query(query)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .bandit import (
     rank_double,
     rank_single,
 )
-from .budget import ScheduleEntry, SolverSchedule, build_schedule, linear_schedule
+from .budget import ScheduleEntry, build_schedule, linear_schedule
 from .config import RunConfig
 from .enumerator import EnumeratorConfig, SearchStatus, cegis_solve
 from .featurize import classify_logic, featurize
@@ -203,23 +203,17 @@ def rank_solvers(config: RunConfig, state: RunState,
     if selector in ("single", "linear-single"):
         return rank_single(state.store, features, config.k, state.portfolio)
     if selector in ("double", "linear-double"):
-        return rank_double(
-            state.store, features, config.k,
-            models=[m.name for m in config.models],
-            prompts={m.name: m.styles for m in config.models},
-            include_enumerator=config.include_enumerator,
-            rngs=state.prompt_rngs,
-        )
+        return rank_double(state.store, features, config.k, state.portfolio,
+                           state.prompt_rngs)
     raise ValueError(f"unknown selector {config.selector!r}")
 
 
 def schedule_solvers(config: RunConfig, state: RunState,
                      features: np.ndarray,
-                     ranking: Sequence[SolverId]) -> SolverSchedule:
+                     ranking: Sequence[SolverId]) -> Tuple[ScheduleEntry, ...]:
     T, C = config.time_budget, config.cost_budget
     if config.selector.startswith("fixed:"):
-        return SolverSchedule(tuple(
-            ScheduleEntry(s, T, C) for s in ranking))
+        return tuple(ScheduleEntry(s, T, C) for s in ranking)
     if config.selector.startswith("linear-"):
         return linear_schedule(ranking, T, C)
     return build_schedule(ranking, state.store, features, config.k, T, C,

@@ -19,10 +19,15 @@ SUMMARY_COLUMNS = (
 
 def summary_row(report: RunReport,
                 label: Optional[str] = None) -> dict[str, object]:
-    agg = report.aggregates()
+    return _summary_row(label if label is not None else report.selector,
+                        report.reward, report.aggregates())
+
+
+def _summary_row(selector: str, reward: str,
+                 agg: Mapping[str, float]) -> dict[str, object]:
     return {
-        "selector": label if label is not None else report.selector,
-        "reward": report.reward,
+        "selector": selector,
+        "reward": reward,
         "pct_solved": round(agg["pct_solved"], 1),
         "n_solved": agg["n_solved"],
         "par2": round(agg["par2"], 1),
@@ -56,17 +61,6 @@ def _write_json(path: str | Path, data: object) -> None:
     Path(path).write_text(json.dumps(data, indent=2), encoding="utf-8")
 
 
-def write_report_json(path: str | Path, report: RunReport) -> None:
-    _write_json(path, report.to_json())
-
-
-def write_events_jsonl(path: str | Path, report: RunReport) -> None:
-    """One JSON line per query for post-hoc analysis."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in report.records:
-            fh.write(json.dumps(rec.to_json()) + "\n")
-
-
 def load_report(path: str | Path) -> RunReport:
     with open(path, encoding="utf-8") as fh:
         return RunReport.from_json(json.load(fh))
@@ -75,7 +69,9 @@ def load_report(path: str | Path) -> RunReport:
 def write_run_outputs(out_dir: str | Path, report: RunReport,
                       summary: Optional[MultiRunSummary] = None) -> dict[str, Path]:
     """Standard output bundle: report.json, summary.csv, cumulative_par2.csv,
-    events.jsonl, and multirun.json when a multi-run summary exists."""
+    events.jsonl (one JSON line per query), and multirun.json when a
+    multi-run summary exists. The report is encoded to JSON once: report.json,
+    the summary row and the event lines all read that one dict."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -84,10 +80,14 @@ def write_run_outputs(out_dir: str | Path, report: RunReport,
         "cumulative_par2": out / "cumulative_par2.csv",
         "events": out / "events.jsonl",
     }
-    write_report_json(paths["report"], report)
-    write_summary_csv(paths["summary"], [summary_row(report)])
+    data = report.to_json()
+    _write_json(paths["report"], data)
+    write_summary_csv(paths["summary"], [_summary_row(
+        data["selector"], data["reward"], data["aggregates"])])
     write_cumulative_par2_csv(paths["cumulative_par2"], report)
-    write_events_jsonl(paths["events"], report)
+    paths["events"].write_text(
+        "".join(json.dumps(rec) + "\n" for rec in data["records"]),
+        encoding="utf-8")
     if summary is not None:
         paths["multirun"] = out / "multirun.json"
         _write_json(paths["multirun"], summary.to_json())

@@ -8,15 +8,24 @@
 - `reference_sweep`: the internal checker's search, one point at a time
   with the tree walker `evaluate`, for the generated sweep and the LIA
   decision procedure.
+- The k-NN selector by brute force: nearest records by a stable sort of
+  Python distances, reward sums and rankings over dicts keyed by arm, and
+  the schedule's two greedy walks through `fit_exponential` and
+  `allocate_one`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import random
 import re
 from dataclasses import dataclass
-from typing import AbstractSet, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (AbstractSet, Callable, Hashable, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
+from synthsel.bandit import SolveRecord, SolverId
+from synthsel.budget import ScheduleEntry, allocate_one, fit_exponential
 from synthsel.sygus.grammar import grammar_from_rules
 from synthsel.sygus.parser import (GrammarError, GrammarRules, ParseError, SynthQuery,
                                    UnsupportedError)
@@ -564,3 +573,96 @@ def reference_sweep(phi: Term, universals: Sequence[Tuple[str, Sort]],
         except EvaluationError as exc:
             return VerificationResult.unknown(str(exc))
     return VerificationResult.valid(bounded=True)
+
+
+# ---------------------------------------------------------------------------
+# The k-NN selector by brute force
+# ---------------------------------------------------------------------------
+
+def nearest_rows(records: Sequence[SolveRecord], q: Sequence[float], k: int,
+                 keep: Callable[[SolverId], bool] = lambda s: True) -> list[int]:
+    """The indices of the k records nearest to `q` among those whose solver
+    `keep` accepts: a stable sort by (distance, index)."""
+    mine = [i for i, r in enumerate(records) if keep(r.solver)]
+    mine.sort(key=lambda i: (math.sqrt(sum(
+        (a - b) ** 2 for a, b in zip(records[i].features, q))), i))
+    return mine[:k]
+
+
+def reward_sums(rows: Sequence[int], records: Sequence[SolveRecord],
+                key: Callable[[SolverId], Hashable]) -> dict:
+    """The rewards of `rows`, summed in row order per arm: `key` of each
+    row's solver."""
+    sums: dict = {}
+    for i in rows:
+        arm = key(records[i].solver)
+        sums[arm] = sums.get(arm, 0.0) + records[i].reward
+    return sums
+
+
+def reference_rank(scores: Mapping, arms: Sequence, rng: random.Random) -> list:
+    """Scored arms by descending score (equal scores in shuffled order),
+    then the rest shuffled."""
+    present = [a for a in arms if a in scores]
+    absent = [a for a in arms if a not in scores]
+    rng.shuffle(present)
+    present.sort(key=lambda a: -scores[a])
+    rng.shuffle(absent)
+    return present + absent
+
+
+def reference_rank_double(records: Sequence[SolveRecord], q: Sequence[float],
+                          k: int, portfolio: Sequence[SolverId],
+                          rng: random.Random,
+                          rngs: Mapping[str, random.Random]) -> list[SolverId]:
+    """The portfolio's models in first-seen order and the enumerator last,
+    ranked by sums over the k nearest records of every solver with `rng`;
+    each model's styles ranked by sums over that model's own k nearest
+    records with its RNG in `rngs`."""
+    models = list(dict.fromkeys(s.model for s in portfolio if s.kind == "llm"))
+    if SolverId.enumerator() in portfolio:
+        models.append("enumerator")
+    sums = reward_sums(nearest_rows(records, q, k), records,
+                       lambda s: s.model or "enumerator")
+    ranked = []
+    for arm in reference_rank(sums, models, rng):
+        if arm == "enumerator":
+            ranked.append(SolverId.enumerator())
+            continue
+        own = nearest_rows(records, q, k, lambda s: s.model == arm)
+        ranked.extend(reference_rank(
+            reward_sums(own, records, lambda s: s),
+            [s for s in portfolio if s.model == arm], rngs[arm]))
+    return ranked
+
+
+def reference_schedule(ranking: Sequence[SolverId],
+                       records: Sequence[SolveRecord], q: Sequence[float],
+                       k: int, T: float, C: float, delta_time: float,
+                       delta_cost: float) -> Tuple[ScheduleEntry, ...]:
+    """build_schedule with each solver's k nearest records found by brute
+    force."""
+    def walk(ranking, budget, delta, dimension):
+        samples = [[v for v in (getattr(records[i], dimension) for i in
+                                nearest_rows(records, q, k, lambda solver: solver == s))
+                    if v > 0] for s in ranking]
+        allocs = [0.0] * len(ranking)
+        remaining = budget
+        for i in range(len(ranking)):
+            if remaining <= 0:
+                break
+            if samples[i]:
+                want = allocate_one(fit_exponential(samples[i]), budget, delta)
+            else:
+                want = remaining / sum(1 for s in samples[i:] if not s)
+            allocs[i] = min(want, remaining)
+            remaining -= allocs[i]
+        if remaining > 0:
+            allocs[-1] += remaining
+        return allocs
+
+    costs = walk(ranking, C, delta_cost, "cost")
+    funded = [s for s, c in zip(ranking, costs) if c > 0]
+    times = iter(walk(funded, T, delta_time, "time")) if funded else iter(())
+    return tuple(ScheduleEntry(s, next(times) if c > 0 else 0.0, c)
+                 for s, c in zip(ranking, costs))

@@ -148,10 +148,12 @@ def test_criterion_04_schedule_invariants():
         sched = build_schedule(ranking, store,
                                (rng.uniform(-4, 4), rng.uniform(-4, 4)),
                                15, T, C)
-        assert sched.total_time <= T + 1e-6
-        assert sched.total_cost <= C + 1e-6
+        total_time = sum(e.time for e in sched)
+        total_cost = sum(e.cost for e in sched)
+        assert total_time <= T + 1e-6
+        assert total_cost <= C + 1e-6
         if any(e.cost > 0 for e in sched):
-            assert sched.total_cost == pytest.approx(C)  # leftover-to-last
+            assert total_cost == pytest.approx(C)  # leftover-to-last
         for e in sched:
             assert e.time >= 0.0 and e.cost >= 0.0
             if e.cost == 0.0:

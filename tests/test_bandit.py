@@ -13,7 +13,6 @@ from synthsel.bandit import (
     SolverId,
     estimate_cost,
     knn_scores,
-    model_arm,
     nearest_records,
     rank_double,
     rank_single,
@@ -21,6 +20,7 @@ from synthsel.bandit import (
     reward_cost,
     reward_time,
 )
+from reference import nearest_rows, reference_rank_double, reward_sums
 
 
 def rec(features, solver, reward=1.0, t=1.0, c=10.0):
@@ -275,49 +275,38 @@ def test_rank_single_scores_match_bruteforce_oracle():
                              rng.choice(solvers), reward=rng.random()))
         q = (rng.uniform(-5, 5), rng.uniform(-5, 5))
         k = rng.randrange(1, 8)
-
-        # oracle: stable sort by distance, take k, sum rewards per solver
-        def dist(r):
-            return ((r.features[0] - q[0]) ** 2
-                    + (r.features[1] - q[1]) ** 2) ** 0.5
-        ranked = sorted(range(len(store.records)),
-                        key=lambda i: (dist(store.records[i]), i))[:k]
-        expected: dict = {}
-        for i in ranked:
-            r = store.records[i]
-            expected[r.solver] = expected.get(r.solver, 0.0) + r.reward
-
+        records = list(store.records)
+        expected = reward_sums(nearest_rows(records, q, k), records,
+                               lambda s: s)
         got = knn_scores(store, q, k)
         assert set(got) == set(expected)
         for s in expected:
             assert got[s] == pytest.approx(expected[s])
 
 
+def _rngs(seed):
+    return {"modelA": random.Random(seed), "modelB": random.Random(seed + 1)}
+
+
 def test_rank_double_layers():
     store = BanditStore(seed=5)
-    rngs = {"modelA": random.Random(6), "modelB": random.Random(7)}
     q = (0.0,)
     # model layer favors modelA; modelA's prompt layer favors style 2
     for r in (rec((0.0,), A1, reward=0.3), rec((0.0,), A2, reward=0.9),
               rec((0.1,), B1, reward=0.5)):
         store.append(r)
-    order = rank_double(store, q, 15,
-                        models=["modelA", "modelB"],
-                        prompts={"modelA": (1, 2), "modelB": (1, 2)},
-                        rngs=rngs)
+    portfolio = [E, A1, A2, B1, SolverId.llm("modelB", 2)]
+    order = rank_double(store, q, 15, portfolio, _rngs(6))
     assert order[0] == A2  # modelA first, then its best prompt
     assert order[1] == A1
-    assert sorted(order, key=str) == sorted(
-        [A1, A2, B1, SolverId.llm("modelB", 2), E], key=str)
+    assert sorted(order, key=str) == sorted(portfolio, key=str)
 
 
 def test_rank_double_cold_start_complete():
     store = BanditStore(seed=1)
-    order = rank_double(store, (0.0,), 15,
-                        models=["modelA", "modelB"],
-                        prompts={"modelA": (1, 2, 3), "modelB": (1,)})
-    assert len(order) == 5
-    assert len(set(order)) == 5
+    portfolio = [E, A1, A2, SolverId.llm("modelA", 3), B1]
+    order = rank_double(store, (0.0,), 15, portfolio, _rngs(1))
+    assert sorted(order, key=str) == sorted(portfolio, key=str)
 
 
 def test_rank_double_prompt_stores_independent():
@@ -326,11 +315,9 @@ def test_rank_double_prompt_stores_independent():
     records = [rec((0.0,), A2, reward=1.0)]
 
     def b_order():
-        order = rank_double(BanditStore(seed=5, records=records), q, 15,
-                            models=["modelB"], prompts={"modelB": (1, 2, 3)},
-                            include_enumerator=False,
-                            rngs={"modelB": random.Random(8)})
-        return order
+        return rank_double(BanditStore(seed=5, records=records), q, 15,
+                           [SolverId.llm("modelB", s) for s in (1, 2, 3)],
+                           {"modelB": random.Random(8)})
 
     baseline = b_order()
     records.append(rec((0.0,), A1, reward=1.0))
@@ -354,23 +341,60 @@ def test_rank_double_prompt_layer_matches_single_over_model_records():
         q = rng.choice(points) if rng.random() < 0.5 else tuple(
             float(rng.randrange(-3, 4)) for _ in range(dim))
         k = rng.randrange(1, 10)
-        prompts = {m: tuple(rng.sample(range(1, 7), rng.randrange(1, 7)))
+        prompts = {m: [SolverId.llm(m, s) for s in
+                       rng.sample(range(1, 7), rng.randrange(1, 7))]
                    for m in models}
+        portfolio = [E] + [s for m in models for s in prompts[m]]
         seeds = {m: rng.randrange(2 ** 31) for m in models}
 
         order = rank_double(BanditStore(seed=trial, records=records), q, k,
-                            models=models, prompts=prompts,
-                            rngs={m: random.Random(seeds[m]) for m in models})
-        assert len(order) == len(set(order)) == 1 + sum(map(len, prompts.values()))
+                            portfolio,
+                            {m: random.Random(seeds[m]) for m in models})
+        assert sorted(order, key=str) == sorted(portfolio, key=str)
         for m in models:
-            own = BanditStore(seed=0, records=[
-                r for r in records
-                if r.solver.kind == "llm" and r.solver.model == m])
-            expected = rank_single(own, q, k, list(prompts[m]),
-                                   key=lambda s: s.style,
-                                   rng=random.Random(seeds[m]))
-            got = [s.style for s in order if s.kind == "llm" and s.model == m]
-            assert got == expected
+            # rank_single over the model's own records, by an RNG seeded as
+            # the model's
+            own = BanditStore(seed=seeds[m], records=[
+                r for r in records if r.solver.model == m])
+            got = [s for s in order if s.model == m]
+            assert got == rank_single(own, q, k, prompts[m])
+
+
+def test_rank_double_matches_bruteforce_reference():
+    # Stores hold rows the portfolio does not configure: a model outside it
+    # and, when the portfolio has no enumerator, enumerator rows. They take
+    # model-layer first-k slots but are never ranked.
+    rng = random.Random(17)
+    outside = SolverId.llm("modelZ", 3)
+    for trial in range(300):
+        dim = rng.randrange(1, 4)
+        points = [tuple(float(rng.randrange(-2, 3)) for _ in range(dim))
+                  for _ in range(rng.randrange(1, 6))]  # many distance ties
+        models = rng.sample(["modelA", "modelB", "modelC"], rng.randrange(1, 4))
+        portfolio = [SolverId.llm(m, s) for m in models
+                     for s in rng.sample(range(1, 7), rng.randrange(1, 7))]
+        if rng.random() < 0.5:
+            portfolio.insert(rng.randrange(len(portfolio) + 1), E)
+        pool = portfolio + [E, outside] + [
+            SolverId.llm(m, s) for m in models for s in range(1, 7)]
+        records = [rec(rng.choice(points), rng.choice(pool),
+                       reward=rng.choice((0.0, 0.25, 0.5, 1.0)))
+                   for _ in range(rng.randrange(0, 50))]
+        q = rng.choice(points) if rng.random() < 0.5 else tuple(
+            float(rng.randrange(-2, 3)) for _ in range(dim))
+        k = rng.randrange(1, 10)
+        seeds = {m: rng.randrange(2 ** 31) for m in models}
+        store = BanditStore(seed=trial, records=records)
+        rngs = {m: random.Random(s) for m, s in seeds.items()}
+        got = rank_double(store, q, k, portfolio, rngs)
+        ref_rng = random.Random(trial)
+        ref_rngs = {m: random.Random(s) for m, s in seeds.items()}
+        assert got == reference_rank_double(records, q, k, portfolio,
+                                            ref_rng, ref_rngs)
+        # the same draws from every RNG, so the next query ranks alike
+        assert store.rng.random() == ref_rng.random()
+        for m in models:
+            assert rngs[m].random() == ref_rngs[m].random()
 
 
 def test_a_zero_reward_neighbor_still_ranks_ahead_of_unseen_arms():
@@ -381,17 +405,13 @@ def test_a_zero_reward_neighbor_still_ranks_ahead_of_unseen_arms():
                                                 rec((0.1,), E, reward=zero)])
         assert knn_scores(store, (0.0,), 2) == {A2: 0.0, E: 0.0}
         assert set(rank_single(store, (0.0,), 2, [A1, B1, A2, E])[:2]) == {A2, E}
-        order = rank_double(store, (0.0,), 2, models=["modelA", "modelB"],
-                            prompts={"modelA": (1, 2, 3), "modelB": (1,)})
+        order = rank_double(store, (0.0,), 2,
+                            [E, A1, A2, SolverId.llm("modelA", 3), B1],
+                            _rngs(seed))
         # modelA and the enumerator ahead of unseen modelB; A2 ahead of
         # modelA's unseen styles
         assert order[-1] == B1
         assert [s for s in order if s.model == "modelA"][0] == A2
-
-
-def test_model_arm_projection():
-    assert model_arm(A1) == "modelA"
-    assert model_arm(E) == "enumerator"
 
 
 def test_store_save_is_atomic(tmp_path, monkeypatch):

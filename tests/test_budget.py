@@ -11,8 +11,8 @@ from synthsel.bandit import (
     BanditStore,
     SolveRecord,
     SolverId,
+    first_k_per_group,
     knn_scores,
-    model_arm,
     nearest_records,
     rank_double,
     rank_single,
@@ -20,13 +20,13 @@ from synthsel.bandit import (
 from synthsel.featurize import distance
 from synthsel.budget import (
     ExponentialFit,
-    ScheduleEntry,
-    SolverSchedule,
     allocate_one,
     build_schedule,
     fit_exponential,
     linear_schedule,
 )
+from reference import (nearest_rows, reference_rank, reference_rank_double,
+                       reference_schedule, reward_sums)
 
 E = SolverId.enumerator()
 A1 = SolverId.llm("modelA", 1)
@@ -206,7 +206,7 @@ def test_enumerator_only_schedule():
     store = BanditStore(seed=0)
     sched = build_schedule([E], store, (0.0,), 15, T=100.0, C=100_000.0)
     assert len(sched) == 1
-    entry = sched.entries[0]
+    entry = sched[0]
     assert entry.time == pytest.approx(100.0)
     assert entry.cost == pytest.approx(100_000.0)
 
@@ -233,48 +233,13 @@ def test_schedule_invariants_random_stores():
         C = rng.uniform(100.0, 50_000.0)
         q = (rng.uniform(-3, 3), rng.uniform(-3, 3))
         sched = build_schedule(ranking, store, q, 15, T, C)
-        assert sched.total_time <= T + 1e-6
-        assert sched.total_cost <= C + 1e-6
-        assert sched.total_cost == pytest.approx(C)  # leftover-to-last
+        assert sum(e.time for e in sched) <= T + 1e-6
+        assert sum(e.cost for e in sched) <= C + 1e-6
+        assert sum(e.cost for e in sched) == pytest.approx(C)  # leftover-to-last
         for e in sched:
             assert e.time >= 0 and e.cost >= 0
             if e.cost == 0:
                 assert e.time == 0
-
-
-def _reference_schedule(ranking, records, q, k, T, C, delta_time, delta_cost):
-    """build_schedule with each solver's k nearest found by brute force:
-    filter the store to that solver, then stable-sort by (distance, index)."""
-    def nearest(solver):
-        mine = [i for i, r in enumerate(records) if r.solver == solver]
-        mine.sort(key=lambda i: (math.sqrt(sum(
-            (a - b) ** 2 for a, b in zip(records[i].features, q))), i))
-        return [records[i] for i in mine[:k]]
-
-    def walk(ranking, budget, delta, dimension):
-        samples = [[v for v in (getattr(r, dimension) for r in nearest(s))
-                    if v > 0] for s in ranking]
-        allocs = [0.0] * len(ranking)
-        remaining = budget
-        for i in range(len(ranking)):
-            if remaining <= 0:
-                break
-            if samples[i]:
-                want = allocate_one(fit_exponential(samples[i]), budget, delta)
-            else:
-                want = remaining / sum(1 for s in samples[i:] if not s)
-            allocs[i] = min(want, remaining)
-            remaining -= allocs[i]
-        if remaining > 0:
-            allocs[-1] += remaining
-        return allocs
-
-    costs = walk(ranking, C, delta_cost, "cost")
-    funded = [s for s, c in zip(ranking, costs) if c > 0]
-    times = iter(walk(funded, T, delta_time, "time")) if funded else iter(())
-    return SolverSchedule(tuple(
-        ScheduleEntry(s, next(times) if c > 0 else 0.0, c)
-        for s, c in zip(ranking, costs)))
 
 
 def test_build_schedule_matches_bruteforce_reference():
@@ -300,12 +265,13 @@ def test_build_schedule_matches_bruteforce_reference():
         T = rng.uniform(10.0, 200.0)
         C = rng.uniform(100.0, 50_000.0)
         got = build_schedule(ranking, store, q, k, T, C, 0.05, 0.1)
-        assert got == _reference_schedule(ranking, records, q, k, T, C,
-                                          0.05, 0.1)
+        assert got == reference_schedule(ranking, records, q, k, T, C,
+                                         0.05, 0.1)
 
 
-# Differential cases for the per-solver rows (BanditStore.nearest_rows): every
-# schedule must equal the brute-force reference bit for bit.
+# Differential cases for each solver's k nearest rows (first_k_per_group over
+# the kept nearest-first order): every schedule must equal the brute-force
+# reference bit for bit.
 
 ABSENT = [SolverId.llm("modelD", s) for s in (1, 2, 3)]
 SOLVERS = [E, A1, A2, B1, SolverId.llm("modelB", 4), SolverId.llm("modelC", 6)]
@@ -318,13 +284,6 @@ def _random_record(rng, points, solvers, zero_share=0.2):
         0.0 if rng.random() < zero_share else rng.uniform(0.1, 5000.0))
 
 
-def _bruteforce_rows(records, q, k, solver):
-    mine = [i for i, r in enumerate(records) if r.solver == solver]
-    mine.sort(key=lambda i: (math.sqrt(sum(
-        (a - b) ** 2 for a, b in zip(records[i].features, q))), i))
-    return mine[:k]
-
-
 def _assert_matches_reference(rng, store, records, pool, points, ks, trials):
     for _ in range(trials):
         ranking = rng.sample(pool, k=rng.randrange(1, len(pool) + 1))
@@ -333,33 +292,14 @@ def _assert_matches_reference(rng, store, records, pool, points, ks, trials):
         k = rng.choice(ks)
         T, C = rng.uniform(10.0, 200.0), rng.uniform(100.0, 50_000.0)
         assert build_schedule(ranking, store, q, k, T, C, 0.05, 0.1) == \
-            _reference_schedule(ranking, records, q, k, T, C, 0.05, 0.1)
-        nearest = store.nearest_rows(q, k)
+            reference_schedule(ranking, records, q, k, T, C, 0.05, 0.1)
+        order = store.nearest_order(q, k)
+        own = order[first_k_per_group(store.solver_column[order], k)]
         for solver in set(pool):
-            index = store.solver_index(solver)
-            got = [] if index is None else nearest[index].tolist()
-            assert got == _bruteforce_rows(records, q, k, solver)
+            got = [i for i in own.tolist() if records[i].solver == solver]
+            assert got == nearest_rows(records, q, k, lambda s: s == solver)
         _assert_nearest_matches_full_sort(store, records, q, k, pool,
                                           rng.randrange(2 ** 31))
-
-
-def _reference_rank(scores, arms, rng):
-    """bandit._rank: scored arms by descending score (equal scores in
-    shuffled order), then the rest shuffled."""
-    present = [a for a in arms if a in scores]
-    absent = [a for a in arms if a not in scores]
-    rng.shuffle(present)
-    present.sort(key=lambda a: -scores[a])
-    rng.shuffle(absent)
-    return present + absent
-
-
-def _reward_sums(rows, records, key):
-    sums = {}
-    for i in rows:
-        arm = key(records[i].solver)
-        sums[arm] = sums.get(arm, 0.0) + records[i].reward
-    return sums
 
 
 def _assert_nearest_matches_full_sort(store, records, q, k, pool, seed):
@@ -385,34 +325,20 @@ def _assert_nearest_matches_full_sort(store, records, q, k, pool, seed):
         i for i in full if dist[i] <= cut[records[i].solver]]
     assert nearest_records(store, q, k) == [records[i] for i in full[:k]]
 
-    scores = _reward_sums(full[:k], records, lambda s: s)
+    scores = reward_sums(full[:k], records, lambda s: s)
     assert knn_scores(store, q, k) == scores  # same sums in the same order
-    assert rank_single(store, q, k, pool, rng=random.Random(seed)) == \
-        _reference_rank(scores, pool, random.Random(seed))
-
-    models = sorted({s.model for s in pool if s.kind == "llm"})
-    prompts = {m: tuple(sorted({s.style for s in pool if s.model == m}))
-               for m in models}
-    # the first model draws its prompt-layer RNG from store.rng
-    seeds = {m: seed + i for i, m in enumerate(models[1:])}
     store.rng.seed(seed)
-    got = rank_double(store, q, k, models, prompts,
-                      rngs={m: random.Random(s) for m, s in seeds.items()})
-    rngs = {m: random.Random(s) for m, s in seeds.items()}
-    rng = random.Random(seed)
-    expected = []
-    for arm in _reference_rank(_reward_sums(full[:k], records, model_arm),
-                               models + ["enumerator"], rng):
-        if arm == "enumerator":
-            expected.append(E)
-            continue
-        own = [i for i in full if records[i].solver.kind == "llm"
-               and records[i].solver.model == arm][:k]
-        styles = _reference_rank(
-            _reward_sums(own, records, lambda s: s.style), prompts[arm],
-            rngs.get(arm) or random.Random(rng.randrange(2 ** 31)))
-        expected.extend(SolverId.llm(arm, style) for style in styles)
-    assert got == expected
+    assert rank_single(store, q, k, pool) == \
+        reference_rank(scores, pool, random.Random(seed))
+
+    # the pool as the portfolio: its models, their styles, the enumerator
+    seeds = {s.model: seed + i for i, s in enumerate(pool) if s.model}
+    store.rng.seed(seed)
+    got = rank_double(store, q, k, pool,
+                      {m: random.Random(s) for m, s in seeds.items()})
+    assert got == reference_rank_double(
+        records, q, k, pool, random.Random(seed),
+        {m: random.Random(s) for m, s in seeds.items()})
 
 
 def _points(rng, dim, n):

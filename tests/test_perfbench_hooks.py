@@ -1,6 +1,8 @@
 """perfbench's traced run (`perfbench/run.py --trace 1`) wraps program
 functions by module attribute name. Installing and removing those wrappers
-here makes a rename in `src/` fail a test instead of the traced benchmark."""
+here, and tracing one solve, makes a rename in `src/` or a call that goes
+around the wrapped attributes fail a test instead of silently emptying the
+traced benchmark's metrics."""
 
 from pathlib import Path
 
@@ -9,7 +11,10 @@ import pytest
 import synthsel.bandit as bandit
 import synthsel.budget as budget
 import synthsel.orchestrator as orchestrator
+from synthsel.config import ModelConfig, RunConfig
+from synthsel.sygus import parse_query
 from synthsel.verify import Verifier
+from conftest import MAX2_TEXT
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -33,3 +38,27 @@ def test_traced_benchmark_hooks_install_and_restore(deployer, monkeypatch):
         tracer.restore()
     assert (orchestrator.build_schedule, budget.nearest_records,
             bandit.BanditStore.__dict__["load"], type(deployer).deploy) == originals
+
+
+@pytest.mark.parametrize("selector", ["single", "linear-double"])
+def test_traced_solve_records_rank_and_schedule_spans(selector, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    from spans import Tracer
+
+    config = RunConfig(selector=selector, models=(ModelConfig("m", (1, 2)),))
+    state = orchestrator.new_state(config, 0)
+    cell = orchestrator.MatrixCell(solves=True, time=1.0, cost=10.0)
+    deployer = orchestrator.MatrixDeployer(
+        {"q": {s: cell for s in state.portfolio}})
+    tracer = Tracer()
+    try:
+        layers.install(tracer, deployer)
+        record = orchestrator.solve_query(parse_query(MAX2_TEXT), "q", config,
+                                          state, deployer)
+    finally:
+        tracer.restore()
+    assert record.solved
+    names = [s.name for s in tracer.spans]
+    assert names.count("bandit.rank") == names.count("budget.schedule") == 1
+    assert "orchestrator.deploy" in names
