@@ -15,7 +15,7 @@ from .prompts import (
     select_few_shot,
     translate_constraints_nl,
 )
-from .transcript import ChatTranscript, CountedMessage, count_tokens
+from .transcript import ChatTranscript, count_tokens
 from .backends import (
     BackendError,
     BackendReply,
@@ -42,7 +42,7 @@ __all__ = [
     "remember_example", "render_initial_prompt", "render_stage2_prompt",
     "select_few_shot",
     "translate_constraints_nl",
-    "ChatTranscript", "CountedMessage", "count_tokens",
+    "ChatTranscript", "count_tokens",
     "BackendError", "BackendReply", "ChatBackend", "HttpBackend",
     "ModelRouter", "RecordingBackend", "ReplayBackend", "ReplayMissError",
     "fixture_key", "write_fixture",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 from ..sygus import (App, BoolLit, BVLit, Candidate, IntLit, Ite, SynthQuery, Term,
                      Var, print_define_fun, print_query, print_term)
@@ -306,15 +306,12 @@ EXTRACTION_FEEDBACK = (
 )
 
 
-def counterexample_feedback(assignment: dict, violated: Optional[str]) -> str:
+def counterexample_feedback(assignment: dict, violated: str) -> str:
+    """Feedback naming the counterexample and the violated constraint's text."""
     rendered = ", ".join(f"{k} = {_fmt_value(v)}"
                          for k, v in sorted(assignment.items()))
-    msg = f"Your previous answer was incorrect. On inputs {rendered or '(none)'}"
-    if violated:
-        msg += f", constraint {violated} is violated."
-    else:
-        msg += ", the constraints are violated."
-    return msg
+    return (f"Your previous answer was incorrect. On inputs {rendered or '(none)'}, "
+            f"constraint {violated} is violated.")
 
 
 def _fmt_value(v) -> str:

@@ -9,6 +9,7 @@ blow the cost slice are not sent.
 from __future__ import annotations
 
 import logging
+import re
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -16,7 +17,7 @@ from typing import Optional, Sequence, Union
 from ..bandit import SolverId, estimate_cost
 from ..outcomes import DeploymentOutcome
 from ..sygus import Candidate, SygusError, SynthQuery, parse_define_fun, print_term
-from ..verify import Verifier, evaluate, EvaluationError
+from ..verify import Verifier
 from .backends import BackendError, ChatBackend, ReplayMissError
 from .prompts import (
     EXTRACTION_FEEDBACK,
@@ -38,50 +39,42 @@ class ExtractionError(SygusError):
     pass
 
 
+_PARENS = re.compile(r"[()]")
+
+
 def extract_candidate(response_text: str,
                       expecting: str) -> Union[Candidate, str]:
-    """First balanced (define-fun ...) parsed as a Candidate, or the first
-    balanced (defun ...) returned as text, depending on `expecting`."""
+    """The (define-fun ...) at the first marker parsed as a Candidate, or the
+    (defun ...) at the first marker returned as text, depending on
+    `expecting`. If the first form does not close, no later one can."""
     if expecting == "smtlib":
         marker = "(define-fun"
     elif expecting == "lisp":
         marker = "(defun"
     else:
         raise ValueError(f"expecting must be 'lisp' or 'smtlib', got {expecting!r}")
-    spans = _balanced_spans(response_text, marker)
-    if not spans:
+    start = response_text.find(marker)
+    depth = -1  # no marker
+    if start >= 0:
+        depth = 0
+        for paren in _PARENS.finditer(response_text, start):
+            depth += 1 if paren.group() == "(" else -1
+            if not depth:
+                break
+    if depth:
         raise ExtractionError(f"no balanced {marker} ...) form in the response")
-    if len(spans) > 1:
-        log.info("response contained %d %s forms; taking the first",
-                 len(spans), marker)
-    text = spans[0]
+    end = paren.end()
+    if response_text.find(marker, end) >= 0:
+        log.info("response contained another %s form; taking the first", marker)
+    text = response_text[start:end]
     if expecting == "lisp":
         return text
     try:
         return parse_define_fun(text)
     except SygusError as exc:
         raise ExtractionError(f"cannot parse define-fun: {exc}") from exc
-
-
-def _balanced_spans(text: str, marker: str) -> list[str]:
-    spans = []
-    start = 0
-    while True:
-        idx = text.find(marker, start)
-        if idx < 0:
-            return spans
-        depth = 0
-        for j in range(idx, len(text)):
-            if text[j] == "(":
-                depth += 1
-            elif text[j] == ")":
-                depth -= 1
-                if depth == 0:
-                    spans.append(text[idx:j + 1])
-                    start = j + 1
-                    break
-        else:
-            return spans  # unbalanced tail
+    except RecursionError:
+        raise ExtractionError("define-fun nested too deeply") from None
 
 
 def _signature_matches(cand: Candidate, query: SynthQuery) -> bool:
@@ -95,7 +88,10 @@ def _signature_matches(cand: Candidate, query: SynthQuery) -> bool:
 class LlmRunResult:
     outcome: DeploymentOutcome
     transcript: ChatTranscript
-    attempts: int
+
+    @property
+    def attempts(self) -> int:
+        return self.transcript.assistant_count
 
 
 def solve_with_llm(query: SynthQuery, solver: SolverId,
@@ -125,17 +121,16 @@ def solve_with_llm(query: SynthQuery, solver: SolverId,
             time=elapsed, cost=cost_now(),
             verdict_provenance=provenance, detail=detail,
         )
-        return LlmRunResult(outcome, transcript, transcript.assistant_count)
+        return LlmRunResult(outcome, transcript)
 
-    attempts = 0
-    while attempts < MAX_ATTEMPTS:
+    while transcript.assistant_count < MAX_ATTEMPTS:
         remaining = deadline - time.monotonic()
         if remaining <= 0:
             return finish(False, None, detail="time slice exhausted")
         if cost_now() > cost_slice:
             return finish(False, None, detail="cost slice exhausted")
         try:
-            reply = backend.complete(solver.model, transcript.as_messages(),
+            reply = backend.complete(solver.model, tuple(transcript.messages),
                                      timeout=remaining)
         except ReplayMissError as exc:
             if exc.strict:
@@ -143,7 +138,6 @@ def solve_with_llm(query: SynthQuery, solver: SolverId,
             return finish(False, None, detail=f"replay gap: {exc}")
         except BackendError as exc:
             return finish(False, None, detail=f"backend failure: {exc}")
-        attempts += 1
         transcript.append(Message("assistant", reply.text),
                           tokens=reply.output_tokens)
 
@@ -177,27 +171,12 @@ def solve_with_llm(query: SynthQuery, solver: SolverId,
         if verdict.is_valid:
             return finish(True, cand, provenance=verdict.provenance)
         if verdict.is_counterexample:
-            violated = _first_violated_constraint(query, cand,
-                                                  verdict.assignment_dict())
+            violated = print_term(query.constraints[verdict.violated])
             transcript.append(Message(
-                "user",
-                counterexample_feedback(verdict.assignment_dict(), violated)))
+                "user", counterexample_feedback(verdict.assignment_dict(), violated)))
             continue
         return finish(False, None, provenance=verdict.provenance,
                       detail=f"verifier unknown: {verdict.reason}")
 
     return finish(False, None, detail="attempts exhausted")
 
-
-def _first_violated_constraint(query: SynthQuery, cand: Candidate,
-                               assignment: dict) -> Optional[str]:
-    from ..sygus import apply_candidate
-
-    sorts = dict(query.universals)
-    for c in query.constraints:
-        try:
-            if not evaluate(apply_candidate(c, cand), assignment, sorts):
-                return print_term(c)
-        except EvaluationError:
-            return print_term(c)
-    return None

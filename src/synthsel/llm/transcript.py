@@ -1,4 +1,4 @@
-"""Chat transcripts with per-message token accounting.
+"""Chat transcripts with running token totals.
 
 Token counts are a deterministic approximation -- whitespace-delimited chunks
 plus parentheses -- unless a backend supplies recorded provider counts for an
@@ -12,8 +12,6 @@ from typing import Optional
 
 from .prompts import Message
 
-_INPUT_ROLES = ("system", "user")
-
 
 def count_tokens(text: str) -> int:
     """Whitespace-delimited chunks plus the number of parentheses."""
@@ -21,37 +19,21 @@ def count_tokens(text: str) -> int:
 
 
 @dataclass
-class CountedMessage:
-    role: str
-    content: str
-    tokens: int
-
-
-@dataclass
 class ChatTranscript:
-    messages: list[CountedMessage] = field(default_factory=list)
+    """The messages so far; `append` keeps the input (system and user) and
+    output (assistant) token totals and the number of assistant answers."""
 
-    def append(self, message: Message,
-               tokens: Optional[int] = None) -> CountedMessage:
-        counted = CountedMessage(
-            role=message.role,
-            content=message.content,
-            tokens=tokens if tokens is not None else count_tokens(message.content),
-        )
-        self.messages.append(counted)
-        return counted
+    messages: list[Message] = field(default_factory=list)
+    input_tokens: int = 0
+    output_tokens: int = 0
+    assistant_count: int = 0
 
-    @property
-    def input_tokens(self) -> int:
-        return sum(m.tokens for m in self.messages if m.role in _INPUT_ROLES)
-
-    @property
-    def output_tokens(self) -> int:
-        return sum(m.tokens for m in self.messages if m.role == "assistant")
-
-    @property
-    def assistant_count(self) -> int:
-        return sum(1 for m in self.messages if m.role == "assistant")
-
-    def as_messages(self) -> list[Message]:
-        return [Message(m.role, m.content) for m in self.messages]
+    def append(self, message: Message, tokens: Optional[int] = None) -> None:
+        self.messages.append(message)
+        if tokens is None:
+            tokens = count_tokens(message.content)
+        if message.role == "assistant":
+            self.output_tokens += tokens
+            self.assistant_count += 1
+        else:
+            self.input_tokens += tokens

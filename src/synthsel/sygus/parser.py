@@ -594,6 +594,12 @@ def substitute_solution(query: SynthQuery, cand: Candidate) -> Term:
     """Conjunction of the query's constraints with every application of the
     synthesized function replaced by cand's body (parameters bound to the
     application's arguments, innermost applications first)."""
+    return conjoin(substituted_constraints(query, cand))
+
+
+def substituted_constraints(query: SynthQuery, cand: Candidate) -> list[Term]:
+    """The query's constraints, in order, each with cand substituted as in
+    `substitute_solution`; raises if cand's signature is not the synth-fun's."""
     fn = query.synth_fun
     if (cand.name != fn.name or cand.return_sort != fn.return_sort
             or cand.signature.param_sorts != fn.param_sorts):
@@ -601,7 +607,7 @@ def substitute_solution(query: SynthQuery, cand: Candidate) -> Term:
             f"candidate signature {cand.name}{cand.signature.param_sorts} -> "
             f"{cand.return_sort} does not match synth-fun "
             f"{fn.name}{fn.param_sorts} -> {fn.return_sort}")
-    return conjoin([apply_candidate(c, cand) for c in query.constraints])
+    return [apply_candidate(c, cand) for c in query.constraints]
 
 
 def parse_term_text(text: str, env: Mapping[str, Sort],

@@ -340,13 +340,7 @@ class Candidate:
         env = dict(self.params)
         if len(env) != len(self.params):
             raise SygusError(f"duplicate parameter names in {self.name!r}")
-        free = free_variables(self.body)
-        extra = free - set(env)
-        if extra:
-            raise SygusError(
-                f"candidate body references undeclared names: {sorted(extra)}"
-            )
-        got = infer_sort(self.body, env)
+        got = infer_sort(self.body, env)  # raises on any undeclared name
         if got != self.return_sort:
             raise SortError(
                 f"candidate body has sort {got}, declared return sort {self.return_sort}"
@@ -355,10 +349,6 @@ class Candidate:
     @property
     def signature(self) -> FunctionSignature:
         return FunctionSignature(self.name, self.params, self.return_sort)
-
-
-def free_variables(term: Term) -> set[str]:
-    return {t.name for t in subterms(term) if isinstance(t, Var)}
 
 
 def substitute_vars(term: Term, binding: Mapping[str, Term]) -> Term:

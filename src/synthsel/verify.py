@@ -40,11 +40,12 @@ from .sygus import (
     Var,
     BOOL,
     INT,
+    conjoin,
     infer_sort,
     print_term,
     substitute_solution,
 )
-from .sygus.parser import _head, candidate_from_sexpr, read_sexprs
+from .sygus.parser import _head, candidate_from_sexpr, read_sexprs, substituted_constraints
 from .sygus.terms import subterms
 
 log = logging.getLogger(__name__)
@@ -360,14 +361,17 @@ def _compile_source(source: str) -> Callable[..., Callable]:
 
 @dataclass(frozen=True)
 class VerificationResult:
-    """Valid / Counterexample(assignment) / Unknown(reason).
+    """Valid / Counterexample(assignment, violated) / Unknown(reason).
 
+    `violated` is the index in `query.constraints` of the first constraint
+    false at a counterexample's assignment.
     `bounded` marks a Valid verdict that only searched a finite input region.
     `provenance` records which checker produced the verdict.
     """
 
     status: str  # "valid" | "counterexample" | "unknown"
     assignment: Optional[Tuple[Tuple[str, Value], ...]] = None
+    violated: Optional[int] = None
     reason: Optional[str] = None
     bounded: bool = False
     provenance: str = "internal"
@@ -377,11 +381,11 @@ class VerificationResult:
         return VerificationResult("valid", bounded=bounded, provenance=provenance)
 
     @staticmethod
-    def counterexample(assignment: Assignment,
+    def counterexample(assignment: Assignment, violated: int,
                        provenance: str = "internal") -> "VerificationResult":
         return VerificationResult("counterexample",
                                   assignment=tuple(sorted(assignment.items())),
-                                  provenance=provenance)
+                                  violated=violated, provenance=provenance)
 
     @staticmethod
     def unknown(reason: str, provenance: str = "internal") -> "VerificationResult":
@@ -489,6 +493,7 @@ def _compile_sweep(phi: Term, names: Sequence[str], sorts: Mapping[str, Sort]
 
 
 _DEADLINE_EVERY = 1024  # sweep points between two looks at the clock
+_TOO_DEEP = VerificationResult.unknown("formula nested too deeply")
 
 
 def check_candidate_internal(query: SynthQuery, cand: Candidate,
@@ -509,25 +514,29 @@ def check_candidate_internal(query: SynthQuery, cand: Candidate,
     failure (an unbound variable, an uninterpreted function, an unsized
     bitvector operator) ends the sweep with Unknown. Past the absolute
     `deadline` (time.monotonic) the sweep stops with Unknown("deadline").
+    A formula past CPython's nesting limits (the recursion limit, or 200
+    nested parentheses in the sweep's source) gives Unknown too.
     """
     if query.logic not in ("LIA", "BV", "NIA"):
         return VerificationResult.unknown(
             f"internal checker does not evaluate logic {query.logic!r}")
     try:
-        phi = substitute_solution(query, cand)
+        parts = substituted_constraints(query, cand)
     except SygusError as exc:
         return VerificationResult.unknown(f"substitution failed: {exc}")
+    except RecursionError:
+        return _TOO_DEEP
 
     names = [n for n, _ in query.universals]
     sorts = tuple(s for _, s in query.universals)
     env = dict(query.universals)
     if not names:
         try:
-            ok = evaluate(phi, {})
+            violated = _first_false(parts, {})
         except EvaluationError:
             return VerificationResult.unknown("evaluation failed on closed query")
-        return (VerificationResult.valid(bounded=False)
-                if ok else VerificationResult.counterexample({}))
+        return (VerificationResult.valid(bounded=False) if violated is None
+                else VerificationResult.counterexample({}, violated))
 
     def point_columns() -> Iterator[Tuple[Sequence[Value], ...]]:
         # lazy: a counterexample on the grid needs no random points drawn
@@ -535,6 +544,7 @@ def check_candidate_internal(query: SynthQuery, cand: Candidate,
             yield grid_columns(sorts, config.grid_bound)
         yield sweep_columns(sorts, config.seed, config.random_samples, config.random_bound)
 
+    phi = conjoin(parts)
     decide = query.logic == "LIA"  # once, after the first chunk
     try:
         sweep = _compile_sweep(phi, names, env)
@@ -544,29 +554,41 @@ def check_candidate_internal(query: SynthQuery, cand: Candidate,
                     return VerificationResult.unknown("deadline")
                 hit = sweep(*[c[start:start + _DEADLINE_EVERY] for c in columns])
                 if hit is not None:
-                    return _confirmed_counterexample(phi, names, hit, env)
+                    return _confirmed_counterexample(parts, names, hit, env)
                 if decide:
                     if proves_valid(phi, query.universals):
                         return VerificationResult.valid(bounded=False)
                     decide = False
     except EvaluationError as exc:  # unbound, uninterpreted or unsized
         return VerificationResult.unknown(str(exc))
+    except (RecursionError, SyntaxError):  # in the decider, or compiling the sweep
+        return _TOO_DEEP
     return VerificationResult.valid(bounded=True)
 
 
-def _confirmed_counterexample(phi: Term, names: Sequence[str], point: Tuple[Value, ...],
+def _first_false(parts: Sequence[Term], assignment: Assignment,
+                 sorts: Optional[Mapping[str, Sort]] = None) -> Optional[int]:
+    """Index of the first of the substituted constraints false at the
+    assignment, or None when all hold. Every part is evaluated, as `evaluate`
+    evaluates every argument of their conjunction, so any raise propagates."""
+    values = [evaluate(p, assignment, sorts) for p in parts]
+    return next((i for i, v in enumerate(values) if not v), None)
+
+
+def _confirmed_counterexample(parts: Sequence[Term], names: Sequence[str],
+                              point: Tuple[Value, ...],
                               sorts: Mapping[str, Sort]) -> VerificationResult:
     # re-check through the reference evaluator before reporting
     assignment = dict(zip(names, point))
     try:
-        holds = evaluate(phi, assignment, sorts)
+        violated = _first_false(parts, assignment, sorts)
     except EvaluationError:
         return VerificationResult.unknown(
             "compiled sweep and evaluator disagree on a candidate counterexample")
-    if holds:
+    if violated is None:
         return VerificationResult.unknown(
             "compiled sweep produced a spurious counterexample")
-    return VerificationResult.counterexample(assignment)
+    return VerificationResult.counterexample(assignment, violated)
 
 
 # ---------------------------------------------------------------------------
@@ -606,11 +628,15 @@ def check_candidate_external(query: SynthQuery, cand: Candidate,
     unknown or timeout -> Unknown. Counterexamples that fail re-evaluation
     are downgraded to Unknown rather than reported.
     """
-    script = emit_smtlib(query, cand)
+    provenance = "external:" + " ".join(solver_command)
+    try:
+        script = emit_smtlib(query, cand)
+    except RecursionError:
+        return VerificationResult.unknown("formula nested too deeply",
+                                          provenance=provenance)
     budget = None
     if deadline is not None:
         budget = max(0.05, deadline - time.monotonic())
-    provenance = "external:" + " ".join(solver_command)
     try:
         proc = subprocess.run(
             list(solver_command),
@@ -642,16 +668,16 @@ def check_candidate_external(query: SynthQuery, cand: Candidate,
     except SygusError as exc:
         return VerificationResult.unknown(f"malformed model: {exc}",
                                           provenance=provenance)
-    phi = substitute_solution(query, cand)
     try:
-        holds = evaluate(phi, assignment, dict(query.universals))
+        violated = _first_false(substituted_constraints(query, cand), assignment,
+                                dict(query.universals))
     except EvaluationError as exc:
         return VerificationResult.unknown(
             f"cannot re-evaluate solver model: {exc}", provenance=provenance)
-    if holds:
+    if violated is None:
         return VerificationResult.unknown(
             "solver model does not falsify the constraints", provenance=provenance)
-    return VerificationResult.counterexample(assignment, provenance=provenance)
+    return VerificationResult.counterexample(assignment, violated, provenance=provenance)
 
 
 def _parse_model(text: str, sorts: Mapping[str, Sort]) -> dict[str, Value]:

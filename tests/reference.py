@@ -8,6 +8,10 @@
 - `reference_sweep`: the internal checker's search, one point at a time
   with the tree walker `evaluate`, for the generated sweep and the LIA
   decision procedure.
+- `first_violated_constraint`: the constraint a counterexample violates,
+  found by substituting the candidate into each constraint and walking it.
+- `balanced_spans`: every balanced form at a marker, character by
+  character, for the LLM answer extraction.
 - The k-NN selector by brute force: nearest records by a stable sort of
   Python distances, reward sums and rankings over dicts keyed by arm, and
   the schedule's two greedy walks through `fit_exponential` and
@@ -31,8 +35,8 @@ from synthsel.sygus.parser import (GrammarError, GrammarRules, ParseError, Synth
                                    UnsupportedError)
 from synthsel.sygus.terms import (
     App, ArityError, BoolLit, BVLit, Candidate, FunctionSignature, Hole, IntLit, Ite,
-    OPERATORS, Sort, SortError, SygusError, Term, Var, BOOL, INT, _BV, is_operator,
-    substitute_vars,
+    OPERATORS, Sort, SortError, SygusError, Term, Var, BOOL, INT, _BV, apply_candidate,
+    is_operator, substitute_vars,
 )
 from synthsel.verify import (DivisionByZero, EvaluationError, SearchConfig,
                              VerificationResult, evaluate, sweep_columns)
@@ -555,7 +559,8 @@ def grid_domain(sort: Sort, bound: int) -> list:
 
 def reference_sweep(phi: Term, universals: Sequence[Tuple[str, Sort]],
                     config: SearchConfig) -> VerificationResult:
-    """The grid, then the random points, walked one point at a time."""
+    """The grid, then the random points, walked one point at a time. `phi`
+    is one formula, so a counterexample's violated index is 0."""
     names = [n for n, _ in universals]
     sorts = tuple(s for _, s in universals)
     grid = ()
@@ -567,12 +572,53 @@ def reference_sweep(phi: Term, universals: Sequence[Tuple[str, Sort]],
         assignment = dict(zip(names, point))
         try:
             if not evaluate(phi, assignment, dict(universals)):
-                return VerificationResult.counterexample(assignment)
+                return VerificationResult.counterexample(assignment, 0)
         except DivisionByZero:
             continue
         except EvaluationError as exc:
             return VerificationResult.unknown(str(exc))
     return VerificationResult.valid(bounded=True)
+
+
+# ---------------------------------------------------------------------------
+# The LLM repair loop's walks
+# ---------------------------------------------------------------------------
+
+def first_violated_constraint(query: SynthQuery, cand: Candidate,
+                              assignment: Mapping[str, object]) -> Optional[int]:
+    """The index of the first constraint that `cand` substituted into it
+    makes false at `assignment`, or fails to evaluate there; None if all hold."""
+    sorts = dict(query.universals)
+    for i, c in enumerate(query.constraints):
+        try:
+            if not evaluate(apply_candidate(c, cand), assignment, sorts):
+                return i
+        except EvaluationError:
+            return i
+    return None
+
+
+def balanced_spans(text: str, marker: str) -> list[str]:
+    """Each balanced form that starts at `marker`, left to right; an
+    unbalanced one ends the walk."""
+    spans = []
+    start = 0
+    while True:
+        idx = text.find(marker, start)
+        if idx < 0:
+            return spans
+        depth = 0
+        for j in range(idx, len(text)):
+            if text[j] == "(":
+                depth += 1
+            elif text[j] == ")":
+                depth -= 1
+                if depth == 0:
+                    spans.append(text[idx:j + 1])
+                    start = j + 1
+                    break
+        else:
+            return spans
 
 
 # ---------------------------------------------------------------------------

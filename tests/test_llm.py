@@ -35,6 +35,7 @@ from synthsel.sygus import Candidate, parse_query, print_term
 from synthsel.verify import Verifier
 
 from conftest import MAX2_SOLUTION, ScriptedBackend
+from reference import balanced_spans
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +218,39 @@ def test_extract_bad_body_fails():
         extract_candidate("(define-fun f ((x Int)) Int (launch x))", "smtlib")
 
 
+def test_extract_reads_only_the_first_form():
+    # the first form never closes, so neither does any form after it
+    resp = "(define-fun f ((x Int)) Int (+ x 1) (define-fun f ((x Int)) Int 2)"
+    with pytest.raises(ExtractionError):
+        extract_candidate(resp, "smtlib")
+    lisp = "(defun f (a) a) then (defun g (b) b"
+    assert extract_candidate(lisp, "lisp") == "(defun f (a) a)"
+    assert extract_candidate("x) (defun f (a) (g a)) (", "lisp") == "(defun f (a) (g a))"
+
+
+@given(st.lists(st.sampled_from(["(defun", "(", ")", " a", "\n"]), max_size=30))
+def test_extract_matches_the_balanced_span_walk(pieces):
+    text = "".join(pieces)
+    spans = balanced_spans(text, "(defun")
+    if spans:
+        assert extract_candidate(text, "lisp") == spans[0]
+    else:
+        with pytest.raises(ExtractionError):
+            extract_candidate(text, "lisp")
+
+
+def _nested(levels):
+    """max2's answer wrapped in `levels` levels of (+ 0 ...)."""
+    return ("(define-fun f ((v0 Int) (v1 Int)) Int " + "(+ 0 " * levels
+            + "(ite (>= v0 v1) v0 v1)" + ")" * levels + ")")
+
+
+@pytest.mark.parametrize("levels", [600, 3000])
+def test_extract_too_deep_an_answer_fails(levels):
+    with pytest.raises(ExtractionError, match="nested too deeply"):
+        extract_candidate(_nested(levels), "smtlib")
+
+
 # ---------------------------------------------------------------------------
 # token counting and transcripts
 # ---------------------------------------------------------------------------
@@ -242,7 +276,13 @@ def test_transcript_totals():
     assert t.input_tokens == 5 + 1
     assert t.output_tokens == 99
     assert t.assistant_count == 1
-    assert sum(m.tokens for m in t.messages) == t.input_tokens + t.output_tokens
+    t.append(Message("system", "be brief"))
+    t.append(Message("assistant", "(ite (> a b) a b)"))
+    assert t.messages[-1] == Message("assistant", "(ite (> a b) a b)")
+    assert t.input_tokens == sum(count_tokens(m.content) for m in t.messages
+                                 if m.role != "assistant")
+    assert t.output_tokens == 99 + count_tokens("(ite (> a b) a b)")
+    assert t.assistant_count == 2
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +500,51 @@ def test_loop_replay_miss_modes(max2_query, tmp_path):
                               verifier=Verifier())
     assert not tolerant.outcome.solved
     assert "replay gap" in tolerant.outcome.detail
+
+
+LISP = "(defun f (v0 v1) v0)"
+
+# the replay keys of the dialogues below: recorded fixtures replay only while
+# every prompt and feedback message stays byte for byte the same
+PINNED_KEYS = {
+    4: ["41f8d941b14e878e71e12835c2ab7b41fd0f8d18c4af069d9a74ba3451448773",
+        "56f780d47ff3e519528abac761b6722abac2d7ef36366509e2255961f546bdfd"],
+    1: ["d60f6334159ef6761e3fed830dca1f8b015cb366cb028d837c17a30cbb066960",
+        "8a7e4a259bf033c4599d47daaf33d34913d4a0a2723cf049a2e22615786870b8",
+        "e80b06b9cfe8da5c27cb03f2ab8c35f7c8e5e45e5ed5c910722887acb79e5da9"],
+}
+
+
+@pytest.mark.parametrize("style, replies", [(4, [WRONG, GOOD]), (1, [LISP, WRONG, GOOD])])
+def test_feedback_names_the_violated_constraint_and_keys_stay_pinned(
+        max2_query, style, replies):
+    result, backend = _run(max2_query, replies, style=style)
+    assert result.outcome.solved
+    # v0 is max2 wherever v0 >= v1: the second constraint is the first one false
+    violated = print_term(max2_query.constraints[1])
+    assert violated == "(>= (f v0 v1) v1)"
+    assert backend.calls[-1][-1] == Message(
+        "user", "Your previous answer was incorrect. On inputs v0 = -32, v1 = -31, "
+                f"constraint {violated} is violated.")
+    assert [fixture_key("m", call) for call in backend.calls] == PINNED_KEYS[style]
+
+
+@pytest.mark.parametrize("levels", [250, 400])
+def test_loop_survives_an_answer_too_deep_to_verify(max2_query, levels):
+    # 250 levels parse, but the sweep's source then nests more than CPython's
+    # 200 parentheses; at 400, substitution passes the recursion limit
+    result, backend = _run(max2_query, [_nested(levels), GOOD])
+    assert not result.outcome.solved
+    assert result.outcome.detail == "verifier unknown: formula nested too deeply"
+    assert len(backend.calls) == 1
+
+
+def test_loop_survives_an_answer_too_deep_to_parse(max2_query):
+    result, _ = _run(max2_query, [_nested(600), GOOD])
+    assert result.outcome.solved
+    assert result.attempts == 2
+    assert any("did not contain a parsable" in m.content
+               for m in result.transcript.messages if m.role == "user")
 
 
 def test_outcome_solved_candidate_verified(max2_query):

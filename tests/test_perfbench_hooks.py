@@ -14,7 +14,7 @@ import synthsel.orchestrator as orchestrator
 from synthsel.config import ModelConfig, RunConfig
 from synthsel.sygus import parse_query
 from synthsel.verify import Verifier
-from conftest import MAX2_TEXT
+from conftest import MAX2_SOLUTION, MAX2_TEXT, ScriptedBackend
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -62,3 +62,41 @@ def test_traced_solve_records_rank_and_schedule_spans(selector, monkeypatch):
     names = [s.name for s in tracer.spans]
     assert names.count("bandit.rank") == names.count("budget.schedule") == 1
     assert "orchestrator.deploy" in names
+
+
+def test_traced_llm_solve_reports_the_transcript_totals(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    from spans import Tracer
+
+    results = []
+    solve = orchestrator.solve_with_llm
+
+    def keep(*args, **kwargs):
+        results.append(solve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(orchestrator, "solve_with_llm", keep)
+    config = RunConfig(selector="single", models=(ModelConfig("m", (4,)),),
+                       include_enumerator=False)
+    state = orchestrator.new_state(config, 0)
+    wrong = "(define-fun f ((v0 Int) (v1 Int)) Int v0)"
+    deployer = orchestrator.SolverDeployer(
+        Verifier(), backend=ScriptedBackend([wrong, MAX2_SOLUTION], output_tokens=[7, 9]))
+    tracer = Tracer()
+    try:
+        layers.install(tracer, deployer)
+        record = orchestrator.solve_query(parse_query(MAX2_TEXT), "q", config,
+                                          state, deployer)
+    finally:
+        tracer.restore()
+    assert record.solved
+    [result] = results
+    [span] = [s for s in tracer.spans if s.name == "llm.solve"]
+    transcript = result.transcript
+    assert span.attrs == {"attempts": transcript.assistant_count,
+                          "input_tokens": transcript.input_tokens,
+                          "output_tokens": transcript.output_tokens}
+    assert (result.attempts, transcript.output_tokens) == (2, 7 + 9)
+    assert transcript.input_tokens > 0
+    assert [s.name for s in tracer.spans].count("llm.extract") == 2

@@ -27,6 +27,8 @@ from synthsel.sygus import (
     parse_define_fun,
     parse_query,
     parse_term_text,
+    print_define_fun,
+    print_query,
     print_term,
     subterms,
 )
@@ -49,7 +51,7 @@ from synthsel.verify import (
 )
 
 from conftest import MAX2_SOLUTION, MAX2_TEXT, MAX3_SOLUTION
-from reference import grid_domain, reference_sweep
+from reference import first_violated_constraint, grid_domain, reference_sweep
 
 # max3's answer minus (mod v0 1), which is 0 everywhere: `mod` is outside
 # the LIA decision procedure, so the checker sweeps every grid and sample
@@ -733,3 +735,112 @@ def test_verifier_kept_verdict_past_the_deadline_is_unknown(max2_query, counted)
     assert res == VerificationResult.unknown("deadline")
     assert v.check(max2_query, cand, time.monotonic() + 60.0).is_counterexample
     assert len(counted) == 1
+
+
+@pytest.mark.parametrize("levels", [250, 400])
+def test_too_deep_a_formula_is_unknown(max2_query, levels, stub_solver_factory):
+    # CPython compiles at most 200 nested parentheses, and at 400 levels
+    # substitution passes the recursion limit
+    body = "(+ 0 " * levels + "(ite (>= v0 v1) v0 v1)" + ")" * levels
+    cand = parse_define_fun(f"(define-fun f ((v0 Int) (v1 Int)) Int {body})")
+    assert check_candidate_internal(max2_query, cand) == \
+        VerificationResult.unknown("formula nested too deeply")
+    # an internal Unknown goes on to the external solver, whose script
+    # substitutes the candidate too
+    cmd = stub_solver_factory("unsat_solver", "unsat\n")
+    external = Verifier(solver_command=(cmd,)).check(max2_query, cand)
+    if levels == 250:
+        assert external.is_valid
+    else:
+        assert external == VerificationResult.unknown("formula nested too deeply",
+                                                      provenance=f"external:{cmd}")
+
+
+# ---------------------------------------------------------------------------
+# a counterexample names the first constraint it violates
+# ---------------------------------------------------------------------------
+
+# constraint templates over {x} and {y} (the universals, or literals in a
+# closed query) and a literal {k}; `div` by {y} is often zero
+_TEMPLATES = {
+    "LIA": (("(>= (f {x} {y}) {x})", "(>= (f {x} {y}) {y})",
+             "(or (= (f {x} {y}) {x}) (= (f {x} {y}) {y}))", "(<= (f {x} {y}) (+ {x} {k}))",
+             "(=> (> {x} {k}) (= (f {x} {y}) {y}))", "(>= (div (f {x} {y}) {y}) {k})",
+             "(= (f {x} {y}) (f {y} {x}))", "(< (f (f {x} {y}) {y}) (+ {k} {x}))"),
+            ("a", "b", "(+ a {k})", "(ite (>= a b) a b)", "(- a b)", "{k}",
+             "(ite (> a {k}) b a)")),
+    "BV": (("(bvult (f {x} {y}) (bvor {x} {k}))", "(= (bvand (f {x} {y}) {x}) (f {x} {y}))",
+            "(=> (bvult {x} {k}) (= (f {x} {y}) {x}))", "(not (= (f {x} {y}) {k}))",
+            "(bvult {y} (bvadd (f {x} {y}) #x01))", "(= (f {x} {y}) (f {y} {x}))"),
+           ("a", "b", "(bvadd a {k})", "(bvand a b)", "(bvor a b)", "{k}", "(bvnot a)")),
+}
+_SORT_TEXT = {"LIA": "Int", "BV": "(_ BitVec 8)"}
+_SMALL = SearchConfig(grid_bound=3, random_samples=200, random_bound=20)
+
+
+def _literal(logic, value):
+    if logic == "BV":
+        return f"#x{value:02x}"
+    return str(value) if value >= 0 else f"(- {-value})"
+
+
+def _random_case(rng, closed):
+    """A query with 2-4 constraints and a candidate, most often wrong."""
+    logic = rng.choice(("LIA", "BV"))
+    constraints, bodies = _TEMPLATES[logic]
+    sort = _SORT_TEXT[logic]
+
+    def lit():
+        return _literal(logic, rng.randrange(256) if logic == "BV" else rng.randrange(-3, 6))
+
+    x, y = (lit(), lit()) if closed else ("x", "y")
+    text = (f"(set-logic {logic})\n(synth-fun f ((a {sort}) (b {sort})) {sort})\n"
+            + ("" if closed else f"(declare-var x {sort})\n(declare-var y {sort})\n")
+            + "".join(f"(constraint {rng.choice(constraints).format(x=x, y=y, k=lit())})\n"
+                      for _ in range(rng.randint(2, 4)))
+            + "(check-synth)\n")
+    body = rng.choice(bodies).format(k=lit())
+    return (parse_query(text),
+            parse_define_fun(f"(define-fun f ((a {sort}) (b {sort})) {sort} {body})"))
+
+
+def _assert_names_the_oracle_constraint(query, cand, verdict):
+    if not verdict.is_counterexample:
+        assert verdict.violated is None
+        return None
+    want = first_violated_constraint(query, cand, verdict.assignment_dict())
+    assert want is not None
+    assert verdict.violated == want, (print_query(query), print_define_fun(cand))
+    return want
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["sweep", "closed-query"])
+def test_counterexample_names_the_first_violated_constraint(closed):
+    rng = random.Random(5)
+    named = []
+    for _ in range(150):
+        query, cand = _random_case(rng, closed)
+        verdict = check_candidate_internal(query, cand, _SMALL)
+        named.append(_assert_names_the_oracle_constraint(query, cand, verdict))
+    # most candidates are wrong, and often not first on constraint 0
+    assert sum(i is not None for i in named) >= 60
+    assert sum(i is not None and i > 0 for i in named) >= 20
+
+
+def test_external_counterexample_names_the_first_violated_constraint(stub_solver_factory):
+    rng = random.Random(6)
+    named = []
+    for n in range(16):
+        query, cand = _random_case(rng, closed=False)
+        logic = query.logic
+        point = {v: rng.randrange(256) if logic == "BV" else rng.randrange(-3, 4)
+                 for v, _ in query.universals}
+        model = "".join(f"(define-fun {v} () {_SORT_TEXT[logic]} {_literal(logic, point[v])})"
+                        for v in point)
+        cmd = stub_solver_factory(f"solver{n}", f"sat\n({model})\n")
+        verdict = check_candidate_external(query, cand, [cmd])
+        if verdict.is_counterexample:
+            assert verdict.assignment_dict() == point
+        named.append(_assert_names_the_oracle_constraint(query, cand, verdict))
+    assert sum(i is not None for i in named) >= 5
+    assert sum(i is not None and i > 0 for i in named) >= 2
