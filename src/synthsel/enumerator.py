@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence, Tuple, TypeVar
 
 from .sygus import (App, Candidate, Grammar, SygusError, SynthQuery, Term, Var,
                     conjoin, fill_holes, map_children, substitute_solution)
-from .sygus.grammar import Production
+from .sygus.grammar import Production, edge_cost, min_completion_costs
 from .sygus.terms import BOOL
 from .verify import (Assignment, EvaluationError, Verifier, compile_template,
                      compile_term, evaluate)
@@ -51,38 +51,6 @@ class SearchResult:
 @dataclass(frozen=True)
 class EnumeratorConfig:
     max_frontier: int = 4_000_000  # frontier memory cap; breach ends the search
-
-
-def edge_cost(nonterminal: str, grammar: Grammar) -> float:
-    """Cost of one expansion step: the number of choices at that nonterminal."""
-    try:
-        prods = grammar.productions[nonterminal]
-    except KeyError:
-        raise KeyError(f"unknown nonterminal {nonterminal!r}") from None
-    return float(len(prods))
-
-
-def min_completion_costs(grammar: Grammar) -> dict[str, float]:
-    """Least total edge cost to rewrite each nonterminal into a hole-free term
-    (least fixpoint; finite because the grammar has no dead nonterminals)."""
-    mc: dict[str, float] = {nt: math.inf for nt in grammar.productions}
-    changed = True
-    while changed:
-        changed = False
-        for nt, prods in grammar.productions.items():
-            base = edge_cost(nt, grammar)
-            best = mc[nt]
-            for p in prods:
-                total = base + sum(mc[h] for h in p.holes)
-                if total < best:
-                    best = total
-            if best < mc[nt]:
-                mc[nt] = best
-                changed = True
-    stuck = [nt for nt, v in mc.items() if math.isinf(v)]
-    if stuck:
-        raise ValueError(f"nonterminals cannot complete: {stuck}")
-    return mc
 
 
 def _flat_productions(grammar: Grammar) -> Tuple[list[Production], dict[str, list[int]]]:
@@ -198,19 +166,23 @@ def _compiled_check(flat: Sequence[Production], examples: Sequence[Assignment],
     evaluated at the precomputed invocation points of f and the constraints
     by one predicate over the examples' values and f's results. A program
     whose compiled evaluation raises, and every program of a phase where an
-    argument of f fails to evaluate, goes to the reference check; only an
-    accepted program is rebuilt as a term and sort-checked."""
+    argument of f fails to evaluate or the constraints nest too deeply to
+    compile, goes to the reference check; only an accepted program is
+    rebuilt as a term and sort-checked."""
     reference = _reference_check(flat, examples, query)
     if not examples or not query.constraints:
         return reference
-    found = _invocations(query, examples)
-    if found is None:
-        return reference
-    phi, slots, per_example = found
     fn = query.synth_fun
-    sorts = dict(query.universals)
-    sorts.update((slot, fn.return_sort) for slot in slots)
-    pred = compile_term(phi, [n for n, _ in query.universals] + slots, sorts)
+    try:
+        found = _invocations(query, examples)
+        if found is None:
+            return reference
+        phi, slots, per_example = found
+        sorts = dict(query.universals)
+        sorts.update((slot, fn.return_sort) for slot in slots)
+        pred = compile_term(phi, [n for n, _ in query.universals] + slots, sorts)
+    except (RecursionError, EvaluationError):
+        return reference
     arity = [len(p.holes) for p in flat]
     builders = [compile_template(p.template, fn.param_names, dict(fn.params))
                 for p in flat]

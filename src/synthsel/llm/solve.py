@@ -77,13 +77,6 @@ def extract_candidate(response_text: str,
         raise ExtractionError("define-fun nested too deeply") from None
 
 
-def _signature_matches(cand: Candidate, query: SynthQuery) -> bool:
-    fn = query.synth_fun
-    return (cand.name == fn.name
-            and cand.signature.param_sorts == fn.param_sorts
-            and cand.return_sort == fn.return_sort)
-
-
 @dataclass
 class LlmRunResult:
     outcome: DeploymentOutcome
@@ -157,8 +150,8 @@ def solve_with_llm(query: SynthQuery, solver: SolverId,
             transcript.append(Message("user", EXTRACTION_FEEDBACK))
             continue
         assert isinstance(cand, Candidate)
-        if not _signature_matches(cand, query):
-            fn = query.synth_fun
+        fn = query.synth_fun
+        if not cand.signature.matches(fn):
             transcript.append(Message(
                 "user",
                 f"Your previous answer defines the wrong function. Define "

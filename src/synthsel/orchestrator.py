@@ -314,12 +314,17 @@ def solve_query(query: SynthQuery, query_id: str, config: RunConfig,
 # Scoring
 # ---------------------------------------------------------------------------
 
+def _par2_term(solved: bool, elapsed: float, T: float) -> float:
+    """One query's share of a Par-2 score: its solve time, or twice the
+    per-query time budget when unsolved."""
+    return elapsed if solved else 2.0 * T
+
+
 def par2(records: Sequence[QueryRecord], T: float) -> float:
-    """Sum of solve times with unsolved queries penalized at twice the
-    per-query time budget; lower is better."""
+    """Sum of the records' Par-2 terms; lower is better."""
     if T <= 0:
         raise ValueError(f"time budget must be positive, got {T}")
-    return sum((r.elapsed if r.solved else 2.0 * T) for r in records)
+    return sum(_par2_term(r.solved, r.elapsed, T) for r in records)
 
 
 @dataclass(frozen=True)
@@ -351,9 +356,7 @@ def virtual_best(matrix: Mapping[str, Mapping[SolverId, DeploymentOutcome]],
         total_reward += best.reward(reward_kind)
         if best.solved:
             solved += 1
-            score += best.time
-        else:
-            score += 2.0 * T
+        score += _par2_term(best.solved, best.time, T)
     return VirtualBestReport(solved=solved, total=len(matrix), par2=score,
                              total_reward=total_reward,
                              choices=tuple(choices))
@@ -415,7 +418,7 @@ class RunReport:
         out = []
         acc = 0.0
         for i, r in enumerate(self.records, start=1):
-            acc += r.elapsed if r.solved else 2.0 * self.time_budget
+            acc += _par2_term(r.solved, r.elapsed, self.time_budget)
             out.append((i, acc))
         return out
 

@@ -8,6 +8,7 @@ production's template.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
@@ -25,6 +26,7 @@ from .terms import (
     Var,
     BOOL,
     INT,
+    literal_sort,
     map_children,
     print_term,
     subterms,
@@ -78,24 +80,6 @@ class Grammar:
     def __post_init__(self) -> None:
         self.validate()
 
-    @property
-    def nonterminals(self) -> Tuple[str, ...]:
-        return tuple(self.productions)
-
-    def terminal_symbols(self) -> set[str]:
-        """Operator and leaf tokens occurring in templates (excluding holes)."""
-        out: set[str] = set()
-        for prods in self.productions.values():
-            for p in prods:
-                for t in subterms(p.template):
-                    if isinstance(t, App):
-                        out.add(t.op)
-                    elif isinstance(t, Ite):
-                        out.add("ite")
-                    elif not isinstance(t, Hole):
-                        out.add(print_term(t))
-        return out
-
     def validate(self) -> None:
         if self.start not in self.productions:
             raise GrammarError(f"start symbol {self.start!r} has no productions")
@@ -111,140 +95,95 @@ class Grammar:
                     if h not in self.productions:
                         raise GrammarError(
                             f"production {p} references unknown nonterminal {h!r}")
-        overlap = set(self.productions) & self.terminal_symbols()
-        if overlap:
-            raise GrammarError(
-                f"symbols used as both nonterminal and terminal: {sorted(overlap)}")
-        dead = set(self.productions) - self.derivable_nonterminals()
+        dead = [nt for nt, cost in min_completion_costs(self).items() if math.isinf(cost)]
         if dead:
             raise GrammarError(f"dead nonterminals (derive no terminal string): "
                                f"{sorted(dead)}")
 
-    def derivable_nonterminals(self) -> set[str]:
-        """Nonterminals that can derive a hole-free term in finitely many steps."""
-        done: set[str] = set()
-        changed = True
-        while changed:
-            changed = False
-            for nt, prods in self.productions.items():
-                if nt in done:
-                    continue
-                for p in prods:
-                    if all(h in done for h in p.holes):
-                        done.add(nt)
-                        changed = True
-                        break
-        return done
+
+def edge_cost(nonterminal: str, grammar: Grammar) -> float:
+    """Cost of one expansion step: the number of choices at that nonterminal."""
+    try:
+        prods = grammar.productions[nonterminal]
+    except KeyError:
+        raise KeyError(f"unknown nonterminal {nonterminal!r}") from None
+    return float(len(prods))
+
+
+def min_completion_costs(grammar: Grammar) -> dict[str, float]:
+    """Least total edge cost to rewrite each nonterminal into a hole-free term
+    (least fixpoint); infinite exactly for a dead nonterminal, which no
+    validated grammar has."""
+    mc: dict[str, float] = {nt: math.inf for nt in grammar.productions}
+    changed = True
+    while changed:
+        changed = False
+        for nt, prods in grammar.productions.items():
+            base = edge_cost(nt, grammar)
+            best = mc[nt]
+            for p in prods:
+                total = base + sum(mc[h] for h in p.holes)
+                if total < best:
+                    best = total
+            if best < mc[nt]:
+                mc[nt] = best
+                changed = True
+    return mc
 
 
 # ---------------------------------------------------------------------------
 # Default full-logic grammars
 # ---------------------------------------------------------------------------
 
+# per logic: the word nonterminal, the word operators and the relations
+_DEFAULT_RULES = {
+    "LIA": ("I", ("+", "-", "*"), (">=", "<=", "=")),
+    "BV": ("W", ("bvadd", "bvsub", "bvand", "bvor", "bvxor", "bvnot"), ("=", "bvult")),
+}
+
+
 def default_grammar(logic: str, signature: FunctionSignature,
-                    int_literals: Sequence[int] = (),
-                    bv_literals: Sequence[Tuple[int, int]] = ()) -> Grammar:
+                    literals: Sequence[Term] = ()) -> Grammar:
     """Grammar covering the whole solution space of the logic for this
-    signature: parameters, a finite literal pool ({0, 1} plus the literals
-    observed in the query), and the logic's operator set.
+    signature. The word nonterminal derives the parameters of the word sort,
+    a finite literal pool ({0, 1} plus the given literals of that sort, by
+    value), the word operators and ite; B derives the Bool parameters, the
+    relations over words and the connectives.
     """
-    if logic == "LIA":
-        return _lia_grammar(signature, int_literals)
-    if logic == "BV":
-        return _bv_grammar(signature, bv_literals)
-    raise UnsupportedError(f"no default grammar for logic {logic!r}")
-
-
-def _lia_grammar(signature: FunctionSignature,
-                 int_literals: Sequence[int]) -> Grammar:
-    int_prods: list[TemplateTerm] = []
-    bool_prods: list[TemplateTerm] = []
-    for name, sort in signature.params:
-        if sort == INT:
-            int_prods.append(Var(name))
-        elif sort == BOOL:
-            bool_prods.append(Var(name))
-    pool = sorted({0, 1, *int_literals})
-    int_prods.extend(IntLit(v) for v in pool)
-    I, B = Hole("I"), Hole("B")
-    int_prods.extend([
-        App("+", (I, I)),
-        App("-", (I, I)),
-        App("*", (I, I)),
-        Ite(B, I, I),
-    ])
-    bool_prods.extend([
-        App(">=", (I, I)),
-        App("<=", (I, I)),
-        App("=", (I, I)),
-        App("and", (B, B)),
-        App("or", (B, B)),
-        App("not", (B,)),
-    ])
-    if signature.return_sort == INT:
-        start = "I"
-    elif signature.return_sort == BOOL:
-        start = "B"
-    else:
-        raise UnsupportedError(
-            f"LIA default grammar cannot produce sort {signature.return_sort}")
-    return Grammar(
-        start=start,
-        sorts={"I": INT, "B": BOOL},
-        productions={
-            "I": tuple(Production("I", t) for t in int_prods),
-            "B": tuple(Production("B", t) for t in bool_prods),
-        },
-    )
-
-
-def _bv_grammar(signature: FunctionSignature,
-                bv_literals: Sequence[Tuple[int, int]]) -> Grammar:
+    try:
+        nt, operators, relations = _DEFAULT_RULES[logic]
+    except KeyError:
+        raise UnsupportedError(f"no default grammar for logic {logic!r}") from None
+    word = INT if logic == "LIA" else _bv_word(signature)
     ret = signature.return_sort
-    if ret.name == "BitVec":
-        width = ret.width
-    else:
-        widths = {s.width for _, s in signature.params if s.name == "BitVec"}
-        if len(widths) != 1:
-            raise UnsupportedError("BV default grammar needs one bitvector width")
-        width = widths.pop()
-    assert width is not None
-    word_prods: list[TemplateTerm] = [
-        Var(name) for name, sort in signature.params if sort == Sort.bitvec(width)
-    ]
-    pool = sorted({0, 1, *(v for v, w in bv_literals if w == width)})
-    word_prods.extend(BVLit(v, width) for v in pool)
-    W, B = Hole("W"), Hole("B")
-    word_prods.extend([
-        App("bvadd", (W, W)),
-        App("bvsub", (W, W)),
-        App("bvand", (W, W)),
-        App("bvor", (W, W)),
-        App("bvxor", (W, W)),
-        App("bvnot", (W,)),
-        Ite(B, W, W),
-    ])
-    bool_prods: list[TemplateTerm] = [
-        App("=", (W, W)),
-        App("bvult", (W, W)),
-        App("and", (B, B)),
-        App("or", (B, B)),
-        App("not", (B,)),
-    ]
-    if ret == BOOL:
-        start = "B"
-    elif ret == Sort.bitvec(width):
-        start = "W"
-    else:
-        raise UnsupportedError(f"BV default grammar cannot produce sort {ret}")
+    if ret not in (word, BOOL):
+        raise UnsupportedError(f"{logic} default grammar cannot produce sort {ret}")
+    W, B = Hole(nt), Hole("B")
+    pool = sorted({0, 1, *(t.value for t in literals if literal_sort(t) == word)})
+    word_prods: list[TemplateTerm] = [Var(n) for n, s in signature.params if s == word]
+    word_prods += [IntLit(v) if word == INT else BVLit(v, word.width) for v in pool]
+    word_prods += [App(op, (W,) if op == "bvnot" else (W, W)) for op in operators]
+    word_prods.append(Ite(B, W, W))
+    bool_prods: list[TemplateTerm] = [Var(n) for n, s in signature.params if s == BOOL]
+    bool_prods += [App(op, (W, W)) for op in relations]
+    bool_prods += [App("and", (B, B)), App("or", (B, B)), App("not", (B,))]
     return Grammar(
-        start=start,
-        sorts={"W": Sort.bitvec(width), "B": BOOL},
-        productions={
-            "W": tuple(Production("W", t) for t in word_prods),
-            "B": tuple(Production("B", t) for t in bool_prods),
-        },
+        start=nt if ret == word else "B",
+        sorts={nt: word, "B": BOOL},
+        productions={nt: tuple(Production(nt, t) for t in word_prods),
+                     "B": tuple(Production("B", t) for t in bool_prods)},
     )
+
+
+def _bv_word(signature: FunctionSignature) -> Sort:
+    """The one bitvector sort of a BV signature: its return sort's, else its
+    parameters'."""
+    if signature.return_sort.name == "BitVec":
+        return signature.return_sort
+    words = {s for _, s in signature.params if s.name == "BitVec"}
+    if len(words) != 1:
+        raise UnsupportedError("BV default grammar needs one bitvector width")
+    return words.pop()
 
 
 def grammar_for_query(query) -> Grammar:
@@ -252,7 +191,8 @@ def grammar_for_query(query) -> Grammar:
     if query.user_grammar is not None:
         return grammar_from_rules(query.user_grammar)
     return default_grammar(query.logic, query.synth_fun,
-                           query.int_literals(), query.bv_literals())
+                           [t for c in query.constraints for t in subterms(c)
+                            if isinstance(t, (IntLit, BVLit))])
 
 
 # ---------------------------------------------------------------------------

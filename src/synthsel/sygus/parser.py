@@ -37,7 +37,6 @@ from .terms import (
     print_param_list,
     print_term,
     substitute_vars,
-    subterms,
 )
 
 
@@ -370,21 +369,13 @@ class SynthQuery:
     from_inv_constraint: bool = False
     source_token_count: int = 0
 
-    def int_literals(self) -> Tuple[int, ...]:
-        """Distinct integer literals appearing in the constraints, sorted."""
-        return tuple(sorted({t.value for c in self.constraints
-                             for t in subterms(c) if isinstance(t, IntLit)}))
-
-    def bv_literals(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple(sorted({(t.value, t.width) for c in self.constraints
-                             for t in subterms(c) if isinstance(t, BVLit)}))
-
 
 def parse_query(text: str) -> SynthQuery:
     """Parse SyGuS-IF source into a SynthQuery.
 
     The printed form of the result round-trips to a semantically identical
-    query. Exactly one synth-fun is required.
+    query. Exactly one synth-fun is required. A query nested past the
+    recursion limit raises ParseError.
     """
     commands, token_count = read_sexprs(text)
     try:
@@ -392,6 +383,8 @@ def parse_query(text: str) -> SynthQuery:
     except ParseError as exc:
         _place(exc, text, commands)
         raise
+    except RecursionError:
+        raise ParseError("query nested too deeply") from None
 
 
 def _query(commands: Sequence[SExpr], token_count: int, text: str) -> SynthQuery:
@@ -601,8 +594,7 @@ def substituted_constraints(query: SynthQuery, cand: Candidate) -> list[Term]:
     """The query's constraints, in order, each with cand substituted as in
     `substitute_solution`; raises if cand's signature is not the synth-fun's."""
     fn = query.synth_fun
-    if (cand.name != fn.name or cand.return_sort != fn.return_sort
-            or cand.signature.param_sorts != fn.param_sorts):
+    if not cand.signature.matches(fn):
         raise SygusError(
             f"candidate signature {cand.name}{cand.signature.param_sorts} -> "
             f"{cand.return_sort} does not match synth-fun "

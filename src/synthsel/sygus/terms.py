@@ -325,6 +325,11 @@ class FunctionSignature:
     def param_names(self) -> Tuple[str, ...]:
         return tuple(n for n, _ in self.params)
 
+    def matches(self, other: "FunctionSignature") -> bool:
+        """Same name, parameter sorts and return sort; parameter names may differ."""
+        return (self.name == other.name and self.param_sorts == other.param_sorts
+                and self.return_sort == other.return_sort)
+
 
 @dataclass(frozen=True)
 class Candidate:

@@ -349,9 +349,13 @@ _GENERATED_GLOBALS = {"_ediv": _euclidean_div, "_emod": _euclidean_mod, "_eq": _
 @functools.lru_cache(maxsize=1024)
 def _compile_source(source: str) -> Callable[..., Callable]:
     """The `_make` of generated source (a template's maker or a sweep), built
-    once per distinct source: the same ones recur across CEGIS phases and queries."""
+    once per distinct source: the same ones recur across CEGIS phases and queries.
+    Source nested past CPython's parser limits raises EvaluationError."""
     namespace = dict(_GENERATED_GLOBALS)
-    exec(source, namespace)  # noqa: S102 - generated from parsed terms; names are mangled
+    try:
+        exec(source, namespace)  # noqa: S102 - generated from parsed terms; names are mangled
+    except (SyntaxError, MemoryError, RecursionError):
+        raise EvaluationError("formula nested too deeply") from None
     return namespace["_make"]
 
 
@@ -514,8 +518,8 @@ def check_candidate_internal(query: SynthQuery, cand: Candidate,
     failure (an unbound variable, an uninterpreted function, an unsized
     bitvector operator) ends the sweep with Unknown. Past the absolute
     `deadline` (time.monotonic) the sweep stops with Unknown("deadline").
-    A formula past CPython's nesting limits (the recursion limit, or 200
-    nested parentheses in the sweep's source) gives Unknown too.
+    A formula past CPython's nesting limits (the recursion limit, or the
+    parser's limits on the sweep's source) gives Unknown too.
     """
     if query.logic not in ("LIA", "BV", "NIA"):
         return VerificationResult.unknown(
@@ -559,9 +563,9 @@ def check_candidate_internal(query: SynthQuery, cand: Candidate,
                     if proves_valid(phi, query.universals):
                         return VerificationResult.valid(bounded=False)
                     decide = False
-    except EvaluationError as exc:  # unbound, uninterpreted or unsized
+    except EvaluationError as exc:  # unbound, uninterpreted, unsized or too deep
         return VerificationResult.unknown(str(exc))
-    except (RecursionError, SyntaxError):  # in the decider, or compiling the sweep
+    except RecursionError:  # in the decider, or generating the sweep's source
         return _TOO_DEEP
     return VerificationResult.valid(bounded=True)
 

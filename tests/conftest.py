@@ -40,6 +40,14 @@ MAX2_TEXT = """\
 (check-synth)
 """
 
+
+def deep_query_text(levels: int) -> str:
+    """A legal query whose one constraint nests `levels` levels of (and true ...)."""
+    body = "(and true " * levels + "(>= (f x) x)" + ")" * levels
+    return ("(set-logic LIA)\n(synth-fun f ((x Int)) Int)\n(declare-var x Int)\n"
+            f"(constraint {body})\n(check-synth)\n")
+
+
 MAX3_SOLUTION = ("(define-fun f ((v0 Int) (v1 Int) (v2 Int)) Int "
                  "(ite (>= v0 v1) (ite (>= v0 v2) v0 v2) (ite (>= v1 v2) v1 v2)))")
 

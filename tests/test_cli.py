@@ -5,7 +5,7 @@ import pytest
 from synthsel.cli import main
 from synthsel.config import ModelConfig, RunConfig
 
-from conftest import MAX2_TEXT
+from conftest import MAX2_TEXT, deep_query_text
 
 
 def test_solve_enumerator_prints_define_fun(tmp_path, capsys):
@@ -16,6 +16,15 @@ def test_solve_enumerator_prints_define_fun(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.strip().startswith("(define-fun f ")
+
+
+def test_solve_enumerator_takes_parameters_named_like_nonterminals(tmp_path, capsys):
+    path = tmp_path / "max2.sl"
+    path.write_text(MAX2_TEXT.replace("v0", "I").replace("v1", "B"))
+    assert main(["solve", str(path), "--selector", "fixed:enumerator",
+                 "--time-budget", "60"]) == 0
+    assert capsys.readouterr().out.strip() == \
+        "(define-fun f ((I Int) (B Int)) Int (ite (>= I B) I B))"
 
 
 def test_solve_malformed_file_exits_2(tmp_path, capsys):
@@ -387,3 +396,22 @@ def test_rules_that_form_no_grammar_are_a_malformed_query(rules, needle, tmp_pat
                  "--time-budget", "30", "--out", str(out_dir)]) == 0
     report = json.loads((out_dir / "report.json").read_text())
     assert report["records"] == [] and report["skipped"] == [str(path)]
+
+
+def test_run_survives_too_deeply_nested_queries(tmp_path):
+    # 250 levels are past the compiler's nesting limit, 600 past the
+    # recursion limit in the enumerator and 3,000 past it in the parser
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for levels in (250, 600, 3000):
+        (corpus / f"deep{levels}.sl").write_text(deep_query_text(levels))
+    (corpus / "max2.sl").write_text(MAX2_TEXT)
+    out_dir = tmp_path / "out"
+    assert main(["run", str(corpus), "--selector", "fixed:enumerator",
+                 "--time-budget", "1", "--out", str(out_dir)]) == 0
+    report = json.loads((out_dir / "report.json").read_text())
+    solved = {r["query_id"]: r["solved"] for r in report["records"]}
+    assert solved == {str(corpus / "deep250.sl"): False,
+                      str(corpus / "deep600.sl"): False,
+                      str(corpus / "max2.sl"): True}
+    assert report["skipped"] == [str(corpus / "deep3000.sl")]

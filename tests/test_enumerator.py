@@ -24,6 +24,7 @@ from synthsel.sygus import (
     INT,
     grammar_for_query,
     parse_query,
+    print_term,
     substitute_solution,
 )
 from synthsel.sygus.grammar import Hole, Production
@@ -255,6 +256,38 @@ def test_cegis_sums_search_counters_over_phases(max2_query, monkeypatch):
     assert res.status is SearchStatus.SOLVED and res.iterations == len(phases) > 1
     assert res.expansions == sum(p.expansions for p in phases)
     assert res.dequeued_complete == sum(p.dequeued_complete for p in phases)
+
+
+@pytest.mark.parametrize("text, body", [
+    pytest.param("""(set-logic LIA)
+(synth-fun f ((I Int) (B Int)) Int)
+(declare-var I Int)
+(declare-var B Int)
+(constraint (>= (f I B) I))
+(constraint (>= (f I B) B))
+(constraint (or (= I (f I B)) (= B (f I B))))
+(check-synth)
+""", "(ite (>= I B) I B)", id="lia-max2"),
+    pytest.param("""(set-logic LIA)
+(synth-fun f ((I Int) (B Bool)) Int)
+(declare-var I Int)
+(declare-var B Bool)
+(constraint (= (f I B) (ite B I 0)))
+(check-synth)
+""", "(ite B I 0)", id="lia-bool-param"),
+    pytest.param("""(set-logic BV)
+(synth-fun f ((W (_ BitVec 4)) (B (_ BitVec 4))) (_ BitVec 4))
+(declare-var W (_ BitVec 4))
+(declare-var B (_ BitVec 4))
+(constraint (= (f W B) (bvand W B)))
+(check-synth)
+""", "(bvand W B)", id="bv"),
+])
+def test_parameters_may_share_a_nonterminals_name(text, body):
+    q = parse_query(text)
+    res = cegis_solve(q, grammar_for_query(q), _deadline(60), Verifier())
+    assert res.status is SearchStatus.SOLVED
+    assert print_term(res.candidate.body) == body
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from synthsel.sygus import (
     substitute_solution,
     subterms,
 )
-from synthsel.sygus.grammar import Hole, Production, fill_holes
+from synthsel.sygus.grammar import Hole, Production, fill_holes, min_completion_costs
 from synthsel.sygus.parser import _position
 
 import reference
@@ -334,7 +335,79 @@ def test_default_grammar_depth2_terms_well_sorted(max3_query):
 def test_default_grammar_derivable():
     g = default_grammar("LIA",
                         parse_query(MAX3_TEXT).synth_fun)
-    assert g.derivable_nonterminals() == {"I", "B"}
+    costs = min_completion_costs(g)
+    assert set(costs) == {"I", "B"}
+    assert all(math.isfinite(c) for c in costs.values())
+
+
+_BV_BOOL_RELATIONS = ["B -> (= W W)", "B -> (bvult W W)", "B -> (and B B)",
+                      "B -> (or B B)", "B -> (not B)"]
+
+
+@pytest.mark.parametrize("text, start, expected", [
+    pytest.param("""(set-logic LIA)
+(synth-fun f ((x Int) (p Bool) (y Int)) Int)
+(declare-var x Int)
+(declare-var p Bool)
+(declare-var y Int)
+(constraint (>= (f x p y) 7))
+(constraint (or p (= (f x p y) (- x 3))))
+(constraint (> (f x p y) (- 5)))
+(constraint (<= (f x p y) 100))
+(check-synth)
+""", "I", [
+        ["I -> x", "I -> y", "I -> (- 5)", "I -> 0", "I -> 1", "I -> 3", "I -> 7",
+         "I -> 100", "I -> (+ I I)", "I -> (- I I)", "I -> (* I I)",
+         "I -> (ite B I I)"],
+        ["B -> p", "B -> (>= I I)", "B -> (<= I I)", "B -> (= I I)",
+         "B -> (and B B)", "B -> (or B B)", "B -> (not B)"],
+    ], id="lia-int-literals"),
+    pytest.param("""(set-logic LIA)
+(synth-fun f ((x Int) (p Bool)) Bool)
+(declare-var x Int)
+(declare-var p Bool)
+(constraint (= (f x p) (and p (>= x 2))))
+(check-synth)
+""", "B", [
+        ["I -> x", "I -> 0", "I -> 1", "I -> 2", "I -> (+ I I)", "I -> (- I I)",
+         "I -> (* I I)", "I -> (ite B I I)"],
+        ["B -> p", "B -> (>= I I)", "B -> (<= I I)", "B -> (= I I)",
+         "B -> (and B B)", "B -> (or B B)", "B -> (not B)"],
+    ], id="lia-bool-param"),
+    pytest.param("""(set-logic BV)
+(synth-fun f ((a (_ BitVec 8)) (c (_ BitVec 4)) (b (_ BitVec 8))) (_ BitVec 8))
+(declare-var a (_ BitVec 8))
+(declare-var b (_ BitVec 8))
+(declare-var c (_ BitVec 4))
+(constraint (= (f a c b) (bvand a #x0f)))
+(constraint (= (bvor c #b1010) (bvor #b1010 c)))
+(check-synth)
+""", "W", [
+        ["W -> a", "W -> b", "W -> #b00000000", "W -> #b00000001",
+         "W -> #b00001111", "W -> (bvadd W W)", "W -> (bvsub W W)",
+         "W -> (bvand W W)", "W -> (bvor W W)", "W -> (bvxor W W)",
+         "W -> (bvnot W)", "W -> (ite B W W)"],
+        _BV_BOOL_RELATIONS,
+    ], id="bv-word-literals-of-two-widths"),
+    # a declared change: the Bool parameter joins B (it used to be dropped,
+    # so no BV function could read it)
+    pytest.param("""(set-logic BV)
+(synth-fun f ((a (_ BitVec 4)) (p Bool)) Bool)
+(declare-var a (_ BitVec 4))
+(declare-var p Bool)
+(constraint (= (f a p) (and p (bvult a #x3))))
+(check-synth)
+""", "B", [
+        ["W -> a", "W -> #b0000", "W -> #b0001", "W -> #b0011", "W -> (bvadd W W)",
+         "W -> (bvsub W W)", "W -> (bvand W W)", "W -> (bvor W W)",
+         "W -> (bvxor W W)", "W -> (bvnot W)", "W -> (ite B W W)"],
+        ["B -> p"] + _BV_BOOL_RELATIONS,
+    ], id="bv-bool-param"),
+])
+def test_default_grammar_productions_in_order(text, start, expected):
+    g = grammar_for_query(parse_query(text))
+    assert g.start == start
+    assert [[str(p) for p in prods] for prods in g.productions.values()] == expected
 
 
 def test_user_grammar_unit_production_inlined():

@@ -50,7 +50,7 @@ from synthsel.verify import (
     sweep_columns,
 )
 
-from conftest import MAX2_SOLUTION, MAX2_TEXT, MAX3_SOLUTION
+from conftest import MAX2_SOLUTION, MAX2_TEXT, MAX3_SOLUTION, deep_query_text
 from reference import first_violated_constraint, grid_domain, reference_sweep
 
 # max3's answer minus (mod v0 1), which is 0 everywhere: `mod` is outside
@@ -754,6 +754,14 @@ def test_too_deep_a_formula_is_unknown(max2_query, levels, stub_solver_factory):
     else:
         assert external == VerificationResult.unknown("formula nested too deeply",
                                                       provenance=f"external:{cmd}")
+
+
+def test_too_deep_a_query_is_unknown():
+    # the sweep's source nests past CPython's parser limits (MemoryError)
+    query = parse_query(deep_query_text(250))
+    cand = parse_define_fun("(define-fun f ((x Int)) Int x)")
+    assert Verifier().check(query, cand) == \
+        VerificationResult.unknown("formula nested too deeply")
 
 
 # ---------------------------------------------------------------------------
