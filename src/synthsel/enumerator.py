@@ -38,6 +38,7 @@ class SearchStatus(Enum):
     EXHAUSTED = "exhausted"
     TIMEOUT = "timeout"
     FRONTIER_CAP = "frontier cap"
+    TOO_DEEP = "formula nested too deeply"
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,8 @@ def _reference_check(flat: Sequence[Production], examples: Sequence[Assignment],
                      query: SynthQuery) -> Check:
     """The tree-walking check: sort-check the program as a Candidate,
     substitute it into the constraints and evaluate them on every example.
-    Division by zero and any other failure reject the program."""
+    Division by zero and any other failure reject the program, except a
+    `RecursionError`: the constraints nest too deeply for every program."""
     fn = query.synth_fun
     sorts = dict(query.universals)
 
@@ -120,6 +122,8 @@ def _reference_check(flat: Sequence[Production], examples: Sequence[Assignment],
     def check(choices: Tuple[int, ...]) -> Optional[Candidate]:
         try:
             return consistent(reconstruct_term(choices, flat))
+        except RecursionError:
+            raise
         except Exception:
             return None
 
@@ -217,6 +221,7 @@ def astar_synthesize(grammar: Grammar,
     """Return the first dequeued complete program consistent with every
     constraint on every example; priority is spent cost plus heuristic, ties
     FIFO. `deadline` is absolute (time.monotonic); checked on every expansion.
+    A check that passes the recursion limit ends the search as TOO_DEEP.
     """
     mc = min_completion_costs(grammar)
     flat, by_nt = _flat_productions(grammar)
@@ -250,7 +255,10 @@ def astar_synthesize(grammar: Grammar,
 
         if not pending:
             completes += 1
-            cand = check(choices)
+            try:
+                cand = check(choices)
+            except RecursionError:
+                return stop(SearchStatus.TOO_DEEP)
             if cand is not None:
                 return SearchResult(SearchStatus.SOLVED, cand,
                                     expansions=expansions,
@@ -294,6 +302,7 @@ class CegisResult:
     provenance: str = ""  # of the verdict that accepted the candidate
     expansions: int = 0         # summed over the A* phases
     dequeued_complete: int = 0  # summed over the A* phases
+    bounded: bool = False  # the accepting verdict searched only a finite region
 
 
 def cegis_solve(query: SynthQuery, grammar: Grammar, deadline: float,
@@ -307,9 +316,9 @@ def cegis_solve(query: SynthQuery, grammar: Grammar, deadline: float,
     iterations = expansions = completes = 0
 
     def finish(status: SearchStatus, cand: Optional[Candidate] = None,
-               provenance: str = "") -> CegisResult:
+               provenance: str = "", bounded: bool = False) -> CegisResult:
         return CegisResult(status, cand, iterations, tuple(examples), provenance,
-                           expansions, completes)
+                           expansions, completes, bounded)
 
     while True:
         result = astar_synthesize(grammar, examples, query, deadline, config)
@@ -322,7 +331,7 @@ def cegis_solve(query: SynthQuery, grammar: Grammar, deadline: float,
         assert cand is not None
         verdict = verifier.check(query, cand, deadline)
         if verdict.is_valid:
-            return finish(SearchStatus.SOLVED, cand, verdict.provenance)
+            return finish(SearchStatus.SOLVED, cand, verdict.provenance, verdict.bounded)
         if verdict.is_counterexample:
             ce = verdict.assignment_dict()
             if __debug__ and query.constraints:

@@ -98,8 +98,6 @@ def solve_with_llm(query: SynthQuery, solver: SolverId,
     started = time.monotonic()
 
     transcript = ChatTranscript()
-    for msg in render_initial_prompt(query, style, few_shot_pool):
-        transcript.append(msg)
     stage = "lisp" if style.higher_resource_pl else "smtlib"
 
     def cost_now() -> float:
@@ -107,14 +105,22 @@ def solve_with_llm(query: SynthQuery, solver: SolverId,
                              transcript.output_tokens, solver)
 
     def finish(solved: bool, candidate: Optional[Candidate],
-               provenance: str = "", detail: str = "") -> LlmRunResult:
+               provenance: str = "", detail: str = "",
+               bounded: bool = False) -> LlmRunResult:
         elapsed = time.monotonic() - started
         outcome = DeploymentOutcome(
             solver=solver, solved=solved, candidate=candidate,
             time=elapsed, cost=cost_now(),
-            verdict_provenance=provenance, detail=detail,
+            verdict_provenance=provenance, detail=detail, verdict_bounded=bounded,
         )
         return LlmRunResult(outcome, transcript)
+
+    try:
+        opening = render_initial_prompt(query, style, few_shot_pool)
+    except RecursionError:  # the natural-language rendering walks the terms
+        return finish(False, None, detail="query nested too deeply")
+    for msg in opening:
+        transcript.append(msg)
 
     while transcript.assistant_count < MAX_ATTEMPTS:
         remaining = deadline - time.monotonic()
@@ -162,7 +168,8 @@ def solve_with_llm(query: SynthQuery, solver: SolverId,
 
         verdict = verifier.check(query, cand, deadline)
         if verdict.is_valid:
-            return finish(True, cand, provenance=verdict.provenance)
+            return finish(True, cand, provenance=verdict.provenance,
+                          bounded=verdict.bounded)
         if verdict.is_counterexample:
             violated = print_term(query.constraints[verdict.violated])
             transcript.append(Message(

@@ -126,7 +126,7 @@ class SolverDeployer:
             solver=solver, solved=solved,
             candidate=result.candidate if solved else None,
             time=elapsed, cost=ENUMERATOR_COST,
-            verdict_provenance=result.provenance,
+            verdict_provenance=result.provenance, verdict_bounded=result.bounded,
             detail=(f"cegis {result.status.value}: {result.iterations} iterations, "
                     f"{result.expansions} expansions, "
                     f"{result.dequeued_complete} candidates"),

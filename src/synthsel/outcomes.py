@@ -22,6 +22,7 @@ class DeploymentOutcome:
     rewards: Mapping[str, float] = field(default_factory=dict)  # time/cost/binary
     verdict_provenance: str = ""
     detail: str = ""
+    verdict_bounded: bool = False  # the accepting verdict searched only a finite region
 
     def __post_init__(self) -> None:
         if self.solved and self.candidate is None:
@@ -44,6 +45,7 @@ class DeploymentOutcome:
             "cost": self.cost,
             "rewards": dict(self.rewards),
             "verdict_provenance": self.verdict_provenance,
+            "verdict_bounded": self.verdict_bounded,
             "detail": self.detail,
         }
 
@@ -60,5 +62,6 @@ class DeploymentOutcome:
             cost=float(obj["cost"]),
             rewards=dict(obj.get("rewards", {})),
             verdict_provenance=obj.get("verdict_provenance", ""),
+            verdict_bounded=bool(obj.get("verdict_bounded", False)),
             detail=obj.get("detail", ""),
         )

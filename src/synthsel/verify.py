@@ -5,10 +5,13 @@ and an external SMT-solver subprocess client.
 Terms and grammar templates become generated Python with `evaluate`'s
 semantics (`compile_term`/`compile_template` for the A* check). The sweep
 is one generated loop per candidate over cached grid and sample columns.
-After its first chunk finds nothing, `lia.proves_valid` decides an LIA
-formula exactly; only BV and formulas outside its fragment get a bounded
-Valid. The tree walker `evaluate` is the oracle and the single-point
-evaluator.
+After its first chunk finds nothing, one exact step decides the formula:
+`lia.proves_valid` for LIA, and for BV one numpy evaluation over every
+point of a domain of at most 2^16 points (`domain_columns`), emitted by the
+same walk with a second op table. A bounded Valid is left only for BV
+domains past 2^16 points, operators outside the BV fragment and LIA
+formulas the decider declines. The tree walker `evaluate` is the oracle
+and the single-point evaluator.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ import time
 from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .lia import proves_valid
 from .sygus import (
@@ -226,7 +231,7 @@ def compile_template(template: Term, var_names: Sequence[str],
         widths = tuple(w for _, w in kids)
         found = makers.get(widths)
         if found is None:
-            expr, width, used = _expression(template, index, sorts, widths)
+            expr, width, used, _ = _expression(template, index, sorts, widths)
             reads = "".join(f"        v{i} = env[{i}]\n" for i in sorted(used))
             source = (f"def _make({', '.join(f'k{i}' for i in range(len(kids)))}):\n"
                       f"    def _f(env):\n{reads}        return {expr}\n    return _f\n")
@@ -240,12 +245,18 @@ def compile_template(template: Term, var_names: Sequence[str],
     return lambda kids: node
 
 
+Apply = Callable[[str, Sequence[str], Optional[int], bool], Tuple[str, bool]]
+
+
 def _expression(template: Term, index: Mapping[str, int],
-                sorts: Optional[Mapping[str, Sort]], hole_widths: Sequence[Optional[int]]
-                ) -> Tuple[str, Optional[int], set[int]]:
+                sorts: Optional[Mapping[str, Sort]], hole_widths: Sequence[Optional[int]],
+                apply: Optional[Apply] = None) -> Tuple[str, Optional[int], set[int], bool]:
     """The template as a Python expression over the locals `v<i>` (the
-    variable at index i) and `k<j>(env)` (its j-th hole), its width and the
-    variable indices it reads."""
+    variable at index i) and `k<j>(env)` (its j-th hole), its width, the
+    variable indices it reads and whether evaluating it can raise.
+    `apply` is the op table: `_apply` (the default) for values, or
+    `_apply_vector` for whole-domain numpy columns."""
+    apply = apply or _apply
     holes = itertools.count()
     used: set[int] = set()
 
@@ -265,21 +276,21 @@ def _expression(template: Term, index: Mapping[str, int],
             return f"v{index[t.name]}", width, False
         if isinstance(t, Ite):
             cond, then, other = emit(t.cond), emit(t.then_branch), emit(t.else_branch)
-            return (f"({then[0]} if {cond[0]} else {other[0]})", then[1],
-                    cond[2] or then[2] or other[2])
+            expr, raises = apply("ite", [cond[0], then[0], other[0]], then[1], False)
+            return expr, then[1], raises or cond[2] or then[2] or other[2]
         if isinstance(t, App):
             args = [emit(a) for a in t.args]
             width = args[0][1] if args else None  # _bv_width follows args[0]
             if t.op in _BV_OPS and t.op != "bvult" and width is None:
                 return (_raising(f"cannot infer bitvector width for {print_term(t)}",
                                  [a for a, _, _ in args]), None, True)
-            expr, raises = _apply(t.op, [a for a, _, _ in args], width,
-                                  any(r for _, _, r in args[1:]))
+            expr, raises = apply(t.op, [a for a, _, _ in args], width,
+                                 any(r for _, _, r in args[1:]))
             return expr, width, raises or any(r for _, _, r in args)
         raise EvaluationError(f"not a term: {t!r}")
 
-    expr, width, _ = emit(template)
-    return expr, width, used
+    expr, width, raises = emit(template)
+    return expr, width, used, raises
 
 
 def _raising(message: str, args: Sequence[str]) -> str:
@@ -297,6 +308,8 @@ def _apply(op: str, args: Sequence[str], width: Optional[int],
     application itself can raise. `and`, `or`, `=>` and n-ary `=` take
     Python's short-circuit forms only when no argument after the first can
     raise, which then gives the same value as evaluating every argument."""
+    if op == "ite":
+        return f"({args[1]} if {args[0]} else {args[2]})", False
     if op == "-" and len(args) == 1:
         return f"(-{args[0]})", False
     if op in _INFIX:
@@ -327,6 +340,32 @@ def _apply(op: str, args: Sequence[str], width: Optional[int],
     return _raising(f"cannot evaluate uninterpreted function {op!r}", args), True
 
 
+def _apply_vector(op: str, args: Sequence[str], width: Optional[int],
+                  later_raises: bool) -> Tuple[str, bool]:
+    """`_apply` over numpy columns for the BV fragment: the bitvector
+    operators keep their forms, `ite` is an eager `np.where` and the Bool
+    operators are numpy's logical functions (`~True` is -2). Nothing in the
+    fragment can raise, so evaluating every argument is exact. Any other
+    operator is emitted as raising, which keeps the formula off this path."""
+    if op in _BV_OPS:
+        return _apply(op, args, width, later_raises)
+    if op == "ite":
+        return f"_np.where({', '.join(args)})", False
+    if op == "not":
+        return f"_np.logical_not({args[0]})", False
+    if op == "=>":
+        expr = args[-1]
+        for a in reversed(args[:-1]):
+            expr = f"_np.logical_or(_np.logical_not({a}), {expr})"
+        return expr, False
+    if op == "=":
+        pairs = [f"({a} == {b})" for a, b in zip(args, args[1:])]
+        return _apply_vector("and", pairs or ["True"], width, later_raises)
+    if op in ("and", "or"):
+        return functools.reduce(lambda acc, a: f"_np.logical_{op}({acc}, {a})", args), False
+    return _raising(f"cannot evaluate {op!r} over the whole domain", args), True
+
+
 def _eq(*args: Value) -> bool:
     return all(a == b for a, b in zip(args, args[1:]))
 
@@ -343,7 +382,8 @@ def _raise(message: str, *args: Value) -> Value:
 
 
 _GENERATED_GLOBALS = {"_ediv": _euclidean_div, "_emod": _euclidean_mod, "_eq": _eq,
-                      "_implies": _implies, "_raise": _raise, "_DivByZero": DivisionByZero}
+                      "_implies": _implies, "_raise": _raise, "_DivByZero": DivisionByZero,
+                      "_np": np}
 
 
 @functools.lru_cache(maxsize=1024)
@@ -496,6 +536,90 @@ def _compile_sweep(phi: Term, names: Sequence[str], sorts: Mapping[str, Sort]
         f"        return ({values},)\n    except _DivByZero:\n      pass\n")
 
 
+# ---------------------------------------------------------------------------
+# The exact whole-domain step for small bitvector formulas
+# ---------------------------------------------------------------------------
+
+_DOMAIN_BITS = 16  # at most 2^16 points; a larger domain keeps the bounded sweep
+
+
+@functools.lru_cache(maxsize=16)
+def domain_columns(sorts: Tuple[Sort, ...]) -> Optional[Tuple[np.ndarray, ...]]:
+    """Every point of a domain of Bool and BitVec variables in
+    `itertools.product` order, one read-only column per variable, or None
+    for another sort or a domain past `_DOMAIN_BITS` bits. Bool columns are
+    bool; BitVec columns share uint8 when every width is at most 8 and
+    uint16 otherwise, so an operator wraps in the dtype and its mask makes
+    it exact."""
+    if not all(s == BOOL or s.name == "BitVec" for s in sorts):
+        return None
+    bits = [1 if s == BOOL else s.width for s in sorts]
+    if sum(bits) > _DOMAIN_BITS:
+        return None
+    dtype = np.uint8 if all(s == BOOL or s.width <= 8 for s in sorts) else np.uint16
+    sizes = [1 << b for b in bits]
+    columns = []
+    for i, sort in enumerate(sorts):
+        values = np.array([False, True]) if sort == BOOL else np.arange(sizes[i], dtype=dtype)
+        column = np.tile(np.repeat(values, math.prod(sizes[i + 1:])), math.prod(sizes[:i]))
+        column.setflags(write=False)
+        columns.append(column)
+    return tuple(columns)
+
+
+@functools.lru_cache(maxsize=16)
+def _sweep_order(sorts: Tuple[Sort, ...], config: SearchConfig) -> np.ndarray:
+    """The domain index of each point the bounded sweep visits (the grid,
+    then the samples), in the sweep's order; the domain fits `_DOMAIN_BITS`."""
+    sizes = tuple(2 if s == BOOL else 1 << s.width for s in sorts)
+    blocks = [sweep_columns(sorts, config.seed, config.random_samples, config.random_bound)]
+    if len(sorts) <= config.max_grid_vars:
+        blocks.insert(0, grid_columns(sorts, config.grid_bound))
+    order = np.concatenate([np.ravel_multi_index([np.asarray(c, dtype=np.intp) for c in block],
+                                                 sizes) for block in blocks]).astype(np.uint16)
+    order.setflags(write=False)
+    return order
+
+
+def _whole_domain_verdict(phi: Term, parts: Sequence[Term],
+                          universals: Sequence[Tuple[str, Sort]], config: SearchConfig,
+                          deadline: Optional[float]) -> Optional[VerificationResult]:
+    """The exact verdict of `phi` from one numpy evaluation over its whole
+    domain, or None to keep the bounded sweep: for an Int universal, a
+    domain past `_DOMAIN_BITS` bits, an Int literal, a literal wider than
+    the columns' dtype or an operator outside the BV fragment. A
+    counterexample is the first false point in the sweep's order, so it is
+    the one the sweep finds, and else the first false point of the domain."""
+    sorts = tuple(s for _, s in universals)
+    columns = domain_columns(sorts)
+    if columns is None:
+        return None
+    bits = 8 * max(c.itemsize for c in columns)
+    if any(isinstance(t, IntLit) or isinstance(t, BVLit) and t.width > bits
+           for t in subterms(phi)):
+        return None
+    names = [n for n, _ in universals]
+    env = dict(universals)
+    expr, _, _, raises = _expression(phi, {n: i for i, n in enumerate(names)}, env, (),
+                                     _apply_vector)
+    if raises:
+        return None
+    if deadline is not None and time.monotonic() > deadline:
+        return VerificationResult.unknown("deadline")
+    try:
+        holds = _compile_source(f"def _make({', '.join(f'v{i}' for i in range(len(names)))}):"
+                                f"\n  return {expr}\n")
+    except EvaluationError:  # nested past the parser's limits
+        return None
+    false = np.broadcast_to(np.logical_not(holds(*columns)), columns[0].shape)
+    if not false.any():
+        return VerificationResult.valid(bounded=False)
+    order = _sweep_order(sorts, config)
+    swept = false[order]
+    at = order[swept.argmax()] if swept.any() else false.argmax()
+    return _confirmed_counterexample(parts, names, tuple(c[at].item() for c in columns), env)
+
+
 _DEADLINE_EVERY = 1024  # sweep points between two looks at the clock
 _TOO_DEEP = VerificationResult.unknown("formula nested too deeply")
 
@@ -508,18 +632,26 @@ def check_candidate_internal(query: SynthQuery, cand: Candidate,
 
     Exhaustive grid over [-B, B]^n for n <= max_grid_vars variables, then
     seeded random sampling over a wider range, in chunks of
-    `_DEADLINE_EVERY` points. When the first chunk finds nothing in an LIA
-    query, `proves_valid` is asked once: if it proves the formula, the
-    verdict is an exact Valid (bounded=False); else the sweep goes on from
-    the second chunk, so every counterexample and Unknown is the sweep's.
-    A Valid the sweep reaches (BV, or a formula the procedure cannot
-    decide) is bounded-confidence. Points where evaluation divides by zero
-    cannot witness falsification and are skipped; any other evaluation
-    failure (an unbound variable, an uninterpreted function, an unsized
-    bitvector operator) ends the sweep with Unknown. Past the absolute
-    `deadline` (time.monotonic) the sweep stops with Unknown("deadline").
-    A formula past CPython's nesting limits (the recursion limit, or the
-    parser's limits on the sweep's source) gives Unknown too.
+    `_DEADLINE_EVERY` points. When the first chunk finds nothing, one exact
+    step runs. In an LIA query `proves_valid` is asked: a proof is an exact
+    Valid (bounded=False). In a BV query whose universals are BitVec or
+    Bool, whose domain holds at most 2^16 points and whose formula stays in
+    the BV fragment (`bvadd bvsub bvand bvor bvxor bvnot bvult`, `= and or
+    not => ite`, BitVec and Bool literals), the clock is read once and the
+    formula is evaluated over the whole domain: no false point is an exact
+    Valid, and a false point is a counterexample, the first in the sweep's
+    order if the sweep would reach one, so it is the point the sweep finds.
+    Otherwise the sweep goes on from the second chunk, so every other
+    counterexample and Unknown is the sweep's. A Valid the sweep reaches
+    (a larger BV domain, an operator outside the fragment, or an LIA
+    formula the decider declines) is bounded-confidence. Points where
+    evaluation divides by zero cannot witness falsification and are
+    skipped; any other evaluation failure (an unbound variable, an
+    uninterpreted function, an unsized bitvector operator) ends the sweep
+    with Unknown. Past the absolute `deadline` (time.monotonic) the sweep
+    stops with Unknown("deadline"). A formula past CPython's nesting limits
+    (the recursion limit, or the parser's limits on the sweep's source)
+    gives Unknown too.
     """
     if query.logic not in ("LIA", "BV", "NIA"):
         return VerificationResult.unknown(
@@ -549,7 +681,18 @@ def check_candidate_internal(query: SynthQuery, cand: Candidate,
         yield sweep_columns(sorts, config.seed, config.random_samples, config.random_bound)
 
     phi = conjoin(parts)
-    decide = query.logic == "LIA"  # once, after the first chunk
+    stepped = False
+
+    def exact_step() -> Optional[VerificationResult]:
+        # once: after the first chunk, or at the end when there is no point
+        nonlocal stepped
+        stepped = True
+        if query.logic == "BV":
+            return _whole_domain_verdict(phi, parts, query.universals, config, deadline)
+        if query.logic == "LIA" and proves_valid(phi, query.universals):
+            return VerificationResult.valid(bounded=False)
+        return None
+
     try:
         sweep = _compile_sweep(phi, names, env)
         for columns in point_columns():
@@ -559,14 +702,16 @@ def check_candidate_internal(query: SynthQuery, cand: Candidate,
                 hit = sweep(*[c[start:start + _DEADLINE_EVERY] for c in columns])
                 if hit is not None:
                     return _confirmed_counterexample(parts, names, hit, env)
-                if decide:
-                    if proves_valid(phi, query.universals):
-                        return VerificationResult.valid(bounded=False)
-                    decide = False
+                verdict = None if stepped else exact_step()
+                if verdict is not None:
+                    return verdict
+        verdict = None if stepped else exact_step()
     except EvaluationError as exc:  # unbound, uninterpreted, unsized or too deep
         return VerificationResult.unknown(str(exc))
     except RecursionError:  # in the decider, or generating the sweep's source
         return _TOO_DEEP
+    if verdict is not None:
+        return verdict
     return VerificationResult.valid(bounded=True)
 
 
@@ -717,10 +862,11 @@ class Verifier:
     """Internal-first verification with optional external confirmation.
 
     The internal checker runs first; its Valid is exact for LIA formulas the
-    decision procedure proves and bounded otherwise. When an external solver
-    command is configured, its verdict supersedes an internal Valid; an
-    external `unknown` leaves the candidate unconfirmed (treated as unsolved
-    upstream).
+    decision procedure proves and for BV formulas it checks over the whole
+    domain (at most 2^16 points, the BV fragment), and bounded otherwise.
+    When an external solver command is configured, its verdict supersedes
+    an internal Valid; an external `unknown` leaves the candidate
+    unconfirmed (treated as unsolved upstream).
 
     Each distinct candidate is checked once per query: the Valid and
     Counterexample verdicts of the last query object seen are kept, and a

@@ -7,7 +7,8 @@
   records and the grammar validation with `synthsel.sygus`.
 - `reference_sweep`: the internal checker's search, one point at a time
   with the tree walker `evaluate`, for the generated sweep and the LIA
-  decision procedure.
+  decision procedure; `reference_whole_domain` goes on over every point of
+  a small BitVec/Bool domain, for the exact BV step.
 - `first_violated_constraint`: the constraint a counterexample violates,
   found by substituting the candidate into each constraint and walking it.
 - `balanced_spans`: every balanced form at a marker, character by
@@ -578,6 +579,23 @@ def reference_sweep(phi: Term, universals: Sequence[Tuple[str, Sort]],
         except EvaluationError as exc:
             return VerificationResult.unknown(str(exc))
     return VerificationResult.valid(bounded=True)
+
+
+def reference_whole_domain(phi: Term, universals: Sequence[Tuple[str, Sort]],
+                           config: SearchConfig) -> VerificationResult:
+    """`reference_sweep`'s points, then every point of the BitVec/Bool
+    domain in `itertools.product` order: the first false point, or an
+    exact Valid when there is none."""
+    swept = reference_sweep(phi, universals, config)
+    if not swept.is_valid:
+        return swept
+    names = [n for n, _ in universals]
+    domains = [[False, True] if s == BOOL else range(1 << s.width) for _, s in universals]
+    for point in itertools.product(*domains):
+        assignment = dict(zip(names, point))
+        if not evaluate(phi, assignment, dict(universals)):
+            return VerificationResult.counterexample(assignment, 0)
+    return VerificationResult.valid(bounded=False)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from synthsel.sygus import (
 from synthsel.sygus.grammar import Hole, Production
 from synthsel.verify import Verifier, evaluate
 
-from conftest import PartialProgram, heuristic, random_small_grammar
+from conftest import PartialProgram, deep_query_text, heuristic, random_small_grammar
 
 
 def _deadline(seconds: float) -> float:
@@ -240,6 +240,18 @@ def test_cegis_deadline_respected(max3_query):
     elapsed = time.monotonic() - start
     assert res.status is SearchStatus.TIMEOUT
     assert elapsed < 4.0  # deadline plus bounded overshoot
+
+
+def test_cegis_ends_at_once_on_a_query_too_deep_to_check():
+    # every candidate's tree walk passes the recursion limit, so the first
+    # one ends the phase instead of the search spending its whole slice
+    query = parse_query(deep_query_text(600))
+    start = time.monotonic()
+    res = cegis_solve(query, grammar_for_query(query), start + 5.0, Verifier())
+    assert res.status is SearchStatus.TOO_DEEP
+    assert res.status.value == "formula nested too deeply"
+    assert (res.iterations, res.dequeued_complete) == (1, 1)
+    assert time.monotonic() - start < 1.0
 
 
 def test_cegis_sums_search_counters_over_phases(max2_query, monkeypatch):

@@ -34,7 +34,7 @@ from synthsel.llm import (
 from synthsel.sygus import Candidate, parse_query, print_term
 from synthsel.verify import Verifier
 
-from conftest import MAX2_SOLUTION, ScriptedBackend
+from conftest import MAX2_SOLUTION, ScriptedBackend, deep_query_text
 from reference import balanced_spans
 
 
@@ -545,6 +545,46 @@ def test_loop_survives_an_answer_too_deep_to_parse(max2_query):
     assert result.attempts == 2
     assert any("did not contain a parsable" in m.content
                for m in result.transcript.messages if m.role == "user")
+
+
+@pytest.mark.parametrize("style", range(1, 7))
+def test_loop_survives_a_query_too_deep_to_render(style):
+    # the natural-language rendering (styles 1, 2 and 6) passes the
+    # recursion limit at 600 levels; 3-5 render the query, and the verifier
+    # then finds it too deep
+    query = parse_query(deep_query_text(600))
+    answer = "(defun f (x) x)\n(define-fun f ((x Int)) Int x)"
+    result, backend = _run(query, [answer, answer], style=style)
+    assert not result.outcome.solved
+    kind = PromptStyle.from_index(style)
+    if kind.natural_language:
+        assert result.outcome.detail == "query nested too deeply"
+        assert backend.calls == []
+        assert result.outcome.cost == 0.0
+        assert (result.transcript.input_tokens, result.transcript.output_tokens) == (0, 0)
+    else:
+        assert result.outcome.detail == "verifier unknown: formula nested too deeply"
+        assert len(backend.calls) == 1 + kind.higher_resource_pl  # the Lisp stage
+
+
+_BV = "(_ BitVec 8)"
+_BV_QUERY = (f"(set-logic BV)\n(synth-fun f ((x {_BV}) (y {_BV})) {_BV})\n"
+             f"(declare-var x {_BV})\n(declare-var y {_BV})\n"
+             f"(constraint (= (f x y) (bvand x (bvnot y))))\n(check-synth)\n")
+# max2's answer minus (mod v0 1): outside the LIA decider, so only swept
+_MAX2_SWEPT = ("(define-fun f ((v0 Int) (v1 Int)) Int "
+               "(- (ite (>= v0 v1) v0 v1) (mod v0 1)))")
+
+
+@pytest.mark.parametrize("text, answer, bounded", [
+    (_BV_QUERY, f"(define-fun f ((x {_BV}) (y {_BV})) {_BV} (bvand (bvnot y) x))", False),
+    (None, _MAX2_SWEPT, True),
+], ids=["bv-exact", "lia-swept"])
+def test_loop_outcome_says_whether_the_verdict_was_bounded(max2_query, text, answer,
+                                                           bounded):
+    result, _ = _run(parse_query(text) if text else max2_query, [answer])
+    assert result.outcome.solved
+    assert result.outcome.verdict_bounded is bounded
 
 
 def test_outcome_solved_candidate_verified(max2_query):

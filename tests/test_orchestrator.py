@@ -24,9 +24,9 @@ from synthsel.orchestrator import (
 from synthsel.outcomes import DeploymentOutcome
 from synthsel.reports import load_report, rescore, write_run_outputs
 from synthsel.sygus import parse_query
-from synthsel.verify import Verifier
+from synthsel.verify import VerificationResult, Verifier
 
-from conftest import MAX2_TEXT
+from conftest import MAX2_TEXT, deep_query_text
 
 E = SolverId.enumerator()
 P1 = SolverId.llm("m", 1)
@@ -441,6 +441,40 @@ def test_enumerator_reports_true_verdict_provenance():
     outcome = deployer.deploy(query, "q", entry, new_state(config, 0))
     assert outcome.solved
     assert outcome.verdict_provenance == "internal"
+
+
+class _BoundedVerifier(Verifier):
+    def check(self, query, cand, deadline=None):
+        return VerificationResult.valid(bounded=True)
+
+
+@pytest.mark.parametrize("verifier, bounded", [(Verifier(), False),
+                                                (_BoundedVerifier(), True)],
+                         ids=["exact", "bounded"])
+def test_enumerator_outcome_says_whether_the_verdict_was_bounded(verifier, bounded):
+    from synthsel.budget import ScheduleEntry
+
+    deployer = SolverDeployer(verifier=verifier)
+    entry = ScheduleEntry(E, time=60.0, cost=100.0)
+    outcome = deployer.deploy(parse_query(MAX2_TEXT), "q", entry, new_state(_config(), 0))
+    assert outcome.solved and outcome.verdict_bounded is bounded
+    encoded = outcome.to_json()
+    assert encoded["verdict_bounded"] is bounded
+    assert DeploymentOutcome.from_json(encoded) == outcome
+    # a report written before the field reads as exact
+    del encoded["verdict_bounded"]
+    assert DeploymentOutcome.from_json(encoded).verdict_bounded is False
+
+
+def test_enumerator_deployment_ends_at_once_on_a_query_too_deep_to_check():
+    from synthsel.budget import ScheduleEntry
+
+    entry = ScheduleEntry(E, time=5.0, cost=100.0)
+    outcome = SolverDeployer(verifier=Verifier()).deploy(
+        parse_query(deep_query_text(600)), "q", entry, new_state(_config(), 0))
+    assert not outcome.solved
+    assert outcome.detail.startswith("cegis formula nested too deeply: 1 iterations")
+    assert outcome.time < 1.0
 
 
 def test_grammar_generator_query_parses_but_the_enumerator_has_no_grammar():

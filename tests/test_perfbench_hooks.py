@@ -2,7 +2,9 @@
 functions by module attribute name. Installing and removing those wrappers
 here, and tracing one solve, makes a rename in `src/` or a call that goes
 around the wrapped attributes fail a test instead of silently emptying the
-traced benchmark's metrics."""
+traced benchmark's metrics. The benchmark's BV answers must also keep
+verifying exactly, or the llm-repair workload silently measures the bounded
+sweep again."""
 
 from pathlib import Path
 
@@ -12,8 +14,8 @@ import synthsel.bandit as bandit
 import synthsel.budget as budget
 import synthsel.orchestrator as orchestrator
 from synthsel.config import ModelConfig, RunConfig
-from synthsel.sygus import parse_query
-from synthsel.verify import Verifier
+from synthsel.sygus import parse_define_fun, parse_query
+from synthsel.verify import VerificationResult, Verifier
 from conftest import MAX2_SOLUTION, MAX2_TEXT, ScriptedBackend
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -100,3 +102,16 @@ def test_traced_llm_solve_reports_the_transcript_totals(monkeypatch):
     assert (result.attempts, transcript.output_tokens) == (2, 7 + 9)
     assert transcript.input_tokens > 0
     assert [s.name for s in tracer.spans].count("llm.extract") == 2
+
+
+def test_benchmark_bv_answers_verify_exactly(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import inputs
+
+    queries = [q for q in inputs.llm_corpus(inputs.DEFAULT_SEED) if q.family == "bv"]
+    assert len(queries) == 2 * len(inputs._BV_FORMS)
+    for q in queries:
+        params = " ".join(f"({n} {s})" for n, s in q.params)
+        answer = parse_define_fun(f"(define-fun {q.fn} ({params}) {q.ret} {q.solution})")
+        assert Verifier().check(parse_query(q.text), answer) == \
+            VerificationResult.valid(bounded=False), q.solution

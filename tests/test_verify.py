@@ -6,6 +6,7 @@ import time
 from array import array
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -43,6 +44,7 @@ from synthsel.verify import (
     check_candidate_internal,
     compile_template,
     compile_term,
+    domain_columns,
     emit_smtlib,
     evaluate,
     grid_columns,
@@ -51,7 +53,8 @@ from synthsel.verify import (
 )
 
 from conftest import MAX2_SOLUTION, MAX2_TEXT, MAX3_SOLUTION, deep_query_text
-from reference import first_violated_constraint, grid_domain, reference_sweep
+from reference import (first_violated_constraint, grid_domain, reference_sweep,
+                       reference_whole_domain)
 
 # max3's answer minus (mod v0 1), which is 0 everywhere: `mod` is outside
 # the LIA decision procedure, so the checker sweeps every grid and sample
@@ -675,6 +678,136 @@ def test_sweep_with_the_decision_procedure_matches_a_point_by_point_walk(
         got = check_candidate_internal(query, cand, config)
     want = reference_sweep(phi, universals, config)
     assert _up_to_bounded(got) == _up_to_bounded(want), print_term(phi)
+
+
+# ---------------------------------------------------------------------------
+# the exact whole-domain step for BV formulas
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _fragment_terms(sort, depth, width, variables):
+    """Well-sorted terms of the BV fragment over `variables` ((name, sort)
+    pairs) whose bitvectors all have `width`."""
+    bv = Sort.bitvec(width)
+    names = [Var(n) for n, s in variables if s == sort]
+    lits = (st.builds(BoolLit, st.booleans()) if sort == BOOL
+            else st.builds(BVLit, st.integers(0, (1 << width) - 1), st.just(width)))
+    leaf = st.one_of(st.sampled_from(names), lits) if names else lits
+    if depth == 0:
+        return leaf
+    b = _fragment_terms(BOOL, depth - 1, width, variables)
+    v = _fragment_terms(bv, depth - 1, width, variables)
+    ite = st.builds(Ite, b, *(2 * [b if sort == BOOL else v]))
+    if sort == BOOL:
+        return st.one_of(leaf, ite, _nary("=", b), _nary("=", v), _nary("and", b),
+                         _nary("or", b), _nary("=>", b), _app("not", b), _app("bvult", v, v))
+    return st.one_of(leaf, ite, _app("bvnot", v),
+                     *(_app(op, v, v) for op in ("bvadd", "bvsub", "bvand", "bvor", "bvxor")))
+
+
+@st.composite
+def _fragment_case(draw):
+    """A BV-fragment formula over 1-2 BitVec universals of one width in 1..8
+    and an optional Bool universal."""
+    bv = Sort.bitvec(draw(st.integers(1, 8)))
+    universals = (("u", bv), ("w", bv))[:draw(st.integers(1, 2))]
+    if draw(st.booleans()):
+        universals += (("p", BOOL),)
+    return draw(_fragment_terms(BOOL, 3, bv.width, universals)), universals
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fragment_case(),
+       st.builds(SearchConfig, grid_bound=st.integers(1, 3),
+                 random_samples=st.integers(0, 200),
+                 seed=st.integers(0, 3), max_grid_vars=st.integers(0, 3)),
+       st.sampled_from([1, 5, 1024]))
+# two 8-bit universals and a Bool one make 2^17 points, past the cap: the
+# sweep's points miss u = #xc8, w = #x03, so the Valid stays bounded
+@example((App("=>", (Var("p"), App("not", (App("and", (
+             App("=", (Var("u"), BVLit(0xC8, 8))), App("=", (Var("w"), BVLit(3, 8))))),)))),
+          (("u", Sort.bitvec(8)), ("w", Sort.bitvec(8)), ("p", BOOL))),
+         SearchConfig(grid_bound=1, random_samples=10), 1024)
+def test_whole_domain_step_matches_a_walk_over_the_domain(case, config, every):
+    phi, universals = case
+    query = SynthQuery("BV", _NO_ARGS, universals, (phi,))
+    cand = Candidate("g", (), INT, IntLit(0))
+    with mock.patch.object(verify, "_DEADLINE_EVERY", every):
+        got = check_candidate_internal(query, cand, config)
+    small = sum(s.width or 1 for _, s in universals) <= 16
+    reference = reference_whole_domain if small else reference_sweep
+    assert got == reference(phi, universals, config), print_term(phi)
+
+
+_BV8 = "(_ BitVec 8)"
+
+
+def _bv_query(constraints, bools=()):
+    return parse_query(
+        f"(set-logic BV)\n(synth-fun f ((x {_BV8}) (y {_BV8})) {_BV8})\n"
+        f"(declare-var x {_BV8})\n(declare-var y {_BV8})\n"
+        + "".join(f"(declare-var {b} Bool)\n" for b in bools)
+        + "".join(f"(constraint {c})\n" for c in constraints) + "(check-synth)\n")
+
+
+def _bv_answer(body):
+    return parse_define_fun(f"(define-fun f ((x {_BV8}) (y {_BV8})) {_BV8} {body})")
+
+
+def test_an_answer_wrong_only_off_the_swept_points_is_refuted_there():
+    # wrong only at x = #xc8, y = #x03: off the grid (0..64 per variable)
+    # and not among the 10,000 samples, so the sweep alone found it Valid
+    query = _bv_query(["(= (bvand (f x y) x) (f x y))", "(= (f x y) (bvand x y))"])
+    cand = _bv_answer("(ite (and (= x #xc8) (= y #x03)) x (bvand x y))")
+    phi = substitute_solution(query, cand)
+    assert reference_sweep(phi, query.universals, SearchConfig()) == \
+        VerificationResult.valid(bounded=True)
+    verdict = check_candidate_internal(query, cand)
+    assert verdict == VerificationResult.counterexample({"x": 0xC8, "y": 0x03}, 1)
+    assert first_violated_constraint(query, cand, verdict.assignment_dict()) == 1
+
+
+def test_whole_domain_cap_is_two_to_the_sixteen_points():
+    constraint = "(=> p (= (f x y) (bvand y x)))"
+    exact = check_candidate_internal(_bv_query([constraint.replace("p", "true")]),
+                                     _bv_answer("(bvand x y)"))
+    assert exact == VerificationResult.valid(bounded=False)
+    bounded = check_candidate_internal(_bv_query([constraint], bools=["p"]),
+                                       _bv_answer("(bvand x y)"))
+    assert bounded == VerificationResult.valid(bounded=True)
+    bv8 = Sort.bitvec(8)
+    assert len(domain_columns((bv8, bv8))[0]) == 1 << 16
+    assert domain_columns((bv8, bv8, BOOL)) is None
+
+
+_U, _W, _P = Var("u"), Var("w"), Var("p")
+_HUGE = IntLit(10 ** 20)
+
+
+@pytest.mark.parametrize("phi, universals", [
+    # an operator outside the fragment, in a branch the sweep never takes
+    (Ite(BoolLit(True), App("=", (_U, _U)), App(">=", (_U, _W))),
+     (("u", BV4), ("w", BV4))),
+    # an Int literal past int64
+    (App("=", (Ite(_P, _HUGE, IntLit(0)), Ite(_P, _HUGE, IntLit(0)))), (("p", BOOL),)),
+    # a literal wider than the columns' dtype
+    (App("=", (App("bvadd", (_U, BVLit(256, 12))),) * 2), (("u", BV4),)),
+    (App("=", (Var("x"), Var("x"))), (("x", INT),)),
+], ids=["operator", "int-literal", "wide-literal", "int-universal"])
+def test_outside_the_whole_domain_fragment_the_sweep_decides(phi, universals):
+    query = SynthQuery("BV", _NO_ARGS, universals, (phi,))
+    got = check_candidate_internal(query, Candidate("g", (), INT, IntLit(0)), _SMALL)
+    assert got == VerificationResult.valid(bounded=True)
+
+
+def test_whole_domain_columns_are_in_product_order():
+    sorts = (Sort.bitvec(3), BOOL, Sort.bitvec(2))
+    columns = domain_columns(sorts)
+    want = list(itertools.product(range(8), (False, True), range(4)))
+    assert [tuple(c[i].item() for c in columns) for i in range(len(want))] == want
+    assert [c.dtype for c in columns] == [np.uint8, np.bool_, np.uint8]
+    assert domain_columns((Sort.bitvec(9), Sort.bitvec(7)))[0].dtype == np.uint16
+    assert domain_columns((INT,)) is None
 
 
 # ---------------------------------------------------------------------------
