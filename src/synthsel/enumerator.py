@@ -10,6 +10,12 @@ A dequeued complete program is checked against the phase's examples by the
 compiled evaluator (`verify.compile_template`, one generated function per
 grammar production); the tree-walking evaluator stays as the fallback and
 the test oracle.
+
+One `Frontier` serves every CEGIS phase of a solve. The pop order does not
+depend on the examples, and a program rejected on some examples stays
+rejected when more are added, so each phase goes on from the entry after
+the candidate the verifier just refuted instead of popping every earlier
+entry again; a fresh A* on all the examples would return the same program.
 """
 
 from __future__ import annotations
@@ -51,7 +57,8 @@ class SearchResult:
 
 @dataclass(frozen=True)
 class EnumeratorConfig:
-    max_frontier: int = 4_000_000  # frontier memory cap; breach ends the search
+    # frontier size cap in entries, not bytes; breach ends the search
+    max_frontier: int = 4_000_000
 
 
 def _flat_productions(grammar: Grammar) -> Tuple[list[Production], dict[str, list[int]]]:
@@ -90,6 +97,38 @@ def reconstruct_term(choices: Sequence[int], flat: Sequence[Production]) -> Term
                          [functools.partial(fill_holes, p.template) for p in flat])
 
 
+class Frontier:
+    """The state of one A* search, kept across the CEGIS phases of a solve:
+    the heap, the FIFO tie counter and the last popped priority, with the
+    grammar tables and compiled productions, which do not depend on the
+    examples."""
+
+    def __init__(self, grammar: Grammar, query: SynthQuery):
+        self.grammar = grammar
+        self.query = query
+        self.mc = min_completion_costs(grammar)
+        self.flat, self.by_nt = _flat_productions(grammar)
+        self.costs = {nt: edge_cost(nt, grammar) for nt in grammar.productions}
+        self.holes = [p.holes for p in self.flat]
+        self.holes_mc = [sum(self.mc[h] for h in p.holes) for p in self.flat]
+        self.counter = itertools.count()  # FIFO among equal priorities
+        # a heap entry is (priority, tie, choices, pending, cost, heuristic):
+        # the sentential form (production choices so far, leftmost first, and
+        # the pending nonterminals), the edge cost spent, and the heuristic,
+        # so children update the heuristic in O(holes)
+        g0 = self.mc[grammar.start]
+        self.heap: list = [(g0, next(self.counter), (), (grammar.start,), 0.0, g0)]
+        self.last_priority = -math.inf
+
+    @functools.cached_property
+    def builders(self) -> list:
+        """Each production compiled once per search, so the sources it
+        generates per tuple of hole widths are kept between phases."""
+        fn = self.query.synth_fun
+        return [compile_template(p.template, fn.param_names, dict(fn.params))
+                for p in self.flat]
+
+
 # ---------------------------------------------------------------------------
 # Consistency of a complete program with the phase's examples
 # ---------------------------------------------------------------------------
@@ -97,12 +136,12 @@ def reconstruct_term(choices: Sequence[int], flat: Sequence[Production]) -> Term
 Check = Callable[[Tuple[int, ...]], Optional[Candidate]]
 
 
-def _reference_check(flat: Sequence[Production], examples: Sequence[Assignment],
-                     query: SynthQuery) -> Check:
+def _reference_check(frontier: Frontier, examples: Sequence[Assignment]) -> Check:
     """The tree-walking check: sort-check the program as a Candidate,
     substitute it into the constraints and evaluate them on every example.
     Division by zero and any other failure reject the program, except a
     `RecursionError`: the constraints nest too deeply for every program."""
+    query, flat = frontier.query, frontier.flat
     fn = query.synth_fun
     sorts = dict(query.universals)
 
@@ -164,8 +203,7 @@ def _invocations(query: SynthQuery, examples: Sequence[Assignment]
     return phi, list(slots.values()), per_example
 
 
-def _compiled_check(flat: Sequence[Production], examples: Sequence[Assignment],
-                    query: SynthQuery) -> Check:
+def _compiled_check(frontier: Frontier, examples: Sequence[Assignment]) -> Check:
     """The same decisions as `_reference_check`, compiled: the body is
     evaluated at the precomputed invocation points of f and the constraints
     by one predicate over the examples' values and f's results. A program
@@ -173,7 +211,8 @@ def _compiled_check(flat: Sequence[Production], examples: Sequence[Assignment],
     argument of f fails to evaluate or the constraints nest too deeply to
     compile, goes to the reference check; only an accepted program is
     rebuilt as a term and sort-checked."""
-    reference = _reference_check(flat, examples, query)
+    reference = _reference_check(frontier, examples)
+    query, flat = frontier.query, frontier.flat
     if not examples or not query.constraints:
         return reference
     fn = query.synth_fun
@@ -187,9 +226,8 @@ def _compiled_check(flat: Sequence[Production], examples: Sequence[Assignment],
         pred = compile_term(phi, [n for n, _ in query.universals] + slots, sorts)
     except (RecursionError, EvaluationError):
         return reference
-    arity = [len(p.holes) for p in flat]
-    builders = [compile_template(p.template, fn.param_names, dict(fn.params))
-                for p in flat]
+    arity = [len(h) for h in frontier.holes]
+    builders = frontier.builders
 
     def check(choices: Tuple[int, ...]) -> Optional[Candidate]:
         body = _fold_choices(choices, arity, builders)[0]
@@ -216,40 +254,36 @@ def astar_synthesize(grammar: Grammar,
                      examples: Sequence[Assignment],
                      query: SynthQuery,
                      deadline: float,
-                     config: EnumeratorConfig = EnumeratorConfig()
-                     ) -> SearchResult:
+                     config: EnumeratorConfig = EnumeratorConfig(),
+                     frontier: Optional[Frontier] = None) -> SearchResult:
     """Return the first dequeued complete program consistent with every
     constraint on every example; priority is spent cost plus heuristic, ties
     FIFO. `deadline` is absolute (time.monotonic); checked on every expansion.
     A check that passes the recursion limit ends the search as TOO_DEEP.
+
+    Without `frontier` the search starts from the start symbol; with one it
+    goes on from where that frontier's last phase stopped. The counters are
+    this phase's own pops.
     """
-    mc = min_completion_costs(grammar)
-    flat, by_nt = _flat_productions(grammar)
-    costs = {nt: edge_cost(nt, grammar) for nt in grammar.productions}
-    holes = [p.holes for p in flat]
-    holes_mc = [sum(mc[h] for h in p.holes) for p in flat]
-    check = _compiled_check(flat, examples, query)
+    if frontier is None:
+        frontier = Frontier(grammar, query)
+    assert frontier.grammar is grammar and frontier.query is query
+    mc, by_nt, costs = frontier.mc, frontier.by_nt, frontier.costs
+    holes, holes_mc = frontier.holes, frontier.holes_mc
+    heap, counter = frontier.heap, frontier.counter
+    check = _compiled_check(frontier, examples)
+    last_priority = frontier.last_priority
+    expansions = completes = 0
+    status, cand = SearchStatus.EXHAUSTED, None
 
-    counter = itertools.count()  # FIFO among equal priorities
-    # a frontier entry is (priority, tie, choices, pending, cost, heuristic):
-    # the sentential form (production choices so far, leftmost first, and
-    # the pending nonterminals), the edge cost spent, and the heuristic, so
-    # children update the heuristic in O(holes)
-    g0 = mc[grammar.start]
-    frontier: list = [(g0, next(counter), (), (grammar.start,), 0.0, g0)]
-    expansions = 0
-    completes = 0
-    last_priority = -math.inf
-
-    def stop(status: SearchStatus) -> SearchResult:
-        return SearchResult(status, expansions=expansions, dequeued_complete=completes)
-
-    while frontier:
+    while heap:
         if time.monotonic() > deadline:
-            return stop(SearchStatus.TIMEOUT)
-        if len(frontier) > config.max_frontier:
-            return stop(SearchStatus.FRONTIER_CAP)
-        priority, _, choices, pending, cost, g = heappop(frontier)
+            status = SearchStatus.TIMEOUT
+            break
+        if len(heap) > config.max_frontier:
+            status = SearchStatus.FRONTIER_CAP
+            break
+        priority, _, choices, pending, cost, g = heappop(heap)
         assert priority >= last_priority - 1e-9, "priority queue pops regressed"
         last_priority = priority
 
@@ -258,11 +292,11 @@ def astar_synthesize(grammar: Grammar,
             try:
                 cand = check(choices)
             except RecursionError:
-                return stop(SearchStatus.TOO_DEEP)
+                status = SearchStatus.TOO_DEEP
+                break
             if cand is not None:
-                return SearchResult(SearchStatus.SOLVED, cand,
-                                    expansions=expansions,
-                                    dequeued_complete=completes)
+                status = SearchStatus.SOLVED
+                break
             continue
 
         expansions += 1
@@ -272,10 +306,11 @@ def astar_synthesize(grammar: Grammar,
         g_rest = g - mc[nt]
         for idx in by_nt[nt]:
             new_g = g_rest + holes_mc[idx]
-            heappush(frontier, (cost + new_g, next(counter), choices + (idx,),
-                                holes[idx] + rest, cost, new_g))
+            heappush(heap, (cost + new_g, next(counter), choices + (idx,),
+                            holes[idx] + rest, cost, new_g))
 
-    return stop(SearchStatus.EXHAUSTED)
+    frontier.last_priority = last_priority
+    return SearchResult(status, cand, expansions, completes)
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +335,9 @@ class CegisResult:
     iterations: int = 0
     counterexamples: Tuple[Assignment, ...] = ()
     provenance: str = ""  # of the verdict that accepted the candidate
-    expansions: int = 0         # summed over the A* phases
-    dequeued_complete: int = 0  # summed over the A* phases
+    # of the one A* search that every phase resumes: each pop counts once
+    expansions: int = 0
+    dequeued_complete: int = 0
     bounded: bool = False  # the accepting verdict searched only a finite region
 
 
@@ -310,9 +346,15 @@ def cegis_solve(query: SynthQuery, grammar: Grammar, deadline: float,
                 config: EnumeratorConfig = EnumeratorConfig()) -> CegisResult:
     """Alternate A* synthesis against the accumulated counterexample set with
     full verification of each candidate; a verifier Unknown counts as a
-    timeout for this solver (never an unverified answer)."""
+    timeout for this solver (never an unverified answer).
+
+    Every phase resumes one frontier after the candidate just refuted: the
+    counterexample falsifies that candidate and every earlier pop was
+    rejected on fewer examples, so a restarted search would pop them all
+    again only to return the same program."""
     examples: list[Assignment] = [initial_example(query)]
     sorts = dict(query.universals)
+    frontier = Frontier(grammar, query)
     iterations = expansions = completes = 0
 
     def finish(status: SearchStatus, cand: Optional[Candidate] = None,
@@ -321,7 +363,7 @@ def cegis_solve(query: SynthQuery, grammar: Grammar, deadline: float,
                            expansions, completes, bounded)
 
     while True:
-        result = astar_synthesize(grammar, examples, query, deadline, config)
+        result = astar_synthesize(grammar, examples, query, deadline, config, frontier)
         iterations += 1
         expansions += result.expansions
         completes += result.dequeued_complete

@@ -13,6 +13,8 @@
   found by substituting the candidate into each constraint and walking it.
 - `balanced_spans`: every balanced form at a marker, character by
   character, for the LLM answer extraction.
+- `reference_cegis`: the CEGIS loop that starts every A* phase afresh
+  from the start symbol, for the loop that resumes one frontier.
 - The k-NN selector by brute force: nearest records by a stable sort of
   Python distances, reward sums and rankings over dicts keyed by arm, and
   the schedule's two greedy walks through `fit_exponential` and
@@ -25,13 +27,18 @@ import itertools
 import math
 import random
 import re
+import time
 from dataclasses import dataclass
 from typing import (AbstractSet, Callable, Hashable, Mapping, NamedTuple, Optional,
                     Sequence, Tuple, Union)
 
+from synthsel import enumerator
 from synthsel.bandit import SolveRecord, SolverId
 from synthsel.budget import ScheduleEntry, allocate_one, fit_exponential
-from synthsel.sygus.grammar import grammar_from_rules
+from synthsel.enumerator import (CegisResult, EnumeratorConfig, SearchStatus,
+                                 initial_example)
+from synthsel.sygus import substitute_solution
+from synthsel.sygus.grammar import Grammar, grammar_from_rules
 from synthsel.sygus.parser import (GrammarError, GrammarRules, ParseError, SynthQuery,
                                    UnsupportedError)
 from synthsel.sygus.terms import (
@@ -39,8 +46,8 @@ from synthsel.sygus.terms import (
     OPERATORS, Sort, SortError, SygusError, Term, Var, BOOL, INT, _BV, apply_candidate,
     is_operator, substitute_vars,
 )
-from synthsel.verify import (DivisionByZero, EvaluationError, SearchConfig,
-                             VerificationResult, evaluate, sweep_columns)
+from synthsel.verify import (Assignment, DivisionByZero, EvaluationError, SearchConfig,
+                             VerificationResult, Verifier, evaluate, sweep_columns)
 
 
 class Token(NamedTuple):
@@ -614,6 +621,54 @@ def first_violated_constraint(query: SynthQuery, cand: Candidate,
         except EvaluationError:
             return i
     return None
+
+
+def reference_cegis(query: SynthQuery, grammar: Grammar, deadline: float,
+                    verifier: Verifier,
+                    config: EnumeratorConfig = EnumeratorConfig()) -> CegisResult:
+    """`enumerator.cegis_solve` with a fresh A* search per phase: each phase
+    pops again, on one more example, every entry the previous phase popped.
+    Calls `enumerator.astar_synthesize` through the module, so a test can
+    record the phases."""
+    examples: list[Assignment] = [initial_example(query)]
+    sorts = dict(query.universals)
+    iterations = expansions = completes = 0
+
+    def finish(status: SearchStatus, cand: Optional[Candidate] = None,
+               provenance: str = "", bounded: bool = False) -> CegisResult:
+        return CegisResult(status, cand, iterations, tuple(examples), provenance,
+                           expansions, completes, bounded)
+
+    while True:
+        result = enumerator.astar_synthesize(grammar, examples, query, deadline, config)
+        iterations += 1
+        expansions += result.expansions
+        completes += result.dequeued_complete
+        if result.status is not SearchStatus.SOLVED:
+            return finish(result.status)
+        cand = result.candidate
+        assert cand is not None
+        verdict = verifier.check(query, cand, deadline)
+        if verdict.is_valid:
+            return finish(SearchStatus.SOLVED, cand, verdict.provenance, verdict.bounded)
+        if verdict.is_counterexample:
+            ce = verdict.assignment_dict()
+            if __debug__ and query.constraints:
+                # the new counterexample must falsify the candidate it refutes
+                phi = substitute_solution(query, cand)
+                try:
+                    assert not evaluate(phi, ce, sorts)
+                except EvaluationError:
+                    pass
+            if ce in examples:
+                # no progress possible: the verifier repeated itself
+                return finish(SearchStatus.TIMEOUT)
+            examples.append(ce)
+            if time.monotonic() > deadline:
+                return finish(SearchStatus.TIMEOUT)
+            continue
+        # verifier unknown: give up without claiming an answer
+        return finish(SearchStatus.TIMEOUT)
 
 
 def balanced_spans(text: str, marker: str) -> list[str]:

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +32,9 @@ from synthsel.sygus.grammar import Hole, Production
 from synthsel.verify import Verifier, evaluate
 
 from conftest import PartialProgram, deep_query_text, heuristic, random_small_grammar
+from reference import reference_cegis
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _deadline(seconds: float) -> float:
@@ -407,9 +411,10 @@ def test_compiled_check_matches_reference_per_program():
     rng = random.Random(3)
     for _ in range(40):
         g, q, examples = _random_phase(rng)
-        flat, by_nt = enumerator._flat_productions(g)
-        compiled = enumerator._compiled_check(flat, examples, q)
-        reference = enumerator._reference_check(flat, examples, q)
+        frontier = enumerator.Frontier(g, q)
+        flat, by_nt = frontier.flat, frontier.by_nt
+        compiled = enumerator._compiled_check(frontier, examples)
+        reference = enumerator._reference_check(frontier, examples)
         for _ in range(30):
             choices, pending = [], [g.start]
             while pending and len(choices) < 12:
@@ -418,6 +423,93 @@ def test_compiled_check_matches_reference_per_program():
                 pending[:0] = flat[idx].holes
             if not pending:
                 assert compiled(tuple(choices)) == reference(tuple(choices))
+
+
+# ---------------------------------------------------------------------------
+# one frontier resumed across the CEGIS phases against a fresh search each
+# ---------------------------------------------------------------------------
+
+def _resumed_matches_restarted(q, monkeypatch, g=None, config=EnumeratorConfig()):
+    """Solve q by resuming one frontier and by restarting every phase; the
+    solves must agree exactly, and the resumed counters must equal those of
+    the restarted last phase, which pops again all that the resumed phases
+    popped once. Returns the resumed result."""
+    g = g or grammar_for_query(q)
+    resumed = cegis_solve(q, g, _deadline(60), Verifier(), config)
+    phases = []
+    search = enumerator.astar_synthesize
+
+    def recorded(*args, **kwargs):
+        phases.append(search(*args, **kwargs))
+        return phases[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(enumerator, "astar_synthesize", recorded)
+        restarted = reference_cegis(q, g, _deadline(60), Verifier(), config)
+
+    def solve(r):
+        return (r.status, r.candidate, r.iterations, r.counterexamples,
+                r.provenance, r.bounded)
+
+    assert solve(resumed) == solve(restarted)
+    assert len(phases) == restarted.iterations
+    assert ((resumed.expansions, resumed.dequeued_complete)
+            == (phases[-1].expansions, phases[-1].dequeued_complete))
+    return resumed
+
+
+@pytest.mark.parametrize("name", ["max2", "double_pbe", "counter_inv"])
+def test_resumed_cegis_matches_restarted_on_bundled_queries(name, monkeypatch):
+    q = parse_query((ROOT / "benchmarks" / f"{name}.sl").read_text())
+    assert _resumed_matches_restarted(q, monkeypatch).status is SearchStatus.SOLVED
+
+
+def test_resumed_cegis_matches_restarted_on_the_enum_corpus(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import inputs
+
+    generated = [gen for gen in inputs.enum_corpus(1, ROOT / "benchmarks")
+                 if gen.family != "bundled"]
+    results = [_resumed_matches_restarted(parse_query(gen.text), monkeypatch)
+               for gen in generated]
+    assert all(r.status is SearchStatus.SOLVED for r in results)
+    assert sum(r.iterations > 1 for r in results) > len(results) // 2
+
+
+@pytest.mark.parametrize("make", [_min2_text, _clamp_text])
+def test_resumed_cegis_matches_restarted_on_generated_queries(make, monkeypatch):
+    for seed in range(3):
+        res = _resumed_matches_restarted(parse_query(make(random.Random(seed))),
+                                         monkeypatch)
+        assert res.status is SearchStatus.SOLVED and res.iterations > 1
+
+
+def test_resumed_cegis_matches_restarted_when_the_grammar_runs_out(monkeypatch):
+    # 1 passes x = 0, the counterexample x = 1 refutes it, and the resumed
+    # phase finds nothing after it
+    q = parse_query("""(set-logic LIA)
+(synth-fun f ((x Int)) Int ((I Int)) ((I Int (0 1 2 x))))
+(declare-var x Int)
+(constraint (= (f x) (+ x 1)))
+(check-synth)
+""")
+    res = _resumed_matches_restarted(q, monkeypatch)
+    assert res.status is SearchStatus.EXHAUSTED and res.iterations == 2
+
+
+def test_resumed_cegis_matches_restarted_on_random_grammars(monkeypatch):
+    # searches that reach the cap, candidates that divide by zero, and
+    # phases that fall back to the reference check (f (div 4 x) at x = 0)
+    rng = random.Random(7)
+    config = EnumeratorConfig(max_frontier=3000)
+    seen = set()
+    for _ in range(40):
+        g, q, _ = _random_phase(rng)
+        res = _resumed_matches_restarted(q, monkeypatch, g, config)
+        fallback = any("(div 4 x)" in print_term(c) for c in q.constraints)
+        seen.add((res.status, res.iterations > 1, fallback))
+    assert {(SearchStatus.SOLVED, True, False), (SearchStatus.FRONTIER_CAP, True, False),
+            (SearchStatus.FRONTIER_CAP, True, True)} <= seen
 
 
 def _bv_query(constraint):
@@ -450,13 +542,14 @@ def test_compiled_check_matches_reference_per_bitvector_program():
     rng = random.Random(5)
     q = _bv_query("(bvult (f x y) #x80)")
     g = grammar_for_query(q)
-    flat, by_nt = enumerator._flat_productions(g)
+    frontier = enumerator.Frontier(g, q)
+    flat, by_nt = frontier.flat, frontier.by_nt
     decided = set()
     for _ in range(10):
         examples = [{"x": rng.randrange(256), "y": rng.randrange(256)}
                     for _ in range(rng.randrange(1, 4))]
-        compiled = enumerator._compiled_check(flat, examples, q)
-        reference = enumerator._reference_check(flat, examples, q)
+        compiled = enumerator._compiled_check(frontier, examples)
+        reference = enumerator._reference_check(frontier, examples)
         for _ in range(40):
             choices, pending = [], [g.start]
             while pending and len(choices) < 12:
