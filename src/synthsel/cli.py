@@ -138,7 +138,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"error: {args.path}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    record = solve_query(query, args.path, config, state, deployer)
+    try:
+        record = solve_query(query, args.path, config, state, deployer)
+    except Exception as exc:
+        log.exception("solve of %s stopped by an error", args.path)
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ABORTED
     if config.state:
         state.store.save(config.state)
     if record.solved and record.outcomes[-1].candidate is not None:

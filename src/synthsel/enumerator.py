@@ -73,35 +73,32 @@ def _flat_productions(grammar: Grammar) -> Tuple[list[Production], dict[str, lis
 
 
 def _fold_choices(choices: Sequence[int], arity: Sequence[int],
-                  build: Sequence[Callable[[Sequence[T]], T]]) -> T:
+                  build: Sequence[Callable[..., T]]) -> T:
     """Rebuild a derivation bottom-up: walk the leftmost-order choices in
-    reverse, giving each production the results for its holes (preorder)
-    from a stack."""
+    reverse, calling each production's function on the results for its
+    holes (preorder) from a stack."""
     stack: list = []
     for idx in reversed(choices):
         n = arity[idx]
         if n == 0:
-            stack.append(build[idx](()))
+            stack.append(build[idx]())
         else:
             children = stack[-n:][::-1]
             del stack[-n:]
-            stack.append(build[idx](children))
+            stack.append(build[idx](*children))
     if len(stack) != 1:
         raise ValueError("choice sequence does not form one complete term")
     return stack[0]
 
 
-def reconstruct_term(choices: Sequence[int], flat: Sequence[Production]) -> Term:
-    """Build the term from leftmost-order production choices."""
-    return _fold_choices(choices, [len(p.holes) for p in flat],
-                         [functools.partial(fill_holes, p.template) for p in flat])
-
-
 class Frontier:
     """The state of one A* search, kept across the CEGIS phases of a solve:
     the heap, the FIFO tie counter and the last popped priority, with the
-    grammar tables and compiled productions, which do not depend on the
-    examples."""
+    grammar tables and `makers`, which do not depend on the examples: one
+    compiled function per production, built once per grammar with each hole
+    at its nonterminal's width. The check walks the tree instead for nested
+    `f` applications, constraints too deep to compile, and a BitVec
+    nonterminal with a rule of another width (`makers` is None)."""
 
     def __init__(self, grammar: Grammar, query: SynthQuery):
         self.grammar = grammar
@@ -110,6 +107,9 @@ class Frontier:
         self.flat, self.by_nt = _flat_productions(grammar)
         self.costs = {nt: edge_cost(nt, grammar) for nt in grammar.productions}
         self.holes = [p.holes for p in self.flat]
+        self.arity = [len(h) for h in self.holes]
+        # _fold_choices over fills rebuilds a program's term, over makers its function
+        self.fills = [lambda *kids, t=p.template: fill_holes(t, kids) for p in self.flat]
         self.holes_mc = [sum(self.mc[h] for h in p.holes) for p in self.flat]
         self.counter = itertools.count()  # FIFO among equal priorities
         # a heap entry is (priority, tie, choices, pending, cost, heuristic):
@@ -121,12 +121,16 @@ class Frontier:
         self.last_priority = -math.inf
 
     @functools.cached_property
-    def builders(self) -> list:
-        """Each production compiled once per search, so the sources it
-        generates per tuple of hole widths are kept between phases."""
-        fn = self.query.synth_fun
-        return [compile_template(p.template, fn.param_names, dict(fn.params))
-                for p in self.flat]
+    def makers(self) -> Optional[list]:
+        """`compile_template`'s maker per production, or None when a
+        production of a BitVec nonterminal has another width or none."""
+        fn, sorts = self.query.synth_fun, self.grammar.sorts
+        compiled = [compile_template(p.template, fn.param_names, dict(fn.params),
+                                     [sorts[h].width for h in p.holes]) for p in self.flat]
+        if any(sorts[p.nonterminal].width not in (None, width)
+               for p, (_, width) in zip(self.flat, compiled)):
+            return None
+        return [make for make, _ in compiled]
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +145,7 @@ def _reference_check(frontier: Frontier, examples: Sequence[Assignment]) -> Chec
     substitute it into the constraints and evaluate them on every example.
     Division by zero and any other failure reject the program, except a
     `RecursionError`: the constraints nest too deeply for every program."""
-    query, flat = frontier.query, frontier.flat
+    query = frontier.query
     fn = query.synth_fun
     sorts = dict(query.universals)
 
@@ -160,7 +164,7 @@ def _reference_check(frontier: Frontier, examples: Sequence[Assignment]) -> Chec
 
     def check(choices: Tuple[int, ...]) -> Optional[Candidate]:
         try:
-            return consistent(reconstruct_term(choices, flat))
+            return consistent(_fold_choices(choices, frontier.arity, frontier.fills))
         except RecursionError:
             raise
         except Exception:
@@ -208,17 +212,18 @@ def _compiled_check(frontier: Frontier, examples: Sequence[Assignment]) -> Check
     evaluated at the precomputed invocation points of f and the constraints
     by one predicate over the examples' values and f's results. A program
     whose compiled evaluation raises, and every program of a phase where an
-    argument of f fails to evaluate or the constraints nest too deeply to
-    compile, goes to the reference check; only an accepted program is
-    rebuilt as a term and sort-checked."""
+    argument of f fails to evaluate, the constraints nest too deeply to
+    compile or `frontier.makers` is None, goes to the reference check; only
+    an accepted program is rebuilt as a term and sort-checked."""
     reference = _reference_check(frontier, examples)
-    query, flat = frontier.query, frontier.flat
+    query = frontier.query
     if not examples or not query.constraints:
         return reference
     fn = query.synth_fun
     try:
+        makers = frontier.makers
         found = _invocations(query, examples)
-        if found is None:
+        if makers is None or found is None:
             return reference
         phi, slots, per_example = found
         sorts = dict(query.universals)
@@ -226,11 +231,10 @@ def _compiled_check(frontier: Frontier, examples: Sequence[Assignment]) -> Check
         pred = compile_term(phi, [n for n, _ in query.universals] + slots, sorts)
     except (RecursionError, EvaluationError):
         return reference
-    arity = [len(h) for h in frontier.holes]
-    builders = frontier.builders
+    arity, fills = frontier.arity, frontier.fills
 
     def check(choices: Tuple[int, ...]) -> Optional[Candidate]:
-        body = _fold_choices(choices, arity, builders)[0]
+        body = _fold_choices(choices, arity, makers)
         try:
             for values, points in per_example:
                 if not pred(values + tuple(map(body, points))):
@@ -239,7 +243,7 @@ def _compiled_check(frontier: Frontier, examples: Sequence[Assignment]) -> Check
             return reference(choices)
         try:
             return Candidate(fn.name, fn.params, fn.return_sort,
-                             reconstruct_term(choices, flat))
+                             _fold_choices(choices, arity, fills))
         except SygusError:
             return None
 
@@ -319,13 +323,7 @@ def astar_synthesize(grammar: Grammar,
 
 def initial_example(query: SynthQuery) -> Assignment:
     """The all-zeros assignment over the universal variables."""
-    zero: dict[str, object] = {}
-    for name, sort in query.universals:
-        if sort == BOOL:
-            zero[name] = False
-        else:
-            zero[name] = 0
-    return zero
+    return {name: False if sort == BOOL else 0 for name, sort in query.universals}
 
 
 @dataclass(frozen=True)

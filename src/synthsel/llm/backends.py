@@ -12,6 +12,7 @@ import hashlib
 import json
 import logging
 import os
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional, Protocol, Sequence
@@ -109,7 +110,7 @@ class HttpBackend:
     POSTs {model, messages, temperature} and reads the assistant message plus
     optional usage counts. The API key comes from the named environment
     variable, never from configuration files. One reconnect on transport
-    errors, no streaming.
+    errors, within the same time budget; no streaming.
     """
 
     endpoint: str
@@ -131,19 +132,22 @@ class HttpBackend:
         }
         budget = self.request_timeout if timeout is None else min(
             self.request_timeout, max(timeout, 0.05))
+        started, left = time.monotonic(), budget
         last_exc: Optional[Exception] = None
-        for attempt in range(2):  # one reconnect, nothing more
+        for attempt in range(2):  # one reconnect with what is left of the budget
             try:
                 resp = requests.post(self.endpoint, json=payload,
-                                     headers=headers, timeout=budget)
+                                     headers=headers, timeout=left)
                 resp.raise_for_status()
                 return self._parse(resp.json())
             except (requests.Timeout, requests.ConnectionError) as exc:
                 last_exc = exc
-                continue
+                left = budget - (time.monotonic() - started)
+                if left <= 0:
+                    break
             except (requests.RequestException, ValueError, KeyError) as exc:
                 raise BackendError(f"chat completion failed: {exc}") from exc
-        raise BackendError(f"chat completion failed after retry: {last_exc}")
+        raise BackendError(f"chat completion failed within {budget} s: {last_exc}")
 
     @staticmethod
     def _parse(data: dict) -> BackendReply:

@@ -212,9 +212,8 @@ def schedule_solvers(config: RunConfig, state: RunState,
                      features: np.ndarray,
                      ranking: Sequence[SolverId]) -> Tuple[ScheduleEntry, ...]:
     T, C = config.time_budget, config.cost_budget
-    if config.selector.startswith("fixed:"):
-        return tuple(ScheduleEntry(s, T, C) for s in ranking)
-    if config.selector.startswith("linear-"):
+    if config.selector.startswith(("fixed:", "linear-")):
+        # a fixed selector ranks one solver, whose share is all of T and C
         return linear_schedule(ranking, T, C)
     return build_schedule(ranking, state.store, features, config.k, T, C,
                           delta_time=config.delta1, delta_cost=config.delta2)

@@ -3,8 +3,12 @@
 and an external SMT-solver subprocess client.
 
 Terms and grammar templates become generated Python with `evaluate`'s
-semantics (`compile_term`/`compile_template` for the A* check). The sweep
-is one generated loop per candidate over cached grid and sample columns.
+semantics: `compile_term`, and for the A* check `compile_template`, one
+function per grammar production built once per grammar with each hole at
+its nonterminal's width (the check walks the tree for nested `f`
+applications, constraints too deep to compile, and a BitVec nonterminal
+with a rule of another width). The sweep is one generated loop per
+candidate over cached grid and sample columns.
 After its first chunk finds nothing, one exact step decides the formula:
 `lia.proves_valid` for LIA, and for BV one numpy evaluation over every
 point of a domain of at most 2^16 points (`domain_columns`), emitted by the
@@ -200,9 +204,6 @@ def _eval_bv(op: str, term: App, args: Sequence[int],
 # ---------------------------------------------------------------------------
 
 Compiled = Callable[[Sequence[Value]], Value]
-# a compiled node and the width _bv_width gives its term (None where it has none)
-Node = Tuple[Compiled, Optional[int]]
-Builder = Callable[[Sequence[Node]], Node]
 
 
 def compile_term(term: Term, var_names: Sequence[str],
@@ -212,51 +213,45 @@ def compile_term(term: Term, var_names: Sequence[str],
     where evaluate raises: `ite` evaluates only the branch taken, every
     other operator evaluates its arguments left to right, and bitvector
     widths are fixed here by the same leftmost-spine rule as `_bv_width`."""
-    return compile_template(term, var_names, sorts)(())[0]
+    return compile_template(term, var_names, sorts)[0]()
 
 
 def compile_template(template: Term, var_names: Sequence[str],
-                     sorts: Optional[Mapping[str, Sort]] = None) -> Builder:
-    """Compile a grammar template once; the builder takes the compiled nodes
-    of its holes (preorder) and returns the node of the filled term, as
-    `fill_holes` does for terms. A hole-free term takes no nodes.
-
-    The template becomes one generated function of the values tuple in
-    which a hole calls its node's function. A hole's width can size a
-    bitvector mask, so the source is generated per tuple of hole widths."""
-    index = {name: i for i, name in enumerate(var_names)}
-    makers: dict = {}
-
-    def build(kids: Sequence[Node]) -> Node:
-        widths = tuple(w for _, w in kids)
-        found = makers.get(widths)
-        if found is None:
-            expr, width, used, _ = _expression(template, index, sorts, widths)
-            reads = "".join(f"        v{i} = env[{i}]\n" for i in sorted(used))
-            source = (f"def _make({', '.join(f'k{i}' for i in range(len(kids)))}):\n"
-                      f"    def _f(env):\n{reads}        return {expr}\n    return _f\n")
-            found = makers[widths] = _compile_source(source), width
-        make, width = found
-        return make(*[f for f, _ in kids]), width
-
-    if any(isinstance(t, Hole) for t in subterms(template)):
-        return build
-    node = build(())
-    return lambda kids: node
+                     sorts: Optional[Mapping[str, Sort]] = None,
+                     hole_widths: Sequence[Optional[int]] = ()
+                     ) -> Tuple[Callable[..., Compiled], Optional[int]]:
+    """The maker of a grammar production compiled once, and the template's
+    width by `_bv_width`'s rule. Its j-th hole (preorder) is at
+    `hole_widths[j]`, its nonterminal's width (None for Int and Bool, which
+    raises where it sizes a mask). `make(*kids)` maps the functions of the
+    holes' terms to the filled term's, as `fill_holes` does for terms; the
+    enumerator walks the tree instead for nested `f` applications,
+    constraints too deep to compile, and a BitVec nonterminal with a rule
+    of another width."""
+    expr, width, used, _ = _expression(template, var_names, sorts, hole_widths)
+    reads = "".join(f"        v{i} = env[{i}]\n" for i in sorted(used))
+    make = _compile_source(
+        f"def _make({', '.join(f'k{i}' for i in range(len(hole_widths)))}):\n"
+        f"    def _f(env):\n{reads}        return {expr}\n    return _f\n")
+    if not hole_widths:
+        leaf = make()
+        return (lambda: leaf), width
+    return make, width
 
 
 Apply = Callable[[str, Sequence[str], Optional[int], bool], Tuple[str, bool]]
 
 
-def _expression(template: Term, index: Mapping[str, int],
-                sorts: Optional[Mapping[str, Sort]], hole_widths: Sequence[Optional[int]],
+def _expression(template: Term, var_names: Sequence[str],
+                sorts: Optional[Mapping[str, Sort]], hole_widths: Sequence[Optional[int]] = (),
                 apply: Optional[Apply] = None) -> Tuple[str, Optional[int], set[int], bool]:
     """The template as a Python expression over the locals `v<i>` (the
-    variable at index i) and `k<j>(env)` (its j-th hole), its width, the
+    variable `var_names[i]`) and `k<j>(env)` (its j-th hole), its width, the
     variable indices it reads and whether evaluating it can raise.
     `apply` is the op table: `_apply` (the default) for values, or
     `_apply_vector` for whole-domain numpy columns."""
     apply = apply or _apply
+    index = {name: i for i, name in enumerate(var_names)}
     holes = itertools.count()
     used: set[int] = set()
 
@@ -528,7 +523,7 @@ def _compile_sweep(phi: Term, names: Sequence[str], sorts: Mapping[str, Sort]
                    ) -> Callable[..., Optional[Tuple[Value, ...]]]:
     """`sweep(c0, c1, ...)` over one column per variable: the first point
     where `phi` is false, skipping points that divide by zero, or None."""
-    expr = _expression(phi, {n: i for i, n in enumerate(names)}, sorts, ())[0]
+    expr = _expression(phi, names, sorts)[0]
     values, columns = (", ".join(f"{x}{i}" for i in range(len(names))) for x in "vc")
     loop = "v0 in c0" if len(names) == 1 else f"{values} in zip({columns})"
     return _compile_source(
@@ -600,8 +595,7 @@ def _whole_domain_verdict(phi: Term, parts: Sequence[Term],
         return None
     names = [n for n, _ in universals]
     env = dict(universals)
-    expr, _, _, raises = _expression(phi, {n: i for i, n in enumerate(names)}, env, (),
-                                     _apply_vector)
+    expr, _, _, raises = _expression(phi, names, env, apply=_apply_vector)
     if raises:
         return None
     if deadline is not None and time.monotonic() > deadline:
@@ -898,9 +892,7 @@ class Verifier:
     def _check(self, query: SynthQuery, cand: Candidate,
                deadline: Optional[float]) -> VerificationResult:
         internal = check_candidate_internal(query, cand, self.search_config, deadline)
-        if internal.is_counterexample:
-            return internal
-        if self.solver_command is None:
+        if internal.is_counterexample or self.solver_command is None:
             return internal
         try:
             external = check_candidate_external(

@@ -354,6 +354,22 @@ def test_malformed_fixture_file_is_an_input_error(command, line, needle,
     assert not out_dir.exists()
 
 
+def test_solve_stopped_by_an_error_exits_3(tmp_path, capsys):
+    # a strict replay miss: a model is configured and the fixture file is empty
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"models": [{"name": "gpt"}]}))
+    fixtures = tmp_path / "fixtures.jsonl"
+    fixtures.write_text("")
+    code = main(["solve", str(_command_target("solve", tmp_path)),
+                 "--config", str(cfg_path), "--fixtures", str(fixtures),
+                 "--selector", "fixed:gpt-p4", "--time-budget", "30"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "UNSOLVED" not in captured.out
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "no fixture for key" in errors[0]
+
+
 _BAD_GRAMMAR_MAX2 = MAX2_TEXT.replace(
     "(synth-fun f ((v0 Int) (v1 Int)) Int)", """(synth-fun f ((v0 Int) (v1 Int)) Int
   ((I Int) (B Bool))

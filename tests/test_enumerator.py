@@ -563,6 +563,56 @@ def test_compiled_check_matches_reference_per_bitvector_program():
     assert decided == {True, False}
 
 
+_BV8, _BV16 = "(_ BitVec 8)", "(_ BitVec 16)"
+_TWO_WIDTHS = {
+    # well-sorted: an 8-bit and a 16-bit nonterminal, each under bvult
+    "well-sorted": (
+        f"(synth-fun f ((x {_BV8}) (y {_BV16})) Bool\n"
+        f"  ((B Bool) (W {_BV8}) (V {_BV16}))\n"
+        f"  ((B Bool ((bvult W W) (bvult V V) (not B)))\n"
+        f"   (W {_BV8} (x #x80 (bvadd W W) (bvsub W W) (bvnot W)))\n"
+        f"   (V {_BV16} (y #x8000 (bvadd V V) (bvsub V V) (bvnot V)))))",
+        "(f x y)"),
+    # the 8-bit nonterminal has a 16-bit rule, which SyGuS forbids and the
+    # reader accepts: (bvadd y y) is well-sorted and wraps at 2^16, not 2^8
+    "rule-of-another-width": (
+        f"(synth-fun f ((x {_BV8}) (y {_BV16})) {_BV16}\n"
+        f"  ((W {_BV8} (x y (bvadd W W) (bvnot W)))))",
+        "(bvult (f x y) #x0100)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TWO_WIDTHS))
+def test_compiled_check_matches_reference_per_program_of_two_widths(name):
+    # a hole takes its nonterminal's width, so a grammar where a rule of a
+    # BitVec nonterminal has another width must take the reference check
+    synth_fun, constraint = _TWO_WIDTHS[name]
+    q = parse_query(f"(set-logic BV)\n{synth_fun}\n(declare-var x {_BV8})\n"
+                    f"(declare-var y {_BV16})\n(constraint {constraint})\n(check-synth)\n")
+    g = grammar_for_query(q)
+    rng = random.Random(11)
+    frontier = enumerator.Frontier(g, q)
+    flat, by_nt = frontier.flat, frontier.by_nt
+    assert (frontier.makers is None) == (name == "rule-of-another-width")
+    decided = set()
+    for _ in range(20):
+        examples = [{"x": rng.randrange(1 << 8), "y": rng.randrange(1 << 16)}
+                    for _ in range(rng.randrange(1, 4))]
+        compiled = enumerator._compiled_check(frontier, examples)
+        reference = enumerator._reference_check(frontier, examples)
+        for _ in range(40):
+            choices, pending = [], [g.start]
+            while pending and len(choices) < 12:
+                idx = rng.choice(by_nt[pending.pop(0)])
+                choices.append(idx)
+                pending[:0] = flat[idx].holes
+            if not pending:
+                got = compiled(tuple(choices))
+                assert got == reference(tuple(choices)), choices
+                decided.add(got is None)
+    assert decided == {True, False}
+
+
 def test_enumerator_outcome_reports_counters_and_stop_reason(max2_query):
     from synthsel.orchestrator import SolverDeployer
     from synthsel.budget import ScheduleEntry

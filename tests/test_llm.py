@@ -374,6 +374,40 @@ def test_http_backend_malformed_response(chat_server):
         backend.complete("m", [Message("user", "hi")], timeout=5)
 
 
+class _FakeClock:
+    def __init__(self):
+        self.now = 100.0
+
+    def monotonic(self):
+        return self.now
+
+
+@pytest.mark.parametrize("first_takes, retry_timeouts", [
+    (1.5, [0.5]),   # the retry gets what is left of the 2 s budget
+    (2.0, []),      # nothing left: no second request
+])
+def test_http_backend_retry_stays_within_the_budget(first_takes, retry_timeouts,
+                                                    monkeypatch):
+    import requests
+    from synthsel.llm import BackendError, backends
+
+    clock = _FakeClock()
+    timeouts = []
+
+    def post(url, json, headers, timeout):
+        timeouts.append(timeout)
+        clock.now += first_takes if len(timeouts) == 1 else timeout
+        raise requests.Timeout("timed out")
+
+    monkeypatch.setattr(backends, "time", clock, raising=False)
+    monkeypatch.setattr(backends.requests, "post", post)
+    backend = HttpBackend(endpoint="http://127.0.0.1:9/v1/chat", request_timeout=60.0)
+    with pytest.raises(BackendError):
+        backend.complete("m", [Message("user", "hi")], timeout=2.0)
+    assert timeouts == [2.0] + retry_timeouts
+    assert clock.now - 100.0 <= 2.0
+
+
 # ---------------------------------------------------------------------------
 # the repair loop
 # ---------------------------------------------------------------------------

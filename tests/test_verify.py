@@ -589,13 +589,14 @@ def test_compiled_connectives_raise_on_any_raising_argument(op, args, at, env):
 def test_compiled_connectives_over_holes_evaluate_every_hole(op):
     # a hole's function may raise, so a connective over holes takes the
     # eager form whatever its first arguments decide
-    build = compile_template(App(op, (Hole("B"),) * 3), VAR_NAMES, VAR_SORTS)
-    raising = (compile_term(_RAISES, VAR_NAMES, VAR_SORTS), None)
+    make, _ = compile_template(App(op, (Hole("B"),) * 3), VAR_NAMES, VAR_SORTS,
+                               (None,) * 3)
+    raising = compile_term(_RAISES, VAR_NAMES, VAR_SORTS)
     env = (1, 1, False, False, 0, 0)
     for first, second in itertools.product((True, False), repeat=2):
-        constants = [(compile_term(BoolLit(v), VAR_NAMES), None) for v in (first, second)]
+        constants = [compile_term(BoolLit(v), VAR_NAMES) for v in (first, second)]
         for kids in ([*constants, raising], [constants[0], raising, constants[1]]):
-            assert _outcome(lambda: build(kids)[0](env)) == "raises", (first, second)
+            assert _outcome(lambda: make(*kids)(env)) == "raises", (first, second)
 
 
 def test_compiled_ite_is_lazy():
