@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import shlex
 from dataclasses import dataclass
 from pathlib import Path
@@ -100,8 +101,14 @@ class RunConfig:
             raise ValueError(f"unknown reward {self.reward!r}")
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
-        if self.time_budget <= 0 or self.cost_budget <= 0:
-            raise ValueError("budgets must be positive")
+        # NaN fails every comparison, so each bound is stated as what must hold
+        if not (0 < self.time_budget < math.inf and 0 < self.cost_budget < math.inf):
+            raise ValueError(f"budgets must be finite and positive, got time "
+                             f"{self.time_budget}, cost {self.cost_budget}")
+        if not 0 <= self.grace < math.inf:
+            raise ValueError(f"grace must be finite and >= 0, got {self.grace}")
+        if self.runs < 1:
+            raise ValueError(f"runs must be >= 1, got {self.runs}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         for d in (self.delta1, self.delta2):

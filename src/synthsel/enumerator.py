@@ -1,10 +1,16 @@
 """Built-in symbolic solver: CEGIS with an A* synthesis phase.
 
 The A* search runs over sentential forms of the grammar. Each state pairs the
-derivation so far (production choices in leftmost order) with the queue of
+derivation so far (production choices in leftmost order) with the stack of
 unexpanded nonterminals; expanding the leftmost nonterminal by a production
 costs that nonterminal's edge cost, and the heuristic sums the minimal
 completion cost of every pending nonterminal.
+
+A node is expanded lazily: its children wait in one heap entry, cheapest
+first, and popping a child pushes its next sibling. Both halves of a state
+are cons cells, `(idx, parent)` for the derivation (last choice first) and
+`(nt, rest)` for the pending stack, shared by siblings and built only when
+a child is popped.
 
 A dequeued complete program is checked against the phase's examples by the
 compiled evaluator (`verify.compile_template`, one generated function per
@@ -21,7 +27,6 @@ entry again; a fresh A* on all the examples would return the same program.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -57,7 +62,9 @@ class SearchResult:
 
 @dataclass(frozen=True)
 class EnumeratorConfig:
-    # frontier size cap in entries, not bytes; breach ends the search
+    # frontier size cap in entries, not bytes: an expansion of n productions
+    # adds n children whether or not they sit in the heap yet, a pop removes
+    # one; breach ends the search
     max_frontier: int = 4_000_000
 
 
@@ -72,13 +79,17 @@ def _flat_productions(grammar: Grammar) -> Tuple[list[Production], dict[str, lis
     return flat, by_nt
 
 
-def _fold_choices(choices: Sequence[int], arity: Sequence[int],
+Choices = Optional[Tuple[int, "Choices"]]  # (last production, earlier ones)
+
+
+def _fold_choices(choices: Choices, arity: Sequence[int],
                   build: Sequence[Callable[..., T]]) -> T:
-    """Rebuild a derivation bottom-up: walk the leftmost-order choices in
-    reverse, calling each production's function on the results for its
-    holes (preorder) from a stack."""
+    """Rebuild a derivation bottom-up: walk the cons of leftmost-order
+    choices from its head, the last choice, calling each production's
+    function on the results for its holes (preorder) from a stack."""
     stack: list = []
-    for idx in reversed(choices):
+    while choices is not None:
+        idx, choices = choices
         n = arity[idx]
         if n == 0:
             stack.append(build[idx]())
@@ -93,12 +104,22 @@ def _fold_choices(choices: Sequence[int], arity: Sequence[int],
 
 class Frontier:
     """The state of one A* search, kept across the CEGIS phases of a solve:
-    the heap, the FIFO tie counter and the last popped priority, with the
-    grammar tables and `makers`, which do not depend on the examples: one
-    compiled function per production, built once per grammar with each hole
-    at its nonterminal's width. The check walks the tree instead for nested
-    `f` applications, constraints too deep to compile, and a BitVec
-    nonterminal with a rule of another width (`makers` is None)."""
+    the heap, the next free FIFO tie, the frontier's size and the last
+    popped priority, with the grammar tables and `makers`, which do not
+    depend on the examples.
+
+    The heap holds one entry per expansion whose children are not all
+    popped: its cheapest child not yet popped. An expansion reserves one
+    tie per production, in grammar order, so a child pushed when its elder
+    sibling pops keeps the tie an eager push would have given it. `size`
+    counts the entries an eager frontier would hold: +n for an expansion
+    of n productions, -1 per pop; `max_frontier` caps it.
+
+    `makers` holds one compiled function per production, built once per
+    grammar with each hole at its nonterminal's width. The check walks the
+    tree instead for nested `f` applications, constraints too deep to
+    compile, and a BitVec nonterminal with a rule of another width
+    (`makers` is None)."""
 
     def __init__(self, grammar: Grammar, query: SynthQuery):
         self.grammar = grammar
@@ -106,18 +127,31 @@ class Frontier:
         self.mc = min_completion_costs(grammar)
         self.flat, self.by_nt = _flat_productions(grammar)
         self.costs = {nt: edge_cost(nt, grammar) for nt in grammar.productions}
-        self.holes = [p.holes for p in self.flat]
-        self.arity = [len(h) for h in self.holes]
+        self.arity = [len(p.holes) for p in self.flat]
+        self.holes_reversed = [p.holes[::-1] for p in self.flat]
         # _fold_choices over fills rebuilds a program's term, over makers its function
         self.fills = [lambda *kids, t=p.template: fill_holes(t, kids) for p in self.flat]
-        self.holes_mc = [sum(self.mc[h] for h in p.holes) for p in self.flat]
-        self.counter = itertools.count()  # FIFO among equal priorities
-        # a heap entry is (priority, tie, choices, pending, cost, heuristic):
-        # the sentential form (production choices so far, leftmost first, and
-        # the pending nonterminals), the edge cost spent, and the heuristic,
-        # so children update the heuristic in O(holes)
-        g0 = self.mc[grammar.start]
-        self.heap: list = [(g0, next(self.counter), (), (grammar.start,), 0.0, g0)]
+        holes_mc = [sum(self.mc[h] for h in p.holes) for p in self.flat]
+        # per nonterminal its first child, a chain (idx, holes' heuristic,
+        # position in grammar order, next sibling) in (priority, tie) order:
+        # by the holes' heuristic, then by grammar order
+        self.first_child: dict[str, tuple] = {}
+        for nt, idxs in self.by_nt.items():
+            sibling = None
+            for pos, idx in sorted(enumerate(idxs), reverse=True,
+                                   key=lambda e: (holes_mc[e[1]], e[0])):
+                sibling = (idx, holes_mc[idx], pos, sibling)
+            self.first_child[nt] = sibling
+        self.n_children = {nt: len(idxs) for nt, idxs in self.by_nt.items()}
+        # a heap entry is (priority, tie, child, parent) for the next child
+        # of an expansion; parent is (choices, rest, cost, heuristic, base):
+        # the parent's choices and its pending stack without the expanded
+        # nonterminal, the edge cost spent with that expansion, the
+        # heuristic without it, and the first tie reserved for its children.
+        # The start state's entry has neither.
+        self.heap: list = [(self.mc[grammar.start], 0, None, None)]
+        self.tie = 1  # FIFO among equal priorities
+        self.size = 1  # entries an eager frontier would hold
         self.last_priority = -math.inf
 
     @functools.cached_property
@@ -137,7 +171,7 @@ class Frontier:
 # Consistency of a complete program with the phase's examples
 # ---------------------------------------------------------------------------
 
-Check = Callable[[Tuple[int, ...]], Optional[Candidate]]
+Check = Callable[[Choices], Optional[Candidate]]
 
 
 def _reference_check(frontier: Frontier, examples: Sequence[Assignment]) -> Check:
@@ -162,7 +196,7 @@ def _reference_check(frontier: Frontier, examples: Sequence[Assignment]) -> Chec
                 return None  # division by zero etc. fails the example
         return cand
 
-    def check(choices: Tuple[int, ...]) -> Optional[Candidate]:
+    def check(choices: Choices) -> Optional[Candidate]:
         try:
             return consistent(_fold_choices(choices, frontier.arity, frontier.fills))
         except RecursionError:
@@ -233,7 +267,7 @@ def _compiled_check(frontier: Frontier, examples: Sequence[Assignment]) -> Check
         return reference
     arity, fills = frontier.arity, frontier.fills
 
-    def check(choices: Tuple[int, ...]) -> Optional[Candidate]:
+    def check(choices: Choices) -> Optional[Candidate]:
         body = _fold_choices(choices, arity, makers)
         try:
             for values, points in per_example:
@@ -272,26 +306,47 @@ def astar_synthesize(grammar: Grammar,
     if frontier is None:
         frontier = Frontier(grammar, query)
     assert frontier.grammar is grammar and frontier.query is query
-    mc, by_nt, costs = frontier.mc, frontier.by_nt, frontier.costs
-    holes, holes_mc = frontier.holes, frontier.holes_mc
-    heap, counter = frontier.heap, frontier.counter
+    mc, costs, first_child = frontier.mc, frontier.costs, frontier.first_child
+    n_children = frontier.n_children
+    holes_reversed = frontier.holes_reversed
+    heap, tie, size = frontier.heap, frontier.tie, frontier.size
     check = _compiled_check(frontier, examples)
     last_priority = frontier.last_priority
+    max_frontier = config.max_frontier
     expansions = completes = 0
     status, cand = SearchStatus.EXHAUSTED, None
 
+    # A child pushed late gets the priority an eager push would have given
+    # it, from the same sums. Every edge cost is a count of productions and
+    # every heuristic a sum of them, so priorities are integer-valued floats
+    # that add exactly: siblings with different heuristics get different
+    # priorities, and ordering them by (heuristic, grammar position) is
+    # their (priority, tie) order.
     while heap:
         if time.monotonic() > deadline:
             status = SearchStatus.TIMEOUT
             break
-        if len(heap) > config.max_frontier:
+        if size > max_frontier:
             status = SearchStatus.FRONTIER_CAP
             break
-        priority, _, choices, pending, cost, g = heappop(heap)
+        priority, _, child, parent = heappop(heap)
+        size -= 1
         assert priority >= last_priority - 1e-9, "priority queue pops regressed"
         last_priority = priority
 
-        if not pending:
+        if child is None:  # the start state
+            choices, pending, cost, g = None, (grammar.start, None), 0.0, priority
+        else:
+            idx, h, _, sibling = child
+            choices, pending, cost, g, base = parent
+            if sibling is not None:
+                heappush(heap, (cost + (g + sibling[1]), base + sibling[2], sibling, parent))
+            choices = (idx, choices)
+            g += h
+            for nt in holes_reversed[idx]:
+                pending = (nt, pending)
+
+        if pending is None:
             completes += 1
             try:
                 cand = check(choices)
@@ -304,16 +359,17 @@ def astar_synthesize(grammar: Grammar,
             continue
 
         expansions += 1
-        nt = pending[0]
-        rest = pending[1:]
+        nt, rest = pending
         cost += costs[nt]
-        g_rest = g - mc[nt]
-        for idx in by_nt[nt]:
-            new_g = g_rest + holes_mc[idx]
-            heappush(heap, (cost + new_g, next(counter), choices + (idx,),
-                            holes[idx] + rest, cost, new_g))
+        g -= mc[nt]
+        first = first_child[nt]
+        parent = (choices, rest, cost, g, tie)
+        heappush(heap, (cost + (g + first[1]), tie + first[2], first, parent))
+        n = n_children[nt]
+        size += n
+        tie += n
 
-    frontier.last_priority = last_priority
+    frontier.tie, frontier.size, frontier.last_priority = tie, size, last_priority
     return SearchResult(status, cand, expansions, completes)
 
 

@@ -13,6 +13,9 @@
   found by substituting the candidate into each constraint and walking it.
 - `balanced_spans`: every balanced form at a marker, character by
   character, for the LLM answer extraction.
+- `reference_astar`: the A* phase that pushes every child of an expansion
+  at once, with tuple derivations and pending queues and the cap on the
+  heap's length, for the search that expands each node lazily.
 - `reference_cegis`: the CEGIS loop that starts every A* phase afresh
   from the start symbol, for the loop that resumes one frontier.
 - The k-NN selector by brute force: nearest records by a stable sort of
@@ -29,14 +32,16 @@ import random
 import re
 import time
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import (AbstractSet, Callable, Hashable, Mapping, NamedTuple, Optional,
                     Sequence, Tuple, Union)
 
 from synthsel import enumerator
 from synthsel.bandit import SolveRecord, SolverId
 from synthsel.budget import ScheduleEntry, allocate_one, fit_exponential
-from synthsel.enumerator import (CegisResult, EnumeratorConfig, SearchStatus,
-                                 initial_example)
+from synthsel.enumerator import (CegisResult, EnumeratorConfig, SearchResult,
+                                 SearchStatus, edge_cost, initial_example,
+                                 min_completion_costs)
 from synthsel.sygus import substitute_solution
 from synthsel.sygus.grammar import Grammar, grammar_from_rules
 from synthsel.sygus.parser import (GrammarError, GrammarRules, ParseError, SynthQuery,
@@ -621,6 +626,64 @@ def first_violated_constraint(query: SynthQuery, cand: Candidate,
         except EvaluationError:
             return i
     return None
+
+
+def cons_choices(choices: Sequence[int]) -> enumerator.Choices:
+    """Leftmost-order production choices as the search's cons cells, the
+    last choice at the head."""
+    derivation = None
+    for idx in choices:
+        derivation = (idx, derivation)
+    return derivation
+
+
+def reference_astar(grammar: Grammar, examples: Sequence[Assignment], query: SynthQuery,
+                    deadline: float,
+                    config: EnumeratorConfig = EnumeratorConfig()) -> SearchResult:
+    """`enumerator.astar_synthesize` from the start symbol, expanding eagerly:
+    every child of an expansion is pushed at once with the next FIFO tie,
+    each heap entry holds its whole derivation and pending queue as tuples,
+    and `max_frontier` caps the heap's length. Programs are checked by the
+    enumerator's own check."""
+    frontier = enumerator.Frontier(grammar, query)
+    check = enumerator._compiled_check(frontier, examples)
+    mc = min_completion_costs(grammar)
+    flat, by_nt = enumerator._flat_productions(grammar)
+    costs = {nt: edge_cost(nt, grammar) for nt in grammar.productions}
+    holes = [p.holes for p in flat]
+    holes_mc = [sum(mc[h] for h in p.holes) for p in flat]
+    counter = itertools.count()
+    g0 = mc[grammar.start]
+    # (priority, tie, choices, pending, cost spent, heuristic)
+    heap: list = [(g0, next(counter), (), (grammar.start,), 0.0, g0)]
+    last_priority = -math.inf
+    expansions = completes = 0
+    while heap:
+        if time.monotonic() > deadline:
+            return SearchResult(SearchStatus.TIMEOUT, None, expansions, completes)
+        if len(heap) > config.max_frontier:
+            return SearchResult(SearchStatus.FRONTIER_CAP, None, expansions, completes)
+        priority, _, choices, pending, cost, g = heappop(heap)
+        assert priority >= last_priority - 1e-9, "priority queue pops regressed"
+        last_priority = priority
+        if not pending:
+            completes += 1
+            try:
+                cand = check(cons_choices(choices))
+            except RecursionError:
+                return SearchResult(SearchStatus.TOO_DEEP, None, expansions, completes)
+            if cand is not None:
+                return SearchResult(SearchStatus.SOLVED, cand, expansions, completes)
+            continue
+        expansions += 1
+        nt, rest = pending[0], pending[1:]
+        cost += costs[nt]
+        g_rest = g - mc[nt]
+        for idx in by_nt[nt]:
+            new_g = g_rest + holes_mc[idx]
+            heappush(heap, (cost + new_g, next(counter), choices + (idx,),
+                            holes[idx] + rest, cost, new_g))
+    return SearchResult(SearchStatus.EXHAUSTED, None, expansions, completes)
 
 
 def reference_cegis(query: SynthQuery, grammar: Grammar, deadline: float,

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -288,6 +289,36 @@ def test_config_that_cannot_mean_what_it_says_is_usage_error(
     code = main([command, str(target), "--config", str(cfg_path),
                  "--fixtures", str(tmp_path / "fixtures.jsonl"),
                  "--time-budget", "1", "--out", str(out_dir)])
+    assert code == 2
+    assert needle in capsys.readouterr().err
+    assert not out_dir.exists()  # rejected before any query ran
+
+
+@pytest.mark.parametrize("command, flags, config, needle", [
+    ("run", ["--time-budget", "nan"], {}, "budgets must be finite and positive"),
+    ("solve", ["--time-budget", "inf"], {}, "budgets must be finite and positive"),
+    ("run", ["--cost-budget", "nan"], {}, "budgets must be finite and positive"),
+    ("run", ["--runs", "0"], {}, "runs must be >= 1, got 0"),
+    ("run", ["--runs", "-2"], {}, "runs must be >= 1, got -2"),
+    ("solve", [], {"time_budget": math.nan}, "budgets must be finite and positive"),
+    ("run", [], {"cost_budget": math.inf}, "budgets must be finite and positive"),
+    ("run", [], {"runs": 0}, "runs must be >= 1"),
+    ("run", [], {"grace": -1.0}, "grace must be finite and >= 0, got -1.0"),
+    ("solve", [], {"grace": math.nan}, "grace must be finite and >= 0, got nan"),
+    ("run", [], {"grace": math.inf}, "grace must be finite and >= 0, got inf"),
+], ids=["time-flag-nan", "time-flag-inf", "cost-flag-nan", "runs-flag-0", "runs-flag-neg",
+        "time-file-nan", "cost-file-inf", "runs-file-0", "grace-file-neg",
+        "grace-file-nan", "grace-file-inf"])
+def test_budget_that_cannot_hold_is_usage_error(command, flags, config, needle,
+                                                 tmp_path, capsys):
+    # NaN passes a `<= 0` check, and then no deadline ever fires
+    target = _command_target(command, tmp_path)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"selector": "fixed:enumerator", "reward": "time",
+                                    **config}))
+    out_dir = tmp_path / "out"
+    code = main([command, str(target), "--config", str(cfg_path), *flags,
+                 "--out", str(out_dir)])
     assert code == 2
     assert needle in capsys.readouterr().err
     assert not out_dir.exists()  # rejected before any query ran

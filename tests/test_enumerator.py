@@ -32,7 +32,7 @@ from synthsel.sygus.grammar import Hole, Production
 from synthsel.verify import Verifier, evaluate
 
 from conftest import PartialProgram, deep_query_text, heuristic, random_small_grammar
-from reference import reference_cegis
+from reference import cons_choices, reference_astar, reference_cegis
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -422,7 +422,47 @@ def test_compiled_check_matches_reference_per_program():
                 choices.append(idx)
                 pending[:0] = flat[idx].holes
             if not pending:
-                assert compiled(tuple(choices)) == reference(tuple(choices))
+                assert compiled(cons_choices(choices)) == reference(cons_choices(choices))
+
+
+# ---------------------------------------------------------------------------
+# the lazy search against the eager one
+# ---------------------------------------------------------------------------
+
+def _lazy_matches_eager(g, q, examples, config=EnumeratorConfig()):
+    lazy = astar_synthesize(g, examples, q, _deadline(60), config)
+    eager = reference_astar(g, examples, q, _deadline(60), config)
+    assert lazy.status is not SearchStatus.TIMEOUT
+    assert _summary(lazy) == _summary(eager)
+    return lazy
+
+
+@pytest.mark.parametrize("cap", [1000, 3000])
+def test_lazy_astar_matches_eager_on_random_grammars(cap):
+    # the cap must fire at the same pop: it counts children not yet pushed
+    rng = random.Random(13)
+    statuses = {_lazy_matches_eager(*_random_phase(rng), EnumeratorConfig(cap)).status
+                for _ in range(40)}
+    assert {SearchStatus.SOLVED, SearchStatus.FRONTIER_CAP} <= statuses
+
+
+def test_lazy_astar_matches_eager_on_the_enum_corpus_first_phases(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import inputs
+
+    for gen in inputs.enum_corpus(1, ROOT / "benchmarks"):
+        q = parse_query(gen.text)
+        res = _lazy_matches_eager(grammar_for_query(q), q, [initial_example(q)])
+        assert res.status is SearchStatus.SOLVED
+
+
+def test_lazy_astar_matches_eager_on_max3_at_a_small_cap(max3_query, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import inputs
+
+    res = _lazy_matches_eager(grammar_for_query(max3_query), max3_query,
+                              list(inputs.MAX3_COUNTEREXAMPLES), EnumeratorConfig(20_000))
+    assert res.status is SearchStatus.FRONTIER_CAP and res.dequeued_complete > 0
 
 
 # ---------------------------------------------------------------------------
@@ -430,17 +470,16 @@ def test_compiled_check_matches_reference_per_program():
 # ---------------------------------------------------------------------------
 
 def _resumed_matches_restarted(q, monkeypatch, g=None, config=EnumeratorConfig()):
-    """Solve q by resuming one frontier and by restarting every phase; the
-    solves must agree exactly, and the resumed counters must equal those of
-    the restarted last phase, which pops again all that the resumed phases
-    popped once. Returns the resumed result."""
+    """Solve q by resuming one lazy frontier and by restarting every phase
+    with the eager search; the solves must agree exactly, and the resumed
+    counters must equal those of the restarted last phase, which pops again
+    all that the resumed phases popped once. Returns the resumed result."""
     g = g or grammar_for_query(q)
     resumed = cegis_solve(q, g, _deadline(60), Verifier(), config)
     phases = []
-    search = enumerator.astar_synthesize
 
     def recorded(*args, **kwargs):
-        phases.append(search(*args, **kwargs))
+        phases.append(reference_astar(*args, **kwargs))
         return phases[-1]
 
     with monkeypatch.context() as m:
@@ -557,8 +596,8 @@ def test_compiled_check_matches_reference_per_bitvector_program():
                 choices.append(idx)
                 pending[:0] = flat[idx].holes
             if not pending:
-                got = compiled(tuple(choices))
-                assert got == reference(tuple(choices))
+                got = compiled(cons_choices(choices))
+                assert got == reference(cons_choices(choices))
                 decided.add(got is None)
     assert decided == {True, False}
 
@@ -607,8 +646,8 @@ def test_compiled_check_matches_reference_per_program_of_two_widths(name):
                 choices.append(idx)
                 pending[:0] = flat[idx].holes
             if not pending:
-                got = compiled(tuple(choices))
-                assert got == reference(tuple(choices)), choices
+                got = compiled(cons_choices(choices))
+                assert got == reference(cons_choices(choices)), choices
                 decided.add(got is None)
     assert decided == {True, False}
 
