@@ -25,6 +25,7 @@ import os
 import platform
 import re
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -61,15 +62,43 @@ def working_src_tree(scratch: Path) -> str:
     return git("write-tree", "--prefix=src/", env=env)
 
 
+class Interrupted(Exception):
+    """A signal that ends the series: SIGTERM, SIGHUP or SIGINT."""
+
+
+def _interrupt(signum, frame):
+    raise Interrupted(signal.Signals(signum).name)
+
+
+def stop_on_signals() -> None:
+    """Turn SIGTERM, SIGHUP and SIGINT into `Interrupted`, so the run under
+    way is stopped before the script exits."""
+    for signum in (signal.SIGTERM, signal.SIGHUP, signal.SIGINT):
+        signal.signal(signum, _interrupt)
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", f"{seconds:g}", "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True)
+    """One perfbench run in its own session. If anything interrupts it, its
+    whole process group (run.py and its worker) is killed before the
+    exception goes on, so no run outlives the series or shares
+    .perfbench-work/ with the next one."""
+    with subprocess.Popen(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+             "--seconds", f"{seconds:g}", "--trace", "0"],
+            cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True) as proc:
+        try:
+            stdout, stderr = proc.communicate()
+        except BaseException:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            raise
     if proc.returncode != 0:
         raise SystemExit(f"bench_pairs: run.py failed in {checkout} ({workload}, seed "
-                         f"{seed}), exit {proc.returncode}:\n{proc.stderr[-2000:]}")
-    lines = proc.stdout.splitlines()
+                         f"{seed}), exit {proc.returncode}:\n{stderr[-2000:]}")
+    lines = stdout.splitlines()
     env = next(json.loads(line.split(" ", 1)[1]) for line in lines
                if line.startswith("environment "))
     digest = next(m.group(1) for m in map(DIGEST.match, lines) if m)
@@ -108,6 +137,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1 or not args.seconds > 0:
         parser.error("--pairs must be >= 1 and --seconds > 0")
+    stop_on_signals()
 
     parent_commit = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     dirty = bool(git("status", "--porcelain", "--", "src", "perfbench"))
@@ -168,4 +198,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except Interrupted as exc:
+        sys.exit(f"bench_pairs: stopped by {exc}")

@@ -12,10 +12,14 @@ are cons cells, `(idx, parent)` for the derivation (last choice first) and
 `(nt, rest)` for the pending stack, shared by siblings and built only when
 a child is popped.
 
-A dequeued complete program is checked against the phase's examples by the
-compiled evaluator (`verify.compile_template`, one generated function per
-grammar production); the tree-walking evaluator stays as the fallback and
-the test oracle.
+A complete program's last choice is a leaf under a parent that left nothing
+pending, and that leaf's leaf siblings are provably the next pops: the search
+checks them as one run, without a heap round-trip per sibling. The check
+runs the compiled evaluator (`verify.compile_template`, one generated
+function per grammar production) and folds the siblings' shared tail once
+into frames, the productions on the path to the rightmost leaf, which each
+leaf fills; the tree-walking evaluator stays as the fallback and the test
+oracle.
 
 One `Frontier` serves every CEGIS phase of a solve. The pop order does not
 depend on the examples, and a program rejected on some examples stays
@@ -80,26 +84,56 @@ def _flat_productions(grammar: Grammar) -> Tuple[list[Production], dict[str, lis
 
 
 Choices = Optional[Tuple[int, "Choices"]]  # (last production, earlier ones)
+_NOT_ONE_TERM = "choice sequence does not form one complete term"
+
+
+def _frames(tail: Choices, arity: Sequence[int], build: Sequence[Callable[..., T]]
+            ) -> list[Tuple[Callable[..., T], list]]:
+    """Fold a derivation that lacks only its last choice. That choice is the
+    program's rightmost leaf, so what is left is the path down to it: per
+    production on that path, innermost first, a frame of its function and
+    the results for its holes before the last, which the leaf fills.
+
+    The walk is the bottom-up one of the whole derivation, from the head of
+    the cons (the last choice) back to the root, calling each production's
+    function on the results for its holes (preorder) from a stack; the
+    missing leaf sits below that stack, so a production with one hole more
+    than the stack holds takes the whole stack and becomes a frame."""
+    frames: list = []
+    stack: list = []
+    while tail is not None:
+        idx, tail = tail
+        n = arity[idx]
+        if n == 0:
+            stack.append(build[idx]())
+        elif n <= len(stack):
+            kids = stack[-n:][::-1]
+            del stack[-n:]
+            stack.append(build[idx](*kids))
+        elif n == len(stack) + 1:
+            frames.append((build[idx], stack[::-1]))
+            stack.clear()
+        else:
+            raise ValueError(_NOT_ONE_TERM)
+    if stack:
+        raise ValueError(_NOT_ONE_TERM)
+    return frames
+
+
+def _fill(frames: Sequence[Tuple[Callable[..., T], list]], leaf: T) -> T:
+    for make, kids in frames:
+        leaf = make(*kids, leaf)
+    return leaf
 
 
 def _fold_choices(choices: Choices, arity: Sequence[int],
                   build: Sequence[Callable[..., T]]) -> T:
-    """Rebuild a derivation bottom-up: walk the cons of leftmost-order
-    choices from its head, the last choice, calling each production's
-    function on the results for its holes (preorder) from a stack."""
-    stack: list = []
-    while choices is not None:
-        idx, choices = choices
-        n = arity[idx]
-        if n == 0:
-            stack.append(build[idx]())
-        else:
-            children = stack[-n:][::-1]
-            del stack[-n:]
-            stack.append(build[idx](*children))
-    if len(stack) != 1:
-        raise ValueError("choice sequence does not form one complete term")
-    return stack[0]
+    """Rebuild a complete derivation bottom-up: its head, the last choice,
+    is a leaf that fills the frames of the rest."""
+    if choices is None or arity[choices[0]]:
+        raise ValueError(_NOT_ONE_TERM)
+    idx, tail = choices
+    return _fill(_frames(tail, arity, build), build[idx]())
 
 
 class Frontier:
@@ -113,7 +147,11 @@ class Frontier:
     tie per production, in grammar order, so a child pushed when its elder
     sibling pops keeps the tie an eager push would have given it. `size`
     counts the entries an eager frontier would hold: +n for an expansion
-    of n productions, -1 per pop; `max_frontier` caps it.
+    of n productions, -1 per pop; `max_frontier` caps it. A complete
+    program's leaf siblings are popped as one run without the heap (see
+    `astar_synthesize`); where the run stops, its next sibling is pushed
+    with its reserved tie, so the heap and `size` are as one pop at a time
+    would leave them.
 
     `makers` holds one compiled function per production, built once per
     grammar with each hole at its nonterminal's width. The check walks the
@@ -172,6 +210,7 @@ class Frontier:
 # ---------------------------------------------------------------------------
 
 Check = Callable[[Choices], Optional[Candidate]]
+_NO_TAIL = object()  # a memo key that no tail is, not even None
 
 
 def _reference_check(frontier: Frontier, examples: Sequence[Assignment]) -> Check:
@@ -266,9 +305,15 @@ def _compiled_check(frontier: Frontier, examples: Sequence[Assignment]) -> Check
     except (RecursionError, EvaluationError):
         return reference
     arity, fills = frontier.arity, frontier.fills
+    # a one-slot memo of the frames of the last tail: the leaf siblings of a
+    # run share their tail cons, so it is folded once per parent
+    memo: list = [_NO_TAIL, []]
 
     def check(choices: Choices) -> Optional[Candidate]:
-        body = _fold_choices(choices, arity, makers)
+        idx, tail = choices
+        if tail is not memo[0]:
+            memo[:] = tail, _frames(tail, arity, makers)
+        body = _fill(memo[1], makers[idx]())
         try:
             for values, points in per_example:
                 if not pred(values + tuple(map(body, points))):
@@ -307,7 +352,7 @@ def astar_synthesize(grammar: Grammar,
         frontier = Frontier(grammar, query)
     assert frontier.grammar is grammar and frontier.query is query
     mc, costs, first_child = frontier.mc, frontier.costs, frontier.first_child
-    n_children = frontier.n_children
+    n_children, arity = frontier.n_children, frontier.arity
     holes_reversed = frontier.holes_reversed
     heap, tie, size = frontier.heap, frontier.tie, frontier.size
     check = _compiled_check(frontier, examples)
@@ -322,6 +367,18 @@ def astar_synthesize(grammar: Grammar,
     # that add exactly: siblings with different heuristics get different
     # priorities, and ordering them by (heuristic, grammar position) is
     # their (priority, tie) order.
+    #
+    # A complete program's last choice is a leaf whose parent left nothing
+    # pending, so its leaf siblings (holes' heuristic 0) come next in its
+    # chain with the same priority, `cost + g`, and higher ties reserved by
+    # the same expansion. Every other heap entry has a larger priority, or
+    # the same priority and a tie outside that expansion's block: not below
+    # it, as the popped leaf was the minimum, so above it. Hence each next
+    # leaf sibling is the next pop, and the run checks it without the heap
+    # round-trip. It counts each sibling as a pop (the cap need not be
+    # checked again: `size` only falls) and checks the deadline before each,
+    # as the loop top does; where the run stops, the next sibling goes on
+    # the heap with its reserved tie, as its elder's pop would have pushed it.
     while heap:
         if time.monotonic() > deadline:
             status = SearchStatus.TIMEOUT
@@ -339,24 +396,34 @@ def astar_synthesize(grammar: Grammar,
         else:
             idx, h, _, sibling = child
             choices, pending, cost, g, base = parent
+            complete = pending is None and not arity[idx]
+            while complete:  # a leaf run, left only by a break
+                completes += 1
+                try:
+                    cand = check((idx, choices))
+                except RecursionError:
+                    status = SearchStatus.TOO_DEEP
+                    break
+                if cand is not None:
+                    status = SearchStatus.SOLVED
+                    break
+                if sibling is None or arity[sibling[0]]:
+                    break
+                if time.monotonic() > deadline:
+                    status = SearchStatus.TIMEOUT
+                    break
+                idx, _, _, sibling = sibling
+                size -= 1
             if sibling is not None:
                 heappush(heap, (cost + (g + sibling[1]), base + sibling[2], sibling, parent))
+            if complete:
+                if status is SearchStatus.EXHAUSTED:
+                    continue
+                break
             choices = (idx, choices)
             g += h
             for nt in holes_reversed[idx]:
                 pending = (nt, pending)
-
-        if pending is None:
-            completes += 1
-            try:
-                cand = check(choices)
-            except RecursionError:
-                status = SearchStatus.TOO_DEEP
-                break
-            if cand is not None:
-                status = SearchStatus.SOLVED
-                break
-            continue
 
         expansions += 1
         nt, rest = pending

@@ -48,3 +48,32 @@ def test_trajectory_file_medians_and_digests_come_from_its_runs(path):
             assert math.isclose(median, value, rel_tol=1e-12), (key, name)
             checked += 1
     assert checked > 0
+
+
+def test_trajectory_script_prints_every_files_end_to_end_medians(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import trajectory
+
+    assert trajectory.main() == 0
+    blocks = capsys.readouterr().out.strip().split("\n\n")
+    metrics = [m["name"] for m in
+               json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]]
+    printed: dict = {}
+    for block in blocks:
+        workload, header, *rows = block.splitlines()
+        assert header.split() == ["file", "seed", "side", *metrics]
+        printed[workload] = [row.split() for row in rows]
+    expected: dict = {}
+    for path in sorted(FILES, key=lambda p: int(p.stem.removeprefix("BENCH_pr"))):
+        _, medians = _runs_and_medians(json.loads(path.read_text(encoding="utf-8")))
+        for workload, seeds in medians.items():
+            for seed, sides in seeds.items():
+                for side, values in sides.items():
+                    expected.setdefault(workload, []).append(
+                        (path.stem.removeprefix("BENCH_"), seed, side,
+                         [values[m] for m in metrics]))
+    assert printed.keys() == expected.keys()
+    for workload, rows in expected.items():
+        assert [row[:3] for row in printed[workload]] == [list(r[:3]) for r in rows]
+        for row, (*_, values) in zip(printed[workload], rows):
+            assert [float(v) for v in row[3:]] == pytest.approx(values, rel=1e-3)

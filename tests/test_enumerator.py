@@ -407,22 +407,38 @@ def test_compiled_astar_matches_reference_on_random_grammars(monkeypatch):
 
 
 def test_compiled_check_matches_reference_per_program():
-    # past the first accepted program too: random derivations, both checks
+    # past the first accepted program too: random derivations, both checks.
+    # A program is a leaf under a tail cons; consecutive programs share that
+    # cell object (leaf siblings of a run) or not, so the compiled check's
+    # memo of the last tail is both kept and replaced
     rng = random.Random(3)
+    kept = replaced = 0
     for _ in range(40):
         g, q, examples = _random_phase(rng)
         frontier = enumerator.Frontier(g, q)
         flat, by_nt = frontier.flat, frontier.by_nt
         compiled = enumerator._compiled_check(frontier, examples)
         reference = enumerator._reference_check(frontier, examples)
-        for _ in range(30):
-            choices, pending = [], [g.start]
-            while pending and len(choices) < 12:
-                idx = rng.choice(by_nt[pending.pop(0)])
-                choices.append(idx)
-                pending[:0] = flat[idx].holes
-            if not pending:
-                assert compiled(cons_choices(choices)) == reference(cons_choices(choices))
+        tails, last = [], None  # (tail cons, leaves of the last nonterminal)
+        for _ in range(60):
+            if not tails or rng.random() < 0.4:
+                choices, pending = [], [g.start]
+                while pending and len(choices) < 12:
+                    nt = pending.pop(0)
+                    idx = rng.choice(by_nt[nt])
+                    choices.append(idx)
+                    pending[:0] = flat[idx].holes
+                if pending:
+                    continue
+                tails.append((cons_choices(choices[:-1]),
+                              [i for i in by_nt[nt] if not flat[i].holes]))
+            tail, leaves = rng.choice(tails[-3:])
+            kept += tail is last
+            replaced += tail is not last
+            last = tail
+            program = (rng.choice(leaves), tail)
+            assert compiled(program) == reference(program)
+    assert kept > 100 and replaced > 100
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +479,59 @@ def test_lazy_astar_matches_eager_on_max3_at_a_small_cap(max3_query, monkeypatch
     res = _lazy_matches_eager(grammar_for_query(max3_query), max3_query,
                               list(inputs.MAX3_COUNTEREXAMPLES), EnumeratorConfig(20_000))
     assert res.status is SearchStatus.FRONTIER_CAP and res.dequeued_complete > 0
+
+
+# ---------------------------------------------------------------------------
+# a run of leaf siblings stopped by the deadline, then resumed
+# ---------------------------------------------------------------------------
+
+class _Clock:
+    """The enumerator's `time`: `monotonic()` reads 0 on every call but the
+    `stop`-th, which is past a deadline of 1."""
+
+    def __init__(self, stop: int = 0):
+        self.calls, self.stop = 0, stop
+
+    def monotonic(self) -> float:
+        self.calls += 1
+        return 2.0 if self.calls == self.stop else 0.0
+
+
+def _leafy_phase(constraint):
+    # five leaves per run: each leaf after the first has its deadline check
+    I = Hole("I")
+    ints = [Var("x"), IntLit(0), IntLit(1), IntLit(2), IntLit(3),
+            App("+", (I, I)), App("-", (I, I))]
+    g = Grammar(start="I", sorts={"I": INT},
+                productions={"I": tuple(Production("I", t) for t in ints)})
+    q = parse_query("(set-logic LIA)\n(synth-fun f ((x Int)) Int)\n(declare-var x Int)\n"
+                    f"(constraint {constraint})\n(check-synth)\n")
+    return g, q, [{"x": 0}, {"x": 2}, {"x": -3}]
+
+
+@pytest.mark.parametrize("constraint, cap, status", [
+    ("(= (f x) (+ x 5))", 4_000_000, SearchStatus.SOLVED),
+    ("(= (f x) (* x 3))", 400, SearchStatus.FRONTIER_CAP),
+])
+def test_a_leaf_run_stopped_at_each_deadline_check_resumes_as_one_search(
+        constraint, cap, status, monkeypatch):
+    g, q, examples = _leafy_phase(constraint)
+    config = EnumeratorConfig(cap)
+    eager = reference_astar(g, examples, q, _deadline(60), config)
+    clock = _Clock()
+    monkeypatch.setattr(enumerator, "time", clock)
+    whole = astar_synthesize(g, examples, q, 1.0, config)
+    assert whole.status is status
+    assert _summary(whole) == _summary(eager)
+    for stop in range(1, clock.calls + 1):
+        monkeypatch.setattr(enumerator, "time", _Clock(stop))
+        frontier = enumerator.Frontier(g, q)
+        first = astar_synthesize(g, examples, q, 1.0, config, frontier)
+        rest = astar_synthesize(g, examples, q, 1.0, config, frontier)
+        assert first.status is SearchStatus.TIMEOUT
+        assert ((rest.status, rest.candidate, first.expansions + rest.expansions,
+                 first.dequeued_complete + rest.dequeued_complete)
+                == _summary(whole)[:4]), stop
 
 
 # ---------------------------------------------------------------------------
