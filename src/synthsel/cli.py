@@ -207,7 +207,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_rescore(args: argparse.Namespace) -> int:
     try:
         report = load_report(args.report)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    # a wrong shape (a list for an object, null for a list) is a load error
+    # too; json.JSONDecodeError is a ValueError
+    except (OSError, KeyError, TypeError, AttributeError, ValueError) as exc:
         print(f"error: cannot load report {args.report}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     result = rescore(report, args.reward)

@@ -66,12 +66,24 @@ def load_report(path: str | Path) -> RunReport:
         return RunReport.from_json(json.load(fh))
 
 
+def _report_text(data: Mapping[str, object], lines: Sequence[str]) -> str:
+    """report.json built from the events.jsonl lines: one top-level key per
+    line in `data`'s order, each value encoded compactly, except "records",
+    whose records sit one per line, each line byte-identical to its
+    events.jsonl line, with the separating commas on lines of their own."""
+    records = "[\n" + "\n,\n".join(lines) + "\n]" if lines else "[]"
+    fields = (f"{json.dumps(key)}: "
+              f"{records if key == 'records' else json.dumps(value)}"
+              for key, value in data.items())
+    return "{\n" + ",\n".join(fields) + "\n}\n"
+
+
 def write_run_outputs(out_dir: str | Path, report: RunReport,
                       summary: Optional[MultiRunSummary] = None) -> dict[str, Path]:
     """Standard output bundle: report.json, summary.csv, cumulative_par2.csv,
     events.jsonl (one JSON line per query), and multirun.json when a
-    multi-run summary exists. The report is encoded to JSON once: report.json,
-    the summary row and the event lines all read that one dict."""
+    multi-run summary exists. Each record is encoded to JSON once: its
+    events.jsonl line is also its line of report.json."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -81,13 +93,13 @@ def write_run_outputs(out_dir: str | Path, report: RunReport,
         "events": out / "events.jsonl",
     }
     data = report.to_json()
-    _write_json(paths["report"], data)
+    lines = [json.dumps(rec) for rec in data["records"]]
+    paths["report"].write_text(_report_text(data, lines), encoding="utf-8")
     write_summary_csv(paths["summary"], [_summary_row(
         data["selector"], data["reward"], data["aggregates"])])
     write_cumulative_par2_csv(paths["cumulative_par2"], report)
-    paths["events"].write_text(
-        "".join(json.dumps(rec) + "\n" for rec in data["records"]),
-        encoding="utf-8")
+    paths["events"].write_text("".join(line + "\n" for line in lines),
+                               encoding="utf-8")
     if summary is not None:
         paths["multirun"] = out / "multirun.json"
         _write_json(paths["multirun"], summary.to_json())

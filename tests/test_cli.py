@@ -139,6 +139,20 @@ def test_rescore_corrupt_report_exits_2(tmp_path, capsys):
     assert main(["rescore", str(bad), "--reward", "time"]) == 2
 
 
+@pytest.mark.parametrize("body", [
+    "[]",
+    json.dumps({"seed": 1, "time_budget": 30.0, "cost_budget": 1000.0,
+                "selector": "single", "reward": "time", "records": None}),
+], ids=["top-level-list", "null-records"])
+def test_rescore_wrong_shape_report_exits_2(tmp_path, capsys, body):
+    bad = tmp_path / "bad.json"
+    bad.write_text(body)
+    assert main(["rescore", str(bad), "--reward", "cost"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot load report {bad}: ")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_config_file_flag_precedence(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     cfg = RunConfig(time_budget=42.0, selector="fixed:enumerator")

@@ -381,8 +381,24 @@ def test_report_json_round_trip_and_outputs(tmp_path):
     out = tmp_path / "out"
     summary = MultiRunSummary([report], 1.0, 0.0)
     written = write_run_outputs(out, report, summary)
-    # each file is the one encoding of its object
-    assert written["report"].read_text() == json.dumps(report.to_json(), indent=2)
+    data = report.to_json()
+    events = written["events"].read_text()
+    assert events == "".join(json.dumps(rec) + "\n" for rec in data["records"])
+    # report.json: one top-level key per line, each value compact, and the
+    # events.jsonl lines as its record lines, commas on lines of their own
+    record_lines = events.splitlines()
+    assert written["report"].read_text() == "\n".join([
+        "{",
+        *(f'"{key}": {json.dumps(data[key])},' for key in
+          ("seed", "time_budget", "cost_budget", "selector", "reward")),
+        '"records": [',
+        *(part for i, line in enumerate(record_lines)
+          for part in ([",", line] if i else [line])),
+        "],",
+        f'"skipped": {json.dumps(data["skipped"])},',
+        f'"aggregates": {json.dumps(data["aggregates"])}',
+        "}",
+    ]) + "\n"
     assert written["multirun"].read_text() == json.dumps(summary.to_json(), indent=2)
     loaded = load_report(written["report"])
     assert loaded.aggregates() == report.aggregates()
@@ -393,6 +409,78 @@ def test_report_json_round_trip_and_outputs(tmp_path):
     # cumulative curve is nondecreasing
     values = [float(line.split(",")[1]) for line in curve[1:]]
     assert all(b >= a for a, b in zip(values, values[1:]))
+
+
+def _write_and_read(out, report):
+    written = write_run_outputs(out, report)
+    return (written["report"].read_text(encoding="utf-8"),
+            written["events"].read_text(encoding="utf-8"))
+
+
+def test_report_json_is_built_from_the_event_lines(tmp_path):
+    config = _config()
+    paths = _write_corpus(tmp_path, 4)
+    report = run_corpus(paths, config, seed=1,
+                        deployer=MatrixDeployer(_matrix_for(paths, config)))
+    text, events = _write_and_read(tmp_path / "out", report)
+    assert json.loads(text) == report.to_json()
+    assert load_report(tmp_path / "out" / "report.json").to_json() == report.to_json()
+    event_lines = events.splitlines()
+    assert len(event_lines) == report.n_queries
+    report_lines = text.splitlines()
+    for line in event_lines:
+        assert report_lines.count(line) == 1
+
+
+def test_report_json_without_records_and_with_skipped(tmp_path):
+    empty = RunReport(0, 100.0, 1000.0, "single", "binary", [])
+    text, events = _write_and_read(tmp_path / "empty", empty)
+    assert events == ""
+    assert '\n"records": [],\n' in text
+    assert json.loads(text) == empty.to_json()
+    assert load_report(tmp_path / "empty" / "report.json").to_json() == empty.to_json()
+
+    skipped = RunReport(3, 100.0, 1000.0, "single", "binary",
+                        [_qrec("a", True, 10.0)], skipped=["bad.sl", "deep.sl"])
+    text, events = _write_and_read(tmp_path / "skipped", skipped)
+    assert '\n"skipped": ["bad.sl", "deep.sl"],\n' in text
+    assert json.loads(text) == skipped.to_json()
+    assert load_report(tmp_path / "skipped" / "report.json").skipped == \
+        ["bad.sl", "deep.sl"]
+
+
+def test_report_json_non_ascii_id_and_non_finite_floats(tmp_path):
+    report = RunReport(
+        1, 100.0, 1000.0, "single", "binary",
+        [_qrec("\u00e9t\u00e9-\u03b2.sl", False, float("inf")),
+         _qrec("max2", True, 5.0,
+               rewards={"binary": 1.0, "time": float("nan"),
+                        "cost": float("-inf")})])
+    text, events = _write_and_read(tmp_path / "out", report)
+    old_text = json.dumps(report.to_json(), indent=2)
+    # NaN equals nothing, so the parsed contents are compared re-encoded
+    assert json.dumps(json.loads(text)) == json.dumps(json.loads(old_text))
+    assert text.isascii() and events.isascii()
+    assert "Infinity" in events and "NaN" in events
+    loaded = load_report(tmp_path / "out" / "report.json")
+    assert loaded.records[0].query_id == "\u00e9t\u00e9-\u03b2.sl"
+    assert loaded.records[0].elapsed == float("inf")
+
+
+def test_report_in_the_indented_layout_still_loads_and_rescores(tmp_path):
+    config = _config(reward="time")
+    paths = _write_corpus(tmp_path, 4)
+    report = run_corpus(paths, config, seed=1,
+                        deployer=MatrixDeployer(_matrix_for(paths, config)))
+    old = tmp_path / "old-report.json"
+    old.write_text(json.dumps(report.to_json(), indent=2), encoding="utf-8")
+    written = write_run_outputs(tmp_path / "out", report)
+    from_old = load_report(old)
+    from_new = load_report(written["report"])
+    assert from_old.to_json() == from_new.to_json() == report.to_json()
+    for kind in ("binary", "time", "cost"):
+        assert rescore(from_old, kind) == rescore(from_new, kind) == \
+            rescore(report, kind)
 
 
 def test_rescore_round_trip(tmp_path):
