@@ -445,14 +445,11 @@ class RewardKind:
         return reward_binary(solved)
 
 
-def estimate_cost(input_tokens: float, output_tokens: float,
-                  solver: SolverId) -> float:
-    """Token cost of one solve: input + 3x output for LLMs; the enumerator's
-    cost is a flat 0.4 regardless of runtime."""
+def estimate_cost(input_tokens: float, output_tokens: float) -> float:
+    """Token cost of one LLM solve: input + 3x output. The enumerator's cost
+    is a flat ENUMERATOR_COST regardless of runtime."""
     if input_tokens < 0 or output_tokens < 0:
         raise ValueError("token counts must be nonnegative")
-    if solver.kind == ENUMERATOR_KIND:
-        return ENUMERATOR_COST
     return float(input_tokens) + 3.0 * float(output_tokens)
 
 
@@ -495,15 +492,6 @@ def _sums(store: BanditStore, rows: np.ndarray,
     counts = np.bincount(arms)
     return {arm: total for arm, (total, count)
             in enumerate(zip(sums.tolist(), counts.tolist())) if count}
-
-
-def knn_scores(store: BanditStore, features: Sequence[float], k: int
-               ) -> dict[SolverId, float]:
-    """Sum of rewards per solver over the k nearest records. Only solvers
-    present among those neighbors appear."""
-    top = store.nearest_order(features, k)[:k]
-    return {store.solvers[s]: total for s, total
-            in _sums(store, top, store.solver_column[top]).items()}
 
 
 def _rank(arms: Sequence[Arm], scores: Sequence[Optional[float]],

@@ -175,6 +175,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     runs = config.runs
     summary = None
     out_dir = config.out or "synthsel-out"
+    try:  # the state loads and the output directory exists before any query
+        state = new_state(config, config.seed)
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         if runs > 1:
             summary = run_corpus_multi(paths, config, config.seed, runs,
@@ -183,16 +189,13 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(f"runs: {runs}  solved: {summary.mean_solved:.1f} "
                   f"± {summary.std_solved:.1f} of {report.n_queries}")
         else:
-            report = run_corpus(paths, config, config.seed, deployer)
+            report = run_corpus(paths, config, config.seed, deployer, state=state)
             agg = report.aggregates()
             print(f"solved {agg['n_solved']}/{agg['n_queries']} "
                   f"({agg['pct_solved']:.1f}%)  par2 {agg['par2']:.1f}")
     except Exception as exc:
         partial = getattr(exc, "partial_report", None)
         if partial is None:
-            if isinstance(exc, (ValueError, OSError)):  # the state did not load
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_USAGE
             raise
         log.exception("run stopped after %d queries", partial.n_queries)
         for name, path in write_run_outputs(out_dir, partial).items():

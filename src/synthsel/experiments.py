@@ -120,18 +120,3 @@ def build_outcome_matrix(paths: Sequence[str],
                                          cost=FAIL_COST, fail_time=FAIL_TIME)
         matrix[path] = row
     return matrix
-
-
-def solver_solve_counts(matrix: OutcomeMatrix) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for row in matrix.values():
-        for solver, cell in row.items():
-            counts.setdefault(str(solver), 0)
-            if cell.solves:
-                counts[str(solver)] += 1
-    return counts
-
-
-def solvable_queries(matrix: OutcomeMatrix) -> int:
-    return sum(1 for row in matrix.values()
-               if any(cell.solves for cell in row.values()))

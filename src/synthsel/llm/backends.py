@@ -9,19 +9,22 @@ message sequence. A record-mode backend wraps a live one and appends fixtures.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import logging
 import os
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional, Protocol, Sequence
 
-import requests
-
 from .prompts import Message
 
 log = logging.getLogger(__name__)
+
+REQUEST_TIMEOUT = 60.0  # seconds: the cap on one completion, its retry included
 
 
 class BackendError(Exception):
@@ -48,6 +51,11 @@ class BackendReply:
 class ChatBackend(Protocol):
     def complete(self, model: str, messages: Sequence[Message],
                  timeout: Optional[float] = None) -> BackendReply: ...
+
+
+def is_token_count(value: object) -> bool:
+    """A recorded token count is a non-negative int (not a bool) or None."""
+    return value is None or (type(value) is int and value >= 0)
 
 
 def fixture_key(model: str, messages: Sequence[Message]) -> str:
@@ -81,6 +89,10 @@ class ReplayBackend:
                         entry = json.loads(line)
                         if not isinstance(entry["response_text"], str):
                             raise TypeError("response_text is not a string")
+                        for name in ("input_tokens", "output_tokens"):
+                            if not is_token_count(entry.get(name)):
+                                raise ValueError(f"{name} {entry[name]!r} is not "
+                                                 "a non-negative integer or null")
                         self._entries.setdefault(entry["key_hash"], []).append(entry)
                     except (ValueError, KeyError, TypeError) as exc:
                         raise ValueError(f"{path}, line {number}: not a replay "
@@ -105,18 +117,19 @@ class ReplayBackend:
 
 @dataclass
 class HttpBackend:
-    """Single-turn JSON chat-completion client.
+    """Single-turn JSON chat-completion client over `urllib.request`.
 
     POSTs {model, messages, temperature} and reads the assistant message plus
     optional usage counts. The API key comes from the named environment
-    variable, never from configuration files. One reconnect on transport
-    errors, within the same time budget; no streaming.
+    variable, never from configuration files. An HTTP error status fails at
+    once; a timeout or connection error gets one retry within the same time
+    budget; no streaming. TLS uses the system CA store and proxies come from
+    the *_PROXY environment variables.
     """
 
     endpoint: str
     api_key_env: Optional[str] = None
     temperature: float = 0.2
-    request_timeout: float = 60.0
 
     def complete(self, model: str, messages: Sequence[Message],
                  timeout: Optional[float] = None) -> BackendReply:
@@ -130,22 +143,27 @@ class HttpBackend:
             "messages": [{"role": m.role, "content": m.content} for m in messages],
             "temperature": self.temperature,
         }
-        budget = self.request_timeout if timeout is None else min(
-            self.request_timeout, max(timeout, 0.05))
+        budget = REQUEST_TIMEOUT if timeout is None else min(
+            REQUEST_TIMEOUT, max(timeout, 0.05))
         started, left = time.monotonic(), budget
         last_exc: Optional[Exception] = None
         for attempt in range(2):  # one reconnect with what is left of the budget
             try:
-                resp = requests.post(self.endpoint, json=payload,
-                                     headers=headers, timeout=left)
-                resp.raise_for_status()
-                return self._parse(resp.json())
-            except (requests.Timeout, requests.ConnectionError) as exc:
+                request = urllib.request.Request(
+                    self.endpoint, headers=headers, method="POST",
+                    data=json.dumps(payload, allow_nan=False).encode("utf-8"))
+                with urllib.request.urlopen(request, timeout=left) as resp:
+                    return self._parse(json.loads(resp.read()))
+            except urllib.error.HTTPError as exc:  # an error status: no retry
+                exc.close()
+                raise BackendError(f"chat completion failed: HTTP {exc.code} "
+                                   f"{exc.reason}") from exc
+            except (urllib.error.URLError, TimeoutError, ConnectionError) as exc:
                 last_exc = exc
                 left = budget - (time.monotonic() - started)
                 if left <= 0:
                     break
-            except (requests.RequestException, ValueError, KeyError) as exc:
+            except (http.client.HTTPException, ValueError) as exc:  # e.g. not JSON
                 raise BackendError(f"chat completion failed: {exc}") from exc
         raise BackendError(f"chat completion failed within {budget} s: {last_exc}")
 
@@ -156,17 +174,21 @@ class HttpBackend:
             text = choice["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise BackendError(f"malformed chat completion response: {exc}")
-        usage = data.get("usage") or {}
-        return BackendReply(
-            text=text or "",
-            input_tokens=usage.get("prompt_tokens"),
-            output_tokens=usage.get("completion_tokens"),
-        )
+        text = "" if text is None else text
+        usage = data.get("usage")
+        usage = {} if usage is None else usage
+        if not isinstance(text, str) or not isinstance(usage, dict):
+            raise BackendError("malformed chat completion response: content "
+                               f"{text!r}, usage {usage!r}")
+        counts = usage.get("prompt_tokens"), usage.get("completion_tokens")
+        if not all(map(is_token_count, counts)):
+            raise BackendError(f"malformed chat completion response: usage {usage!r}")
+        return BackendReply(text, *counts)
 
 
 @dataclass
 class ModelRouter:
-    """Sends each model's requests to that model's own backend."""
+    """Sends each model's completions to that model's own backend."""
 
     backends: Mapping[str, ChatBackend]
 

@@ -101,8 +101,7 @@ def solve_with_llm(query: SynthQuery, solver: SolverId,
     stage = "lisp" if style.higher_resource_pl else "smtlib"
 
     def cost_now() -> float:
-        return estimate_cost(transcript.input_tokens,
-                             transcript.output_tokens, solver)
+        return estimate_cost(transcript.input_tokens, transcript.output_tokens)
 
     def finish(solved: bool, candidate: Optional[Candidate],
                provenance: str = "", detail: str = "",

@@ -448,15 +448,18 @@ class RunReport:
 
 def run_corpus(paths: Sequence[str], config: RunConfig, seed: int,
                deployer: Deployer,
-               loader: QueryLoader = load_query_file) -> RunReport:
-    """One online pass over the corpus in a seed-shuffled order.
+               loader: QueryLoader = load_query_file,
+               state: Optional[RunState] = None) -> RunReport:
+    """One online pass over the corpus in a seed-shuffled order, from `state`
+    (by default `new_state(config, seed)`, which loads the state file).
 
     An interrupt ends the pass early with a report of the queries done. Any
     other exception propagates with that partial report attached as its
     `partial_report`. Either way the learned state is saved first."""
     ordered = sorted(str(p) for p in paths)  # portable pre-shuffle order
     random.Random(seed).shuffle(ordered)
-    state = new_state(config, seed)
+    if state is None:
+        state = new_state(config, seed)
     report = RunReport(
         seed=seed,
         time_budget=config.time_budget,

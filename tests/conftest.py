@@ -1,7 +1,11 @@
+import json
 import stat
 import sys
+import threading
+import time
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Tuple
+from http.server import BaseHTTPRequestHandler, HTTPServer
+from typing import Callable, Mapping, Optional, Sequence, Tuple, Union
 
 import pytest
 from hypothesis import settings
@@ -87,6 +91,67 @@ class ScriptedBackend:
 @pytest.fixture
 def scripted_backend_cls():
     return ScriptedBackend
+
+
+@dataclass
+class SeenPost:
+    path: str
+    headers: Mapping[str, str]
+    body: bytes
+
+
+class _ChatHandler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        server = self.server
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        server.seen.append(SeenPost(self.path, self.headers, body))
+        delay = server.delays.pop(0) if server.delays else 0.0
+        if delay is None:
+            return  # no reply: the connection closes
+        time.sleep(delay)
+        payload = server.reply(self.path)
+        if not isinstance(payload, bytes):
+            payload = json.dumps(payload).encode()
+        try:
+            self.send_response(server.status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+        except OSError:  # the client stopped waiting
+            pass
+
+    def log_message(self, *args):
+        pass
+
+
+class ChatServer(HTTPServer):
+    """A chat-completion endpoint on a free local port. It keeps each POST in
+    `seen` and answers with `status` and `reply(path)` (JSON-encoded unless
+    bytes; by default a completion "from <path>"), after the next of
+    `delays` seconds (none left: at once; None: close without a reply)."""
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _ChatHandler)
+        self.seen: list[SeenPost] = []
+        self.status = 200
+        self.delays: list[Optional[float]] = []
+        self.reply: Callable[[str], Union[dict, bytes]] = lambda path: {
+            "choices": [{"message": {"role": "assistant", "content": f"from {path}"}}]}
+
+    def url(self, path: str = "/v1/chat") -> str:
+        return f"http://127.0.0.1:{self.server_address[1]}{path}"
+
+
+@pytest.fixture
+def chat_server():
+    server = ChatServer()
+    thread = threading.Thread(target=server.serve_forever, daemon=True,
+                              kwargs={"poll_interval": 0.05})
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
 
 
 def write_stub_solver(path, stdout_text: str, sleep: float = 0.0) -> str:

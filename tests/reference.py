@@ -22,6 +22,9 @@
   Python distances, reward sums and rankings over dicts keyed by arm, and
   the schedule's two greedy walks through `fit_exponential` and
   `allocate_one`.
+- Read-only views that no run needs: `knn_scores`, the selector's reward
+  sums per solver over the k nearest records, and the outcome matrix's
+  per-solver solve counts and solvable-query count.
 """
 
 from __future__ import annotations
@@ -37,11 +40,12 @@ from typing import (AbstractSet, Callable, Hashable, Mapping, NamedTuple, Option
                     Sequence, Tuple, Union)
 
 from synthsel import enumerator
-from synthsel.bandit import SolveRecord, SolverId
+from synthsel.bandit import BanditStore, SolveRecord, SolverId, _sums
 from synthsel.budget import ScheduleEntry, allocate_one, fit_exponential
 from synthsel.enumerator import (CegisResult, EnumeratorConfig, SearchResult,
                                  SearchStatus, edge_cost, initial_example,
                                  min_completion_costs)
+from synthsel.orchestrator import OutcomeMatrix
 from synthsel.sygus import substitute_solution
 from synthsel.sygus.grammar import Grammar, grammar_from_rules
 from synthsel.sygus.parser import (GrammarError, GrammarRules, ParseError, SynthQuery,
@@ -848,3 +852,31 @@ def reference_schedule(ranking: Sequence[SolverId],
     times = iter(walk(funded, T, delta_time, "time")) if funded else iter(())
     return tuple(ScheduleEntry(s, next(times) if c > 0 else 0.0, c)
                  for s, c in zip(ranking, costs))
+
+
+# ---------------------------------------------------------------------------
+# Read-only views of the store and the outcome matrix
+# ---------------------------------------------------------------------------
+
+def knn_scores(store: BanditStore, features: Sequence[float], k: int
+               ) -> dict[SolverId, float]:
+    """Sum of rewards per solver over the k nearest records. Only solvers
+    present among those neighbors appear."""
+    top = store.nearest_order(features, k)[:k]
+    return {store.solvers[s]: total for s, total
+            in _sums(store, top, store.solver_column[top]).items()}
+
+
+def solver_solve_counts(matrix: OutcomeMatrix) -> dict[str, int]:
+    counts: dict[str, int] = {}
+    for row in matrix.values():
+        for solver, cell in row.items():
+            counts.setdefault(str(solver), 0)
+            if cell.solves:
+                counts[str(solver)] += 1
+    return counts
+
+
+def solvable_queries(matrix: OutcomeMatrix) -> int:
+    return sum(1 for row in matrix.values()
+               if any(cell.solves for cell in row.values()))

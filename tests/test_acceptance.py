@@ -24,7 +24,6 @@ from synthsel.bandit import (
     BanditStore,
     SolveRecord,
     SolverId,
-    knn_scores,
     rank_single,
     reward_cost,
     reward_time,
@@ -39,8 +38,6 @@ from synthsel.enumerator import (
 from synthsel.experiments import (
     build_outcome_matrix,
     experiment_config,
-    solver_solve_counts,
-    solvable_queries,
     write_cluster_corpus,
 )
 from synthsel.llm import (
@@ -77,6 +74,7 @@ from conftest import (
     heuristic,
     random_small_grammar,
 )
+from reference import knn_scores, solvable_queries, solver_solve_counts
 
 
 def _report(criterion: str) -> None:

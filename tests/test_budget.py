@@ -12,7 +12,6 @@ from synthsel.bandit import (
     SolveRecord,
     SolverId,
     first_k_per_group,
-    knn_scores,
     nearest_records,
     rank_double,
     rank_single,
@@ -25,7 +24,7 @@ from synthsel.budget import (
     fit_exponential,
     linear_schedule,
 )
-from reference import (nearest_rows, reference_rank, reference_rank_double,
+from reference import (knn_scores, nearest_rows, reference_rank, reference_rank_double,
                        reference_schedule, reward_sums)
 
 E = SolverId.enumerator()

@@ -1,12 +1,32 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import synthsel
 from synthsel.cli import main
 from synthsel.config import ModelConfig, RunConfig
 
 from conftest import MAX2_TEXT, deep_query_text
+
+
+def test_importing_the_cli_loads_only_numpy_and_the_standard_library():
+    # what the interpreter's own start-up loaded (a .pth file may import a
+    # package) is left out: only the modules that the import adds count
+    script = ("import sys; before = set(sys.modules); import synthsel.cli; "
+              "print(*sorted(set(sys.modules) - before))")
+    src = str(Path(synthsel.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    loaded = subprocess.run([sys.executable, "-c", script], check=True,
+                            capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path}).stdout.split()
+    assert "synthsel.cli" in loaded
+    tops = {name.partition(".")[0] for name in loaded}
+    assert tops - sys.stdlib_module_names == {"numpy", "synthsel"}
 
 
 def test_solve_enumerator_prints_define_fun(tmp_path, capsys):
@@ -77,6 +97,24 @@ def test_run_corpus_writes_reports(tmp_path, capsys):
     assert (out_dir / "cumulative_par2.csv").exists()
     report = json.loads((out_dir / "report.json").read_text())
     assert report["aggregates"]["n_solved"] == 2
+
+
+def test_run_to_an_out_path_that_is_a_file_exits_2_before_solving(tmp_path, capsys,
+                                                                 monkeypatch):
+    import synthsel.cli as cli
+
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "q.sl").write_text(MAX2_TEXT)
+    out = tmp_path / "taken"
+    out.write_text("not a directory")
+    monkeypatch.setattr(cli, "run_corpus", lambda *args, **kwargs: pytest.fail(
+        "no query may be solved"))
+    code = main(["run", str(corpus), "--selector", "fixed:enumerator",
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert out.read_text() == "not a directory"
 
 
 def test_run_deterministic_with_seed(tmp_path, capsys):
@@ -181,57 +219,33 @@ def test_usage_error_exit_code(capsys):
     assert main(["frobnicate"]) == 2
 
 
-class _ChatReply:
-    def __init__(self, text):
-        self.text = text
-
-    def raise_for_status(self):
-        pass
-
-    def json(self):
-        return {"choices": [{"message": {"content": self.text}}]}
-
-
-def _no_network(*args, **kwargs):
-    raise AssertionError("no request may be sent")
-
-
-def test_each_model_uses_its_own_endpoint(tmp_path, monkeypatch):
-    import requests
-
+def test_each_model_uses_its_own_endpoint(tmp_path, monkeypatch, chat_server):
     from synthsel.cli import make_deployer
     from synthsel.llm import Message, RecordingBackend
 
-    sent = []
-
-    def post(url, json, headers, timeout):
-        sent.append((url, json["model"], headers.get("Authorization")))
-        return _ChatReply(f"from {url}")
-
-    monkeypatch.setattr(requests, "post", post)
     monkeypatch.setenv("KEY_A", "a-secret")
     monkeypatch.setenv("KEY_B", "b-secret")
-    models = (ModelConfig("model-a", endpoint="http://a.invalid/v1", api_key_env="KEY_A"),
-              ModelConfig("model-b", endpoint="http://b.invalid/v1", api_key_env="KEY_B"))
+    url_a, url_b = chat_server.url("/a/v1"), chat_server.url("/b/v1")
+    models = (ModelConfig("model-a", endpoint=url_a, api_key_env="KEY_A"),
+              ModelConfig("model-b", endpoint=url_b, api_key_env="KEY_B"))
     fixtures = tmp_path / "recorded.jsonl"
     messages = [Message("user", "hello")]
     for backend in ("http", "record"):
         chat = make_deployer(RunConfig(models=models, backend=backend,
                                        fixtures=str(fixtures))).backend
         assert isinstance(chat, RecordingBackend) == (backend == "record")
-        assert chat.complete("model-b", messages).text == "from http://b.invalid/v1"
-        assert chat.complete("model-a", messages).text == "from http://a.invalid/v1"
-    assert sent == [("http://b.invalid/v1", "model-b", "Bearer b-secret"),
-                    ("http://a.invalid/v1", "model-a", "Bearer a-secret")] * 2
+        assert chat.complete("model-b", messages).text == "from /b/v1"
+        assert chat.complete("model-a", messages).text == "from /a/v1"
+    sent = [(post.path, json.loads(post.body)["model"], post.headers["Authorization"])
+            for post in chat_server.seen]
+    assert sent == [("/b/v1", "model-b", "Bearer b-secret"),
+                    ("/a/v1", "model-a", "Bearer a-secret")] * 2
     assert len(fixtures.read_text().splitlines()) == 2  # only the record pass
 
 
 @pytest.mark.parametrize("backend", ["http", "record"])
-def test_model_without_endpoint_is_usage_error(backend, tmp_path, monkeypatch, capsys):
-    import requests
-
-    monkeypatch.setattr(requests, "post", _no_network)
-    cfg = RunConfig(models=(ModelConfig("model-a", endpoint="http://a.invalid/v1"),
+def test_model_without_endpoint_is_usage_error(backend, tmp_path, capsys, chat_server):
+    cfg = RunConfig(models=(ModelConfig("model-a", endpoint=chat_server.url()),
                             ModelConfig("model-b")),
                     backend=backend, fixtures=str(tmp_path / "recorded.jsonl"))
     cfg_path = tmp_path / "config.json"
@@ -240,6 +254,7 @@ def test_model_without_endpoint_is_usage_error(backend, tmp_path, monkeypatch, c
     path.write_text(MAX2_TEXT)
     assert main(["solve", str(path), "--config", str(cfg_path)]) == 2
     assert "model-b" in capsys.readouterr().err
+    assert chat_server.seen == []  # no request was sent
 
 
 def test_run_crash_writes_partial_report_and_exits_nonzero(tmp_path, monkeypatch, capsys):
@@ -380,6 +395,10 @@ def test_malformed_state_file_is_an_input_error(command, line, needle,
     pytest.param("[1, 2]", "TypeError", id="not-an-object"),
     pytest.param('{"key_hash": "k", "response_text": 7}',
                  "response_text is not a string", id="no-text"),
+    pytest.param('{"key_hash": "k", "response_text": "x", "output_tokens": "7"}',
+                 "output_tokens '7' is not a non-negative integer", id="count-a-string"),
+    pytest.param('{"key_hash": "k", "response_text": "x", "input_tokens": -3}',
+                 "input_tokens -3 is not a non-negative integer", id="count-negative"),
 ])
 def test_malformed_fixture_file_is_an_input_error(command, line, needle,
                                                   tmp_path, capsys):

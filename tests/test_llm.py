@@ -1,12 +1,15 @@
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import socket
+import time
+import urllib.request
 
 import pytest
 from hypothesis import given, strategies as st
 
 from synthsel.bandit import SolverId
 from synthsel.llm import (
+    BackendError,
+    BackendReply,
     EMOTIONAL_PARAGRAPH,
     FEW_SHOT_COUNT,
     ExtractionError,
@@ -311,6 +314,19 @@ def test_replay_miss_is_distinct_error(tmp_path):
         replay.complete("m", [Message("user", "never recorded")])
 
 
+@pytest.mark.parametrize("count", ['"7"', "-3", "true", "1.5", "[1]"])
+@pytest.mark.parametrize("name", ["input_tokens", "output_tokens"])
+def test_replay_fixture_with_a_bad_token_count_is_rejected_on_load(name, count,
+                                                                   tmp_path):
+    fixture = tmp_path / "fx.jsonl"
+    good = '{"key_hash": "k", "response_text": "x", "input_tokens": 0}'
+    fixture.write_text(f'{good}\n{{"key_hash": "k", "response_text": "x", '
+                       f'"{name}": {count}}}\n')
+    with pytest.raises(ValueError, match=f"fx.jsonl, line 2: not a replay fixture "
+                                         f".*{name} .* not a non-negative integer"):
+        ReplayBackend(fixture)
+
+
 def test_fixture_key_sensitivity():
     m = [Message("user", "hello")]
     assert fixture_key("a", m) != fixture_key("b", m)
@@ -318,60 +334,115 @@ def test_fixture_key_sensitivity():
     assert fixture_key("a", m) == fixture_key("a", [Message("user", "hello")])
 
 
-class _ChatHandler(BaseHTTPRequestHandler):
-    response_payload: dict = {}
-    requests_seen: list = []
-
-    def do_POST(self):
-        length = int(self.headers["Content-Length"])
-        body = json.loads(self.rfile.read(length))
-        type(self).requests_seen.append(body)
-        payload = json.dumps(type(self).response_payload).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def chat_server():
-    server = HTTPServer(("127.0.0.1", 0), _ChatHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server
-    server.shutdown()
-
-
 def test_http_backend(chat_server, monkeypatch):
-    _ChatHandler.response_payload = {
+    chat_server.reply = lambda path: {
         "choices": [{"message": {"role": "assistant", "content": "the answer"}}],
         "usage": {"prompt_tokens": 12, "completion_tokens": 7},
     }
-    _ChatHandler.requests_seen = []
     monkeypatch.setenv("TEST_CHAT_KEY", "sk-something")
-    port = chat_server.server_address[1]
-    backend = HttpBackend(endpoint=f"http://127.0.0.1:{port}/v1/chat",
-                          api_key_env="TEST_CHAT_KEY")
+    backend = HttpBackend(endpoint=chat_server.url(), api_key_env="TEST_CHAT_KEY")
     reply = backend.complete("test-model", [Message("user", "hi")], timeout=5)
     assert reply.text == "the answer"
     assert reply.input_tokens == 12 and reply.output_tokens == 7
-    sent = _ChatHandler.requests_seen[0]
+    sent = json.loads(chat_server.seen[0].body)
     assert sent["model"] == "test-model"
     assert sent["messages"] == [{"role": "user", "content": "hi"}]
 
 
-def test_http_backend_malformed_response(chat_server):
-    from synthsel.llm import BackendError
+@pytest.mark.parametrize("key", ["sk-something", "", None])
+def test_http_backend_sends_the_json_body_and_headers(key, chat_server, monkeypatch):
+    if key is None:
+        monkeypatch.delenv("TEST_CHAT_KEY", raising=False)
+    else:
+        monkeypatch.setenv("TEST_CHAT_KEY", key)
+    backend = HttpBackend(endpoint=chat_server.url("/v1/chat/completions"),
+                          api_key_env="TEST_CHAT_KEY")
+    reply = backend.complete("test-model", [Message("system", "be brief"),
+                                            Message("user", "hi \u00e9")], timeout=5)
+    assert reply == BackendReply("from /v1/chat/completions")
+    (post,) = chat_server.seen
+    assert post.path == "/v1/chat/completions"
+    assert post.body == (b'{"model": "test-model", "messages": [{"role": "system", '
+                         b'"content": "be brief"}, {"role": "user", "content": '
+                         b'"hi \\u00e9"}], "temperature": 0.2}')
+    assert post.headers["Content-Type"] == "application/json"
+    assert post.headers["Authorization"] == ("Bearer sk-something" if key else None)
 
-    _ChatHandler.response_payload = {"nope": True}
-    port = chat_server.server_address[1]
-    backend = HttpBackend(endpoint=f"http://127.0.0.1:{port}/v1/chat")
+
+def test_http_backend_malformed_response(chat_server):
+    chat_server.reply = lambda path: {"nope": True}
+    backend = HttpBackend(endpoint=chat_server.url())
     with pytest.raises(BackendError):
         backend.complete("m", [Message("user", "hi")], timeout=5)
+
+
+def _completion(content="x", **usage):
+    return {"choices": [{"message": {"content": content}}], "usage": usage}
+
+
+@pytest.mark.parametrize("payload", [
+    pytest.param(b"<html>busy</html>", id="not-json"),
+    pytest.param([1], id="not-an-object"),
+    pytest.param(_completion(5), id="content-not-a-string"),
+    pytest.param({**_completion(), "usage": [1]}, id="usage-not-an-object"),
+    pytest.param(_completion(completion_tokens="7"), id="count-a-string"),
+    pytest.param(_completion(prompt_tokens=-3), id="count-negative"),
+    pytest.param(_completion(prompt_tokens=True), id="count-a-bool"),
+    pytest.param(_completion(completion_tokens=1.5), id="count-a-float"),
+])
+def test_http_backend_rejects_a_malformed_reply_without_retry(payload, chat_server):
+    chat_server.reply = lambda path: payload
+    backend = HttpBackend(endpoint=chat_server.url())
+    with pytest.raises(BackendError):
+        backend.complete("m", [Message("user", "hi")], timeout=5)
+    assert len(chat_server.seen) == 1
+
+
+def test_http_backend_reads_a_null_content_and_missing_counts(chat_server):
+    chat_server.reply = lambda path: {"choices": [{"message": {"content": None}}],
+                                      "usage": None}
+    backend = HttpBackend(endpoint=chat_server.url())
+    assert backend.complete("m", [Message("user", "hi")], timeout=5) == BackendReply("")
+
+
+def test_http_backend_error_status_is_not_retried(chat_server):
+    chat_server.status = 500
+    backend = HttpBackend(endpoint=chat_server.url())
+    with pytest.raises(BackendError, match="HTTP 500"):
+        backend.complete("m", [Message("user", "hi")], timeout=5)
+    assert len(chat_server.seen) == 1
+
+
+@pytest.mark.parametrize("delays, posts", [
+    ([1.5], 1),        # the slow first post spends the whole budget: no retry
+    ([None, 1.5], 2),  # dropped at once, so one retry, which times out
+])
+def test_http_backend_timeout_retries_within_the_budget(delays, posts, chat_server):
+    chat_server.delays = list(delays)
+    backend = HttpBackend(endpoint=chat_server.url())
+    started = time.monotonic()
+    with pytest.raises(BackendError, match="within 0.3 s"):
+        backend.complete("m", [Message("user", "hi")], timeout=0.3)
+    assert time.monotonic() - started < 1.0  # did not wait for the slow reply
+    assert len(chat_server.seen) == posts
+
+
+def test_http_backend_refused_connection_is_retried_once(monkeypatch):
+    with socket.socket() as probe:  # a local port that nothing listens on
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    timeouts = []
+    urlopen = urllib.request.urlopen
+
+    def counting_urlopen(request, timeout):
+        timeouts.append(timeout)
+        return urlopen(request, timeout=timeout)
+
+    monkeypatch.setattr(urllib.request, "urlopen", counting_urlopen)
+    backend = HttpBackend(endpoint=f"http://127.0.0.1:{port}/v1/chat")
+    with pytest.raises(BackendError, match="within 5"):
+        backend.complete("m", [Message("user", "hi")], timeout=5)
+    assert len(timeouts) == 2 and timeouts[1] <= timeouts[0] == 5
 
 
 class _FakeClock:
@@ -388,20 +459,19 @@ class _FakeClock:
 ])
 def test_http_backend_retry_stays_within_the_budget(first_takes, retry_timeouts,
                                                     monkeypatch):
-    import requests
-    from synthsel.llm import BackendError, backends
+    from synthsel.llm import backends
 
     clock = _FakeClock()
     timeouts = []
 
-    def post(url, json, headers, timeout):
+    def urlopen(request, timeout):
         timeouts.append(timeout)
         clock.now += first_takes if len(timeouts) == 1 else timeout
-        raise requests.Timeout("timed out")
+        raise TimeoutError("timed out")
 
     monkeypatch.setattr(backends, "time", clock, raising=False)
-    monkeypatch.setattr(backends.requests, "post", post)
-    backend = HttpBackend(endpoint="http://127.0.0.1:9/v1/chat", request_timeout=60.0)
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    backend = HttpBackend(endpoint="http://127.0.0.1:9/v1/chat")
     with pytest.raises(BackendError):
         backend.complete("m", [Message("user", "hi")], timeout=2.0)
     assert timeouts == [2.0] + retry_timeouts
