@@ -16,7 +16,7 @@ import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional, Tuple, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Optional, TextIO, Tuple, TypeVar
 
 import numpy as np
 
@@ -308,23 +308,35 @@ class BanditStore:
         Every record is validated as SolveRecord validates it, then appended
         as `append` checks it."""
         store = BanditStore(seed=seed)
-        torn = False
         with open(path, encoding="utf-8") as fh:
-            for number, line in enumerate(fh, 1):
-                if not line.endswith("\n"):  # only the last line can
-                    torn = bool(line.strip())
-                elif line.strip():
-                    try:
-                        store.append(SolveRecord.from_json(json.loads(line)))
-                    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-                        raise ValueError(f"{path}, line {number}: not a solve "
-                                         f"record ({type(exc).__name__}: {exc})"
-                                         ) from None
+            torn = read_json_lines(fh, path, "solve record",
+                                   lambda obj: store.append(SolveRecord.from_json(obj)))
             st = os.fstat(fh.fileno())
         if not torn:
             store._file = (os.path.abspath(path), len(store), st.st_size,
                            st.st_mtime_ns)
         return store
+
+
+def read_json_lines(fh: TextIO, path: str | Path, what: str,
+                    take: Callable[[object], None]) -> bool:
+    """Pass each line of the open JSON-lines file `fh`, decoded, to `take`;
+    blank lines are skipped. A last line without its newline is a torn
+    append: it is skipped too, and the result says whether there was one.
+    A line that does not decode, or that `take` rejects with ValueError,
+    KeyError, TypeError or AttributeError, raises ValueError naming `path`,
+    the line and `what` the line should have been."""
+    torn = False
+    for number, line in enumerate(fh, 1):
+        if not line.endswith("\n"):  # only the last line can
+            torn = bool(line.strip())
+        elif line.strip():
+            try:
+                take(json.loads(line))
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise ValueError(f"{path}, line {number}: not a {what} "
+                                 f"({type(exc).__name__}: {exc})") from None
+    return torn
 
 
 class RecordView(Sequence):

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .bandit import REWARDS
-from .config import RunConfig
+from .config import BACKENDS, RunConfig
 from .llm import HttpBackend, ModelRouter, RecordingBackend, ReplayBackend
 from .orchestrator import (
     SolverDeployer,
@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--delta2", type=float)
         p.add_argument("--state", help="JSON-lines learning-state file")
         p.add_argument("--fixtures", help="replay fixture file")
-        p.add_argument("--backend", choices=("replay", "http", "record"))
+        p.add_argument("--backend", choices=BACKENDS)
         p.add_argument("--smt-cmd", dest="smt_cmd",
                        help="external SMT solver command line")
         p.add_argument("--seed", type=int)

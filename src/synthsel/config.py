@@ -52,12 +52,23 @@ class ModelConfig:
 
     @staticmethod
     def from_json(obj: Mapping) -> "ModelConfig":
+        if not isinstance(obj, Mapping):
+            raise ValueError(f"a model is a JSON object, not {obj!r}")
+        styles = obj.get("styles", (1, 2, 3, 4, 5, 6))
+        if not isinstance(styles, (list, tuple)):
+            raise ValueError(f"model styles must be a list, got {styles!r}")
         return ModelConfig(
-            name=obj["name"],
-            styles=tuple(obj.get("styles", (1, 2, 3, 4, 5, 6))),
+            name=obj.get("name", ""),
+            styles=tuple(styles),
             endpoint=obj.get("endpoint"),
             api_key_env=obj.get("api_key_env"),
         )
+
+
+# the JSON values of each RunConfig field type but the models' (this module's
+# annotations are strings); a bool is no number here
+_JSON_TYPES = {"str": (str,), "Optional[str]": (str, type(None)), "int": (int,),
+               "float": (int, float), "bool": (bool,)}
 
 
 @dataclass(frozen=True)
@@ -138,13 +149,23 @@ class RunConfig:
 
     @staticmethod
     def from_json(obj: Mapping) -> "RunConfig":
+        """The config of a JSON object; an unknown key, or a value that is
+        not of its field's JSON type, raises ValueError naming the key."""
+        if not isinstance(obj, Mapping):
+            raise ValueError(f"a config is a JSON object, not {type(obj).__name__}")
         data = dict(obj)
-        models = tuple(ModelConfig.from_json(m) for m in data.pop("models", ()))
-        known = {f.name for f in dataclasses.fields(RunConfig)}
-        unknown = set(data) - known
+        models = data.pop("models", [])
+        if not isinstance(models, list):
+            raise ValueError(f"config key 'models' must be a list, got {models!r}")
+        types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+        unknown = set(data) - set(types)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return RunConfig(models=models, **data)
+        for key, value in data.items():
+            want = _JSON_TYPES[types[key]]
+            if not isinstance(value, want) or (type(value) is bool and bool not in want):
+                raise ValueError(f"config key {key!r} must be {types[key]}, got {value!r}")
+        return RunConfig(models=tuple(map(ModelConfig.from_json, models)), **data)
 
     @staticmethod
     def load(path: str | Path) -> "RunConfig":

@@ -38,7 +38,7 @@ from enum import Enum
 from heapq import heappop, heappush
 from typing import Callable, Optional, Sequence, Tuple, TypeVar
 
-from .sygus import (App, Candidate, Grammar, SygusError, SynthQuery, Term, Var,
+from .sygus import (App, Candidate, Grammar, SynthQuery, Term, Var,
                     conjoin, fill_holes, map_children, substitute_solution)
 from .sygus.grammar import Production, edge_cost, min_completion_costs
 from .sygus.terms import BOOL
@@ -155,9 +155,8 @@ class Frontier:
 
     `makers` holds one compiled function per production, built once per
     grammar with each hole at its nonterminal's width. The check walks the
-    tree instead for nested `f` applications, constraints too deep to
-    compile, and a BitVec nonterminal with a rule of another width
-    (`makers` is None)."""
+    tree instead for nested `f` applications and constraints too deep to
+    compile."""
 
     def __init__(self, grammar: Grammar, query: SynthQuery):
         self.grammar = grammar
@@ -193,16 +192,11 @@ class Frontier:
         self.last_priority = -math.inf
 
     @functools.cached_property
-    def makers(self) -> Optional[list]:
-        """`compile_template`'s maker per production, or None when a
-        production of a BitVec nonterminal has another width or none."""
+    def makers(self) -> list:
+        """`compile_template`'s maker per production."""
         fn, sorts = self.query.synth_fun, self.grammar.sorts
-        compiled = [compile_template(p.template, fn.param_names, dict(fn.params),
-                                     [sorts[h].width for h in p.holes]) for p in self.flat]
-        if any(sorts[p.nonterminal].width not in (None, width)
-               for p, (_, width) in zip(self.flat, compiled)):
-            return None
-        return [make for make, _ in compiled]
+        return [compile_template(p.template, fn.param_names, dict(fn.params),
+                                 [sorts[h].width for h in p.holes]) for p in self.flat]
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +279,9 @@ def _compiled_check(frontier: Frontier, examples: Sequence[Assignment]) -> Check
     evaluated at the precomputed invocation points of f and the constraints
     by one predicate over the examples' values and f's results. A program
     whose compiled evaluation raises, and every program of a phase where an
-    argument of f fails to evaluate, the constraints nest too deeply to
-    compile or `frontier.makers` is None, goes to the reference check; only
-    an accepted program is rebuilt as a term and sort-checked."""
+    argument of f fails to evaluate or the constraints nest too deeply to
+    compile, goes to the reference check; only an accepted program is
+    rebuilt as a term."""
     reference = _reference_check(frontier, examples)
     query = frontier.query
     if not examples or not query.constraints:
@@ -296,7 +290,7 @@ def _compiled_check(frontier: Frontier, examples: Sequence[Assignment]) -> Check
     try:
         makers = frontier.makers
         found = _invocations(query, examples)
-        if makers is None or found is None:
+        if found is None:
             return reference
         phi, slots, per_example = found
         sorts = dict(query.universals)
@@ -320,11 +314,8 @@ def _compiled_check(frontier: Frontier, examples: Sequence[Assignment]) -> Check
                     return None
         except Exception:
             return reference(choices)
-        try:
-            return Candidate(fn.name, fn.params, fn.return_sort,
-                             _fold_choices(choices, arity, fills))
-        except SygusError:
-            return None
+        return Candidate(fn.name, fn.params, fn.return_sort,
+                         _fold_choices(choices, arity, fills))
 
     return check
 

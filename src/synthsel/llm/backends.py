@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional, Protocol, Sequence
 
+from ..bandit import read_json_lines
 from .prompts import Message
 
 log = logging.getLogger(__name__)
@@ -77,27 +78,23 @@ class ReplayBackend:
     _entries: dict[str, list[dict]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
+        """Read the fixtures as `BanditStore.load` reads a state file: a torn
+        last line is dropped, any other bad line raises ValueError."""
         self._entries = {}
         path = Path(self.path)
         if path.exists():
             with open(path, encoding="utf-8") as fh:
-                for number, line in enumerate(fh, 1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:  # the token counts may be missing or null
-                        entry = json.loads(line)
-                        if not isinstance(entry["response_text"], str):
-                            raise TypeError("response_text is not a string")
-                        for name in ("input_tokens", "output_tokens"):
-                            if not is_token_count(entry.get(name)):
-                                raise ValueError(f"{name} {entry[name]!r} is not "
-                                                 "a non-negative integer or null")
-                        self._entries.setdefault(entry["key_hash"], []).append(entry)
-                    except (ValueError, KeyError, TypeError) as exc:
-                        raise ValueError(f"{path}, line {number}: not a replay "
-                                         f"fixture ({type(exc).__name__}: {exc})"
-                                         ) from None
+                read_json_lines(fh, path, "replay fixture", self._add)
+
+    def _add(self, entry: dict) -> None:
+        # the token counts may be missing or null
+        if not isinstance(entry["response_text"], str):
+            raise TypeError("response_text is not a string")
+        for name in ("input_tokens", "output_tokens"):
+            if not is_token_count(entry.get(name)):
+                raise ValueError(f"{name} {entry[name]!r} is not "
+                                 "a non-negative integer or null")
+        self._entries.setdefault(entry["key_hash"], []).append(entry)
 
     def complete(self, model: str, messages: Sequence[Message],
                  timeout: Optional[float] = None) -> BackendReply:
@@ -216,7 +213,9 @@ def write_fixture(path: str | Path, model: str, messages: Sequence[Message],
                   response_text: str,
                   input_tokens: Optional[int] = None,
                   output_tokens: Optional[int] = None) -> str:
-    """Append one fixture entry; returns the key hash."""
+    """Append one fixture entry; returns the key hash. A torn last line,
+    left by a run killed mid-append, is cut off first, so the entry starts
+    a line of its own."""
     key = fixture_key(model, messages)
     entry = {
         "key_hash": key,
@@ -224,6 +223,12 @@ def write_fixture(path: str | Path, model: str, messages: Sequence[Message],
         "input_tokens": input_tokens,
         "output_tokens": output_tokens,
     }
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(entry) + "\n")
+    with open(path, "a+b") as fh:
+        end = fh.seek(0, os.SEEK_END)
+        if end:
+            fh.seek(end - 1)
+            if fh.read(1) != b"\n":
+                fh.seek(0)
+                fh.truncate(fh.read().rfind(b"\n") + 1)
+        fh.write((json.dumps(entry) + "\n").encode("utf-8"))
     return key

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import AbstractSet, Mapping, Optional, Sequence, Tuple, Union
+from typing import Mapping, Optional, Sequence, Tuple, Union
 
 from .terms import (
     App,
@@ -205,17 +205,17 @@ class _TermContext:
     var_sorts: dict[str, Sort]
     synth_fun: Optional[FunctionSignature]
     macros: dict[str, _Macro]
-    # a grammar's nonterminal names: such a token is read as a Hole
-    nonterminals: AbstractSet[str] = frozenset()
+    # a grammar's nonterminals and their sorts: such a token is read as a Hole
+    nonterminals: Mapping[str, Sort] = field(default_factory=dict)
     # each atom read so far under this context, with its term and sort
     leaves: dict[str, Tuple[Term, Optional[Sort]]] = field(default_factory=dict)
 
 
 def _parse_term(sexpr: SExpr, ctx: _TermContext) -> Tuple[Term, Optional[Sort]]:
     """The term `sexpr` reads as, and its sort, inferred bottom-up while the
-    term is built by the per-node rules of `infer_sort`. The sort is None
-    where a rule fails or a hole is read: `infer_sort` on the term then
-    raises that failure's error, after every error of the reading."""
+    term is built by the per-node rules of `infer_sort` (a hole has its
+    nonterminal's sort). The sort is None where a rule fails: `infer_sort`
+    on the term then raises that failure's error, after every reading error."""
     if type(sexpr) is tuple:
         leaf = ctx.leaves.get(sexpr[0])
         if leaf is None:
@@ -284,7 +284,7 @@ def _parse_leaf(atom: Atom, ctx: _TermContext) -> Tuple[Term, Optional[Sort]]:
     """An atom is a nonterminal, else a literal, else a declared variable."""
     text = atom[0]
     if text in ctx.nonterminals:
-        return Hole(text), None
+        return Hole(text), ctx.nonterminals[text]
     lit = _parse_literal(text)
     if lit is not None:
         return lit, literal_sort(lit)
@@ -309,7 +309,8 @@ def read_grammar_rules(blocks: Sequence[SExpr], signature: FunctionSignature,
                        text: str) -> GrammarRules:
     """Read a grammar block in the v2 form (a predeclaration list, then the
     grouped rules) or the v1 form (the grouped rules only); `text` is the
-    source the blocks were read from."""
+    source the blocks were read from. A rule not of its nonterminal's sort,
+    or a start symbol not of the return sort, raises GrammarError."""
     if len(blocks) not in (1, 2):
         raise ParseError(f"expected 1 or 2 grammar blocks, got {len(blocks)}",
                          *_where(blocks[-1:], text))
@@ -321,20 +322,28 @@ def read_grammar_rules(blocks: Sequence[SExpr], signature: FunctionSignature,
                 and type(group[0]) is tuple and type(group[2]) is list):
             raise ParseError("each grammar rule group must be (N Sort (rules...))",
                              *_where(group, text))
-    ctx = _TermContext(text, dict(signature.params), None, {},
-                       frozenset(group[0][0] for group in groups))
+    sorts = {name: parse_sort(sort, text) for (name, _), sort, _ in groups}
+    start = groups[0][0][0]
+    if sorts[start] != signature.return_sort:
+        raise GrammarError(f"start symbol {start!r} has sort {sorts[start]}, "
+                           f"not the return sort {signature.return_sort}")
+    ctx = _TermContext(text, dict(signature.params), None, {}, sorts)
     nonterminals = []
-    for (name, _), sort, entries in groups:
+    for (name, _), _, entries in groups:
         rules = []
         for entry in entries:
             if _head(entry) in ("Constant", "Variable", "InputVariable",
                                 "LocalVariable"):
                 return GrammarRules((), _head(entry))
             try:
-                rules.append(_parse_term(entry, ctx)[0])
+                rule, sort = _parse_term(entry, ctx)
+                if sort != sorts[name]:
+                    raise ParseError(f"{_print_sexpr(entry)} is not of sort {sorts[name]}",
+                                     *_where(entry, text))
             except ParseError as exc:
                 raise GrammarError(f"in the rules for {name!r}: {exc}") from None
-        nonterminals.append((name, parse_sort(sort, text), tuple(rules)))
+            rules.append(rule)
+        nonterminals.append((name, sorts[name], tuple(rules)))
     return GrammarRules(tuple(nonterminals))
 
 
@@ -346,6 +355,8 @@ def _parse_params(sexpr: SExpr, text: str) -> Tuple[Tuple[str, Sort], ...]:
         if not (type(entry) is list and len(entry) == 2):
             raise ParseError("expected (name Sort)", *_where(entry, text))
         name = _expect_atom(entry[0], "a parameter name", text)
+        if any(n == name for n, _ in params):
+            raise ParseError(f"parameter {name!r} declared twice", *_where(entry, text))
         params.append((name, parse_sort(entry[1], text)))
     return tuple(params)
 

@@ -6,9 +6,8 @@ Terms and grammar templates become generated Python with `evaluate`'s
 semantics: `compile_term`, and for the A* check `compile_template`, one
 function per grammar production built once per grammar with each hole at
 its nonterminal's width (the check walks the tree for nested `f`
-applications, constraints too deep to compile, and a BitVec nonterminal
-with a rule of another width). The sweep is one generated loop per
-candidate over cached grid and sample columns.
+applications and constraints too deep to compile). The sweep is one
+generated loop per candidate over cached grid and sample columns.
 After its first chunk finds nothing, one exact step decides the formula:
 `lia.proves_valid` for LIA, and for BV one numpy evaluation over every
 point of a domain of at most 2^16 points (`domain_columns`), emitted by the
@@ -213,30 +212,28 @@ def compile_term(term: Term, var_names: Sequence[str],
     where evaluate raises: `ite` evaluates only the branch taken, every
     other operator evaluates its arguments left to right, and bitvector
     widths are fixed here by the same leftmost-spine rule as `_bv_width`."""
-    return compile_template(term, var_names, sorts)[0]()
+    return compile_template(term, var_names, sorts)()
 
 
 def compile_template(template: Term, var_names: Sequence[str],
                      sorts: Optional[Mapping[str, Sort]] = None,
                      hole_widths: Sequence[Optional[int]] = ()
-                     ) -> Tuple[Callable[..., Compiled], Optional[int]]:
-    """The maker of a grammar production compiled once, and the template's
-    width by `_bv_width`'s rule. Its j-th hole (preorder) is at
-    `hole_widths[j]`, its nonterminal's width (None for Int and Bool, which
-    raises where it sizes a mask). `make(*kids)` maps the functions of the
-    holes' terms to the filled term's, as `fill_holes` does for terms; the
-    enumerator walks the tree instead for nested `f` applications,
-    constraints too deep to compile, and a BitVec nonterminal with a rule
-    of another width."""
-    expr, width, used, _ = _expression(template, var_names, sorts, hole_widths)
+                     ) -> Callable[..., Compiled]:
+    """The maker of a grammar production compiled once. Its j-th hole
+    (preorder) is at `hole_widths[j]`, its nonterminal's width (None for Int
+    and Bool, which raises where it sizes a mask). `make(*kids)` maps the
+    functions of the holes' terms to the filled term's, as `fill_holes` does
+    for terms; the enumerator walks the tree instead for nested `f`
+    applications and constraints too deep to compile."""
+    expr, used, _ = _expression(template, var_names, sorts, hole_widths)
     reads = "".join(f"        v{i} = env[{i}]\n" for i in sorted(used))
     make = _compile_source(
         f"def _make({', '.join(f'k{i}' for i in range(len(hole_widths)))}):\n"
         f"    def _f(env):\n{reads}        return {expr}\n    return _f\n")
     if not hole_widths:
         leaf = make()
-        return (lambda: leaf), width
-    return make, width
+        return lambda: leaf
+    return make
 
 
 Apply = Callable[[str, Sequence[str], Optional[int], bool], Tuple[str, bool]]
@@ -244,10 +241,10 @@ Apply = Callable[[str, Sequence[str], Optional[int], bool], Tuple[str, bool]]
 
 def _expression(template: Term, var_names: Sequence[str],
                 sorts: Optional[Mapping[str, Sort]], hole_widths: Sequence[Optional[int]] = (),
-                apply: Optional[Apply] = None) -> Tuple[str, Optional[int], set[int], bool]:
+                apply: Optional[Apply] = None) -> Tuple[str, set[int], bool]:
     """The template as a Python expression over the locals `v<i>` (the
-    variable `var_names[i]`) and `k<j>(env)` (its j-th hole), its width, the
-    variable indices it reads and whether evaluating it can raise.
+    variable `var_names[i]`) and `k<j>(env)` (its j-th hole), the variable
+    indices it reads and whether evaluating it can raise.
     `apply` is the op table: `_apply` (the default) for values, or
     `_apply_vector` for whole-domain numpy columns."""
     apply = apply or _apply
@@ -284,8 +281,8 @@ def _expression(template: Term, var_names: Sequence[str],
             return expr, width, raises or any(r for _, _, r in args)
         raise EvaluationError(f"not a term: {t!r}")
 
-    expr, width, raises = emit(template)
-    return expr, width, used, raises
+    expr, _, raises = emit(template)
+    return expr, used, raises
 
 
 def _raising(message: str, args: Sequence[str]) -> str:
@@ -595,7 +592,7 @@ def _whole_domain_verdict(phi: Term, parts: Sequence[Term],
         return None
     names = [n for n, _ in universals]
     env = dict(universals)
-    expr, _, _, raises = _expression(phi, names, env, apply=_apply_vector)
+    expr, _, raises = _expression(phi, names, env, apply=_apply_vector)
     if raises:
         return None
     if deadline is not None and time.monotonic() > deadline:

@@ -4,7 +4,9 @@
   lexer that builds a Token per atom, a recursive s-expression reader, the
   term reader, and a second `infer_sort` walk over every constraint and
   define-fun body. It shares only the term nodes, the query and grammar
-  records and the grammar validation with `synthsel.sygus`.
+  records and the grammar validation with `synthsel.sygus`. A grammar rule
+  is sorted by that `infer_sort` with each hole read as a variable of its
+  nonterminal's sort (`rule_sort`).
 - `reference_sweep`: the internal checker's search, one point at a time
   with the tree walker `evaluate`, for the generated sweep and the LIA
   decision procedure; `reference_whole_domain` goes on over every point of
@@ -323,21 +325,48 @@ def read_grammar_rules(blocks: Sequence[SExpr],
                 and isinstance(group[0], Token) and isinstance(group[2], list)):
             raise ParseError("each grammar rule group must be (N Sort (rules...))",
                              *_where(group))
-    ctx = _TermContext(dict(signature.params), None, {},
-                       frozenset(group[0].text for group in groups))
+    sorts = {name.text: parse_sort(sort) for name, sort, _ in groups}
+    start = groups[0][0].text
+    if sorts[start] != signature.return_sort:
+        raise GrammarError(f"start symbol {start!r} has sort {sorts[start]}, "
+                           f"not the return sort {signature.return_sort}")
+    ctx = _TermContext(dict(signature.params), None, {}, frozenset(sorts))
     nonterminals = []
-    for name, sort, entries in groups:
+    for name, _, entries in groups:
         rules = []
         for entry in entries:
             if _head(entry) in ("Constant", "Variable", "InputVariable",
                                 "LocalVariable"):
                 return GrammarRules((), _head(entry))
             try:
-                rules.append(_parse_term(entry, ctx))
+                rule = _parse_term(entry, ctx)
+                if rule_sort(rule, ctx.var_sorts, sorts) != sorts[name.text]:
+                    raise ParseError(f"{_print_sexpr(entry)} is not of sort "
+                                     f"{sorts[name.text]}", *_where(entry))
             except ParseError as exc:
                 raise GrammarError(f"in the rules for {name.text!r}: {exc}") from None
-        nonterminals.append((name.text, parse_sort(sort), tuple(rules)))
+            rules.append(rule)
+        nonterminals.append((name.text, sorts[name.text], tuple(rules)))
     return GrammarRules(tuple(nonterminals))
+
+
+def rule_sort(rule: Term, params: Mapping[str, Sort],
+              nonterminals: Mapping[str, Sort]) -> Optional[Sort]:
+    """A grammar rule's sort by `infer_sort`, each hole read as a variable of
+    its nonterminal's sort; None when the rule is ill-sorted."""
+    def read(t: Term) -> Term:
+        if isinstance(t, Hole):
+            return Var(t.nonterminal)
+        if isinstance(t, App):
+            return App(t.op, tuple(map(read, t.args)))
+        if isinstance(t, Ite):
+            return Ite(read(t.cond), read(t.then_branch), read(t.else_branch))
+        return t
+
+    try:
+        return infer_sort(read(rule), {**params, **nonterminals})
+    except SygusError:
+        return None
 
 
 def _parse_params(sexpr: SExpr) -> Tuple[Tuple[str, Sort], ...]:
@@ -348,6 +377,8 @@ def _parse_params(sexpr: SExpr) -> Tuple[Tuple[str, Sort], ...]:
         if not (isinstance(entry, list) and len(entry) == 2):
             raise ParseError("expected (name Sort)", *_where(entry))
         name = _expect_atom(entry[0], "a parameter name").text
+        if any(n == name for n, _ in params):
+            raise ParseError(f"parameter {name!r} declared twice", *_where(entry))
         params.append((name, parse_sort(entry[1])))
     return tuple(params)
 

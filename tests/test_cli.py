@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -323,6 +324,38 @@ def test_config_that_cannot_mean_what_it_says_is_usage_error(
     assert not out_dir.exists()  # rejected before any query ran
 
 
+@pytest.mark.parametrize("command", ["run", "solve"])
+@pytest.mark.parametrize("text, needle", [
+    pytest.param('{"models": [{}]}', "every model needs a name", id="model-without-name"),
+    pytest.param('{"k": "5"}', "config key 'k' must be int, got '5'", id="k-a-string"),
+    pytest.param('[1, 2]', "a config is a JSON object, not list", id="not-an-object"),
+    pytest.param('{"k": true}', "config key 'k' must be int, got True", id="k-a-bool"),
+    pytest.param('{"fixtures": 3}', "config key 'fixtures' must be Optional[str]",
+                 id="fixtures-a-number"),
+    pytest.param('{"models": "gpt"}', "config key 'models' must be a list",
+                 id="models-a-string"),
+    pytest.param('{"models": [7]}', "a model is a JSON object, not 7", id="model-a-number"),
+    pytest.param('{"models": [{"name": "gpt", "styles": 4}]}',
+                 "model styles must be a list, got 4", id="styles-a-number"),
+])
+def test_config_file_of_the_wrong_shape_is_a_usage_error(command, text, needle,
+                                                         tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(text)
+    out_dir = tmp_path / "out"
+    code = main([command, str(_command_target(command, tmp_path)),
+                 "--config", str(cfg_path), "--out", str(out_dir)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: {needle}" in err and "Traceback" not in err
+    assert not out_dir.exists()
+
+
+def test_every_config_field_has_a_json_type():
+    fields = dataclasses.fields(RunConfig)
+    assert {f.type for f in fields if f.name != "models"} <= set(synthsel.config._JSON_TYPES)
+
+
 @pytest.mark.parametrize("command, flags, config, needle", [
     ("run", ["--time-budget", "nan"], {}, "budgets must be finite and positive"),
     ("solve", ["--time-budget", "inf"], {}, "budgets must be finite and positive"),
@@ -457,16 +490,27 @@ def test_malformed_user_grammar_is_a_malformed_query(tmp_path, capsys):
     assert report["records"] == [] and report["skipped"] == [str(path)]
 
 
-@pytest.mark.parametrize("rules, needle", [
-    pytest.param("((I Int (v0 v1 (+ I J))) (J Int ((+ J J))))",
+_MAX2_FUN = "(synth-fun f ((v0 Int) (v1 Int)) Int"
+
+
+@pytest.mark.parametrize("synth_fun, needle", [
+    pytest.param(f"{_MAX2_FUN} ((I Int (v0 v1 (+ I J))) (J Int ((+ J J)))))",
                  "dead nonterminals (derive no terminal string): ['J']", id="dead"),
-    pytest.param("((I Int (J)) (J Int (I v0)))", "cyclic unit production",
+    pytest.param(f"{_MAX2_FUN} ((I Int (J)) (J Int (I v0))))", "cyclic unit production",
                  id="cyclic"),
+    pytest.param(f"{_MAX2_FUN} ((I Int (v0 v1 (+ I I) (>= I I)))))",
+                 "in the rules for 'I': (>= I I) is not of sort Int (line 2, column 62)",
+                 id="ill-sorted"),
+    pytest.param(f"{_MAX2_FUN} ((B Bool ((>= I I))) (I Int (v0 v1))))",
+                 "start symbol 'B' has sort Bool, not the return sort Int",
+                 id="start-sort"),
+    pytest.param("(synth-fun f ((v0 Int) (v0 Int)) Int ((I Int (v0 (+ I I)))))",
+                 "parameter 'v0' declared twice (line 2, column 25)",
+                 id="repeated-parameter"),
 ])
-def test_rules_that_form_no_grammar_are_a_malformed_query(rules, needle, tmp_path,
+def test_rules_that_form_no_grammar_are_a_malformed_query(synth_fun, needle, tmp_path,
                                                           capsys):
-    text = MAX2_TEXT.replace("(synth-fun f ((v0 Int) (v1 Int)) Int)",
-                             f"(synth-fun f ((v0 Int) (v1 Int)) Int {rules})")
+    text = MAX2_TEXT.replace(f"{_MAX2_FUN})", synth_fun)
     path = _command_target("solve", tmp_path, text)
     assert main(["solve", str(path), "--selector", "fixed:enumerator",
                  "--time-budget", "30"]) == 2

@@ -17,7 +17,9 @@ from synthsel.enumerator import (
 )
 from synthsel.sygus import (
     App,
+    Candidate,
     Grammar,
+    GrammarError,
     IntLit,
     Ite,
     Var,
@@ -672,36 +674,27 @@ def test_compiled_check_matches_reference_per_bitvector_program():
 
 
 _BV8, _BV16 = "(_ BitVec 8)", "(_ BitVec 16)"
-_TWO_WIDTHS = {
-    # well-sorted: an 8-bit and a 16-bit nonterminal, each under bvult
-    "well-sorted": (
+
+
+def _two_widths_query(synth_fun, constraint):
+    return parse_query(f"(set-logic BV)\n{synth_fun}\n(declare-var x {_BV8})\n"
+                       f"(declare-var y {_BV16})\n(constraint {constraint})\n(check-synth)\n")
+
+
+def test_compiled_check_matches_reference_per_program_of_two_widths():
+    # an 8-bit and a 16-bit nonterminal, each under bvult: a hole takes its
+    # nonterminal's width
+    q = _two_widths_query(
         f"(synth-fun f ((x {_BV8}) (y {_BV16})) Bool\n"
         f"  ((B Bool) (W {_BV8}) (V {_BV16}))\n"
         f"  ((B Bool ((bvult W W) (bvult V V) (not B)))\n"
         f"   (W {_BV8} (x #x80 (bvadd W W) (bvsub W W) (bvnot W)))\n"
         f"   (V {_BV16} (y #x8000 (bvadd V V) (bvsub V V) (bvnot V)))))",
-        "(f x y)"),
-    # the 8-bit nonterminal has a 16-bit rule, which SyGuS forbids and the
-    # reader accepts: (bvadd y y) is well-sorted and wraps at 2^16, not 2^8
-    "rule-of-another-width": (
-        f"(synth-fun f ((x {_BV8}) (y {_BV16})) {_BV16}\n"
-        f"  ((W {_BV8} (x y (bvadd W W) (bvnot W)))))",
-        "(bvult (f x y) #x0100)"),
-}
-
-
-@pytest.mark.parametrize("name", sorted(_TWO_WIDTHS))
-def test_compiled_check_matches_reference_per_program_of_two_widths(name):
-    # a hole takes its nonterminal's width, so a grammar where a rule of a
-    # BitVec nonterminal has another width must take the reference check
-    synth_fun, constraint = _TWO_WIDTHS[name]
-    q = parse_query(f"(set-logic BV)\n{synth_fun}\n(declare-var x {_BV8})\n"
-                    f"(declare-var y {_BV16})\n(constraint {constraint})\n(check-synth)\n")
+        "(f x y)")
     g = grammar_for_query(q)
     rng = random.Random(11)
     frontier = enumerator.Frontier(g, q)
     flat, by_nt = frontier.flat, frontier.by_nt
-    assert (frontier.makers is None) == (name == "rule-of-another-width")
     decided = set()
     for _ in range(20):
         examples = [{"x": rng.randrange(1 << 8), "y": rng.randrange(1 << 16)}
@@ -719,6 +712,83 @@ def test_compiled_check_matches_reference_per_program_of_two_widths(name):
                 assert got == reference(cons_choices(choices)), choices
                 decided.add(got is None)
     assert decided == {True, False}
+
+
+def test_a_rule_of_another_width_is_rejected_when_read():
+    # the 8-bit nonterminal has a 16-bit rule, which SyGuS forbids:
+    # (bvadd y y) is well-sorted alone but wraps at 2^16, not 2^8
+    with pytest.raises(GrammarError, match=r"in the rules for 'W': y is not of "
+                                           r"sort \(_ BitVec 8\)"):
+        _two_widths_query(f"(synth-fun f ((x {_BV8}) (y {_BV16})) {_BV8}\n"
+                          f"  ((W {_BV8} (x y (bvadd W W) (bvnot W)))))",
+                          "(bvult (f x y) #x80)")
+
+
+_SORTED_ATOMS = {"I": ("x", "0", "1", "I"), "B": ("b", "true", "B"),
+                 "W": ("w", "#x01", "W")}
+_SORTED_APPS = {"I": (("+", "II"), ("-", "I"), ("ite", "BII")),
+                "B": ((">=", "II"), ("=", "WW"), ("bvult", "WW"), ("not", "B"),
+                      ("and", "BB")),
+                "W": (("bvadd", "WW"), ("bvnot", "W"), ("ite", "BWW"))}
+_NT_SORTS = {"I": "Int", "B": "Bool", "W": _BV8}
+
+
+def _random_rule(rng, sort, depth):
+    """A rule of `sort`, but now and then a leaf of another sort."""
+    if rng.random() < 0.04:
+        sort = rng.choice("IBW")
+    if depth == 0 or rng.random() < 0.4:
+        return rng.choice(_SORTED_ATOMS[sort])
+    op, args = rng.choice(_SORTED_APPS[sort])
+    return f"({op} {' '.join(_random_rule(rng, a, depth - 1) for a in args)})"
+
+
+def _random_sorted_query(rng):
+    """A query whose grammar has an Int, a Bool and an 8-bit nonterminal,
+    the start one first; its rules are mostly, but not always, well-sorted."""
+    order = rng.sample("IBW", 3)
+    groups = []
+    for nt in order:
+        rules = {rng.choice(_SORTED_ATOMS[nt][:-1])}  # a leaf: no nonterminal is dead
+        rules.update(_random_rule(rng, nt, 2) for _ in range(rng.randrange(1, 5)))
+        groups.append(f"({nt} {_NT_SORTS[nt]} ({' '.join(sorted(rules))}))")
+    return (f"(set-logic BV)\n(synth-fun f ((x Int) (b Bool) (w {_BV8})) "
+            f"{_NT_SORTS[order[0]]} ({' '.join(groups)}))\n"
+            f"(declare-var x Int)\n(check-synth)\n")
+
+
+def test_every_program_of_a_grammar_the_reader_accepts_is_well_sorted(monkeypatch):
+    # the accepted program's Candidate is built without a guard: each of the
+    # first complete programs of a grammar that passes the reader sorts
+    rng = random.Random(13)
+    accepted = rejected = 0
+    while accepted < 15:
+        try:
+            q = parse_query(_random_sorted_query(rng))
+        except GrammarError as exc:
+            rejected += "is not of sort" in str(exc)
+            continue
+        accepted += 1
+        g = grammar_for_query(q)
+        fn = q.synth_fun
+        frontier = enumerator.Frontier(g, q)
+        built = []
+
+        def check(choices):
+            term = enumerator._fold_choices(choices, frontier.arity, frontier.fills)
+            built.append(Candidate(fn.name, fn.params, fn.return_sort, term))
+            return built[-1] if len(built) >= 500 else None
+
+        monkeypatch.setattr(enumerator, "_compiled_check", lambda *_: check)
+        res = astar_synthesize(g, [], q, _deadline(60), frontier=frontier)
+        # a chain of one-hole rules nests a level every few pops, and its
+        # program may pass the recursion limit before the 500th; a sort
+        # error would leave astar_synthesize as an exception
+        assert res.status in (SearchStatus.SOLVED, SearchStatus.EXHAUSTED,
+                              SearchStatus.TOO_DEEP)
+        too_deep = res.status is SearchStatus.TOO_DEEP
+        assert len(built) == res.dequeued_complete - too_deep
+    assert rejected > 0
 
 
 def test_enumerator_outcome_reports_counters_and_stop_reason(max2_query):

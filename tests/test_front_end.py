@@ -229,3 +229,32 @@ def test_a_macro_applied_to_another_sort_is_sorted_by_infer_sort(monkeypatch):
 (check-synth)
 """)
     assert len(query.constraints) == 1 and calls
+
+
+_SORT_REJECTIONS = {
+    "rule-of-another-sort": " ((I Int (x y (+ I I) (>= I I))))",
+    "hole-of-another-sort": " ((I Int (x (ite B I I) B)) (B Bool (true (>= I I))))",
+    "start-of-another-sort": " ((B Bool ((>= I I))) (I Int (x y)))",
+    "rule-of-another-width": " ((I Int (x (bvadd W W))) (W (_ BitVec 8) (#x01)))",
+}
+
+
+@pytest.mark.parametrize("grammar", _SORT_REJECTIONS.values(), ids=_SORT_REJECTIONS)
+def test_ill_sorted_grammars_match_the_reference_parser(grammar):
+    text = f"""(set-logic LIA)
+(synth-fun f ((x Int) (y Int)) Int{grammar})
+(declare-var x Int)
+(declare-var y Int)
+(constraint (>= (f x y) x))
+(check-synth)
+"""
+    with pytest.raises(SygusError, match="sort"):
+        parse_query(text)
+    _assert_same(text, parse_query, reference.parse_query)
+
+
+def test_a_repeated_parameter_matches_the_reference_parser():
+    text = MAX3_TEXT.replace("(v1 Int) (v2 Int)", "(v1 Int) (v0 Int)", 1)
+    with pytest.raises(SygusError, match="parameter 'v0' declared twice"):
+        parse_query(text)
+    _assert_same(text, parse_query, reference.parse_query)

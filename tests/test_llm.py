@@ -306,6 +306,27 @@ def test_replay_round_trip(tmp_path):
     assert replay.complete("m", msgs2).text == r2.text
 
 
+@pytest.mark.parametrize("recorded", [0, 1])
+def test_a_torn_fixture_line_is_dropped_and_cut_before_the_next_append(recorded,
+                                                                     tmp_path):
+    # a recording run killed mid-append leaves a torn last line: replay reads
+    # the entries before it, and the next recorded reply starts its own line
+    fixture = tmp_path / "fx.jsonl"
+    fixture.write_text("")
+    msgs = [[Message("user", "one")], [Message("user", "two")]]
+    for m in msgs[:recorded]:
+        RecordingBackend(ScriptedBackend(["first"]), fixture).complete("m", m)
+    with open(fixture, "a", encoding="utf-8") as fh:
+        fh.write('{"key_hash": "ab')
+    replay = ReplayBackend(fixture)
+    assert [replay.complete("m", m).text for m in msgs[:recorded]] == ["first"] * recorded
+    RecordingBackend(ScriptedBackend(["second"]), fixture).complete("m", msgs[1])
+    assert len(fixture.read_text().splitlines()) == 1 + recorded
+    replay = ReplayBackend(fixture)
+    assert replay.complete("m", msgs[1]).text == "second"
+    assert [replay.complete("m", m).text for m in msgs[:recorded]] == ["first"] * recorded
+
+
 def test_replay_miss_is_distinct_error(tmp_path):
     fixture = tmp_path / "fx.jsonl"
     fixture.write_text("")

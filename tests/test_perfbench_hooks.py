@@ -14,7 +14,7 @@ import synthsel.bandit as bandit
 import synthsel.budget as budget
 import synthsel.orchestrator as orchestrator
 from synthsel.config import ModelConfig, RunConfig
-from synthsel.sygus import parse_define_fun, parse_query
+from synthsel.sygus import SygusError, parse_define_fun, parse_query
 from synthsel.verify import VerificationResult, Verifier
 from conftest import MAX2_SOLUTION, MAX2_TEXT, ScriptedBackend
 
@@ -115,3 +115,27 @@ def test_benchmark_bv_answers_verify_exactly(monkeypatch):
         answer = parse_define_fun(f"(define-fun {q.fn} ({params}) {q.ret} {q.solution})")
         assert Verifier().check(parse_query(q.text), answer) == \
             VerificationResult.valid(bounded=False), q.solution
+
+
+def test_every_benchmark_and_experiment_query_is_read(tmp_path, monkeypatch):
+    # a query the reader rejects is skipped, not failed: a stricter reader
+    # would change a benchmark digest without any error
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import inputs
+    from synthsel.experiments import write_cluster_corpus
+
+    bundled = PERFBENCH.parent / "benchmarks"
+    paths = [str(p) for p in sorted(bundled.glob("*.sl"))]
+    paths += write_cluster_corpus(tmp_path / "clusters")
+    for seed in (inputs.DEFAULT_SEED, inputs.HELD_OUT_SEED):
+        paths += inputs.write_queries(tmp_path / f"enum{seed}",
+                                      inputs.enum_corpus(seed, bundled))
+        paths += inputs.write_queries(tmp_path / f"llm{seed}", inputs.llm_corpus(seed))
+        paths += inputs.select_stream(seed, tmp_path / f"stream{seed}")
+    unread = []
+    for path in paths:
+        try:
+            parse_query(Path(path).read_text(encoding="utf-8"))
+        except SygusError as exc:
+            unread.append(f"{path}: {exc}")
+    assert unread == [] and len(paths) > 200

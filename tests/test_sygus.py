@@ -677,11 +677,11 @@ def test_indexed_literal_must_be_a_bitvector_in_range(literal):
 
 def test_grammar_folds_a_negated_numeral_into_one_literal():
     sig = parse_query(_max2_with()).synth_fun
-    g = parse_user_grammar("((I Int (x (- 3) (- I) (_ bv5 8))))", sig)
-    templates = [p.template for p in g.productions["I"]]
+    g = parse_user_grammar("((I Int (x (- 3) (- I))) (W (_ BitVec 8) ((_ bv5 8))))", sig)
+    templates = [p.template for nt in ("I", "W") for p in g.productions[nt]]
     assert templates == [Var("x"), IntLit(-3), App("-", (Hole("I"),)), BVLit(5, 8)]
-    assert [str(p) for p in g.productions["I"]] == \
-        ["I -> x", "I -> (- 3)", "I -> (- I)", "I -> #b00000101"]
+    assert [str(p) for nt in ("I", "W") for p in g.productions[nt]] == \
+        ["I -> x", "I -> (- 3)", "I -> (- I)", "W -> #b00000101"]
 
 
 @pytest.mark.parametrize("rules, error", [
@@ -738,26 +738,35 @@ def _frozen_to_template(nonterminals, params):
 
 
 def _frozen_user_grammar(text, signature):
-    """(grammar, None) or (None, (error, failing entry or None))."""
+    """(grammar, None) or (None, (error, failing entry or None)). A rule is
+    well-sorted as `reference.rule_sort` reads it, and the start symbol has
+    the return sort, or the rules are a GrammarError."""
     from synthsel.sygus.grammar import Grammar, _inline_unit_productions
-    from reference import parse_sort, read_sexprs, tokenize
+    from reference import parse_sort, read_sexprs, rule_sort, tokenize
 
     (groups,) = read_sexprs(tokenize(text))
     raw_rules = {g[0].text: list(g[2]) for g in groups}
-    to_template = _frozen_to_template(raw_rules, dict(signature.params))
+    sorts = {g[0].text: parse_sort(g[1]) for g in groups}
+    if next(iter(sorts.values())) != signature.return_sort:
+        return None, (GrammarError("start symbol of another sort"), None)
+    params = dict(signature.params)
+    to_template = _frozen_to_template(raw_rules, params)
     templates = {}
     for nt, entries in raw_rules.items():
         templates[nt] = []
         for entry in entries:
             try:
-                templates[nt].append(to_template(entry))
+                template = to_template(entry)
             except SygusError as exc:
                 return None, (exc, entry)
+            if rule_sort(template, params, sorts) != sorts[nt]:
+                return None, (GrammarError("ill-sorted rule"), entry)
+            templates[nt].append(template)
     try:
         _inline_unit_productions(templates)
         return Grammar(
             start=next(iter(raw_rules)),
-            sorts={g[0].text: parse_sort(g[1]) for g in groups},
+            sorts=sorts,
             productions={nt: tuple(Production(nt, t) for t in temps)
                          for nt, temps in templates.items()}), None
     except SygusError as exc:

@@ -589,8 +589,7 @@ def test_compiled_connectives_raise_on_any_raising_argument(op, args, at, env):
 def test_compiled_connectives_over_holes_evaluate_every_hole(op):
     # a hole's function may raise, so a connective over holes takes the
     # eager form whatever its first arguments decide
-    make, _ = compile_template(App(op, (Hole("B"),) * 3), VAR_NAMES, VAR_SORTS,
-                               (None,) * 3)
+    make = compile_template(App(op, (Hole("B"),) * 3), VAR_NAMES, VAR_SORTS, (None,) * 3)
     raising = compile_term(_RAISES, VAR_NAMES, VAR_SORTS)
     env = (1, 1, False, False, 0, 0)
     for first, second in itertools.product((True, False), repeat=2):
