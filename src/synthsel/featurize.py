@@ -12,8 +12,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .sygus import (App, BoolLit, BVLit, IntLit, Ite, SynthQuery, print_query, read_sexprs,
-                    subterms)
+from .sygus import App, BoolLit, BVLit, IntLit, Ite, SynthQuery, subterms
 
 KEYWORDS: Tuple[str, ...] = (
     "+", "-", "*", "div", "mod", "ite", "and", "or", "not", "=",
@@ -89,8 +88,6 @@ def featurize(query: SynthQuery,
                 const_bv += 1
 
     length = query.source_token_count
-    if length <= 0:
-        length = read_sexprs(print_query(query))[1]
 
     logic = classify_logic(query)
     one_hot = [1.0 if logic == c else 0.0 for c in LOGIC_CLASSES]

@@ -29,7 +29,7 @@ from .bandit import (
 )
 from .budget import ScheduleEntry, build_schedule, linear_schedule
 from .config import RunConfig
-from .enumerator import EnumeratorConfig, SearchStatus, cegis_solve
+from .enumerator import SearchStatus, cegis_solve
 from .featurize import classify_logic, featurize
 from .llm import ChatBackend, SolvedExample, remember_example, solve_with_llm
 from .outcomes import DeploymentOutcome
@@ -90,7 +90,6 @@ class SolverDeployer:
 
     verifier: Verifier
     backend: Optional[ChatBackend] = None
-    enumerator_config: EnumeratorConfig = field(default_factory=EnumeratorConfig)
 
     def deploy(self, query: SynthQuery, query_id: str, entry: ScheduleEntry,
                state: RunState) -> DeploymentOutcome:
@@ -118,8 +117,7 @@ class SolverDeployer:
                                      time.monotonic() - started,
                                      ENUMERATOR_COST,
                                      detail=f"no grammar: {exc}")
-        result = cegis_solve(query, grammar, started + entry.time,
-                             self.verifier, self.enumerator_config)
+        result = cegis_solve(query, grammar, started + entry.time, self.verifier)
         elapsed = time.monotonic() - started
         solved = result.status is SearchStatus.SOLVED
         return DeploymentOutcome(

@@ -30,7 +30,6 @@ from .terms import (
     app_sort,
     apply_candidate,
     conjoin,
-    infer_sort,
     is_operator,
     ite_sort,
     literal_sort,
@@ -208,14 +207,14 @@ class _TermContext:
     # a grammar's nonterminals and their sorts: such a token is read as a Hole
     nonterminals: Mapping[str, Sort] = field(default_factory=dict)
     # each atom read so far under this context, with its term and sort
-    leaves: dict[str, Tuple[Term, Optional[Sort]]] = field(default_factory=dict)
+    leaves: dict[str, Tuple[Term, Sort]] = field(default_factory=dict)
 
 
-def _parse_term(sexpr: SExpr, ctx: _TermContext) -> Tuple[Term, Optional[Sort]]:
-    """The term `sexpr` reads as, and its sort, inferred bottom-up while the
-    term is built by the per-node rules of `infer_sort` (a hole has its
-    nonterminal's sort). The sort is None where a rule fails: `infer_sort`
-    on the term then raises that failure's error, after every reading error."""
+def _parse_term(sexpr: SExpr, ctx: _TermContext) -> Tuple[Term, Sort]:
+    """The term `sexpr` reads as, and its sort. Each node is sorted by its
+    rule (`literal_sort`, `ite_sort`, `app_sort`; a hole has its
+    nonterminal's sort) as soon as its children are read, and a rule that
+    fails raises ParseError at the node's operator."""
     if type(sexpr) is tuple:
         leaf = ctx.leaves.get(sexpr[0])
         if leaf is None:
@@ -237,50 +236,30 @@ def _parse_term(sexpr: SExpr, ctx: _TermContext) -> Tuple[Term, Optional[Sort]]:
         return lit, literal_sort(lit)
     args = []
     sorts = []
-    known = True  # every argument has a sort
     for a in sexpr[1:]:
         arg, sort = _parse_term(a, ctx)
         args.append(arg)
         sorts.append(sort)
-        if sort is None:
-            known = False
-    sort = None
-    if op == "ite":
-        if len(args) != 3:
-            raise ParseError("ite expects exactly 3 arguments", *_where(sexpr, ctx.text))
-        if known:
-            try:
-                sort = ite_sort(*sorts)
-            except SygusError:
-                pass
-        return Ite(*args), sort
     if op == "-" and len(args) == 1 and isinstance(args[0], IntLit):
         return IntLit(-args[0].value), INT  # (- 5) is the literal -5
     macro = ctx.macros.get(op)
-    if macro is not None:
-        sig = macro.signature
-        if len(args) != len(sig.params):
-            raise ParseError(f"{op!r} expects {len(sig.params)} arguments, got {len(args)}",
-                             *_where(sexpr, ctx.text))
-        # the body was checked to have the return sort over the parameters'
-        if known and tuple(sorts) == sig.param_sorts:
-            sort = sig.return_sort
-        return macro.apply(args), sort
-    if is_operator(op) or (ctx.synth_fun and op == ctx.synth_fun.name):
-        try:
-            term = App(op, tuple(args))
-        except SygusError as exc:
-            raise ParseError(str(exc), *_where(sexpr, ctx.text)) from None
-        if known:
-            try:
-                sort = app_sort(op, sorts, ctx.synth_fun)
-            except SygusError:
-                pass
-        return term, sort
+    try:
+        if op == "ite":
+            if len(args) != 3:
+                raise SygusError("ite expects exactly 3 arguments")
+            return Ite(*args), ite_sort(*sorts)
+        if macro is not None:
+            # sorted as an application of its signature, then inlined
+            sort = app_sort(op, sorts, macro.signature)
+            return macro.apply(args), sort
+        if is_operator(op) or (ctx.synth_fun and op == ctx.synth_fun.name):
+            return App(op, tuple(args)), app_sort(op, sorts, ctx.synth_fun)
+    except SygusError as exc:
+        raise ParseError(str(exc), *_where(sexpr, ctx.text)) from None
     raise ParseError(f"undeclared symbol {op!r}", *_where(sexpr, ctx.text))
 
 
-def _parse_leaf(atom: Atom, ctx: _TermContext) -> Tuple[Term, Optional[Sort]]:
+def _parse_leaf(atom: Atom, ctx: _TermContext) -> Tuple[Term, Sort]:
     """An atom is a nonterminal, else a literal, else a declared variable."""
     text = atom[0]
     if text in ctx.nonterminals:
@@ -461,18 +440,8 @@ def _query(commands: Sequence[SExpr], token_count: int, text: str) -> SynthQuery
             if len(cmd) != 5:
                 raise ParseError("define-fun expects name, params, sort, body",
                                  *_where(cmd, text))
-            name = _expect_atom(cmd[1], "a function name", text)
-            params = _parse_params(cmd[2], text)
-            ret = parse_sort(cmd[3], text)
-            local = _TermContext(text, dict(params), synth_fun, macros)
-            body, got = _parse_term(cmd[4], local)
-            if got is None:
-                got = infer_sort(body, dict(params),
-                                 {synth_fun.name: synth_fun} if synth_fun else None)
-            if got != ret:
-                raise ParseError(f"define-fun {name!r} body has sort {got}, declared {ret}",
-                                 *_where(cmd, text))
-            macros[name] = _Macro(FunctionSignature(name, params, ret), body)
+            macro = _define_fun(cmd, text, synth_fun, macros)
+            macros[macro.signature.name] = macro
         elif head == "constraint":
             if len(cmd) != 2:
                 raise ParseError("constraint expects one term", *_where(cmd, text))
@@ -481,9 +450,6 @@ def _query(commands: Sequence[SExpr], token_count: int, text: str) -> SynthQuery
             if constraint_ctx is None:
                 constraint_ctx = _TermContext(text, dict(universals), synth_fun, macros)
             term, sort = _parse_term(cmd[1], constraint_ctx)
-            if sort is None:
-                sort = infer_sort(term, constraint_ctx.var_sorts,
-                                  {synth_fun.name: synth_fun})
             if sort != BOOL:
                 raise ParseError(f"constraint must be Bool, got {sort}", *_where(cmd, text))
             constraints.append(term)
@@ -532,6 +498,9 @@ def _desugar_inv(names: Sequence[str], inv: FunctionSignature,
 
     Universal variables are taken from trans's parameter list: the first half
     are the invariant's state variables, the second half the primed copies.
+    Each application (inv on the state and on the primed state, pre and post
+    on the state, trans on both) is sorted as a Bool application of its
+    signature, with each variable of its universal's sort.
     """
     inv_name, pre_name, trans_name, post_name = names
     if inv_name != inv.name:
@@ -553,19 +522,23 @@ def _desugar_inv(names: Sequence[str], inv: FunctionSignature,
         if name not in declared:
             universals.append((name, sort))
             declared.add(name)
+    sorts = dict(universals)
 
     state = [Var(name) for name, _ in trans.signature.params[:n]]
     primed = [Var(name) for name, _ in trans.signature.params[n:]]
+    for fn, args in ((inv, state), (inv, primed), (pre.signature, state),
+                     (trans.signature, state + primed), (post.signature, state)):
+        try:
+            sort = app_sort(fn.name, [sorts[v.name] for v in args], fn)
+        except SygusError as exc:
+            raise ParseError(str(exc), line, col) from None
+        if sort != BOOL:
+            raise ParseError(f"{fn.name!r} returns {sort}, not Bool", line, col)
 
-    def inv_app(args: Sequence[Term]) -> Term:
-        return App(inv.name, tuple(args))
-
-    init = App("=>", (pre.apply(state), inv_app(state)))
-    induct = App("=>", (
-        App("and", (inv_app(state), trans.apply(state + primed))),
-        inv_app(primed),
-    ))
-    safe = App("=>", (inv_app(state), post.apply(state)))
+    inv_state, inv_primed = App(inv.name, tuple(state)), App(inv.name, tuple(primed))
+    init = App("=>", (pre.apply(state), inv_state))
+    induct = App("=>", (App("and", (inv_state, trans.apply(state + primed))), inv_primed))
+    safe = App("=>", (inv_state, post.apply(state)))
     return [init, induct, safe]
 
 
@@ -644,9 +617,23 @@ def candidate_from_sexpr(sexpr: SExpr, text: str) -> Candidate:
     if _head(sexpr) != "define-fun" or len(sexpr) != 5:
         raise ParseError("expected (define-fun name params sort body)",
                          *_where(sexpr, text))
+    macro = _define_fun(sexpr, text, None, {})
+    sig = macro.signature
+    return Candidate(sig.name, sig.params, sig.return_sort, macro.body)
+
+
+def _define_fun(sexpr: list, text: str, synth_fun: Optional[FunctionSignature],
+                macros: dict[str, _Macro]) -> _Macro:
+    """The signature and body of (define-fun name params sort body), the body
+    read over the parameters. An operator's name, which would shadow the
+    operator, and a body not of the declared sort raise."""
     name = _expect_atom(sexpr[1], "a function name", text)
+    if is_operator(name):
+        raise ParseError(f"define-fun redefines the operator {name!r}", *_where(sexpr, text))
     params = _parse_params(sexpr[2], text)
     ret = parse_sort(sexpr[3], text)
-    ctx = _TermContext(text, dict(params), None, {})
-    body = _parse_term(sexpr[4], ctx)[0]
-    return Candidate(name, params, ret, body)
+    body, got = _parse_term(sexpr[4], _TermContext(text, dict(params), synth_fun, macros))
+    if got != ret:
+        raise ParseError(f"define-fun {name!r} body has sort {got}, declared {ret}",
+                         *_where(sexpr, text))
+    return _Macro(FunctionSignature(name, params, ret), body)

@@ -49,7 +49,6 @@ from .sygus import (
     BOOL,
     INT,
     conjoin,
-    infer_sort,
     print_term,
     substitute_solution,
 )
@@ -833,8 +832,7 @@ def _parse_model(text: str, sorts: Mapping[str, Sort]) -> dict[str, Value]:
                 continue  # a wrapper's head, or a function other than a universal
             cand = candidate_from_sexpr(entry, text)
             value, sort = cand.body, sorts[cand.name]
-            if (cand.return_sort != sort or not isinstance(value, (IntLit, BoolLit, BVLit))
-                    or infer_sort(value, {}) != sort):
+            if cand.return_sort != sort or not isinstance(value, (IntLit, BoolLit, BVLit)):
                 raise SygusError(f"value of {cand.name!r} is not a {sort} literal: "
                                  f"{print_term(value)}")
             assignment[cand.name] = value.value

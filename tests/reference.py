@@ -1,12 +1,13 @@
 """Reference implementations that the fast paths are checked against.
 
 - The SyGuS front end as it was before the one-pass reader: a per-line
-  lexer that builds a Token per atom, a recursive s-expression reader, the
-  term reader, and a second `infer_sort` walk over every constraint and
-  define-fun body. It shares only the term nodes, the query and grammar
-  records and the grammar validation with `synthsel.sygus`. A grammar rule
-  is sorted by that `infer_sort` with each hole read as a variable of its
-  nonterminal's sort (`rule_sort`).
+  lexer that builds a Token per atom, a recursive s-expression reader and
+  the term reader, which sorts each node it builds (an operator, ite or
+  define-fun application) by its own `infer_sort` walk over that node, with
+  each hole read as a variable of its nonterminal's sort. It shares only
+  the term nodes, the query and grammar records and the grammar validation
+  with `synthsel.sygus`. `inv-constraint` sorts each application it writes
+  by `infer_sort` too.
 - `reference_sweep`: the internal checker's search, one point at a time
   with the tree walker `evaluate`, for the generated sweep and the LIA
   decision procedure; `reference_whole_domain` goes on over every point of
@@ -36,9 +37,9 @@ import math
 import random
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import (AbstractSet, Callable, Hashable, Mapping, NamedTuple, Optional,
+from typing import (Callable, Hashable, Mapping, NamedTuple, Optional,
                     Sequence, Tuple, Union)
 
 from synthsel import enumerator
@@ -190,8 +191,23 @@ class _TermContext:
     var_sorts: dict[str, Sort]
     synth_fun: Optional[FunctionSignature]
     macros: dict[str, _Macro]
-    # a grammar's nonterminal names: such a token is read as a Hole
-    nonterminals: AbstractSet[str] = frozenset()
+    # a grammar's nonterminals and their sorts: such a token is read as a Hole
+    nonterminals: Mapping[str, Sort] = field(default_factory=dict)
+
+
+def _checked(term: Term, op_tok: Token, ctx: _TermContext,
+             fn: Optional[FunctionSignature] = None) -> Term:
+    """`term`, a node whose children are well-sorted, if `infer_sort` sorts
+    it (each hole as a variable of its nonterminal's sort, `fn` the
+    signature of a macro applied); else ParseError at its operator."""
+    fn_sigs = {ctx.synth_fun.name: ctx.synth_fun} if ctx.synth_fun else {}
+    if fn is not None:
+        fn_sigs[fn.name] = fn
+    try:
+        infer_sort(_holes_as_vars(term), {**ctx.var_sorts, **ctx.nonterminals}, fn_sigs)
+    except SygusError as exc:
+        raise ParseError(str(exc), op_tok.line, op_tok.col) from None
+    return term
 
 
 def _parse_term(sexpr: SExpr, ctx: _TermContext) -> Term:
@@ -220,7 +236,7 @@ def _parse_term(sexpr: SExpr, ctx: _TermContext) -> Term:
     if op == "ite":
         if len(args) != 3:
             raise ParseError("ite expects exactly 3 arguments", op_tok.line, op_tok.col)
-        return Ite(args[0], args[1], args[2])
+        return _checked(Ite(args[0], args[1], args[2]), op_tok, ctx)
     if op == "-" and len(args) == 1 and isinstance(args[0], IntLit):
         return IntLit(-args[0].value)  # (- 5) is the literal -5
     if op in ctx.macros:
@@ -230,12 +246,14 @@ def _parse_term(sexpr: SExpr, ctx: _TermContext) -> Term:
                 f"{op!r} expects {len(macro.signature.params)} arguments, got {len(args)}",
                 op_tok.line, op_tok.col,
             )
+        _checked(App(op, tuple(args)), op_tok, ctx, macro.signature)
         return macro.apply(args)
     if is_operator(op) or (ctx.synth_fun and op == ctx.synth_fun.name):
         try:
-            return App(op, tuple(args))
+            term = App(op, tuple(args))
         except SygusError as exc:
             raise ParseError(str(exc), op_tok.line, op_tok.col) from None
+        return _checked(term, op_tok, ctx)
     raise ParseError(f"undeclared symbol {op!r}", op_tok.line, op_tok.col)
 
 
@@ -330,7 +348,7 @@ def read_grammar_rules(blocks: Sequence[SExpr],
     if sorts[start] != signature.return_sort:
         raise GrammarError(f"start symbol {start!r} has sort {sorts[start]}, "
                            f"not the return sort {signature.return_sort}")
-    ctx = _TermContext(dict(signature.params), None, {}, frozenset(sorts))
+    ctx = _TermContext(dict(signature.params), None, {}, sorts)
     nonterminals = []
     for name, _, entries in groups:
         rules = []
@@ -350,21 +368,23 @@ def read_grammar_rules(blocks: Sequence[SExpr],
     return GrammarRules(tuple(nonterminals))
 
 
+def _holes_as_vars(t: Term) -> Term:
+    if isinstance(t, Hole):
+        return Var(t.nonterminal)
+    if isinstance(t, App):
+        return App(t.op, tuple(map(_holes_as_vars, t.args)))
+    if isinstance(t, Ite):
+        return Ite(_holes_as_vars(t.cond), _holes_as_vars(t.then_branch),
+                   _holes_as_vars(t.else_branch))
+    return t
+
+
 def rule_sort(rule: Term, params: Mapping[str, Sort],
               nonterminals: Mapping[str, Sort]) -> Optional[Sort]:
     """A grammar rule's sort by `infer_sort`, each hole read as a variable of
     its nonterminal's sort; None when the rule is ill-sorted."""
-    def read(t: Term) -> Term:
-        if isinstance(t, Hole):
-            return Var(t.nonterminal)
-        if isinstance(t, App):
-            return App(t.op, tuple(map(read, t.args)))
-        if isinstance(t, Ite):
-            return Ite(read(t.cond), read(t.then_branch), read(t.else_branch))
-        return t
-
     try:
-        return infer_sort(read(rule), {**params, **nonterminals})
+        return infer_sort(_holes_as_vars(rule), {**params, **nonterminals})
     except SygusError:
         return None
 
@@ -454,6 +474,8 @@ def parse_query(text: str) -> SynthQuery:
                 raise ParseError("define-fun expects name, params, sort, body",
                                  line, col)
             name = _expect_atom(cmd[1], "a function name").text
+            if is_operator(name):
+                raise ParseError(f"define-fun redefines the operator {name!r}", line, col)
             params = _parse_params(cmd[2])
             ret = parse_sort(cmd[3])
             local = _TermContext(dict(params), synth_fun, macros)
@@ -547,6 +569,16 @@ def _desugar_inv(names: Sequence[str], inv: FunctionSignature,
     def inv_app(args: Sequence[Term]) -> Term:
         return App(inv.name, tuple(args))
 
+    # every application sorts, over the universals, as Bool
+    for fn, args in ((inv, state), (inv, primed), (pre.signature, state),
+                     (trans.signature, state + primed), (post.signature, state)):
+        try:
+            sort = infer_sort(App(fn.name, tuple(args)), dict(universals), {fn.name: fn})
+        except SygusError as exc:
+            raise ParseError(str(exc), line, col) from None
+        if sort != BOOL:
+            raise ParseError(f"{fn.name!r} returns {sort}, not Bool", line, col)
+
     init = App("=>", (pre.apply(state), inv_app(state)))
     induct = App("=>", (
         App("and", (inv_app(state), trans.apply(state + primed))),
@@ -585,10 +617,16 @@ def candidate_from_sexpr(sexpr: SExpr) -> Candidate:
         raise ParseError("expected (define-fun name params sort body)",
                          *_where(sexpr))
     name = _expect_atom(sexpr[1], "a function name").text
+    if is_operator(name):
+        raise ParseError(f"define-fun redefines the operator {name!r}", *_where(sexpr))
     params = _parse_params(sexpr[2])
     ret = parse_sort(sexpr[3])
     ctx = _TermContext(dict(params), None, {})
     body = _parse_term(sexpr[4], ctx)
+    got = infer_sort(body, dict(params))
+    if got != ret:
+        raise ParseError(f"define-fun {name!r} body has sort {got}, declared {ret}",
+                         *_where(sexpr))
     return Candidate(name, params, ret, body)
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -518,6 +519,43 @@ def test_rules_that_form_no_grammar_are_a_malformed_query(synth_fun, needle, tmp
     out_dir = tmp_path / "out"
     assert main(["run", str(path.parent), "--selector", "fixed:enumerator",
                  "--time-budget", "30", "--out", str(out_dir)]) == 0
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["records"] == [] and report["skipped"] == [str(path)]
+
+
+_INV_PRE = """(set-logic LIA)
+(synth-inv inv ((x Int)))
+(define-fun pre {pre})
+(define-fun trans ((x Int) (x! Int)) Bool (= x! (+ x 1)))
+(define-fun post ((x Int)) Bool (>= x 0))
+(inv-constraint inv pre trans post)
+(check-synth)
+"""
+
+
+@pytest.mark.parametrize("text, needle", [
+    pytest.param(_INV_PRE.format(pre="((x Int) (y Int)) Bool (= x y)"),
+                 "'pre' expects 2 arguments, got 1 (line 6, column 2)", id="pre-arity"),
+    pytest.param(_INV_PRE.format(pre="((x Bool)) Bool x"),
+                 "argument 0 of 'pre' has sort Int, expected Bool (line 6, column 2)",
+                 id="pre-of-a-Bool"),
+    pytest.param(MAX2_TEXT.replace("(declare-var v1 Int)\n",
+                                   "(declare-var v1 Int)\n(define-fun id ((a Int)) Int a)\n"
+                                   "(constraint (and (id true) (>= (f v0 v1) v0)))\n"),
+                 "argument 0 of 'id' has sort Bool, expected Int (line 6, column 19)",
+                 id="define-fun-argument"),
+])
+def test_ill_sorted_applications_are_a_malformed_query(text, needle, tmp_path, capsys):
+    # rejected when read, before any solver spends the budget on them
+    path = _command_target("solve", tmp_path, text)
+    started = time.monotonic()
+    assert main(["solve", str(path), "--selector", "fixed:enumerator",
+                 "--time-budget", "5"]) == 2
+    assert time.monotonic() - started < 1.0
+    assert f"error: {path}: {needle}" in capsys.readouterr().err
+    out_dir = tmp_path / "out"
+    assert main(["run", str(path.parent), "--selector", "fixed:enumerator",
+                 "--time-budget", "5", "--out", str(out_dir)]) == 0
     report = json.loads((out_dir / "report.json").read_text())
     assert report["records"] == [] and report["skipped"] == [str(path)]
 

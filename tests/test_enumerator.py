@@ -803,3 +803,101 @@ def test_enumerator_outcome_reports_counters_and_stop_reason(max2_query):
     assert outcome.detail == (
         f"cegis solved: {res.iterations} iterations, {res.expansions} expansions, "
         f"{res.dequeued_complete} candidates")
+
+
+# ---------------------------------------------------------------------------
+# Where the search gives up
+# ---------------------------------------------------------------------------
+
+_NEGATIONS = """(set-logic LIA)
+(synth-fun f ((x Int)) Int ((I Int (x (- I)))))
+(declare-var x Int)
+(constraint {constraint})
+(check-synth)
+"""
+
+
+def test_a_search_past_the_recursion_limit_is_recorded_as_unsolved():
+    # every program is x under n negations, none is x + 1: the search nests
+    # one level per expansion until a check passes the recursion limit
+    from synthsel.config import RunConfig
+    from synthsel.orchestrator import SolverDeployer, new_state, solve_query
+
+    query = parse_query(_NEGATIONS.format(constraint="(= (f x) (+ x 1))"))
+    config = RunConfig(selector="fixed:enumerator", time_budget=30.0, seed=0)
+    record = solve_query(query, "q", config, new_state(config, 0),
+                         SolverDeployer(Verifier()))
+    assert not record.solved
+    (outcome,) = record.outcomes
+    assert outcome.detail.startswith("cegis formula nested too deeply: 1 iterations")
+    assert outcome.time < 10.0
+
+
+def test_the_tree_walking_check_gives_up_past_the_recursion_limit():
+    # f applied to f keeps the phase on the tree walker, which lets a
+    # RecursionError through: the search, not the program, is at fault
+    query = parse_query(_NEGATIONS.format(constraint="(= (f (f x)) (+ x 2))"))
+    g = grammar_for_query(query)
+    frontier = enumerator.Frontier(g, query)
+    check = enumerator._compiled_check(frontier, [initial_example(query)])
+    res = astar_synthesize(g, [initial_example(query)], query, _deadline(30),
+                           frontier=frontier)
+    assert res.status is SearchStatus.TOO_DEEP and res.candidate is None
+    assert check.__qualname__.startswith("_reference_check")
+
+
+class _StubVerifier(Verifier):
+    """A verifier whose verdict on every candidate is `verdict(deadline)`."""
+
+    def __init__(self, verdict):
+        super().__init__()
+        self.verdict = verdict
+        self.calls = 0
+
+    def check(self, query, cand, deadline=None):
+        self.calls += 1
+        return self.verdict(deadline)
+
+
+def test_cegis_gives_up_on_an_unknown_verdict(max2_query):
+    from synthsel.verify import VerificationResult
+
+    verifier = _StubVerifier(lambda _: VerificationResult.unknown("stub"))
+    res = cegis_solve(max2_query, grammar_for_query(max2_query), _deadline(30), verifier)
+    assert res.status is SearchStatus.TIMEOUT and res.candidate is None
+    assert res.iterations == verifier.calls == 1
+    assert res.counterexamples == (initial_example(max2_query),)
+
+
+def test_cegis_gives_up_when_the_verifier_repeats_a_counterexample():
+    # with no constraints every program passes the examples and the debug
+    # check has nothing to falsify; the stub returns the example already held
+    from synthsel.verify import VerificationResult
+
+    query = parse_query("(set-logic LIA)\n(synth-fun f ((x Int)) Int)\n"
+                        "(declare-var x Int)\n(check-synth)\n")
+    verifier = _StubVerifier(
+        lambda _: VerificationResult.counterexample(initial_example(query), 0))
+    res = cegis_solve(query, grammar_for_query(query), _deadline(30), verifier)
+    assert res.status is SearchStatus.TIMEOUT and res.candidate is None
+    assert res.iterations == verifier.calls == 1
+    assert res.counterexamples == (initial_example(query),)
+
+
+def test_cegis_gives_up_on_a_counterexample_that_arrives_after_the_deadline(max2_query):
+    real = Verifier()
+    refuted = []
+
+    class Late(Verifier):
+        def check(self, query, cand, deadline=None):
+            verdict = real.check(query, cand, deadline)
+            refuted.append(verdict)
+            time.sleep(max(0.0, deadline - time.monotonic()) + 0.01)
+            return verdict
+
+    res = cegis_solve(max2_query, grammar_for_query(max2_query), _deadline(1.0), Late())
+    (verdict,) = refuted
+    assert verdict.is_counterexample
+    assert res.status is SearchStatus.TIMEOUT and res.candidate is None
+    assert res.iterations == 1
+    assert res.counterexamples == (initial_example(max2_query), verdict.assignment_dict())

@@ -12,7 +12,7 @@ from synthsel.featurize import (
     distance,
     featurize,
 )
-from synthsel.sygus import parse_query
+from synthsel.sygus import BVLit, Ite, parse_query, subterms
 
 
 def _kw(vec, name):
@@ -154,6 +154,30 @@ def test_normalized_config_changes_counts(max3_query):
     assert norm[FEATURE_NAMES.index("kw:>=")] < raw[FEATURE_NAMES.index("kw:>=")]
     # logic block and length stay raw
     assert np.array_equal(_logic_block(norm), _logic_block(raw))
+
+
+_ITE_AND_BV_QUERY = """(set-logic BV)
+(synth-fun f ((a (_ BitVec 4)) (b Bool)) (_ BitVec 4))
+(declare-var a (_ BitVec 4))
+(declare-var b Bool)
+(constraint (= (f a b) (ite b (bvadd a #b0001) (ite (bvult a #x3) #b0000 a))))
+(constraint (bvult (f a (not b)) (bvor #xf (_ bv2 4))))
+(check-synth)
+"""
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_ite_and_bitvector_literals_are_counted_as_subterms_count_them(normalize):
+    q = parse_query(_ITE_AND_BV_QUERY)
+    nodes = [t for c in q.constraints for t in subterms(c)]
+    ites = sum(isinstance(t, Ite) for t in nodes)
+    bv_literals = sum(isinstance(t, BVLit) for t in nodes)
+    assert (ites, bv_literals) == (2, 5)
+    scale = q.source_token_count if normalize else 1
+    vec = featurize(q, FeaturizerConfig(normalize_by_length=normalize))
+    assert _kw(vec, "ite") == pytest.approx(ites / scale)
+    assert vec[FEATURE_NAMES.index("const:BitVec")] == pytest.approx(bv_literals / scale)
+    assert vec[FEATURE_NAMES.index("length")] == q.source_token_count
 
 
 # ---------------------------------------------------------------------------

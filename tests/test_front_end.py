@@ -10,8 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from synthsel.sygus import SygusError, parse_define_fun, parse_query, terms
-from synthsel.sygus import parser as sygus_parser
+from synthsel.sygus import ParseError, SygusError, parse_define_fun, parse_query, terms
 
 from conftest import MAX3_TEXT
 
@@ -82,6 +81,10 @@ def _terms(sort, ints, bools, bvs, fn, depth):
 _GRAMMARS = [""] * 6 + [
     " ((I Int (x y 0 1 (+ I I) (ite B I I))) (B Bool ((>= I I) (not B))))",
     " ((I Int) (B Bool)) ((I Int (x (- 3) (- I) (f I I))) (B Bool (true (< I I))))",
+    " ((I Int) (B Bool)) ((I Int (x y 0 (- I) (+ I I) (ite B I I))) (B Bool (true (< I I))))",
+    " ((I Int (x y (+ I B) (ite B I I))) (B Bool (true (>= I I))))",  # (+ I B) is ill-sorted
+    " ((I Int (x y (+ I I) (>= I I))))",  # a rule of another sort
+    " ((B Bool (true (>= I I))) (I Int (x y)))",  # a start symbol of another sort
     " ((I Int ((Constant Int) x)))",
     " ((I Int (x (+ J I))))",  # J is no nonterminal
     " ((I Int (x z)))",  # z is not a parameter
@@ -118,20 +121,41 @@ def _synth_fun_query(draw):
     return "\n".join(lines) + "\n"
 
 
+# Each variant but the first gives inv-constraint macros that do not fit
+# the invariant: pre of another arity or with a Bool parameter, post of
+# sort Int, trans of the wrong arity, or a state variable declared Bool.
+_STATE = ("x", "y", "x!", "y!")
+# per variant: pre's parameter list, its Int and its Bool parameters, post's
+# sort, trans's parameters (all Int) and a line put before synth-inv
+_INV_VARIANTS = {
+    "fits": ("((x Int) (y Int))", ("x", "y"), (), "B", _STATE, ""),
+    "pre-arity": ("((x Int) (y Int) (z Int))", ("x", "y", "z"), (), "B", _STATE, ""),
+    "pre-bool": ("((x Bool) (y Int))", ("y",), ("x",), "B", _STATE, ""),
+    "post-int": ("((x Int) (y Int))", ("x", "y"), (), "I", _STATE, ""),
+    "trans-arity": ("((x Int) (y Int))", ("x", "y"), (), "B", _STATE[:3], ""),
+    "state-bool": ("((x Int) (y Int))", ("x", "y"), (), "B", _STATE,
+                   "(declare-var x Bool)\n"),
+}
+
+
 @st.composite
 def _inv_query(draw):
     depth = draw(st.integers(1, 2))
     inv = (("inv", ("I", "I"), "B"),)
-    pre = draw(_terms("B", ("x", "y"), (), (), inv, depth))
-    trans = draw(_terms("B", ("x", "y", "x!", "y!"), (), (), (), depth))
-    post = draw(_terms("B", ("x", "y"), (), (), (), depth))
+    kind = draw(st.sampled_from(["fits"] * 5 + list(_INV_VARIANTS)[1:]))
+    pre_params, pre_ints, pre_bools, post_sort, trans_vars, declared = _INV_VARIANTS[kind]
+    trans_params = "(" + " ".join(f"({v} Int)" for v in trans_vars) + ")"
+    pre = draw(_terms("B", pre_ints, pre_bools, (), inv, depth))
+    trans = draw(_terms("B", trans_vars, (), (), (), depth))
+    post = draw(_terms(post_sort, ("x", "y"), (), (), (), depth))
+    post_ret = {"B": "Bool", "I": "Int"}[post_sort]
     return f"""; an invariant query
 (set-logic LIA)
-(synth-inv inv ((x Int) (y Int)))
-(define-fun pre ((x Int) (y Int)) Bool {pre})
-(define-fun trans ((x Int) (y Int) (x! Int) (y! Int)) Bool
+{declared}(synth-inv inv ((x Int) (y Int)))
+(define-fun pre {pre_params} Bool {pre})
+(define-fun trans {trans_params} Bool
   {trans})
-(define-fun post ((x Int) (y Int)) Bool {post})
+(define-fun post ((x Int) (y Int)) {post_ret} {post})
 (inv-constraint inv pre trans post)
 (check-synth)
 """
@@ -180,7 +204,7 @@ def test_benchmark_files_match_the_reference_parser(path):
 
 
 # ---------------------------------------------------------------------------
-# Sorts are inferred while the terms are read
+# Each term is sorted once, while it is read
 # ---------------------------------------------------------------------------
 
 _DEFINE_FUN_QUERY = """(set-logic LIA)
@@ -203,7 +227,6 @@ def _count_infer_sort(monkeypatch):
         return infer_sort(*args)
 
     monkeypatch.setattr(terms, "infer_sort", counted)
-    monkeypatch.setattr(sygus_parser, "infer_sort", counted)
     return calls
 
 
@@ -217,18 +240,116 @@ def test_a_well_sorted_query_is_not_walked_again_for_its_sorts(monkeypatch, text
     assert calls == []
 
 
-def test_a_macro_applied_to_another_sort_is_sorted_by_infer_sort(monkeypatch):
-    # (id true) inlines to `true`: the walk has no sort for it, and
-    # infer_sort on the finished term finds Bool, as it always did
-    calls = _count_infer_sort(monkeypatch)
-    query = parse_query("""(set-logic LIA)
+def test_a_macro_applied_to_another_sort_is_rejected_where_it_is_applied():
+    # (id true) would inline to `true`, a Bool: the application is sorted by
+    # id's signature, before the body is inlined
+    text = """(set-logic LIA)
 (synth-fun f ((x Int)) Int)
 (declare-var x Int)
 (define-fun id ((a Int)) Int a)
 (constraint (and (id true) (>= (f x) x)))
 (check-synth)
-""")
-    assert len(query.constraints) == 1 and calls
+"""
+    with pytest.raises(ParseError) as raised:
+        parse_query(text)
+    assert str(raised.value) == ("argument 0 of 'id' has sort Bool, expected Int "
+                                 "(line 5, column 19)")
+    _assert_same(text, parse_query, reference.parse_query)
+
+
+_ILL_SORTED_TERMS = {
+    # the first ill-sorted node in reading order, children before their
+    # operator: (+ x b) is reported, not the constraint's `and` around it
+    "argument": ("(and (>= (+ x b) 0) true)",
+                 "'+' expects Int arguments, got Bool (line 6, column 23)"),
+    "ite-condition": ("(= (f x) (ite x 1 0))",
+                      "ite condition must be Bool, got Int (line 6, column 23)"),
+    "ite-branches": ("(= (f x) (ite b 1 b))",
+                     "ite branches disagree: Int vs Bool (line 6, column 23)"),
+    "function-argument": ("(>= (f b) 0)",
+                          "argument 0 of 'f' has sort Bool, expected Int "
+                          "(line 6, column 18)"),
+    "equality": ("(= x b)", "'=' arguments disagree: Int vs Bool (line 6, column 14)"),
+    # a sort error before a later reading error wins
+    "before-an-undeclared-symbol": ("(and (not x) zz)",
+                                    "'not' expects Bool arguments, got Int "
+                                    "(line 6, column 19)"),
+}
+
+
+@pytest.mark.parametrize("constraint, message", _ILL_SORTED_TERMS.values(),
+                         ids=_ILL_SORTED_TERMS)
+def test_a_sort_error_is_raised_at_the_first_ill_sorted_node(constraint, message):
+    text = f"""(set-logic LIA)
+(synth-fun f ((x Int)) Int)
+(declare-var x Int)
+(declare-var b Bool)
+
+(constraint {constraint})
+(check-synth)
+"""
+    with pytest.raises(ParseError) as raised:
+        parse_query(text)
+    assert str(raised.value) == message
+    _assert_same(text, parse_query, reference.parse_query)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(define-fun f ((x Int)) Int (+ x (> x 0)))",
+     "'+' expects Int arguments, got Bool (line 1, column 30)"),
+    ("(define-fun f ((x Int)) Int\n  (> x 0))",
+     "define-fun 'f' body has sort Bool, declared Int (line 1, column 2)"),
+])
+def test_a_define_fun_answer_of_another_sort_is_rejected_with_its_position(text, message):
+    with pytest.raises(ParseError) as raised:
+        parse_define_fun(text)
+    assert str(raised.value) == message
+    _assert_same(text, parse_define_fun, reference.parse_define_fun)
+
+
+_INV_PROBE = """(set-logic LIA)
+(synth-inv inv ((x Int)))
+(define-fun pre {pre})
+(define-fun trans ((x Int) (x! Int)) Bool (= x! (+ x 1)))
+(define-fun post ((x Int)) {post})
+(inv-constraint inv pre trans post)
+(check-synth)
+"""
+_INV_MISFITS = {
+    "pre-of-two-parameters": ("", dict(pre="((x Int) (y Int)) Bool (= x y)"),
+                              "'pre' expects 2 arguments, got 1 (line 6, column 2)"),
+    "pre-of-a-Bool": ("", dict(pre="((x Bool)) Bool x"),
+                      "argument 0 of 'pre' has sort Int, expected Bool (line 6, column 2)"),
+    "post-of-sort-Int": ("", dict(post="Int (+ x 1)"),
+                         "'post' returns Int, not Bool (line 6, column 2)"),
+    "state-declared-Bool": ("(declare-var x Bool)\n", {},
+                            "argument 0 of 'inv' has sort Bool, expected Int "
+                            "(line 7, column 2)"),
+}
+
+
+@pytest.mark.parametrize("declared, macros, message", _INV_MISFITS.values(),
+                         ids=_INV_MISFITS)
+def test_inv_constraint_macros_that_do_not_fit_the_invariant_are_rejected(
+        declared, macros, message):
+    text = declared + _INV_PROBE.format(**{"pre": "((x Int)) Bool (= x 0)",
+                                           "post": "Bool (>= x 0)", **macros})
+    with pytest.raises(ParseError) as raised:
+        parse_query(text)
+    assert str(raised.value) == message
+    _assert_same(text, parse_query, reference.parse_query)
+
+
+@pytest.mark.parametrize("text", [
+    "(define-fun and ((a Int) (b Int)) Bool (> a b))",
+    "(define-fun + ((a Bool)) Bool a)",
+])
+def test_a_define_fun_may_not_redefine_an_operator(text):
+    query = f"(set-logic LIA)\n{text}\n(synth-fun f ((x Int)) Int)\n(check-synth)\n"
+    with pytest.raises(ParseError, match="define-fun redefines the operator"):
+        parse_query(query)
+    _assert_same(query, parse_query, reference.parse_query)
+    _assert_same(text, parse_define_fun, reference.parse_define_fun)
 
 
 _SORT_REJECTIONS = {

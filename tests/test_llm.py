@@ -182,6 +182,21 @@ def test_nl_unknown_operator_falls_back():
     assert "(bvult" in text  # prefix form kept inline
 
 
+def test_nl_renders_ite_negation_and_connectives():
+    q = parse_query("""(set-logic LIA)
+(synth-fun f ((x Int) (y Int)) Int)
+(declare-var x Int)
+(declare-var y Int)
+(constraint (= (f x y) (ite (> x y) x (- y))))
+(constraint (=> (and (>= x 0) (not (= y 0))) (>= (f x y) 0)))
+(check-synth)
+""")
+    assert translate_constraints_nl(q) == (
+        "1. f(x, y) equals (x if x is greater than y, otherwise the negation of y).\n"
+        "2. if (x is greater than or equal to 0) and (it is not the case that "
+        "(y equals 0)) then f(x, y) is greater than or equal to 0.")
+
+
 # ---------------------------------------------------------------------------
 # extraction
 # ---------------------------------------------------------------------------

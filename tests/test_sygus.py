@@ -667,6 +667,29 @@ def test_indexed_bitvector_literal_round_trips_through_print_query():
     assert print_query(again) == printed
 
 
+@pytest.mark.parametrize("grammar", [
+    "((I Int (x y 0 (+ I I) (ite B I I))) (B Bool ((>= I I) (not B))))",
+    "((I Int) (B Bool)) ((I Int (x y 1 (- I) (ite B I I))) (B Bool (true (< I I))))",
+], ids=["v1", "v2"])
+def test_a_user_grammar_round_trips_through_print_query(grammar):
+    # style 4 and the few-shot block print queries, user grammar included
+    q = parse_query(f"""(set-logic LIA)
+(synth-fun f ((x Int) (y Int)) Int
+  {grammar})
+(declare-var x Int)
+(declare-var y Int)
+(constraint (>= (f x y) x))
+(check-synth)
+""")
+    printed = print_query(q)
+    assert f"(synth-fun f ((x Int) (y Int)) Int {grammar})\n" in printed
+    again = parse_query(printed)
+    assert again.user_grammar == q.user_grammar is not None
+    assert again.user_grammar_sexpr == q.user_grammar_sexpr == grammar
+    assert again.constraints == q.constraints
+    assert print_query(again) == printed
+
+
 @pytest.mark.parametrize("literal", ["(_ bv256 8)", "(_ bv5 0)", "(_ bv² 8)",
                                      "(_ bv5 ²)", "(_ bv 8)", "(_ bv5)",
                                      "(_ BitVec 8)", "(_ bvx5 8)"])
