@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""The A* phase's own rate on max3, over a fixed number of pops.
+"""The A* phase's own rate on max3, over a fixed number of pops, or how far
+it gets in a fixed time.
 
-    python3 scripts/astar_rate.py [--runs 5] [--src DIR]
+    python3 scripts/astar_rate.py [--runs 5] [--src DIR] [--seconds S]
 
 Runs one A* synthesis phase of benchmarks/max3.sl against perfbench's seven
 MAX3_COUNTEREXAMPLES, stopped by `EnumeratorConfig(max_frontier=CAP)`
@@ -13,6 +14,15 @@ sets its reading.) Prints the pops of one run and, over --runs runs, the
 median and range of candidates/s and expansions/s. --src names the synthsel
 sources to time, by default this checkout's src/, so one copy of the script
 times another checkout too.
+
+Pruned pops (equivalence reduction) are neither checked nor expanded, so a
+fixed number of pops is less work on a checkout that prunes, and rates over
+it do not compare like with like. With --seconds S each run instead stops at
+a deadline S seconds after it starts (or at the default frontier cap, if
+that comes first; the status says which), and the script prints per run and
+as medians the highest priority popped (`Frontier.last_priority`, the cost
+of the cheapest programs not yet popped), the pruned pops and the
+expansions and candidates.
 """
 
 from __future__ import annotations
@@ -32,9 +42,13 @@ def main(argv=None) -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--runs", type=int, default=5)
     parser.add_argument("--src", type=Path, default=ROOT / "src")
+    parser.add_argument("--seconds", type=float,
+                        help="read how far each run gets in this many seconds")
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be >= 1")
+    if args.seconds is not None and not args.seconds > 0:
+        parser.error("--seconds must be > 0")
     sys.path[:0] = [str(args.src.resolve()), str(ROOT / "perfbench")]
     import inputs
     import synthsel
@@ -45,6 +59,8 @@ def main(argv=None) -> int:
     query = parse_query((ROOT / "benchmarks" / "max3.sl").read_text())
     grammar = grammar_for_query(query)
     examples = list(inputs.MAX3_COUNTEREXAMPLES)
+    if args.seconds is not None:
+        return fixed_time(grammar, query, examples, args.seconds, args.runs)
     config = EnumeratorConfig(max_frontier=CAP)
     readings, pops = [], set()
     for _ in range(args.runs):
@@ -66,6 +82,26 @@ def main(argv=None) -> int:
                          ("expansions_per_s", [e for _, e in readings])):
         print(f"{name}: median {statistics.median(values):,.0f} "
               f"(min {min(values):,.0f}, max {max(values):,.0f})")
+    return 0
+
+
+def fixed_time(grammar, query, examples, seconds: float, runs: int) -> int:
+    import synthsel
+    from synthsel.enumerator import Frontier, astar_synthesize
+
+    keys = ("last_priority", "pruned", "expansions", "candidates")
+    readings = []
+    print(f"max3 phase, {seconds:g} s per run, {runs} runs, {Path(synthsel.__file__).parent}")
+    for _ in range(runs):
+        frontier = Frontier(grammar, query)
+        result = astar_synthesize(grammar, examples, query, time.monotonic() + seconds,
+                                  frontier=frontier)
+        readings.append((frontier.last_priority, getattr(result, "pruned", 0),
+                         result.expansions, result.dequeued_complete))
+        print(f"{result.status.value}: " + ", ".join(
+            f"{k} {v:,.0f}" for k, v in zip(keys, readings[-1])))
+    print("median: " + ", ".join(f"{k} {statistics.median(r[i] for r in readings):,.0f}"
+                                 for i, k in enumerate(keys)))
     return 0
 
 

@@ -127,7 +127,7 @@ class SolverDeployer:
             verdict_provenance=result.provenance, verdict_bounded=result.bounded,
             detail=(f"cegis {result.status.value}: {result.iterations} iterations, "
                     f"{result.expansions} expansions, "
-                    f"{result.dequeued_complete} candidates"),
+                    f"{result.dequeued_complete} candidates, {result.pruned} pruned"),
         )
 
 

@@ -161,7 +161,9 @@ def parse_sort(sexpr: SExpr, text: str) -> Sort:
     width = _BITVEC_SORT.fullmatch(_print_sexpr(sexpr))
     if width:
         return Sort.bitvec(int(width[1]))
-    raise UnsupportedError(f"unsupported sort at line {_where(sexpr, text)[0]}")
+    line, col = _where(sexpr, text)
+    raise UnsupportedError(f"unsupported sort {_print_sexpr(sexpr)!r} "
+                           f"(line {line}, column {col})")
 
 
 # numerals are ASCII digits: str.isdigit() and int() also accept '²' or '٣'

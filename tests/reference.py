@@ -18,7 +18,13 @@
   character, for the LLM answer extraction.
 - `reference_astar`: the A* phase that pushes every child of an expansion
   at once, with tuple derivations and pending queues and the cap on the
-  heap's length, for the search that expands each node lazily.
+  heap's length, for the search that expands each node lazily. Its `keep`
+  predicate prunes a popped state; by default that is `NormalForms.keep`,
+  the equivalence-reduction rules over derivation trees, whole terms
+  rewritten by `NormalForms.normalize`, for the search's closing markers
+  and flagged children. `KEEP_ALL` turns pruning off.
+- `derivations`: every derivation of a grammar up to a cost, for
+  brute-force minimum-cost enumeration.
 - `reference_cegis`: the CEGIS loop that starts every A* phase afresh
   from the start symbol, for the loop that resumes one frontier.
 - The k-NN selector by brute force: nearest records by a stable sort of
@@ -50,7 +56,7 @@ from synthsel.enumerator import (CegisResult, EnumeratorConfig, SearchResult,
                                  min_completion_costs)
 from synthsel.orchestrator import OutcomeMatrix
 from synthsel.sygus import substitute_solution
-from synthsel.sygus.grammar import Grammar, grammar_from_rules
+from synthsel.sygus.grammar import Grammar, fill_holes, grammar_from_rules
 from synthsel.sygus.parser import (GrammarError, GrammarRules, ParseError, SynthQuery,
                                    UnsupportedError)
 from synthsel.sygus.terms import (
@@ -148,7 +154,9 @@ def parse_sort(sexpr: SExpr) -> Sort:
     width = _BITVEC_SORT.fullmatch(_print_sexpr(sexpr))
     if width:
         return Sort.bitvec(int(width[1]))
-    raise UnsupportedError(f"unsupported sort at line {_where(sexpr)[0]}")
+    line, col = _where(sexpr)
+    raise UnsupportedError(f"unsupported sort {_print_sexpr(sexpr)!r} "
+                           f"(line {line}, column {col})")
 
 
 # numerals are ASCII digits: str.isdigit() and int() also accept '²' or '٣'
@@ -710,14 +718,251 @@ def cons_choices(choices: Sequence[int]) -> enumerator.Choices:
     return derivation
 
 
+# ---------------------------------------------------------------------------
+# Equivalence reduction over derivation trees
+# ---------------------------------------------------------------------------
+
+Tree = Tuple[int, tuple]  # (production index, subtrees); an unfinished node has fewer
+
+
+def KEEP_ALL(choices: Tuple[int, ...]) -> bool:
+    return True
+
+
+class NormalForms:
+    """The equivalence-reduction rules of a grammar, read off each template
+    whose arguments are all holes, over derivation trees `(idx, kids)` of
+    the enumerator's flat production indices:
+
+    - `(op a b)` with both holes at one nonterminal, for a commutative op,
+      is kept only when a's preorder choice sequence is no greater than b's;
+    - `(op a a)` becomes a (and or bvand bvor, holes at the node's own
+      nonterminal), the node's 0 (- bvsub bvxor) or its true (=);
+    - `(op a 0)` becomes a (+ - bvadd bvsub bvor bvxor, a's hole at the
+      node's nonterminal), as does `(0 op a)` for the commutative ones;
+    - `ite(c, a, a)` becomes a and `(not (not b))` becomes b, a and b at
+      the node's nonterminal;
+    - `(<= a b)` becomes `(>= b a)` where the nonterminal has that rule.
+    """
+
+    COMMUTATIVE = {"+", "*", "and", "or", "=", "bvadd", "bvand", "bvor", "bvxor"}
+    IDEMPOTENT = {"and", "or", "bvand", "bvor"}
+    SELF_INVERSE = {"-", "bvsub", "bvxor"}
+    ZERO_UNIT = {"+", "-", "bvadd", "bvsub", "bvor", "bvxor"}
+
+    def __init__(self, grammar: Grammar):
+        self.grammar = grammar
+        self.flat, self.by_nt = enumerator._flat_productions(grammar)
+        self.holes = [p.holes for p in self.flat]
+
+    # what a production is ------------------------------------------------
+
+    def nt(self, idx: int) -> str:
+        return self.flat[idx].nonterminal
+
+    def shape(self, idx: int) -> Optional[Tuple[str, Tuple[str, ...]]]:
+        """(op, hole nonterminals) of a template whose arguments are all
+        holes, op "ite" for an Ite; else None."""
+        t = self.flat[idx].template
+        args = (t.cond, t.then_branch, t.else_branch) if isinstance(t, Ite) else (
+            t.args if isinstance(t, App) else ())
+        if not args or not all(isinstance(a, Hole) for a in args):
+            return None
+        return ("ite" if isinstance(t, Ite) else t.op), tuple(a.nonterminal for a in args)
+
+    def is_zero(self, tree: Tree) -> bool:
+        t = self.flat[tree[0]].template
+        return isinstance(t, (IntLit, BVLit)) and t.value == 0
+
+    def is_true(self, tree: Tree) -> bool:
+        t = self.flat[tree[0]].template
+        return isinstance(t, BoolLit) and t.value is True
+
+    def leaf(self, nt: str, literal: Callable[[Tree], bool]) -> Optional[Tree]:
+        """The first production of `nt` that is such a literal, as a tree."""
+        return next(((i, ()) for i in self.by_nt[nt] if literal((i, ()))), None)
+
+    def flipped(self, idx: int) -> Optional[int]:
+        """For `(<= a b)`, the nonterminal's `(>= b a)` production."""
+        shape = self.shape(idx)
+        if shape is None or shape[0] != "<=":
+            return None
+        a, b = shape[1]
+        for i in self.by_nt[self.nt(idx)]:
+            if self.shape(i) == (">=", (b, a)):
+                return i
+        return None
+
+    # trees ------------------------------------------------------------------
+
+    def tree(self, choices: Sequence[int]) -> Tree:
+        """The (partial) derivation tree of leftmost choices."""
+        it = iter(choices)
+
+        def node(idx: int) -> Tree:
+            kids = []
+            for _ in self.holes[idx]:
+                nxt = next(it, None)
+                if nxt is None:
+                    break
+                kids.append(node(nxt))
+            return idx, tuple(kids)
+
+        return node(next(it))
+
+    def finished(self, tree: Tree) -> bool:
+        idx, kids = tree
+        return len(kids) == len(self.holes[idx]) and all(self.finished(k) for k in kids)
+
+    def preorder(self, tree: Tree) -> list[int]:
+        idx, kids = tree
+        return [idx] + [i for k in kids for i in self.preorder(k)]
+
+    def cost(self, tree: Tree) -> float:
+        idx, kids = tree
+        return edge_cost(self.nt(idx), self.grammar) + sum(self.cost(k) for k in kids)
+
+    def term(self, tree: Tree) -> Term:
+        idx, kids = tree
+        return fill_holes(self.flat[idx].template, [self.term(k) for k in kids])
+
+    def cost_of(self, term: Term, nt: str) -> float:
+        """The least cost of a derivation of `term` from `nt` (inf if none)."""
+        key = term, nt
+        memo = self.__dict__.setdefault("_costs", {})
+        if key not in memo:
+            best = math.inf
+            for i in self.by_nt[nt]:
+                subs: list = []
+                if _matches(self.flat[i].template, term, subs):
+                    best = min(best, edge_cost(nt, self.grammar)
+                               + sum(self.cost_of(t, h) for h, t in subs))
+            memo[key] = best
+        return memo[key]
+
+    def derives(self, tree: Tree, nt: str) -> bool:
+        """Whether the tree is a finished derivation from `nt`."""
+        idx, kids = tree
+        return (self.nt(idx) == nt and len(kids) == len(self.holes[idx])
+                and all(self.derives(k, h) for k, h in zip(kids, self.holes[idx])))
+
+    # the rules ------------------------------------------------------------------
+
+    def rewrite(self, idx: int, kids: tuple) -> Optional[Tree]:
+        """What a node with these (possibly partial) kids rewrites to at its
+        root, or None when no rule applies. A rule that needs a kid
+        finished applies only once it is; a partial node's rewrite is only
+        a witness that the node is pruned (`keep`)."""
+        n = self.nt(idx)
+        swap = self.flipped(idx)
+        if swap is not None:
+            return swap, kids[::-1]
+        shape = self.shape(idx)
+        if shape is None:
+            return None
+        op, holes = shape
+        done = [self.finished(k) for k in kids] + [False] * (len(holes) - len(kids))
+        if op == "not" and kids and self.shape(kids[0][0]) == ("not", (n,)):
+            return kids[0][1][0] if kids[0][1] else kids[0]
+        if op == "ite":
+            if holes[1] == holes[2] == n and done[1] and done[2] and kids[1] == kids[2]:
+                return kids[1]
+            return None
+        if len(holes) != 2:
+            return None
+        a, b = holes
+        if (op in self.ZERO_UNIT and op in self.COMMUTATIVE and b == n and done[0]
+                and self.is_zero(kids[0])):
+            return kids[1] if done[1] else kids[0]
+        if not (done[0] and done[1]):
+            return None
+        if a == b and kids[0] == kids[1]:
+            if op in self.IDEMPOTENT and a == n:
+                return kids[0]
+            leaf = (self.leaf(n, self.is_zero) if op in self.SELF_INVERSE else
+                    self.leaf(n, self.is_true) if op == "=" else None)
+            if leaf is not None:
+                return leaf
+        if op in self.ZERO_UNIT and a == n and self.is_zero(kids[1]):
+            return kids[0]
+        if (op in self.COMMUTATIVE and a == b
+                and self.preorder(kids[0]) > self.preorder(kids[1])):
+            return idx, kids[::-1]
+        return None
+
+    def normalize(self, tree: Tree) -> Tree:
+        """The normal form of a finished tree: kids first, then the root
+        rewritten until no rule applies."""
+        idx, kids = tree
+        tree = idx, tuple(self.normalize(k) for k in kids)
+        while True:
+            new = self.rewrite(*tree)
+            if new is None:
+                return tree
+            tree = new  # a swap, or a normal subtree or leaf
+
+    def kept(self, tree: Tree) -> bool:
+        idx, kids = tree
+        return all(self.kept(k) for k in kids) and self.rewrite(idx, kids) is None
+
+    def keep(self, choices: Sequence[int]) -> bool:
+        """Whether a popped state is kept: no node of its tree rewrites."""
+        return not choices or self.kept(self.tree(choices))
+
+
+def _matches(template: Term, term: Term, subs: list) -> bool:
+    """Whether `term` fills `template`; appends (nonterminal, subterm) per hole."""
+    if isinstance(template, Hole):
+        subs.append((template.nonterminal, term))
+        return True
+    if isinstance(template, App):
+        return (isinstance(term, App) and term.op == template.op
+                and len(term.args) == len(template.args)
+                and all(_matches(a, b, subs) for a, b in zip(template.args, term.args)))
+    if isinstance(template, Ite):
+        return isinstance(term, Ite) and all(
+            _matches(a, b, subs) for a, b in zip(
+                (template.cond, template.then_branch, template.else_branch),
+                (term.cond, term.then_branch, term.else_branch)))
+    return template == term
+
+
+def derivations(grammar: Grammar, nt: str, budget: float) -> list[Tuple[float, Tree]]:
+    """Every finished derivation tree from `nt` that costs at most
+    `budget`, with its cost, cheapest first."""
+    flat, by_nt = enumerator._flat_productions(grammar)
+    memo: dict = {}
+
+    def of(nt: str, budget: float) -> list:
+        key = nt, budget
+        if key not in memo:
+            base = edge_cost(nt, grammar)
+            out = []
+            for idx in by_nt[nt] if base <= budget else ():
+                partial = [(base, ())]
+                for h in flat[idx].holes:
+                    partial = [(c + kc, kids + (kt,)) for c, kids in partial
+                               for kc, kt in of(h, budget - c)]
+                out += [(c, (idx, kids)) for c, kids in partial]
+            memo[key] = out
+        return memo[key]
+
+    return sorted(of(nt, budget), key=lambda e: e[0])
+
+
 def reference_astar(grammar: Grammar, examples: Sequence[Assignment], query: SynthQuery,
                     deadline: float,
-                    config: EnumeratorConfig = EnumeratorConfig()) -> SearchResult:
+                    config: EnumeratorConfig = EnumeratorConfig(),
+                    keep: Optional[Callable[[Tuple[int, ...]], bool]] = None
+                    ) -> SearchResult:
     """`enumerator.astar_synthesize` from the start symbol, expanding eagerly:
     every child of an expansion is pushed at once with the next FIFO tie,
     each heap entry holds its whole derivation and pending queue as tuples,
-    and `max_frontier` caps the heap's length. Programs are checked by the
-    enumerator's own check."""
+    and `max_frontier` caps the heap's length. A popped state that `keep`
+    rejects (by default `NormalForms.keep`) is counted as pruned and
+    neither checked nor expanded. Programs are checked by the enumerator's
+    own check."""
+    keep = keep or NormalForms(grammar).keep
     frontier = enumerator.Frontier(grammar, query)
     check = enumerator._compiled_check(frontier, examples)
     mc = min_completion_costs(grammar)
@@ -730,23 +975,29 @@ def reference_astar(grammar: Grammar, examples: Sequence[Assignment], query: Syn
     # (priority, tie, choices, pending, cost spent, heuristic)
     heap: list = [(g0, next(counter), (), (grammar.start,), 0.0, g0)]
     last_priority = -math.inf
-    expansions = completes = 0
+    expansions = completes = pruned = 0
     while heap:
         if time.monotonic() > deadline:
-            return SearchResult(SearchStatus.TIMEOUT, None, expansions, completes)
+            return SearchResult(SearchStatus.TIMEOUT, None, expansions, completes, pruned)
         if len(heap) > config.max_frontier:
-            return SearchResult(SearchStatus.FRONTIER_CAP, None, expansions, completes)
+            return SearchResult(SearchStatus.FRONTIER_CAP, None, expansions, completes,
+                                pruned)
         priority, _, choices, pending, cost, g = heappop(heap)
         assert priority >= last_priority - 1e-9, "priority queue pops regressed"
         last_priority = priority
+        if not keep(choices):
+            pruned += 1
+            continue
         if not pending:
             completes += 1
             try:
                 cand = check(cons_choices(choices))
             except RecursionError:
-                return SearchResult(SearchStatus.TOO_DEEP, None, expansions, completes)
+                return SearchResult(SearchStatus.TOO_DEEP, None, expansions, completes,
+                                    pruned)
             if cand is not None:
-                return SearchResult(SearchStatus.SOLVED, cand, expansions, completes)
+                return SearchResult(SearchStatus.SOLVED, cand, expansions, completes,
+                                    pruned)
             continue
         expansions += 1
         nt, rest = pending[0], pending[1:]
@@ -756,7 +1007,7 @@ def reference_astar(grammar: Grammar, examples: Sequence[Assignment], query: Syn
             new_g = g_rest + holes_mc[idx]
             heappush(heap, (cost + new_g, next(counter), choices + (idx,),
                             holes[idx] + rest, cost, new_g))
-    return SearchResult(SearchStatus.EXHAUSTED, None, expansions, completes)
+    return SearchResult(SearchStatus.EXHAUSTED, None, expansions, completes, pruned)
 
 
 def reference_cegis(query: SynthQuery, grammar: Grammar, deadline: float,
@@ -768,18 +1019,19 @@ def reference_cegis(query: SynthQuery, grammar: Grammar, deadline: float,
     record the phases."""
     examples: list[Assignment] = [initial_example(query)]
     sorts = dict(query.universals)
-    iterations = expansions = completes = 0
+    iterations = expansions = completes = pruned = 0
 
     def finish(status: SearchStatus, cand: Optional[Candidate] = None,
                provenance: str = "", bounded: bool = False) -> CegisResult:
         return CegisResult(status, cand, iterations, tuple(examples), provenance,
-                           expansions, completes, bounded)
+                           expansions, completes, bounded, pruned)
 
     while True:
         result = enumerator.astar_synthesize(grammar, examples, query, deadline, config)
         iterations += 1
         expansions += result.expansions
         completes += result.dequeued_complete
+        pruned += result.pruned
         if result.status is not SearchStatus.SOLVED:
             return finish(result.status)
         cand = result.candidate
@@ -789,6 +1041,9 @@ def reference_cegis(query: SynthQuery, grammar: Grammar, deadline: float,
             return finish(SearchStatus.SOLVED, cand, verdict.provenance, verdict.bounded)
         if verdict.is_counterexample:
             ce = verdict.assignment_dict()
+            if ce in examples:
+                # no progress possible: the verifier repeated itself
+                return finish(SearchStatus.TIMEOUT)
             if __debug__ and query.constraints:
                 # the new counterexample must falsify the candidate it refutes
                 phi = substitute_solution(query, cand)
@@ -796,9 +1051,6 @@ def reference_cegis(query: SynthQuery, grammar: Grammar, deadline: float,
                     assert not evaluate(phi, ce, sorts)
                 except EvaluationError:
                     pass
-            if ce in examples:
-                # no progress possible: the verifier repeated itself
-                return finish(SearchStatus.TIMEOUT)
             examples.append(ce)
             if time.monotonic() > deadline:
                 return finish(SearchStatus.TIMEOUT)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -28,13 +29,16 @@ from synthsel.sygus import (
     grammar_for_query,
     parse_query,
     print_term,
+    subterms,
     substitute_solution,
 )
 from synthsel.sygus.grammar import Hole, Production
-from synthsel.verify import Verifier, evaluate
+from synthsel.verify import EvaluationError, SearchConfig, Verifier, evaluate
 
 from conftest import PartialProgram, deep_query_text, heuristic, random_small_grammar
-from reference import cons_choices, reference_astar, reference_cegis
+from reference import (KEEP_ALL, NormalForms, cons_choices, derivations, grid_domain,
+                       reference_astar, reference_cegis, reference_sweep,
+                       reference_whole_domain)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -323,7 +327,7 @@ def _both_paths(monkeypatch, run):
 
 def _summary(res):
     return (res.status, res.candidate, res.expansions, res.dequeued_complete,
-            getattr(res, "iterations", None))
+            res.pruned, getattr(res, "iterations", None))
 
 
 def _min2_text(rng):
@@ -534,6 +538,208 @@ def test_a_leaf_run_stopped_at_each_deadline_check_resumes_as_one_search(
         assert ((rest.status, rest.candidate, first.expansions + rest.expansions,
                  first.dequeued_complete + rest.dequeued_complete)
                 == _summary(whole)[:4]), stop
+
+
+# ---------------------------------------------------------------------------
+# equivalence reduction against the rules over derivation trees, unpruned
+# search and brute-force enumeration
+# ---------------------------------------------------------------------------
+
+def _leftmost(choices):
+    out = []
+    while choices is not None:
+        idx, choices = choices
+        out.append(idx)
+    return tuple(reversed(out))
+
+
+def _checked_programs(g, q, cap, monkeypatch):
+    """The complete programs the search checks, as leftmost choices, and
+    the cost below which it has popped every program: a check that
+    accepts nothing lets it run to the cap."""
+    checked = []
+
+    def recording(frontier, examples):
+        return lambda choices: checked.append(_leftmost(choices))
+
+    with monkeypatch.context() as m:
+        m.setattr(enumerator, "_compiled_check", recording)
+        frontier = enumerator.Frontier(g, q)
+        res = astar_synthesize(g, [], q, _deadline(60), EnumeratorConfig(cap), frontier)
+    assert res.status in (SearchStatus.FRONTIER_CAP, SearchStatus.EXHAUSTED)
+    assert res.dequeued_complete == len(checked) == len(set(checked))
+    return checked, (math.inf if res.status is SearchStatus.EXHAUSTED
+                     else frontier.last_priority)
+
+
+def _query_over(params, ret="Int", grammar=""):
+    decls = "".join(f"(declare-var {n} {s})\n" for n, s in params)
+    plist = " ".join(f"({n} {s})" for n, s in params)
+    return parse_query(f"(set-logic {'BV' if 'BitVec' in ret else 'LIA'})\n"
+                       f"(synth-fun f ({plist}) {ret} {grammar})\n{decls}(check-synth)\n")
+
+
+_BV8 = "(_ BitVec 8)"
+# rules in every form: = with true, not, <= with its >=, and the BV operators
+_RULE_GRAMMAR = """((I Int) (B Bool) (W (_ BitVec 8)))
+  ((I Int (x 0 1 (+ I I) (- I I) (* I I) (ite B I I)))
+   (B Bool (true (= I I) (<= I I) (>= I I) (and B B) (not B) (= W W)))
+   (W (_ BitVec 8) (w #x00 (bvadd W W) (bvsub W W) (bvxor W W) (bvor W W) (bvand W W))))"""
+# no rule applies: operands at other nonterminals, no 0 where (- I I) is,
+# and (<= I J) without (>= J I)
+_NO_RULE_GRAMMAR = """((I Int) (J Int) (Z Int) (B Bool))
+  ((I Int (x 1 (+ J Z) (+ I J) (- I I) (ite B I J)))
+   (J Int (y 2))
+   (Z Int (0 3))
+   (B Bool ((<= I J) (>= I J))))"""
+
+
+def _rule_cases(max2_query):
+    """(grammar, query, cost budget for brute-force enumeration)."""
+    rng = random.Random(5)
+    cases = [(grammar_for_query(max2_query), max2_query, 40.0)]
+    bv = _query_over([("x", _BV8)], _BV8)
+    cases.append((grammar_for_query(bv), bv, 50.0))
+    ruled = _query_over([("x", "Int"), ("w", _BV8)], "Int", _RULE_GRAMMAR)
+    cases.append((grammar_for_query(ruled), ruled, 36.0))
+    for _ in range(6):
+        g, q, _ = _random_phase(rng)
+        cases.append((g, q, 30.0))
+    for _ in range(6):
+        g = random_small_grammar(rng)
+        cases.append((g, _query_over([("x", "Int")]), 20.0))
+    return cases
+
+
+def test_the_search_checks_exactly_the_programs_the_tree_rules_keep(max2_query,
+                                                                     monkeypatch):
+    # per program, not only per count: every program cheaper than where the
+    # search stopped is checked if and only if no node of its tree rewrites
+    pruned_somewhere = 0
+    for g, q, _ in _rule_cases(max2_query):
+        nf = NormalForms(g)
+        checked, below = _checked_programs(g, q, 20_000, monkeypatch)
+        budget = min(below - 1, 60.0)
+        trees = derivations(g, g.start, budget)
+        kept = {tuple(nf.preorder(t)) for _, t in trees if nf.kept(t)}
+        assert {c for c in checked if nf.cost(nf.tree(c)) <= budget} == kept
+        pruned_somewhere += len(trees) > len(kept)
+    assert pruned_somewhere >= 10
+
+
+def _equal_everywhere(q, t, u):
+    """t and u agree on the sweep (on the whole domain for a BitVec query),
+    and u evaluates, to t's value, wherever t does on the grid."""
+    phi = App("=", (t, u))
+    names = {v.name for v in subterms(phi) if isinstance(v, Var)}
+    universals = [(n, s) for n, s in q.synth_fun.params if n in names]
+    sorts = dict(universals)
+    if universals and all(s.width for _, s in universals):
+        assert reference_whole_domain(phi, universals,
+                                      SearchConfig(random_samples=0)).is_valid
+    else:
+        assert reference_sweep(phi, universals,
+                               SearchConfig(grid_bound=3, random_samples=20)).is_valid
+    grid = [dict(zip(sorts, point)) for point in itertools.product(
+        *[grid_domain(s, 3) for s in sorts.values()])]
+    for point in grid:
+        try:
+            value = evaluate(t, point, sorts)
+        except EvaluationError:
+            continue
+        assert evaluate(u, point, sorts) == value
+
+
+def test_every_pruned_term_has_a_kept_equivalent_that_costs_no_more(max2_query):
+    # for every nonterminal: the normal form of each pruned derivation is
+    # kept, derives from the same nonterminal, costs no more, and agrees
+    # with it wherever the pruned term evaluates
+    pruned = 0
+    for g, q, budget in _rule_cases(max2_query):
+        nf = NormalForms(g)
+        for nt in g.productions:
+            for cost, tree in derivations(g, nt, budget):
+                if nf.kept(tree):
+                    continue
+                pruned += 1
+                norm = nf.normalize(tree)
+                assert nf.kept(norm) and nf.derives(norm, nt)
+                assert nf.cost(norm) <= cost
+                _equal_everywhere(q, nf.term(tree), nf.term(norm))
+    assert pruned > 1000
+
+
+def _min_cost(g, q, examples, budget):
+    """Brute-force minimum-cost enumeration: the cost of the cheapest
+    program consistent with the examples, inf if none costs at most budget."""
+    nf = NormalForms(g)
+    check = enumerator._reference_check(enumerator.Frontier(g, q), examples)
+    return next((cost for cost, tree in derivations(g, g.start, budget)
+                 if check(cons_choices(nf.preorder(tree))) is not None), math.inf)
+
+
+def _pruned_cost_matches(g, q, examples, config=EnumeratorConfig(), brute=45.0):
+    """The pruned phase's answer costs what the unpruned search's and the
+    brute-force minimum cost; returns the pruned result and that cost."""
+    frontier = enumerator.Frontier(g, q)
+    pruned = astar_synthesize(g, examples, q, _deadline(60), config, frontier)
+    full = reference_astar(g, examples, q, _deadline(60), config, keep=KEEP_ALL)
+    nf = NormalForms(g)
+    if full.status is SearchStatus.SOLVED:
+        assert pruned.status is SearchStatus.SOLVED
+        assert nf.cost_of(full.candidate.body, g.start) == frontier.last_priority
+    if pruned.status is not SearchStatus.SOLVED:
+        return pruned, None
+    cost = frontier.last_priority
+    assert nf.cost_of(pruned.candidate.body, g.start) == cost
+    if cost <= brute:
+        assert _min_cost(g, q, examples, cost) == cost
+    return pruned, cost
+
+
+def test_pruned_search_returns_the_minimum_cost_on_random_grammars():
+    rng = random.Random(17)
+    config = EnumeratorConfig(max_frontier=3000)
+    costs = [_pruned_cost_matches(*_random_phase(rng), config)[1] for _ in range(40)]
+    assert sum(c is not None and c <= 45.0 for c in costs) >= 10
+
+
+def test_pruned_phases_return_the_minimum_cost_on_the_enum_corpus(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import inputs
+
+    brute = 0
+    for gen in inputs.enum_corpus(1, ROOT / "benchmarks"):
+        q = parse_query(gen.text)
+        g = grammar_for_query(q)
+        solved = cegis_solve(q, g, _deadline(60), Verifier())
+        res, cost = _pruned_cost_matches(g, q, list(solved.counterexamples), brute=52.0)
+        assert res.candidate == solved.candidate
+        brute += cost <= 52.0
+    assert brute == 25
+
+
+@pytest.mark.parametrize("constraint, body", [
+    ("(= (f x y) y)", "(+ y 0)"),
+    ("(= (f x y) 0)", "(- x x)"),
+    ("(= (f x y) (+ x y))", "(+ x y)"),
+    ("(and (>= (f x y) x) (>= (f x y) y) (or (= (f x y) x) (= (f x y) y)))",
+     "(ite (>= x y) x y)"),
+])
+def test_no_rule_applies_across_nonterminals_or_without_its_result(constraint, body,
+                                                                   monkeypatch):
+    q = parse_query("(set-logic LIA)\n(synth-fun f ((x Int) (y Int)) Int "
+                    f"{_NO_RULE_GRAMMAR})\n(declare-var x Int)\n(declare-var y Int)\n"
+                    f"(constraint {constraint})\n(check-synth)\n")
+    g = grammar_for_query(q)
+    res = cegis_solve(q, g, _deadline(60), Verifier())
+    assert res.status is SearchStatus.SOLVED and res.pruned == 0
+    assert print_term(res.candidate.body) == body
+    examples = list(res.counterexamples)
+    lazy = astar_synthesize(g, examples, q, _deadline(60))
+    assert _summary(lazy) == _summary(
+        reference_astar(g, examples, q, _deadline(60), keep=KEEP_ALL))
+    _pruned_cost_matches(g, q, examples)
 
 
 # ---------------------------------------------------------------------------
@@ -802,7 +1008,8 @@ def test_enumerator_outcome_reports_counters_and_stop_reason(max2_query):
                       Verifier())
     assert outcome.detail == (
         f"cegis solved: {res.iterations} iterations, {res.expansions} expansions, "
-        f"{res.dequeued_complete} candidates")
+        f"{res.dequeued_complete} candidates, {res.pruned} pruned")
+    assert res.pruned > 0
 
 
 # ---------------------------------------------------------------------------
@@ -882,6 +1089,19 @@ def test_cegis_gives_up_when_the_verifier_repeats_a_counterexample():
     assert res.status is SearchStatus.TIMEOUT and res.candidate is None
     assert res.iterations == verifier.calls == 1
     assert res.counterexamples == (initial_example(query),)
+
+
+def test_cegis_gives_up_when_the_verifier_repeats_a_counterexample_on_max2(max2_query):
+    # the second phase's candidate holds on {v0: 0, v1: 1}, so the repeat
+    # cannot falsify it: the loop must stop before checking that it does
+    from synthsel.verify import VerificationResult
+
+    repeated = {"v0": 0, "v1": 1}
+    verifier = _StubVerifier(lambda _: VerificationResult.counterexample(repeated, 0))
+    res = cegis_solve(max2_query, grammar_for_query(max2_query), _deadline(30), verifier)
+    assert res.status is SearchStatus.TIMEOUT and res.candidate is None
+    assert res.iterations == verifier.calls == 2
+    assert res.counterexamples == (initial_example(max2_query), repeated)
 
 
 def test_cegis_gives_up_on_a_counterexample_that_arrives_after_the_deadline(max2_query):

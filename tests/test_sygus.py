@@ -95,6 +95,18 @@ def test_parse_error_carries_position():
         parse_query(text)
 
 
+@pytest.mark.parametrize("sort, where", [
+    ("(Array Int Int)", "'(Array Int Int)' (line 2, column 19)"),
+    ("(_ BitVec)", "'(_ BitVec)' (line 2, column 19)"),
+    ("Real", "'Real' (line 2, column 18)"),
+])
+def test_an_unsupported_parameter_sort_is_reported_with_its_line_and_column(sort, where):
+    text = f"(set-logic LIA)\n(synth-fun f ((x {sort})) Int)\n(check-synth)\n"
+    with pytest.raises(UnsupportedError) as info:
+        parse_query(text)
+    assert str(info.value) == f"unsupported sort {where}"
+
+
 def test_multiple_synth_funs_rejected():
     text = """(set-logic LIA)
 (synth-fun f ((x Int)) Int)
