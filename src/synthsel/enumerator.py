@@ -16,10 +16,10 @@ A complete program's last choice is a leaf under a parent that left nothing
 pending, and that leaf's leaf siblings are provably the next pops: the search
 checks them as one run, without a heap round-trip per sibling. The check
 runs the compiled evaluator (`verify.compile_template`, one generated
-function per grammar production) and folds the siblings' shared tail once
-into frames, the productions on the path to the rightmost leaf, which each
-leaf fills; the tree-walking evaluator stays as the fallback and the test
-oracle.
+function per grammar production, compiled when a check first uses it) and
+folds the siblings' shared tail once into frames, the productions on the
+path to the rightmost leaf, which each leaf fills; the tree-walking
+evaluator stays as the fallback and the test oracle.
 
 One `Frontier` serves every CEGIS phase of a solve. The pop order does not
 depend on the examples, and a program rejected on some examples stays
@@ -27,43 +27,13 @@ rejected when more are added, so each phase goes on from the entry after
 the candidate the verifier just refuted instead of popping every earlier
 entry again; a fresh A* on all the examples would return the same program.
 
-Equivalence reduction (Smith and Albarghouthi, "Program Synthesis with
-Equivalence Reduction", VMCAI 2019) prunes a state as soon as one of its
-finished subterms is not in normal form: it is never checked and never
-expanded. The rules are derived once per grammar, when the `Frontier` is
-built, and apply only to flat templates, `(op N M)`, `(not N)` and
-`ite(B, N, M)`, whose arguments are all holes:
-
-- commutativity of `+ * and or =` and `bvadd bvand bvor bvxor`, where both
-  holes are at one nonterminal: the kept order has the left operand's
-  choice sequence lexicographically no greater than the right one's;
-- `(op a a)` is `a` for `and or bvand bvor`, `0` for `- bvsub bvxor`, and
-  `(= a a)` is `true`: pruned where that result derives from the
-  production's own nonterminal (for `a`, both holes are that nonterminal;
-  for `0` and `true`, a literal production of it);
-- `(op a 0)` is `a` for `+ - bvadd bvsub bvor bvxor`, and `(0 op a)` is `a`
-  for the commutative ones among them, where `a`'s hole is the
-  production's nonterminal;
-- `ite(c, a, a)` is `a` and `(not (not b))` is `b`, on the same condition;
-- `(<= a b)` is `(>= b a)` where the nonterminal also has `(>= M N)`.
-
-Every pruned term has a kept one that is equivalent on every input, derives
-from the same nonterminal, costs no more and evaluates without raising
-wherever the pruned one does (each rewrite lowers the cost, the count of
-`<=` nodes or the choice sequence, so rewriting ends at a kept term). So
-A* still returns a minimum-cost consistent program, but among programs of
-equal cost it may return another one than a search without the rules. The
-rules do not depend on the examples, so the frontier's resume across CEGIS
-phases stays sound.
-
-The tests run where they cost least. A rule that the choice alone decides,
-`<=`, and one that the choice and the production whose first hole it fills
-decide, `(not (not ·))` and `(0 op ·)`, is a flag on that child in the
-child chain. A rule over whole operands pushes a closing marker under the
-production's holes on the pending stack, holding the production's own
-choice cell; the leaf that closes its last operand finds the marker on top
-of the stack and tests the operands, whose choices lie between that cell
-and the leaf's.
+Equivalence reduction (`reduction`, after Smith and Albarghouthi, VMCAI
+2019) prunes a state as soon as one of its finished subterms is not in
+normal form: it is never checked and never expanded. Its rules are derived
+once per grammar, when the `Frontier` is built. Each pruned term has a kept
+equivalent from the same nonterminal that costs no more, so A* still
+returns a minimum-cost consistent program, though among programs of equal
+cost it may return another one than a search without the rules.
 """
 
 from __future__ import annotations
@@ -71,14 +41,15 @@ from __future__ import annotations
 import functools
 import math
 import time
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
 from typing import Callable, Optional, Sequence, Tuple, TypeVar
 
-from .sygus import (App, BoolLit, BVLit, Candidate, Grammar, Hole, IntLit, Ite,
-                    SynthQuery, Term, Var, conjoin, fill_holes, map_children,
-                    substitute_solution)
+from .reduction import KEEP_ALL, Choices, leaf_test, normal_form_rules
+from .sygus import (App, Candidate, Grammar, SynthQuery, Term, Var, conjoin, fill_holes,
+                    map_children, substitute_solution)
 from .sygus.grammar import Production, edge_cost, min_completion_costs
 from .sygus.terms import BOOL
 from .verify import (Assignment, EvaluationError, Verifier, compile_template,
@@ -123,7 +94,6 @@ def _flat_productions(grammar: Grammar) -> Tuple[list[Production], dict[str, lis
     return flat, by_nt
 
 
-Choices = Optional[Tuple[int, "Choices"]]  # (last production, earlier ones)
 _NOT_ONE_TERM = "choice sequence does not form one complete term"
 
 
@@ -176,148 +146,6 @@ def _fold_choices(choices: Choices, arity: Sequence[int],
     return _fill(_frames(tail, arity, build), build[idx]())
 
 
-# ---------------------------------------------------------------------------
-# Equivalence reduction: the normal-form rules of a grammar
-# ---------------------------------------------------------------------------
-
-_COMMUTATIVE = frozenset({"+", "*", "and", "or", "=", "bvadd", "bvand", "bvor", "bvxor"})
-_IDEMPOTENT = frozenset({"and", "or", "bvand", "bvor"})  # (op a a) = a
-_SELF_INVERSE = frozenset({"-", "bvsub", "bvxor"})  # (op a a) = 0
-_ZERO_UNIT = frozenset({"+", "-", "bvadd", "bvsub", "bvor", "bvxor"})  # (op a 0) = a
-_FLIPPED = {"<=": ">="}  # (<= a b) = (>= b a)
-
-# A closer's test of the leaves that may close its term, from the term's
-# choice cell and the choices before that leaf: a leaf is kept when it is no
-# less than the bound and not banned
-LeafTest = Tuple[int, frozenset]
-Closer = Callable[["Choices", "Choices"], LeafTest]
-_KEEP_ALL: LeafTest = (-1, frozenset())
-
-
-def _shape(p: Production) -> Optional[Tuple[str, Tuple[str, ...]]]:
-    """(op, hole nonterminals) of a production whose template's arguments
-    are all holes, op "ite" for an Ite; None for any other production."""
-    t = p.template
-    if isinstance(t, App):
-        op, args = t.op, t.args
-    elif isinstance(t, Ite):
-        op, args = "ite", (t.cond, t.then_branch, t.else_branch)
-    else:
-        return None
-    if p.holes and len(args) == len(p.holes) and all(isinstance(a, Hole) for a in args):
-        return op, p.holes
-    return None
-
-
-def _operands(start: "Choices", tail: "Choices") -> list[int]:
-    """The choices after `start` up to `tail`, last first."""
-    rev = []
-    while tail is not start:
-        idx, tail = tail
-        rev.append(idx)
-    return rev
-
-
-def _first_operand(rev: Sequence[int], k: int, arity: Sequence[int]) -> int:
-    """Where the first of the whole operands in `rev[:k]` (last choice
-    first) starts: that operand is `rev[j:k]`."""
-    need = 1
-    while need:
-        k -= 1
-        need += arity[rev[k]] - 1
-    return k
-
-
-def _binary_closer(arity: Sequence[int], ordered: bool, distinct: bool,
-                   zeros: frozenset) -> Closer:
-    """The leaf test of `(op a b)`: b's last leaf must keep b's choice
-    sequence lexicographically no less than a's (`ordered`; a whole term's
-    sequence is no prefix of another's, so the swap of a pruned term is
-    less), b unlike a (`distinct`) and b no lone zero (`zeros`)."""
-    def test(start: "Choices", tail: "Choices") -> LeafTest:
-        rev = _operands(start, tail)
-        k = _first_operand(rev, len(rev), arity)
-        a, b = rev[k:][::-1], rev[:k][::-1]  # a and b without its leaf, leftmost first
-        banned = frozenset() if k else zeros
-        if len(a) > k and a[:k] == b:  # the leaf a[k] keeps b level with a
-            if distinct and len(a) == k + 1:
-                banned = banned | {a[k]}
-            return (a[k] if ordered else -1), banned
-        return (len(arity) if ordered and a > b else -1), banned
-    return test
-
-
-def _branch_closer(arity: Sequence[int]) -> Closer:
-    """The leaf test of `ite(c, a, b)`: b unlike a."""
-    def test(start: "Choices", tail: "Choices") -> LeafTest:
-        rev = _operands(start, tail)
-        k = _first_operand(rev, len(rev), arity)
-        j = _first_operand(rev, k, arity)
-        a, b = rev[j:k][::-1], rev[:j][::-1]  # a and b without its leaf
-        if len(a) == j + 1 and a[:j] == b:
-            return -1, frozenset({a[j]})
-        return _KEEP_ALL
-    return test
-
-
-def _leaf_test(markers: tuple, tail: Choices) -> Tuple[int, frozenset, tuple]:
-    """The leaf test of every term whose closing marker tops the pending
-    stack `markers`, for the leaves after `tail`, and the stack under
-    those markers."""
-    lo, banned = _KEEP_ALL
-    while markers is not None and markers[0].__class__ is not str:
-        (test, start), markers = markers
-        bound, more = test(start, tail)
-        lo, banned = max(lo, bound), banned | more
-    return lo, banned, markers
-
-
-def _normal_form_rules(flat: Sequence[Production], by_nt: dict[str, list[int]],
-                       arity: Sequence[int]
-                       ) -> Tuple[list[Optional[Closer]], set[int], dict[int, frozenset]]:
-    """Per production, the leaf test of its term's closing leaf (or None);
-    the productions pruned wherever they are chosen; and
-    per production the choices pruned in its first hole."""
-    shapes: list = []
-    zero: dict[str, frozenset] = dict.fromkeys(by_nt, frozenset())  # its 0 literals
-    true: set[str] = set()  # the nonterminals with a true literal
-    for idx, p in enumerate(flat):
-        t = p.template
-        shapes.append(_shape(p))
-        if isinstance(t, (IntLit, BVLit)) and t.value == 0:
-            zero[p.nonterminal] |= {idx}
-        elif isinstance(t, BoolLit) and t.value is True:
-            true.add(p.nonterminal)
-    closers: list[Optional[Closer]] = [None] * len(flat)
-    dead: set[int] = set()
-    dead_under: dict[int, frozenset] = {}
-    for idx, shape in enumerate(shapes):
-        if shape is None:
-            continue
-        (op, holes), n = shape, flat[idx].nonterminal
-        if op == "ite":
-            if holes[1] == holes[2] == n:
-                closers[idx] = _branch_closer(arity)
-        elif op == "not":
-            dead_under[idx] = frozenset(i for i in by_nt[holes[0]]
-                                        if shapes[i] == ("not", (n,)))
-        elif len(holes) == 2:
-            a, b = holes
-            if op in _FLIPPED and any(shapes[i] == (_FLIPPED[op], (b, a)) for i in by_nt[n]):
-                dead.add(idx)
-                continue
-            ordered = op in _COMMUTATIVE and a == b
-            distinct = a == b and ((op in _IDEMPOTENT and a == n)
-                                   or (op in _SELF_INVERSE and bool(zero[n]))
-                                   or (op == "=" and n in true))
-            zeros = zero[b] if op in _ZERO_UNIT and a == n else frozenset()
-            if op in _ZERO_UNIT and op in _COMMUTATIVE and b == n:
-                dead_under[idx] = zero[a]
-            if ordered or distinct or zeros:
-                closers[idx] = _binary_closer(arity, ordered, distinct, zeros)
-    return closers, dead, {i: d for i, d in dead_under.items() if d}
-
-
 class Frontier:
     """The state of one A* search, kept across the CEGIS phases of a solve:
     the heap, the next free FIFO tie, the frontier's size and the last
@@ -338,13 +166,15 @@ class Frontier:
     A child is a chain cell `(idx, holes' heuristic, position in grammar
     order, next sibling, pruned)`: `pruned` flags a choice that the
     normal-form rules reject on its own or under the production whose
-    first hole it fills (`hole_chain`). `closers` holds per production the
-    test of its operands, or None (see the module docstring).
+    first hole it fills (`hole_chain`). `pushes` holds per production what
+    its expansion pushes on the pending stack, bottom first: its holes'
+    nonterminals and the tests of its operands, each of which goes on as a
+    closing marker with the production's choice cell (see `reduction`).
 
-    `makers` holds one compiled function per production, built once per
-    grammar with each hole at its nonterminal's width. The check walks the
-    tree instead for nested `f` applications and constraints too deep to
-    compile."""
+    `makers` holds one compiled function per production, with each hole at
+    its nonterminal's width, compiled when the check first calls it. The
+    check walks the tree instead for nested `f` applications and
+    constraints too deep to compile."""
 
     def __init__(self, grammar: Grammar, query: SynthQuery):
         self.grammar = grammar
@@ -353,12 +183,16 @@ class Frontier:
         self.flat, self.by_nt = _flat_productions(grammar)
         self.costs = {nt: edge_cost(nt, grammar) for nt in grammar.productions}
         self.arity = [len(p.holes) for p in self.flat]
-        self.holes_reversed = [p.holes[::-1] for p in self.flat]
         # _fold_choices over fills rebuilds a program's term, over makers its function
         self.fills = [lambda *kids, t=p.template: fill_holes(t, kids) for p in self.flat]
         holes_mc = [sum(self.mc[h] for h in p.holes) for p in self.flat]
-        self.closers, dead, dead_under = _normal_form_rules(self.flat, self.by_nt,
-                                                            self.arity)
+        closers, dead, dead_under = normal_form_rules(self.flat, self.by_nt, self.arity)
+        self.pushes: list = [p.holes[::-1] for p in self.flat]
+        for idx, marks in closers.items():
+            items: list = list(self.flat[idx].holes)
+            for at, test in marks:
+                items.insert(at, test)
+            self.pushes[idx] = items[::-1]
 
         def chain(nt: str, pruned: set[int]) -> tuple:
             # the children in (priority, tie) order: by the holes'
@@ -394,10 +228,46 @@ class Frontier:
 
     @functools.cached_property
     def makers(self) -> list:
-        """`compile_template`'s maker per production."""
+        """`compile_template`'s maker per production, a `_Stub` until its
+        first call. If a production fails to compile, every slot becomes one
+        that raises `_Uncompiled`, and every later check walks the tree."""
         fn, sorts = self.query.synth_fun, self.grammar.sorts
-        return [compile_template(p.template, fn.param_names, dict(fn.params),
-                                 [sorts[h].width for h in p.holes]) for p in self.flat]
+        names, params = fn.param_names, dict(fn.params)
+        return [_Stub(self, idx, functools.partial(
+            compile_template, p.template, names, params, [sorts[h].width for h in p.holes]))
+                for idx, p in enumerate(self.flat)]
+
+
+class _Stub:
+    """A production's slot in `Frontier.makers` until its first call, which
+    compiles the maker, puts it in the slot and calls it. It holds the
+    frontier weakly, so the frontier's makers and their stubs form no
+    reference cycle and die with the frontier."""
+
+    __slots__ = ("frontier", "idx", "build")
+
+    def __init__(self, frontier: Frontier, idx: int, build: Callable[[], Callable]):
+        self.frontier, self.idx, self.build = weakref.ref(frontier), idx, build
+
+    def __call__(self, *kids):
+        makers = self.frontier().makers
+        maker = makers[self.idx]  # a frame may hold the stub after it compiled
+        if maker is self:
+            try:
+                maker = self.build()
+            except (RecursionError, EvaluationError):
+                makers[:] = [_uncompiled] * len(makers)
+                raise _Uncompiled from None
+            makers[self.idx] = maker
+        return maker(*kids)
+
+
+class _Uncompiled(Exception):
+    """A maker of the frontier's grammar failed to compile."""
+
+
+def _uncompiled(*kids):
+    raise _Uncompiled
 
 
 # ---------------------------------------------------------------------------
@@ -479,17 +349,20 @@ def _compiled_check(frontier: Frontier, examples: Sequence[Assignment]) -> Check
     """The same decisions as `_reference_check`, compiled: the body is
     evaluated at the precomputed invocation points of f and the constraints
     by one predicate over the examples' values and f's results. A program
-    whose compiled evaluation raises, and every program of a phase where an
+    whose compiled evaluation raises, every program of a phase where an
     argument of f fails to evaluate or the constraints nest too deeply to
-    compile, goes to the reference check; only an accepted program is
+    compile, and every program checked after a production failed to
+    compile goes to the reference check; only an accepted program is
     rebuilt as a term."""
     reference = _reference_check(frontier, examples)
     query = frontier.query
     if not examples or not query.constraints:
         return reference
     fn = query.synth_fun
+    makers = frontier.makers
+    if makers[0] is _uncompiled:  # a production failed to compile in an earlier phase
+        return reference
     try:
-        makers = frontier.makers
         found = _invocations(query, examples)
         if found is None:
             return reference
@@ -506,9 +379,12 @@ def _compiled_check(frontier: Frontier, examples: Sequence[Assignment]) -> Check
 
     def check(choices: Choices) -> Optional[Candidate]:
         idx, tail = choices
-        if tail is not memo[0]:
-            memo[:] = tail, _frames(tail, arity, makers)
-        body = _fill(memo[1], makers[idx]())
+        try:
+            if tail is not memo[0]:
+                memo[:] = tail, _frames(tail, arity, makers)
+            body = _fill(memo[1], makers[idx]())
+        except _Uncompiled:
+            return reference(choices)
         try:
             for values, points in per_example:
                 if not pred(values + tuple(map(body, points))):
@@ -547,16 +423,15 @@ def astar_synthesize(grammar: Grammar,
     assert frontier.grammar is grammar and frontier.query is query
     mc, costs, first_child = frontier.mc, frontier.costs, frontier.first_child
     n_children, arity = frontier.n_children, frontier.arity
-    holes_reversed, hole_chain = frontier.holes_reversed, frontier.hole_chain
-    closers = frontier.closers
+    pushes, hole_chain = frontier.pushes, frontier.hole_chain
     heap, tie, size = frontier.heap, frontier.tie, frontier.size
     check = _compiled_check(frontier, examples)
     last_priority = frontier.last_priority
     max_frontier = config.max_frontier
     expansions = completes = pruned = 0
     status, cand = SearchStatus.EXHAUSTED, None
-    tested = leaf_test = None  # the last parent whose leaves closed terms, their test
-    keep_all = _KEEP_ALL
+    tested = closing = None  # the last parent whose leaves closed terms, their test
+    keep_all = KEEP_ALL
 
     # A child pushed late gets the priority an eager push would have given
     # it, from the same sums. Every edge cost is a count of productions and
@@ -599,8 +474,8 @@ def astar_synthesize(grammar: Grammar,
                 # the leaf closes the terms whose markers top the stack; its
                 # leaf siblings are the next pops and share the test
                 if parent is not tested:
-                    tested, leaf_test = parent, _leaf_test(pending, choices)
-                lo, banned, pending = leaf_test
+                    tested, closing = parent, leaf_test(pending, choices)
+                lo, banned, pending = closing
             if pending is None and not arity[idx]:
                 while True:  # a leaf run of complete programs, left only by a break
                     if dead or idx < lo or idx in banned:
@@ -635,11 +510,9 @@ def astar_synthesize(grammar: Grammar,
             choices = (idx, choices)
             if arity[idx]:
                 g += h
-                closer = closers[idx]
-                if closer is not None:
-                    pending = ((closer, choices), pending)
-                for nt in holes_reversed[idx]:
-                    pending = (nt, pending)
+                for item in pushes[idx]:
+                    pending = ((item if item.__class__ is str else (item, choices)),
+                               pending)
                 first = hole_chain[idx]
             else:
                 first = first_child[pending[0]]

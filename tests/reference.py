@@ -740,15 +740,28 @@ class NormalForms:
       nonterminal), the node's 0 (- bvsub bvxor) or its true (=);
     - `(op a 0)` becomes a (+ - bvadd bvsub bvor bvxor, a's hole at the
       node's nonterminal), as does `(0 op a)` for the commutative ones;
-    - `ite(c, a, a)` becomes a and `(not (not b))` becomes b, a and b at
-      the node's nonterminal;
-    - `(<= a b)` becomes `(>= b a)` where the nonterminal has that rule.
+    - `(* a 1)` and `(* 1 a)` become a, a's hole at the node's nonterminal;
+    - `(op a 0)` and `(op 0 a)` become the node's 0 (* bvand);
+    - `ite(c, a, a)` becomes a, and `(not (not b))` and `(bvnot (bvnot b))`
+      become b, a and b at the node's nonterminal;
+    - with both branches at the node's nonterminal, `ite(c, a, b)` becomes
+      a where c is a true literal or `(op x x)` for >= <= =, b where c is a
+      false literal or `(op x x)` for < > bvult, and `ite((not c), a, b)`
+      becomes `ite(c, b, a)`;
+    - `(<= a b)` becomes `(>= b a)` and `(< a b)` becomes `(> b a)` where
+      the nonterminal has that rule.
     """
 
     COMMUTATIVE = {"+", "*", "and", "or", "=", "bvadd", "bvand", "bvor", "bvxor"}
     IDEMPOTENT = {"and", "or", "bvand", "bvor"}
     SELF_INVERSE = {"-", "bvsub", "bvxor"}
     ZERO_UNIT = {"+", "-", "bvadd", "bvsub", "bvor", "bvxor"}
+    ONE_UNIT = {"*"}
+    ZERO_ABSORBING = {"*", "bvand"}
+    NEGATION = {"not", "bvnot"}
+    FLIPPED = {"<=": ">=", "<": ">"}
+    ALWAYS = {">=", "<=", "="}  # (op x x) is true
+    NEVER = {"<", ">", "bvult"}  # (op x x) is false
 
     def __init__(self, grammar: Grammar):
         self.grammar = grammar
@@ -774,22 +787,37 @@ class NormalForms:
         t = self.flat[tree[0]].template
         return isinstance(t, (IntLit, BVLit)) and t.value == 0
 
+    def is_one(self, tree: Tree) -> bool:
+        t = self.flat[tree[0]].template
+        return isinstance(t, (IntLit, BVLit)) and t.value == 1
+
     def is_true(self, tree: Tree) -> bool:
         t = self.flat[tree[0]].template
         return isinstance(t, BoolLit) and t.value is True
+
+    def is_false(self, tree: Tree) -> bool:
+        t = self.flat[tree[0]].template
+        return isinstance(t, BoolLit) and t.value is False
+
+    def reflexive(self, tree: Tree, ops: set) -> bool:
+        """Whether a finished tree is `(op x x)` for one of `ops`."""
+        shape = self.shape(tree[0])
+        return (shape is not None and shape[0] in ops and len(shape[1]) == 2
+                and self.finished(tree) and tree[1][0] == tree[1][1])
 
     def leaf(self, nt: str, literal: Callable[[Tree], bool]) -> Optional[Tree]:
         """The first production of `nt` that is such a literal, as a tree."""
         return next(((i, ()) for i in self.by_nt[nt] if literal((i, ()))), None)
 
     def flipped(self, idx: int) -> Optional[int]:
-        """For `(<= a b)`, the nonterminal's `(>= b a)` production."""
+        """For `(<= a b)`, the nonterminal's `(>= b a)` production; for
+        `(< a b)`, its `(> b a)`."""
         shape = self.shape(idx)
-        if shape is None or shape[0] != "<=":
+        if shape is None or shape[0] not in self.FLIPPED:
             return None
         a, b = shape[1]
         for i in self.by_nt[self.nt(idx)]:
-            if self.shape(i) == (">=", (b, a)):
+            if self.shape(i) == (self.FLIPPED[shape[0]], (b, a)):
                 return i
         return None
 
@@ -862,20 +890,27 @@ class NormalForms:
             return None
         op, holes = shape
         done = [self.finished(k) for k in kids] + [False] * (len(holes) - len(kids))
-        if op == "not" and kids and self.shape(kids[0][0]) == ("not", (n,)):
+        if op in self.NEGATION and kids and self.shape(kids[0][0]) == (op, (n,)):
             return kids[0][1][0] if kids[0][1] else kids[0]
         if op == "ite":
-            if holes[1] == holes[2] == n and done[1] and done[2] and kids[1] == kids[2]:
-                return kids[1]
-            return None
+            return self.rewrite_ite(idx, kids, done) if holes[1] == holes[2] == n else None
         if len(holes) != 2:
             return None
         a, b = holes
-        if (op in self.ZERO_UNIT and op in self.COMMUTATIVE and b == n and done[0]
-                and self.is_zero(kids[0])):
-            return kids[1] if done[1] else kids[0]
+        zero = self.leaf(n, self.is_zero) if op in self.ZERO_ABSORBING else None
+        if op in self.COMMUTATIVE and done[0] and (
+                (op in self.ZERO_UNIT and b == n and self.is_zero(kids[0]))
+                or (op in self.ONE_UNIT and b == n and self.is_one(kids[0]))
+                or (zero is not None and self.is_zero(kids[0]))):
+            if not done[1]:
+                return kids[0]  # a witness: the node is pruned
+            return zero if zero is not None and self.is_zero(kids[0]) else kids[1]
         if not (done[0] and done[1]):
             return None
+        if zero is not None and self.is_zero(kids[1]):
+            return zero
+        if op in self.ONE_UNIT and a == n and self.is_one(kids[1]):
+            return kids[0]
         if a == b and kids[0] == kids[1]:
             if op in self.IDEMPOTENT and a == n:
                 return kids[0]
@@ -888,6 +923,21 @@ class NormalForms:
         if (op in self.COMMUTATIVE and a == b
                 and self.preorder(kids[0]) > self.preorder(kids[1])):
             return idx, kids[::-1]
+        return None
+
+    def rewrite_ite(self, idx: int, kids: tuple, done: list) -> Optional[Tree]:
+        """`rewrite` of an ite whose branches are at its own nonterminal."""
+        if not kids:
+            return None
+        c = kids[0]
+        if self.shape(c[0]) == ("not", (self.holes[idx][0],)):
+            return (idx, (c[1][0], kids[2], kids[1])) if all(done) else c
+        if self.is_true(c) or self.reflexive(c, self.ALWAYS):
+            return kids[1] if done[1] else c
+        if self.is_false(c) or self.reflexive(c, self.NEVER):
+            return kids[2] if done[2] else c
+        if done[1] and done[2] and kids[1] == kids[2]:
+            return kids[1]
         return None
 
     def normalize(self, tree: Tree) -> Tree:

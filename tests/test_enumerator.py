@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from synthsel import enumerator
+from synthsel import enumerator, verify
 from synthsel.enumerator import (
     EnumeratorConfig,
     SearchStatus,
@@ -18,6 +18,7 @@ from synthsel.enumerator import (
 )
 from synthsel.sygus import (
     App,
+    BoolLit,
     Candidate,
     Grammar,
     GrammarError,
@@ -33,6 +34,7 @@ from synthsel.sygus import (
     substitute_solution,
 )
 from synthsel.sygus.grammar import Hole, Production
+from synthsel.sygus.parser import parse_term_text
 from synthsel.verify import EvaluationError, SearchConfig, Verifier, evaluate
 
 from conftest import PartialProgram, deep_query_text, heuristic, random_small_grammar
@@ -375,18 +377,22 @@ _CONSTRAINTS = (
 
 def _random_typed_grammar(rng):
     """Int/Bool grammars over the parameter x with division, mod, ite and
-    nested templates, so compiled candidates raise, short-circuit and mix."""
+    nested templates, so compiled candidates raise, short-circuit and mix.
+    One or two literals, often 0 and 1, and comparisons and a true literal
+    among the Bool rules, so every rule family of `NormalForms` can apply."""
     I, B = Hole("I"), Hole("B")
     # a binary production keeps the frontier growing, so max_frontier ends
     # every search that finds nothing
-    ints = [Var("x"), IntLit(rng.randrange(-2, 3)), App("+", (I, I))]
+    literals = rng.sample([0, 1, rng.choice((-2, -1, 2))], rng.randrange(1, 3))
+    ints = [Var("x"), *map(IntLit, literals), App("+", (I, I))]
     ints += rng.sample([App("-", (I, I)), App("*", (I, I)),
                         App("div", (I, I)), App("mod", (I, I)), Ite(B, I, I),
                         App("+", (I, App("*", (IntLit(2), I)))), App("-", (I,))],
                        rng.randrange(1, 5))
     bools = [App(">=", (I, I))]
     bools += rng.sample([App("=", (I, I)), App("and", (B, B)), App("or", (B, B)),
-                         App("not", (B,)), App("=>", (B, B, B))], rng.randrange(0, 3))
+                         App("not", (B,)), App("=>", (B, B, B)), App("<", (I, I)),
+                         App(">", (I, I)), BoolLit(True)], rng.randrange(0, 4))
     return Grammar(start="I", sorts={"I": INT, "B": BOOL}, productions={
         "I": tuple(Production("I", t) for t in ints),
         "B": tuple(Production("B", t) for t in bools)})
@@ -445,6 +451,57 @@ def test_compiled_check_matches_reference_per_program():
             program = (rng.choice(leaves), tail)
             assert compiled(program) == reference(program)
     assert kept > 100 and replaced > 100
+
+
+def _counting_compiles(monkeypatch, fails=lambda template: False):
+    """Record the templates `compile_template` is asked for; a template for
+    which `fails` holds raises as one nested too deeply would."""
+    compiled = []
+
+    def compile_template(template, *args):
+        compiled.append(template)
+        if fails(template):
+            raise EvaluationError("formula nested too deeply")
+        return verify.compile_template(template, *args)
+
+    monkeypatch.setattr(enumerator, "compile_template", compile_template)
+    return compiled
+
+
+def test_a_production_is_compiled_when_a_check_first_uses_it(max2_query, monkeypatch):
+    compiled = _counting_compiles(monkeypatch)
+    g = grammar_for_query(max2_query)
+    frontier = enumerator.Frontier(g, max2_query)
+    assert frontier.makers and not compiled
+    check = enumerator._compiled_check(frontier, [{"v0": 1, "v1": 3}])
+    v0, plus = (frontier.flat.index(p) for p in frontier.flat
+                if print_term(p.template) in ("v0", "(+ I I)"))
+    assert check(cons_choices([v0])) is None
+    assert [print_term(t) for t in compiled] == ["v0"]
+    assert check(cons_choices([plus, v0, v0])) is None  # (+ v0 v0) = 2 < v1
+    assert check(cons_choices([plus, v0, v0])) is None
+    assert [print_term(t) for t in compiled] == ["v0", "(+ I I)"]
+    # a whole solve compiles each production it checks once
+    compiled.clear()
+    cegis_solve(max2_query, g, _deadline(60), Verifier())
+    assert len(compiled) == len(set(compiled)) < len(frontier.flat)
+
+
+def test_a_production_that_fails_to_compile_sends_every_later_check_to_the_tree_walker(
+        max2_query, monkeypatch):
+    # (+ I I) fails, early in the first phase: every program checked from
+    # then on, in this phase and the later ones, is checked by the reference
+    # check, so no other production compiles and the solve is the one the
+    # reference check alone makes
+    g = grammar_for_query(max2_query)
+    reference = _both_paths(monkeypatch, lambda: cegis_solve(max2_query, g, _deadline(60),
+                                                             Verifier()))[1]
+    plus = App("+", (Hole("I"), Hole("I")))
+    compiled = _counting_compiles(monkeypatch, lambda t: t == plus)
+    res = cegis_solve(max2_query, g, _deadline(60), Verifier())
+    assert _summary(res) == _summary(reference)
+    assert res.status is SearchStatus.SOLVED and isinstance(res.candidate.body, Ite)
+    assert compiled.count(plus) == 1 and compiled[-1] == plus
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +642,19 @@ _RULE_GRAMMAR = """((I Int) (B Bool) (W (_ BitVec 8)))
   ((I Int (x 0 1 (+ I I) (- I I) (* I I) (ite B I I)))
    (B Bool (true (= I I) (<= I I) (>= I I) (and B B) (not B) (= W W)))
    (W (_ BitVec 8) (w #x00 (bvadd W W) (bvsub W W) (bvxor W W) (bvor W W) (bvand W W))))"""
+# per rule family, with operands at other nonterminals beside: * with the
+# literals 0 and 1 (J has a 1 but no 0), bvand and bvnot, and ite conditions
+# over every comparison, not and the Bool literals
+_MUL_GRAMMAR = """((I Int) (J Int))
+  ((I Int (x 0 1 (* I I) (+ I J) (* J I)))
+   (J Int (y 1 (* J I))))"""
+_BVNOT_GRAMMAR = """((W (_ BitVec 8)) (V (_ BitVec 8)))
+  ((W (_ BitVec 8) (w #x00 #x01 (bvand W W) (bvnot W) (bvnot V) (bvand V W)))
+   (V (_ BitVec 8) (#xff (bvnot W))))"""
+_CONDITION_GRAMMAR = """((I Int) (J Int) (B Bool))
+  ((I Int (x 0 (+ I J) (ite B I I) (ite B I J)))
+   (J Int (y 1))
+   (B Bool (true false (< I I) (> I J) (<= I I) (>= I I) (= I I) (not B))))"""
 # no rule applies: operands at other nonterminals, no 0 where (- I I) is,
 # and (<= I J) without (>= J I)
 _NO_RULE_GRAMMAR = """((I Int) (J Int) (Z Int) (B Bool))
@@ -592,6 +662,11 @@ _NO_RULE_GRAMMAR = """((I Int) (J Int) (Z Int) (B Bool))
    (J Int (y 2))
    (Z Int (0 3))
    (B Bool ((<= I J) (>= I J))))"""
+
+
+_XY = [("x", "Int"), ("y", "Int")]
+_FAMILIES = [(_XY, "Int", _MUL_GRAMMAR, 32.0), ([("w", _BV8)], _BV8, _BVNOT_GRAMMAR, 36.0),
+             (_XY, "Int", _CONDITION_GRAMMAR, 36.0)]
 
 
 def _rule_cases(max2_query):
@@ -602,6 +677,9 @@ def _rule_cases(max2_query):
     cases.append((grammar_for_query(bv), bv, 50.0))
     ruled = _query_over([("x", "Int"), ("w", _BV8)], "Int", _RULE_GRAMMAR)
     cases.append((grammar_for_query(ruled), ruled, 36.0))
+    for params, ret, grammar, budget in _FAMILIES:
+        q = _query_over(params, ret, grammar)
+        cases.append((grammar_for_query(q), q, budget))
     for _ in range(6):
         g, q, _ = _random_phase(rng)
         cases.append((g, q, 30.0))
@@ -625,6 +703,34 @@ def test_the_search_checks_exactly_the_programs_the_tree_rules_keep(max2_query,
         assert {c for c in checked if nf.cost(nf.tree(c)) <= budget} == kept
         pruned_somewhere += len(trees) > len(kept)
     assert pruned_somewhere >= 10
+
+
+@pytest.mark.parametrize("family, pruned, kept", [
+    (0, ["(* x 1)", "(* 1 x)", "(* x 0)", "(* 0 x)", "(* y 0)", "(+ x (* y 1))"],
+     ["(* y x)", "(+ x (* y 0))", "(+ x (* 1 x))", "(* x (+ x y))"]),
+    (1, ["(bvnot (bvnot w))", "(bvand w #x00)", "(bvand #x00 w)", "(bvand w w)",
+         "(bvand (bvnot w) #x00)"],
+     ["(bvnot w)", "(bvand w #x01)", "(bvand #xff w)", "(bvnot (bvnot #xff))"]),
+    (2, ["(ite true x 0)", "(ite false x 0)", "(ite (>= x x) x 0)", "(ite (<= x x) x 0)",
+         "(ite (= x x) x 0)", "(ite (< x x) x 0)", "(ite (not (>= x 0)) x 0)",
+         "(ite (not true) x 0)"],
+     ["(ite (>= x 0) x 0)", "(ite (< x 0) x 0)", "(ite (> x y) x 0)",
+      "(ite true x y)", "(ite (>= x x) x y)", "(ite (not (>= x 0)) x y)"]),
+])
+def test_each_rule_family_prunes_its_forms_and_only_at_its_nonterminal(
+        family, pruned, kept, monkeypatch):
+    # `(bvnot (bvnot #xff))` is kept: #xff derives from V, not from W
+    params, ret, grammar, _ = _FAMILIES[family]
+    q = _query_over(params, ret, grammar)
+    g = grammar_for_query(q)
+    nf = NormalForms(g)
+    checked, below = _checked_programs(g, q, 20_000, monkeypatch)
+    programs = {nf.term(nf.tree(c)) for c in checked}
+    env = dict(q.synth_fun.params)
+    pruned, kept = ({parse_term_text(t, env) for t in ts} for ts in (pruned, kept))
+    assert all(nf.cost_of(t, g.start) < below for t in pruned | kept)
+    assert not programs & pruned
+    assert kept <= programs
 
 
 def _equal_everywhere(q, t, u):
