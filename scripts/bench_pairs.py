@@ -4,16 +4,19 @@
     python3 scripts/bench_pairs.py --parent HEAD~1 --workloads enum-corpus \\
         --seeds 1 104729 --pairs 10 --out BENCH_pr21.json
 
-Run it from a synthsel checkout. The change side is this checkout's working
-tree; the parent side is the committed files of --parent, exported with
-`git archive` into a scratch directory (removed at exit unless --work names
-one), so the repository's own .git is never touched. For every workload and
-seed it runs `perfbench/run.py --seconds S --trace 0` on both sides --pairs
-times, alternating which side runs first, and keeps from each run its last
-line (the result), its digest line and its side's commit. The file holds
-every run and, per workload, seed and side, the median of each metric over
-those runs. With --append the new runs join those already in --out, which
-must compare the same two sides, and every median is computed again.
+Run it from a synthsel checkout. The parent side is the committed files of
+--parent; the change side is this checkout's working tree as `git add -A`
+would commit it: the tracked files with their uncommitted edits and the
+untracked files that are not ignored, but no `__pycache__` or other ignored
+output. Both are exported with `git archive` into a scratch directory (removed
+at exit unless --work names one), so both sides start from fresh files alike,
+and the repository's index is never touched. For every workload and seed it
+runs `perfbench/run.py --seconds S --trace 0` on both sides --pairs times,
+alternating which side runs first, and keeps from each run its last line (the
+result), its digest line and its side's commit. The file holds every run and,
+per workload, seed and side, the median of each metric over those runs. With
+--append the new runs join those already in --out, which must compare the same
+two sides, and every median is computed again.
 """
 
 from __future__ import annotations
@@ -46,20 +49,20 @@ def git(*args: str, env: dict | None = None) -> str:
 
 
 def export(rev: str, into: Path) -> None:
-    """The committed files of `rev`, unpacked under `into`."""
+    """The files of `rev` (a commit or a tree), unpacked under `into`."""
     data = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
                           check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(data)) as tar:
         tar.extractall(into, filter="data")
 
 
-def working_src_tree(scratch: Path) -> str:
-    """The tree id that src/ of the working tree would commit as, found with
-    a throwaway index so the real one is left alone."""
+def working_tree(scratch: Path) -> str:
+    """The tree id that the working tree would commit as with `git add -A`,
+    found with a throwaway index so the real one is left alone."""
     env = dict(os.environ, GIT_INDEX_FILE=str(scratch / "index"))
     git("read-tree", "HEAD", env=env)
-    git("add", "-A", "--", "src", env=env)
-    return git("write-tree", "--prefix=src/", env=env)
+    git("add", "-A", env=env)
+    return git("write-tree", env=env)
 
 
 class Interrupted(Exception):
@@ -133,7 +136,7 @@ def main(argv=None) -> int:
                         help="add the runs to those already in --out")
     parser.add_argument("--change", default="", help="one line saying what the change is")
     parser.add_argument("--work", type=Path,
-                        help="scratch directory for the parent's files (kept)")
+                        help="scratch directory for both sides' files (kept)")
     args = parser.parse_args(argv)
     if args.pairs < 1 or not args.seconds > 0:
         parser.error("--pairs must be >= 1 and --seconds > 0")
@@ -144,21 +147,23 @@ def main(argv=None) -> int:
     head = git("rev-parse", "HEAD")
     work = args.work or Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
-        checkout = work / "parent"
-        shutil.rmtree(checkout, ignore_errors=True)
-        checkout.mkdir(parents=True)
-        export(parent_commit, checkout)
+        work.mkdir(parents=True, exist_ok=True)
+        tree = working_tree(work)
+        checkouts = {"parent": work / "parent", "change": work / "change"}
+        for side, rev in (("parent", parent_commit), ("change", tree)):
+            shutil.rmtree(checkouts[side], ignore_errors=True)
+            checkouts[side].mkdir(parents=True)
+            export(rev, checkouts[side])
         sides = {
             "parent": {"commit": parent_commit,
                        "src_tree": git("rev-parse", f"{parent_commit}:src")},
             "change": {"commit": head + (" with uncommitted changes" if dirty else ""),
-                       "src_tree": working_src_tree(work)},
+                       "src_tree": git("rev-parse", f"{tree}:src")},
         }
         old = json.loads(args.out.read_text(encoding="utf-8")) if args.append else None
         if old is not None and old["sides"] != sides:
             raise SystemExit(f"bench_pairs: {args.out} compares other sides: {old['sides']}")
         runs = list(old["runs"]) if old else []
-        checkouts = {"parent": checkout, "change": ROOT}
         env = None
         for workload in args.workloads:
             for seed in args.seeds:

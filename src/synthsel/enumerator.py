@@ -331,7 +331,10 @@ def _invocations(query: SynthQuery, examples: Sequence[Assignment]
             return Var(slots.setdefault(t, f"#{len(slots)}"))
         return map_children(t, replace)
 
-    phi = conjoin([replace(c) for c in query.constraints])
+    try:
+        phi = conjoin([replace(c) for c in query.constraints])
+    finally:
+        del replace  # its closure cell holds it: no cycle left for the collector
     names = [n for n, _ in query.universals]
     sorts = dict(query.universals)
     per_example = []

@@ -7,7 +7,9 @@ conditions, puts the negation of `phi` in disjunctive normal form over
 literals `a·x + c <= 0`, and refutes every conjunct by Fourier–Motzkin
 elimination tightened for integers: a literal's coefficients are divided by
 their gcd and its constant rounded up (Pugh, "The Omega test", CACM 1992;
-Kroening & Strichman, *Decision Procedures*, 2nd ed., 2016, ch. 5).
+Kroening & Strichman, *Decision Procedures*, 2nd ed., 2016, ch. 5). The
+negation of a conjunction is taken one part at a time, so a part whose
+negation is not refuted ends the proof before the next part is built.
 
 Elimination over the rationals is complete for refuting only when a real
 solution is missing too, so a conjunct that survives it proves nothing, and
@@ -44,10 +46,31 @@ class _Outside(Exception):
 def proves_valid(phi: Term, universals: Sequence[Tuple[str, Sort]]) -> bool:
     """True when `phi` (Bool, over the `universals`) holds at every integer
     point; False when it does not, or when the procedure cannot tell."""
+    forms, total = _NormalForms(universals), 0
     try:
-        return all(map(_refuted, _NormalForms(universals).dnf(phi, False)))
+        # not (and c1 c2 ...) is the disjunction of the negated parts: each
+        # part's DNF is refuted before the next is built, and the first one
+        # that survives answers False
+        for part in _conjuncts(phi):
+            dnf = forms.dnf(part, False)
+            total += len(dnf)
+            if total > MAX_CONJUNCTS or not all(map(_refuted, dnf)):
+                return False
+        return True
     except _Outside:
         return False
+
+
+def _conjuncts(phi: Term) -> List[Term]:
+    """The parts of `phi` under nested `and`s, left to right."""
+    out, stack = [], [phi]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, App) and t.op == "and":
+            stack.extend(reversed(t.args))
+        else:
+            out.append(t)
+    return out
 
 
 class _NormalForms:

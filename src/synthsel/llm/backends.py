@@ -3,7 +3,9 @@ a per-model router.
 
 Replay fixtures are JSON lines of {key_hash, response_text, input_tokens,
 output_tokens}, keyed by a stable hash of the model name and the full rendered
-message sequence. A record-mode backend wraps a live one and appends fixtures.
+message sequence (`fixture_key`). A record-mode backend wraps a live one and
+appends fixtures. Replay and recording compute the key incrementally along a
+dialogue: each call hashes only the messages added since the previous call.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import hashlib
 import http.client
 import json
 import logging
+import operator
 import os
 import time
 import urllib.error
@@ -60,11 +63,50 @@ def is_token_count(value: object) -> bool:
 
 
 def fixture_key(model: str, messages: Sequence[Message]) -> str:
+    """The SHA-256 of `[model, [[role, content], ...]]` as compact JSON
+    (UTF-8, non-ASCII characters unescaped), in hex."""
     payload = json.dumps(
         [model, [[m.role, m.content] for m in messages]],
         separators=(",", ":"), ensure_ascii=False,
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+_ENCODE = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
+
+
+class _DialogueKey:
+    """`fixture_key`, computed incrementally along one dialogue.
+
+    It keeps the last call's model and messages and the hash state after
+    the payload up to those messages' last one. A call with the same model
+    whose messages begin with those very `Message` objects (by identity)
+    hashes only the messages after them; any other call starts afresh.
+    The keys are the same bytes as `fixture_key`'s."""
+
+    def __init__(self) -> None:
+        self._model: Optional[str] = None
+        self._messages: tuple[Message, ...] = ()
+        self._state = hashlib.sha256()
+
+    def __call__(self, model: str, messages: Sequence[Message]) -> str:
+        messages = tuple(messages)
+        done = len(self._messages)
+        extends = (model == self._model and len(messages) >= done
+                   and all(map(operator.is_, messages, self._messages)))
+        if not extends:
+            done = 0
+        # encoded before the state changes, so a failure leaves it consistent
+        new = [_ENCODE([m.role, m.content]) for m in messages[done:]]
+        if extends:
+            state, text = self._state, ("," if done and new else "") + ",".join(new)
+        else:
+            state, text = hashlib.sha256(), "[" + _ENCODE(model) + ",[" + ",".join(new)
+        state.update(text.encode("utf-8"))
+        self._model, self._messages, self._state = model, messages, state
+        final = state.copy()
+        final.update(b"]]")
+        return final.hexdigest()
 
 
 @dataclass
@@ -76,6 +118,8 @@ class ReplayBackend:
     path: str | Path
     strict: bool = True
     _entries: dict[str, list[dict]] = field(default_factory=dict, repr=False)
+    _key: _DialogueKey = field(default_factory=_DialogueKey, init=False, repr=False,
+                               compare=False)
 
     def __post_init__(self) -> None:
         """Read the fixtures as `BanditStore.load` reads a state file: a torn
@@ -98,7 +142,7 @@ class ReplayBackend:
 
     def complete(self, model: str, messages: Sequence[Message],
                  timeout: Optional[float] = None) -> BackendReply:
-        key = fixture_key(model, messages)
+        key = self._key(model, messages)
         queue = self._entries.get(key)
         if not queue:
             raise ReplayMissError(
@@ -200,12 +244,14 @@ class RecordingBackend:
 
     inner: ChatBackend
     path: str | Path
+    _key: _DialogueKey = field(default_factory=_DialogueKey, init=False, repr=False,
+                               compare=False)
 
     def complete(self, model: str, messages: Sequence[Message],
                  timeout: Optional[float] = None) -> BackendReply:
         reply = self.inner.complete(model, messages, timeout=timeout)
-        write_fixture(self.path, model, messages, reply.text,
-                      reply.input_tokens, reply.output_tokens)
+        _append_fixture(self.path, self._key(model, messages), reply.text,
+                        reply.input_tokens, reply.output_tokens)
         return reply
 
 
@@ -213,10 +259,16 @@ def write_fixture(path: str | Path, model: str, messages: Sequence[Message],
                   response_text: str,
                   input_tokens: Optional[int] = None,
                   output_tokens: Optional[int] = None) -> str:
-    """Append one fixture entry; returns the key hash. A torn last line,
-    left by a run killed mid-append, is cut off first, so the entry starts
-    a line of its own."""
+    """Append one fixture entry; returns the key hash."""
     key = fixture_key(model, messages)
+    _append_fixture(path, key, response_text, input_tokens, output_tokens)
+    return key
+
+
+def _append_fixture(path: str | Path, key: str, response_text: str,
+                    input_tokens: Optional[int], output_tokens: Optional[int]) -> None:
+    """Append one fixture entry. A torn last line, left by a run killed
+    mid-append, is cut off first, so the entry starts a line of its own."""
     entry = {
         "key_hash": key,
         "response_text": response_text,
@@ -231,4 +283,3 @@ def write_fixture(path: str | Path, model: str, messages: Sequence[Message],
                 fh.seek(0)
                 fh.truncate(fh.read().rfind(b"\n") + 1)
         fh.write((json.dumps(entry) + "\n").encode("utf-8"))
-    return key

@@ -62,7 +62,10 @@ def fill_holes(template: TemplateTerm, subterms: Sequence[Term]) -> Term:
             return kid
         return map_children(t, walk)
 
-    result = walk(template)
+    try:
+        result = walk(template)
+    finally:
+        del walk  # its closure cell holds it: no cycle left for the collector
     if next(kids, None) is not None:
         raise GrammarError("too many subterms for template")
     return result

@@ -373,7 +373,10 @@ def apply_candidate(term: Term, cand: Candidate) -> Term:
             return substitute_vars(cand.body, dict(zip(names, t.args)))
         return t
 
-    return walk(term)
+    try:
+        return walk(term)
+    finally:
+        del walk  # its closure cell holds it: no cycle left for the collector
 
 
 def conjoin(terms: Sequence[Term]) -> Term:

@@ -280,7 +280,10 @@ def _expression(template: Term, var_names: Sequence[str],
             return expr, width, raises or any(r for _, _, r in args)
         raise EvaluationError(f"not a term: {t!r}")
 
-    expr, _, raises = emit(template)
+    try:
+        expr, _, raises = emit(template)
+    finally:
+        del emit  # its closure cell holds it: no cycle left for the collector
     return expr, used, raises
 
 

@@ -12,6 +12,9 @@
   with the tree walker `evaluate`, for the generated sweep and the LIA
   decision procedure; `reference_whole_domain` goes on over every point of
   a small BitVec/Bool domain, for the exact BV step.
+- `reference_proves_valid`: the LIA decision procedure that builds the
+  whole DNF of the negated formula before it refutes any conjunct, for the
+  one that refutes a conjunction part by part.
 - `first_violated_constraint`: the constraint a counterexample violates,
   found by substituting the candidate into each constraint and walking it.
 - `balanced_spans`: every balanced form at a marker, character by
@@ -48,7 +51,7 @@ from heapq import heappop, heappush
 from typing import (Callable, Hashable, Mapping, NamedTuple, Optional,
                     Sequence, Tuple, Union)
 
-from synthsel import enumerator
+from synthsel import enumerator, lia
 from synthsel.bandit import BanditStore, SolveRecord, SolverId, _sums
 from synthsel.budget import ScheduleEntry, allocate_one, fit_exponential
 from synthsel.enumerator import (CegisResult, EnumeratorConfig, SearchResult,
@@ -689,6 +692,15 @@ def reference_whole_domain(phi: Term, universals: Sequence[Tuple[str, Sort]],
         if not evaluate(phi, assignment, dict(universals)):
             return VerificationResult.counterexample(assignment, 0)
     return VerificationResult.valid(bounded=False)
+
+
+def reference_proves_valid(phi: Term, universals: Sequence[Tuple[str, Sort]]) -> bool:
+    """The whole DNF of `not phi`, then every conjunct refuted; False
+    outside the fragment or past the caps."""
+    try:
+        return all(map(lia._refuted, lia._NormalForms(universals).dnf(phi, False)))
+    except lia._Outside:
+        return False
 
 
 # ---------------------------------------------------------------------------

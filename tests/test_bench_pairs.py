@@ -1,4 +1,5 @@
-"""scripts/bench_pairs.py leaves no perfbench run behind when it is stopped.
+"""scripts/bench_pairs.py leaves no perfbench run behind when it is stopped,
+and runs the change side from a fresh export of the working tree.
 
 A stub checkout's perfbench/run.py starts one sleeping child and sleeps for
 less time than the child; an interrupted `run_once` must leave neither
@@ -120,3 +121,40 @@ def test_an_exception_in_run_once_kills_the_run_under_way(tmp_path, monkeypatch)
         assert len(pids) == 2 and _none_alive(pids)
     finally:
         _kill(pids)
+
+
+def _git(repo: Path, *args: str) -> str:
+    return subprocess.run(["git", "-C", str(repo), "-c", "user.name=t",
+                           "-c", "user.email=t@example.invalid", *args],
+                          check=True, capture_output=True, text=True).stdout.strip()
+
+
+def test_the_change_side_is_a_fresh_export_of_the_working_tree(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import bench_pairs
+
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    (repo / ".gitignore").write_text("__pycache__/\n")
+    (repo / "src" / "edited.py").write_text("VALUE = 1\n")
+    (repo / "src" / "deleted.py").write_text("")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "parent")
+    (repo / "src" / "edited.py").write_text("VALUE = 2\n")
+    (repo / "src" / "deleted.py").unlink()
+    (repo / "src" / "untracked.py").write_text("NEW = 3\n")
+    (repo / "src" / "__pycache__").mkdir()
+    (repo / "src" / "__pycache__" / "edited.cpython.pyc").write_bytes(b"stale")
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+
+    scratch, into = tmp_path / "scratch", tmp_path / "change"
+    scratch.mkdir()
+    tree = bench_pairs.working_tree(scratch)
+    bench_pairs.export(tree, into)
+    assert sorted(p.relative_to(into).as_posix() for p in into.rglob("*")) == [
+        ".gitignore", "src", "src/edited.py", "src/untracked.py"]
+    assert (into / "src" / "edited.py").read_text() == "VALUE = 2\n"
+    # the real index still holds the committed files
+    assert _git(repo, "diff", "--cached", "--name-only") == ""
+    assert _git(repo, "rev-parse", f"{tree}:src") != _git(repo, "rev-parse", "HEAD:src")

@@ -18,7 +18,7 @@ from synthsel.sygus import (App, BoolLit, Candidate, FunctionSignature, IntLit, 
 from synthsel.verify import SearchConfig, VerificationResult, check_candidate_internal
 
 from conftest import MAX2_SOLUTION, MAX2_TEXT, MAX3_SOLUTION, MAX3_TEXT
-from reference import reference_sweep
+from reference import reference_proves_valid, reference_sweep
 
 NAMES = ("x", "y", "z")
 # a small grid and a few samples near it keep the walk cheap; the literals
@@ -79,26 +79,50 @@ def _formulas(n, sort, depth):
 
 
 @st.composite
-def _cases(draw):
-    """A formula over 1-3 Int universals: a random one (mostly falsified),
+def _phi(draw, n):
+    """A formula over the first n names: a random one (mostly falsified),
     or a tautology built from random parts (which the procedure should
     prove through ite paths and opposite literals)."""
-    n = draw(st.integers(1, 3))
     t, u = draw(_formulas(n, BOOL, 2)), draw(_formulas(n, BOOL, 2))
-    phi = draw(st.sampled_from([
+    return draw(st.sampled_from([
         t,
         App("or", (t, App("not", (t,)))),
         App("=>", (App("and", (t, u)), t)),
         App("=", (t, t)),
         App("=>", (t, u, t)),
     ]))
-    return phi, tuple((v, INT) for v in NAMES[:n])
+
+
+@st.composite
+def _cases(draw):
+    """A formula over 1-3 Int universals."""
+    n = draw(st.integers(1, 3))
+    return draw(_phi(n)), tuple((v, INT) for v in NAMES[:n])
+
+
+@st.composite
+def _conjunctions(draw):
+    """Two to four formulas over 1-3 Int universals, conjoined flat or with
+    the first ones in an `and` of their own."""
+    n = draw(st.integers(1, 3))
+    parts = draw(st.lists(_phi(n), min_size=2, max_size=4))
+    if len(parts) > 2 and draw(st.booleans()):
+        parts = [App("and", tuple(parts[:-1])), parts[-1]]
+    return App("and", tuple(parts)), tuple((v, INT) for v in NAMES[:n])
 
 
 @settings(max_examples=150, deadline=None)
 @given(_cases())
 def test_decision_procedure_agrees_with_the_walk(case):
     _assert_agrees(*case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_cases(), _conjunctions()))
+def test_decision_procedure_agrees_with_the_whole_dnf(case):
+    # refuting a conjunction part by part gives the answers of the
+    # procedure that builds the whole DNF first
+    assert proves_valid(*case) == reference_proves_valid(*case), print_term(case[0])
 
 
 # ---------------------------------------------------------------------------
@@ -271,4 +295,15 @@ def test_gives_up_past_the_conjunct_cap():
     universals = (("x", INT), ("y", INT))
     for k, proved in ((3, True), (9, False)):
         p = _clauses(k)
-        assert proves_valid(App("or", (p, App("not", (p,)))), universals) == proved
+        phi = App("or", (p, App("not", (p,))))
+        assert proves_valid(phi, universals) == reference_proves_valid(phi, universals) == proved
+
+
+def test_the_conjunct_cap_counts_every_part_of_a_conjunction():
+    # each part's negation is one conjunct that elimination refutes; the
+    # cap is on the total over the parts, as for the whole DNF
+    transitive = parse_term_text("(=> (and (<= x y) (<= y z)) (<= x z))", _XYZ)
+    universals = tuple(_XYZ.items())
+    for parts, proved in ((256, True), (257, False)):
+        phi = App("and", (transitive,) * parts)
+        assert proves_valid(phi, universals) == reference_proves_valid(phi, universals) == proved

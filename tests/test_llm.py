@@ -1,7 +1,9 @@
 import json
 import socket
+import tempfile
 import time
 import urllib.request
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -368,6 +370,95 @@ def test_fixture_key_sensitivity():
     assert fixture_key("a", m) != fixture_key("b", m)
     assert fixture_key("a", m) != fixture_key("a", [Message("user", "hello!")])
     assert fixture_key("a", m) == fixture_key("a", [Message("user", "hello")])
+
+
+_TEXTS = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=30),
+    st.lists(st.sampled_from(['"', "\\", "\n", "\r", "\t", "\x00", "\x1f", "\x7f",
+                              "é", "\u2028", "\U0001f642", "[", "]", ",", "a"]),
+             max_size=8).map("".join),
+)
+_MESSAGES = st.builds(Message, st.one_of(st.sampled_from(["system", "user", "assistant"]),
+                                         _TEXTS), _TEXTS)
+_STEPS = ("grow", "grow", "replace last", "other model", "shorter", "equal copies", "again")
+
+
+@st.composite
+def _dialogue_calls(draw):
+    """(model, messages) calls on two interleaved dialogues, one per model:
+    each call grows its dialogue, replaces its last message, goes to another
+    model, sends a shorter list, sends equal but new `Message` objects, or
+    sends the same list again."""
+    models = ["gpt", "llama"]
+    dialogues = [[draw(_MESSAGES)], [draw(_MESSAGES)]]
+    calls = []
+    for _ in range(draw(st.integers(1, 10))):
+        d = draw(st.integers(0, 1))
+        model, messages = models[d], dialogues[d]
+        step = draw(st.sampled_from(_STEPS))
+        if step == "grow":
+            messages.extend(draw(st.lists(_MESSAGES, min_size=1, max_size=2)))
+        elif step == "replace last":
+            messages[-1] = draw(_MESSAGES)
+        elif step == "other model":
+            model = draw(_TEXTS)
+        elif step == "shorter":
+            messages = messages[:draw(st.integers(0, len(messages) - 1))]
+        elif step == "equal copies":
+            messages = [Message(m.role, m.content) for m in messages]
+        calls.append((model, tuple(messages) if draw(st.booleans()) else list(messages)))
+    return calls
+
+
+class _Replies:
+    """A live backend stand-in: reply i to the i-th call."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def complete(self, model, messages, timeout=None):
+        self.calls += 1
+        return BackendReply(f"reply {self.calls}", 3, self.calls)
+
+
+class _KeyLog(dict):
+    """ReplayBackend's fixture table that logs each key looked up and
+    answers every one."""
+
+    def __init__(self):
+        super().__init__()
+        self.keys = []
+
+    def get(self, key, default=None):
+        self.keys.append(key)
+        return [{"response_text": "r"}]
+
+
+@given(_dialogue_calls())
+def test_replay_and_record_keys_are_fixture_keys(calls):
+    want = [fixture_key(model, messages) for model, messages in calls]
+    replay = ReplayBackend("/nonexistent/fixtures.jsonl")
+    replay._entries = _KeyLog()
+    for model, messages in calls:
+        replay.complete(model, messages)
+    assert replay._entries.keys == want
+    with tempfile.TemporaryDirectory() as tmp:
+        fixture = Path(tmp) / "fx.jsonl"
+        recorder = RecordingBackend(_Replies(), fixture)
+        for model, messages in calls:
+            recorder.complete(model, messages)
+        lines = fixture.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["key_hash"] for line in lines] == want
+
+
+@given(_dialogue_calls())
+def test_every_recorded_call_replays_from_its_fixture(calls):
+    with tempfile.TemporaryDirectory() as tmp:
+        fixture = Path(tmp) / "fx.jsonl"
+        recorder = RecordingBackend(_Replies(), fixture)
+        recorded = [recorder.complete(model, messages) for model, messages in calls]
+        replay = ReplayBackend(fixture)
+        assert [replay.complete(model, messages) for model, messages in calls] == recorded
 
 
 def test_http_backend(chat_server, monkeypatch):
