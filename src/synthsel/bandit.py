@@ -16,10 +16,11 @@ import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Optional, TextIO, Tuple, TypeVar
+from typing import Iterable, Iterator, Mapping, Optional, Tuple, TypeVar
 
 import numpy as np
 
+from . import jsonl
 from .featurize import distance
 
 ENUMERATOR_KIND = "enumerator"
@@ -291,52 +292,24 @@ class BanditStore:
                 for rec in self.records:
                     fh.write(json.dumps(rec.to_json()) + "\n")
             os.replace(tmp, target)
-        elif added:
-            # encode first: a record that fails to encode leaves the file as is
-            text = "".join(json.dumps(rec.to_json()) + "\n" for rec in added)
-            with open(target, "a", encoding="utf-8") as fh:
-                fh.write(text)
+        else:  # encoded first: a record that fails to encode leaves the file as is
+            jsonl.append(target, "".join(json.dumps(r.to_json()) + "\n" for r in added))
         st = os.stat(target)
         self._file = (target, len(self), st.st_size, st.st_mtime_ns)
 
     @staticmethod
     def load(path: str | Path, seed: int = 0) -> "BanditStore":
-        """Read a saved store. A last line without its newline is a torn
-        append: it is dropped, and the next save rewrites the file. Any other
-        line that is not a record raises ValueError naming file and line.
+        """Read a saved store as `jsonl.read` reads it: a torn last line is
+        dropped (the next save cuts it off), and any other line that is not
+        a record raises ValueError naming file and line.
 
         Every record is validated as SolveRecord validates it, then appended
         as `append` checks it."""
         store = BanditStore(seed=seed)
-        with open(path, encoding="utf-8") as fh:
-            torn = read_json_lines(fh, path, "solve record",
-                                   lambda obj: store.append(SolveRecord.from_json(obj)))
-            st = os.fstat(fh.fileno())
-        if not torn:
-            store._file = (os.path.abspath(path), len(store), st.st_size,
-                           st.st_mtime_ns)
+        st = jsonl.read(path, "solve record",
+                        lambda obj: store.append(SolveRecord.from_json(obj)))
+        store._file = (os.path.abspath(path), len(store), st.st_size, st.st_mtime_ns)
         return store
-
-
-def read_json_lines(fh: TextIO, path: str | Path, what: str,
-                    take: Callable[[object], None]) -> bool:
-    """Pass each line of the open JSON-lines file `fh`, decoded, to `take`;
-    blank lines are skipped. A last line without its newline is a torn
-    append: it is skipped too, and the result says whether there was one.
-    A line that does not decode, or that `take` rejects with ValueError,
-    KeyError, TypeError or AttributeError, raises ValueError naming `path`,
-    the line and `what` the line should have been."""
-    torn = False
-    for number, line in enumerate(fh, 1):
-        if not line.endswith("\n"):  # only the last line can
-            torn = bool(line.strip())
-        elif line.strip():
-            try:
-                take(json.loads(line))
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
-                raise ValueError(f"{path}, line {number}: not a {what} "
-                                 f"({type(exc).__name__}: {exc})") from None
-    return torn
 
 
 class RecordView(Sequence):

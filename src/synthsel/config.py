@@ -52,23 +52,35 @@ class ModelConfig:
 
     @staticmethod
     def from_json(obj: Mapping) -> "ModelConfig":
+        """The model of a JSON object; an unknown key, or a value that is
+        not of its field's JSON type, raises ValueError naming the key."""
         if not isinstance(obj, Mapping):
             raise ValueError(f"a model is a JSON object, not {obj!r}")
-        styles = obj.get("styles", (1, 2, 3, 4, 5, 6))
+        data = {"name": "", **obj}
+        styles = data.pop("styles", (1, 2, 3, 4, 5, 6))
         if not isinstance(styles, (list, tuple)):
             raise ValueError(f"model styles must be a list, got {styles!r}")
-        return ModelConfig(
-            name=obj.get("name", ""),
-            styles=tuple(styles),
-            endpoint=obj.get("endpoint"),
-            api_key_env=obj.get("api_key_env"),
-        )
+        _check_keys(data, ModelConfig, "model")
+        return ModelConfig(styles=tuple(styles), **data)
 
 
-# the JSON values of each RunConfig field type but the models' (this module's
-# annotations are strings); a bool is no number here
+# the JSON values of each config field type but the models' and the styles'
+# (this module's annotations are strings); a bool is no number here
 _JSON_TYPES = {"str": (str,), "Optional[str]": (str, type(None)), "int": (int,),
                "float": (int, float), "bool": (bool,)}
+
+
+def _check_keys(data: Mapping, cls: type, what: str) -> None:
+    """Raise ValueError naming a key of `data` that is not a field of `cls`,
+    or whose value is not of its field's JSON type."""
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = set(data) - set(types)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    for key, value in data.items():
+        want = _JSON_TYPES[types[key]]
+        if not isinstance(value, want) or (type(value) is bool and bool not in want):
+            raise ValueError(f"{what} key {key!r} must be {types[key]}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -157,14 +169,7 @@ class RunConfig:
         models = data.pop("models", [])
         if not isinstance(models, list):
             raise ValueError(f"config key 'models' must be a list, got {models!r}")
-        types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-        unknown = set(data) - set(types)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in data.items():
-            want = _JSON_TYPES[types[key]]
-            if not isinstance(value, want) or (type(value) is bool and bool not in want):
-                raise ValueError(f"config key {key!r} must be {types[key]}, got {value!r}")
+        _check_keys(data, RunConfig, "config")
         return RunConfig(models=tuple(map(ModelConfig.from_json, models)), **data)
 
     @staticmethod

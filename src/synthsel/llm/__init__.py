@@ -26,7 +26,6 @@ from .backends import (
     ReplayBackend,
     ReplayMissError,
     fixture_key,
-    write_fixture,
 )
 from .solve import (
     ExtractionError,
@@ -45,7 +44,7 @@ __all__ = [
     "ChatTranscript", "count_tokens",
     "BackendError", "BackendReply", "ChatBackend", "HttpBackend",
     "ModelRouter", "RecordingBackend", "ReplayBackend", "ReplayMissError",
-    "fixture_key", "write_fixture",
+    "fixture_key",
     "ExtractionError", "LlmRunResult", "MAX_ATTEMPTS", "extract_candidate",
     "solve_with_llm",
 ]

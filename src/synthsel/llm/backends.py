@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional, Protocol, Sequence
 
-from ..bandit import read_json_lines
+from .. import jsonl
 from .prompts import Message
 
 log = logging.getLogger(__name__)
@@ -122,13 +122,11 @@ class ReplayBackend:
                                compare=False)
 
     def __post_init__(self) -> None:
-        """Read the fixtures as `BanditStore.load` reads a state file: a torn
-        last line is dropped, any other bad line raises ValueError."""
+        """Read the fixtures as `jsonl.read` does: a torn last line is dropped,
+        any other bad line raises ValueError; a missing file holds none."""
         self._entries = {}
-        path = Path(self.path)
-        if path.exists():
-            with open(path, encoding="utf-8") as fh:
-                read_json_lines(fh, path, "replay fixture", self._add)
+        if Path(self.path).exists():
+            jsonl.read(self.path, "replay fixture", self._add)
 
     def _add(self, entry: dict) -> None:
         # the token counts may be missing or null
@@ -250,36 +248,7 @@ class RecordingBackend:
     def complete(self, model: str, messages: Sequence[Message],
                  timeout: Optional[float] = None) -> BackendReply:
         reply = self.inner.complete(model, messages, timeout=timeout)
-        _append_fixture(self.path, self._key(model, messages), reply.text,
-                        reply.input_tokens, reply.output_tokens)
+        entry = {"key_hash": self._key(model, messages), "response_text": reply.text,
+                 "input_tokens": reply.input_tokens, "output_tokens": reply.output_tokens}
+        jsonl.append(self.path, json.dumps(entry) + "\n")
         return reply
-
-
-def write_fixture(path: str | Path, model: str, messages: Sequence[Message],
-                  response_text: str,
-                  input_tokens: Optional[int] = None,
-                  output_tokens: Optional[int] = None) -> str:
-    """Append one fixture entry; returns the key hash."""
-    key = fixture_key(model, messages)
-    _append_fixture(path, key, response_text, input_tokens, output_tokens)
-    return key
-
-
-def _append_fixture(path: str | Path, key: str, response_text: str,
-                    input_tokens: Optional[int], output_tokens: Optional[int]) -> None:
-    """Append one fixture entry. A torn last line, left by a run killed
-    mid-append, is cut off first, so the entry starts a line of its own."""
-    entry = {
-        "key_hash": key,
-        "response_text": response_text,
-        "input_tokens": input_tokens,
-        "output_tokens": output_tokens,
-    }
-    with open(path, "a+b") as fh:
-        end = fh.seek(0, os.SEEK_END)
-        if end:
-            fh.seek(end - 1)
-            if fh.read(1) != b"\n":
-                fh.seek(0)
-                fh.truncate(fh.read().rfind(b"\n") + 1)
-        fh.write((json.dumps(entry) + "\n").encode("utf-8"))

@@ -2,8 +2,8 @@
 
 A solver run makes up to 16 attempts (every assistant answer counts as one,
 including failed extractions and the Lisp stage of two-stage styles) and stops
-early on success, deadline, or cost exhaustion. Requests that would already
-blow the cost slice are not sent.
+early on success, deadline, or cost exhaustion: no request is sent once the
+cost so far exceeds the slice, so the last reply can overrun it.
 """
 
 from __future__ import annotations

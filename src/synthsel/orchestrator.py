@@ -67,8 +67,13 @@ class RunState:
 def new_state(config: RunConfig, seed: int) -> RunState:
     rng = random.Random(seed)
     store = BanditStore(seed=rng.randrange(2 ** 31))
-    if config.state and Path(config.state).exists():
-        store = BanditStore.load(config.state, seed=rng.randrange(2 ** 31))
+    if config.state:
+        folder = Path(config.state).absolute().parent
+        if not folder.is_dir():  # found before the first query, not at the save
+            raise ValueError(f"cannot save the state to {config.state}: "
+                             f"{folder} is not a directory")
+        if Path(config.state).exists():
+            store = BanditStore.load(config.state, seed=rng.randrange(2 ** 31))
     return RunState(store=store, prompt_rngs={
         m.name: random.Random(rng.randrange(2 ** 31)) for m in config.models},
         portfolio=tuple(config.portfolio()))
@@ -275,10 +280,13 @@ def solve_query(query: SynthQuery, query_id: str, config: RunConfig,
             continue
         raw = deployer.deploy(query, query_id, entry, state)
         charged = min(raw.time, entry.time + config.grace)
-        detail = raw.detail
-        if raw.time > charged:  # charged time is clamped: keep the overrun visible
-            overrun = f"overran slice: wall {raw.time:.3f} s"
-            detail = f"{detail}; {overrun}" if detail else overrun
+        # the charged time is clamped, the cost reward too: keep overruns visible
+        notes = [raw.detail] if raw.detail else []
+        if raw.time > charged:
+            notes.append(f"overran slice: wall {raw.time:.3f} s")
+        if raw.cost > entry.cost:
+            notes.append(f"overran cost slice: {raw.cost:g} of {entry.cost:g}")
+        detail = "; ".join(notes)
         rewards = all_rewards(charged, raw.cost, raw.solved,
                               config.time_budget, config.cost_budget)
         outcome = dataclasses.replace(raw, time=charged, rewards=rewards, detail=detail)

@@ -553,8 +553,22 @@ def test_store_load_drops_a_torn_last_line(tmp_path):
         fh.write('{"features": [9.0], "solver": {"ki')  # an append cut short
     store = BanditStore.load(path)
     assert store.records == records
-    store.save(path)  # rewrites the file without the torn line
+    store.save(path)  # cuts the torn line off
     assert path.read_bytes() == intact
     store.append(rec((5.0,), B1))
     store.save(path)
     assert BanditStore.load(path).records == records + [rec((5.0,), B1)]
+
+
+def test_store_save_after_a_torn_last_line_cuts_it_and_appends_in_place(tmp_path):
+    # the state file follows the fixtures' rule: the append cuts the torn tail
+    path = tmp_path / "state.jsonl"
+    BanditStore(records=[rec((float(i),), A1) for i in range(3)]).save(path)
+    inode = path.stat().st_ino
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"features": [9.0], "solver": {"ki')  # an append cut short
+    store = BanditStore.load(path, seed=3)
+    store.append(rec((5.0,), B1, reward=0.5, t=1.25))
+    store.save(path)
+    assert path.stat().st_ino == inode  # appended, not replaced
+    assert path.read_bytes() == _full_rewrite(store, tmp_path / "full.jsonl")

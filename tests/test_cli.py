@@ -338,6 +338,13 @@ def test_config_that_cannot_mean_what_it_says_is_usage_error(
     pytest.param('{"models": [7]}', "a model is a JSON object, not 7", id="model-a-number"),
     pytest.param('{"models": [{"name": "gpt", "styles": 4}]}',
                  "model styles must be a list, got 4", id="styles-a-number"),
+    pytest.param('{"models": [{"name": "gpt", "endpiont": "http://localhost:1"}]}',
+                 "unknown model keys: ['endpiont']", id="model-key-misspelt"),
+    pytest.param('{"models": [{"name": "gpt", "api_key_env": 3}]}',
+                 "model key 'api_key_env' must be Optional[str], got 3",
+                 id="api-key-env-a-number"),
+    pytest.param('{"models": [{"name": 7}]}', "model key 'name' must be str, got 7",
+                 id="name-a-number"),
 ])
 def test_config_file_of_the_wrong_shape_is_a_usage_error(command, text, needle,
                                                          tmp_path, capsys):
@@ -421,6 +428,22 @@ def test_malformed_state_file_is_an_input_error(command, line, needle,
     assert f"{state}, line 2: not a solve record" in err and needle in err
     assert state.read_text() == text  # left as it was
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "solve"])
+def test_state_file_in_a_missing_directory_is_a_usage_error(command, tmp_path,
+                                                            capsys):
+    # found before any query runs, not when the learned state is saved
+    state = tmp_path / "nodir" / "state.jsonl"
+    out_dir = tmp_path / "out"
+    code = main([command, str(_command_target(command, tmp_path)),
+                 "--selector", "fixed:enumerator", "--time-budget", "30",
+                 "--state", str(state), "--out", str(out_dir)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert f"error: cannot save the state to {state}" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not state.parent.exists() and not out_dir.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "solve"])

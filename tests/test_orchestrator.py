@@ -26,7 +26,7 @@ from synthsel.reports import load_report, rescore, write_run_outputs
 from synthsel.sygus import parse_query
 from synthsel.verify import VerificationResult, Verifier
 
-from conftest import MAX2_TEXT, deep_query_text
+from conftest import MAX2_SOLUTION, MAX2_TEXT, ScriptedBackend, deep_query_text
 
 E = SolverId.enumerator()
 P1 = SolverId.llm("m", 1)
@@ -271,6 +271,20 @@ def test_overrun_keeps_charged_time_and_reports_wall_time(over, detail):
                          Overrunner())
     assert record.outcomes[0].time == pytest.approx(100.0 + min(over, 0.5))
     assert record.outcomes[0].detail == detail
+
+
+@pytest.mark.parametrize("cost_budget, overran", [(150.0, True), (100_000.0, False)])
+def test_a_cost_overrun_is_reported(cost_budget, overran):
+    # the loop sends while the cost so far is within the slice, so the one
+    # reply it takes can carry the solve past it
+    config = _config(selector="fixed:m-p4", cost_budget=cost_budget)
+    deployer = SolverDeployer(Verifier(), backend=ScriptedBackend([MAX2_SOLUTION]))
+    record = solve_query(parse_query(MAX2_TEXT), "q", config, new_state(config, 0),
+                         deployer)
+    outcome = record.outcomes[0]
+    assert outcome.solved and outcome.cost > 150.0
+    note = f"overran cost slice: {outcome.cost:g} of {cost_budget:g}"
+    assert outcome.detail == (note if overran else "")
 
 
 # ---------------------------------------------------------------------------
