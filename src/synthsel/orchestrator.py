@@ -132,7 +132,8 @@ class SolverDeployer:
             verdict_provenance=result.provenance, verdict_bounded=result.bounded,
             detail=(f"cegis {result.status.value}: {result.iterations} iterations, "
                     f"{result.expansions} expansions, "
-                    f"{result.dequeued_complete} candidates, {result.pruned} pruned"),
+                    f"{result.dequeued_complete} candidates, {result.pruned} pruned"
+                    + (f"; {result.reason}" if result.reason else "")),
         )
 
 

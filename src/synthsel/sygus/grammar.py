@@ -4,10 +4,17 @@ grammars read from synth-fun bodies.
 A production owns a template term in which Hole leaves mark nonterminal
 positions. Expanding a sentential form replaces its leftmost hole with a
 production's template.
+
+A grammar's shape (`shape_key`) is the grammar with each parameter by its
+position and each Int or BitVec literal other than 0 and 1 by its sort:
+queries that differ only in their parameters' names and their literal
+values share it, and the enumerator derives its search tables once per
+shape.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence, Tuple
@@ -26,6 +33,7 @@ from .terms import (
     Var,
     BOOL,
     INT,
+    BoolLit,
     literal_sort,
     map_children,
     print_term,
@@ -48,6 +56,41 @@ class Production:
 
     def __str__(self) -> str:
         return f"{self.nonterminal} -> {print_term(self.template)}"
+
+    @functools.cached_property
+    def shape(self) -> Tuple[object, Tuple[str, ...]]:
+        """The template with each variable and each abstracted literal
+        replaced by a marker, and the variables' names in preorder."""
+        names: list[str] = []
+        return _skeleton(self.template, names), tuple(names)
+
+
+def abstracted_literal(t: Term) -> bool:
+    """An Int or BitVec literal that a grammar's shape holds only by its
+    sort: any but 0 and 1, the literals the normal-form rules read."""
+    return isinstance(t, (IntLit, BVLit)) and t.value not in (0, 1)
+
+
+def _skeleton(t: TemplateTerm, names: list[str]) -> object:
+    """`t` as nested tuples tagged by node kind, a hole as its nonterminal
+    and a variable as None; appends each variable's name to `names`."""
+    if isinstance(t, Hole):
+        return t.nonterminal
+    if isinstance(t, Var):
+        names.append(t.name)
+        return None
+    if isinstance(t, App):
+        return ("app", t.op, *[_skeleton(a, names) for a in t.args])
+    if isinstance(t, Ite):
+        return ("ite", _skeleton(t.cond, names), _skeleton(t.then_branch, names),
+                _skeleton(t.else_branch, names))
+    if isinstance(t, BoolLit):
+        return "bool", t.value
+    if isinstance(t, IntLit):
+        return ("int",) if abstracted_literal(t) else ("int", t.value)
+    if isinstance(t, BVLit):
+        return ("bv", t.width) if abstracted_literal(t) else ("bv", t.width, t.value)
+    raise GrammarError(f"not a template term: {t!r}")
 
 
 def fill_holes(template: TemplateTerm, subterms: Sequence[Term]) -> Term:
@@ -104,6 +147,23 @@ class Grammar:
                                f"{sorted(dead)}")
 
 
+def shape_key(grammar: Grammar, params: Sequence[Tuple[str, Sort]]) -> tuple:
+    """The grammar's shape for a function of these parameters: its start
+    symbol, its nonterminals in order with their sorts, its productions in
+    order with each parameter by its position and each abstracted literal by
+    its sort, and the parameters' sorts. Grammars of one shape have the same
+    edge costs, heuristic, normal-form rules and child chains."""
+    position = {name: i for i, (name, _) in enumerate(params)}
+    productions = []
+    for prods in grammar.productions.values():
+        for p in prods:
+            skeleton, names = p.shape
+            productions.append((skeleton, tuple(position.get(n, n) for n in names)))
+    return (grammar.start, tuple((nt, grammar.sorts[nt]) for nt in grammar.productions),
+            tuple(len(prods) for prods in grammar.productions.values()),
+            tuple(productions), tuple(sort for _, sort in params))
+
+
 def edge_cost(nonterminal: str, grammar: Grammar) -> float:
     """Cost of one expansion step: the number of choices at that nonterminal."""
     try:
@@ -151,31 +211,44 @@ def default_grammar(logic: str, signature: FunctionSignature,
     signature. The word nonterminal derives the parameters of the word sort,
     a finite literal pool ({0, 1} plus the given literals of that sort, by
     value), the word operators and ite; B derives the Bool parameters, the
-    relations over words and the connectives.
+    relations over words and the connectives. Only the parameters and the
+    pool are built per signature (`_default_operators`).
     """
     try:
-        nt, operators, relations = _DEFAULT_RULES[logic]
+        nt, _, _ = _DEFAULT_RULES[logic]
     except KeyError:
         raise UnsupportedError(f"no default grammar for logic {logic!r}") from None
     word = INT if logic == "LIA" else _bv_word(signature)
     ret = signature.return_sort
     if ret not in (word, BOOL):
         raise UnsupportedError(f"{logic} default grammar cannot produce sort {ret}")
-    W, B = Hole(nt), Hole("B")
     pool = sorted({0, 1, *(t.value for t in literals if literal_sort(t) == word)})
     word_prods: list[TemplateTerm] = [Var(n) for n, s in signature.params if s == word]
     word_prods += [IntLit(v) if word == INT else BVLit(v, word.width) for v in pool]
-    word_prods += [App(op, (W,) if op == "bvnot" else (W, W)) for op in operators]
-    word_prods.append(Ite(B, W, W))
-    bool_prods: list[TemplateTerm] = [Var(n) for n, s in signature.params if s == BOOL]
-    bool_prods += [App(op, (W, W)) for op in relations]
-    bool_prods += [App("and", (B, B)), App("or", (B, B)), App("not", (B,))]
+    bool_prods = [Var(n) for n, s in signature.params if s == BOOL]
+    word_ops, bool_ops = _default_operators(logic, word)
     return Grammar(
         start=nt if ret == word else "B",
         sorts={nt: word, "B": BOOL},
-        productions={nt: tuple(Production(nt, t) for t in word_prods),
-                     "B": tuple(Production("B", t) for t in bool_prods)},
+        productions={nt: tuple(Production(nt, t) for t in word_prods) + word_ops,
+                     "B": tuple(Production("B", t) for t in bool_prods) + bool_ops},
     )
+
+
+@functools.lru_cache(maxsize=64)
+def _default_operators(logic: str, word: Sort
+                       ) -> Tuple[Tuple[Production, ...], Tuple[Production, ...]]:
+    """The productions every default grammar of the logic over this word
+    sort ends with, built once: the word operators and ite, then the
+    relations over words and the connectives."""
+    nt, operators, relations = _DEFAULT_RULES[logic]
+    W, B = Hole(nt), Hole("B")
+    word_ops = [App(op, (W,) if op == "bvnot" else (W, W)) for op in operators]
+    word_ops.append(Ite(B, W, W))
+    bool_ops = [App(op, (W, W)) for op in relations]
+    bool_ops += [App("and", (B, B)), App("or", (B, B)), App("not", (B,))]
+    return (tuple(Production(nt, t) for t in word_ops),
+            tuple(Production("B", t) for t in bool_ops))
 
 
 def _bv_word(signature: FunctionSignature) -> Sort:

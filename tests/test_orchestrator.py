@@ -568,6 +568,23 @@ def test_enumerator_outcome_says_whether_the_verdict_was_bounded(verifier, bound
     assert DeploymentOutcome.from_json(encoded).verdict_bounded is False
 
 
+class _UnknownVerifier(Verifier):
+    def check(self, query, cand, deadline=None):
+        return VerificationResult.unknown("stub")
+
+
+def test_enumerator_outcome_says_why_cegis_gave_up_before_its_deadline():
+    from synthsel.budget import ScheduleEntry
+
+    entry = ScheduleEntry(E, time=60.0, cost=100.0)
+    outcome = SolverDeployer(verifier=_UnknownVerifier()).deploy(
+        parse_query(MAX2_TEXT), "q", entry, new_state(_config(), 0))
+    assert not outcome.solved
+    assert outcome.detail.startswith("cegis timeout: 1 iterations, ")
+    assert outcome.detail.endswith(" pruned; verifier unknown: stub")
+    assert outcome.time < 10.0
+
+
 def test_enumerator_deployment_ends_at_once_on_a_query_too_deep_to_check():
     from synthsel.budget import ScheduleEntry
 

@@ -45,7 +45,7 @@ def _left_in_cycles(call):
     lambda: verify._expression(TEMPLATE, ["v0", "v1"], ENV),
     lambda: apply_candidate(CONSTRAINT, CANDIDATE),
     lambda: fill_holes(App("+", (Hole("I"), Hole("I"))), [TEMPLATE, TEMPLATE]),
-    lambda: enumerator._invocations(QUERY, [{"v0": 0, "v1": 1}]),
+    lambda: enumerator._invocations(QUERY),
 ], ids=["verify._expression", "apply_candidate", "fill_holes", "enumerator._invocations"])
 def test_a_walk_leaves_no_cyclic_garbage(call):
     garbage, result = _left_in_cycles(call)
