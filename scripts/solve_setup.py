@@ -11,9 +11,7 @@ verifier and a deadline --seconds after the solve starts. Per solve it times
 each part of the set-up:
 
 - `grammar`: the grammar build, `grammar_for_query`;
-- `frontier`: the `Frontier` build, and whether its grammar shape's plan
-  came from the plan cache (`plan`: hit or built; `-` for sources without
-  one);
+- `frontier`: the `Frontier` build;
 - `makers`: how many productions' makers were compiled (`compile_template`)
   and their time;
 - `check`: the check set-up of a CEGIS phase (`_compiled_check` up to its
@@ -22,9 +20,8 @@ each part of the set-up:
 
 The first pass runs in this process with every cache empty (cold): run the
 script in a fresh process for that reading. --repeats passes follow (warm),
-of which each part's minimum is printed. `nocache` is the `Frontier` build
-with an empty plan cache, the minimum of --repeats builds. The totals line
-sums each column over the solves. --only keeps the queries of those names.
+of which each part's minimum is printed. The totals line sums each column
+over the solves. --only keeps the queries of those names.
 --src names the synthsel sources to run, by default this checkout's src/, so
 one copy of the script reads another checkout too.
 """
@@ -35,7 +32,6 @@ import argparse
 import sys
 import tempfile
 import time
-from collections import OrderedDict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -78,15 +74,14 @@ def main(argv=None) -> int:
                 for reads, path in zip(warm[title], paths):
                     reads.append(probe.solve(path, args.seconds))
         for title, paths in sets:
-            nocache = [probe.nocache(p, args.repeats) for p in paths]
-            table(title, paths, cold[title], warm[title], nocache)
+            table(title, paths, cold[title], warm[title])
     return 0
 
 
 class Probe:
     """Solves one query at a time with the enumerator's set-up timed: it
     wraps `Frontier`, `compile_template` and `_compiled_check` in the
-    enumerator module, and `_Plan` where there is one."""
+    enumerator module."""
 
     def __init__(self):
         from synthsel import enumerator
@@ -123,75 +118,41 @@ class Probe:
         compile_template, compiled_check = enumerator.compile_template, enumerator._compiled_check
         enumerator.Frontier, enumerator.compile_template = Timed, compiling
         enumerator._compiled_check = check_set_up
-        self.plain = Timed.__base__
-        plan = getattr(enumerator, "_Plan", None)
-        if plan is not None:
-            class Built(plan):
-                def __init__(self, *args):
-                    super().__init__(*args)
-                    read["built"] += 1
-
-            enumerator._Plan = Built
 
     def solve(self, path: Path, seconds: float) -> dict:
         query = self.parse_query(path.read_text(encoding="utf-8"))
-        self.read.update(dict.fromkeys(PARTS, 0), built=0)
+        self.read.update(dict.fromkeys(PARTS, 0))
         started = time.perf_counter()
         grammar = self.grammar_for_query(query)
         self.read["grammar"] = time.perf_counter() - started
         self.enumerator.cegis_solve(query, grammar, time.monotonic() + seconds, self.verifier)
         self.read["solve"] = time.perf_counter() - started
-        read = dict(self.read)
-        read["plan"] = ("-" if not hasattr(self.enumerator, "_Plan")
-                        else "built" if read.pop("built") else "hit")
-        return read
-
-    def nocache(self, path: Path, repeats: int) -> float:
-        """The least time of `repeats` `Frontier` builds, each with an empty
-        plan cache."""
-        query = self.parse_query(path.read_text(encoding="utf-8"))
-        grammar = self.grammar_for_query(query)
-        plans = getattr(self.enumerator, "_PLANS", None)
-        best = float("inf")
-        for _ in range(repeats):
-            if plans is not None:
-                self.enumerator._PLANS = OrderedDict()
-            started = time.perf_counter()
-            self.plain(grammar, query)
-            best = min(best, time.perf_counter() - started)
-        if plans is not None:
-            self.enumerator._PLANS = plans
-        return best
+        return dict(self.read)
 
 
-def table(title: str, paths: list[Path], cold: list[dict], warm: list[list[dict]],
-          nocache: list[float]) -> None:
-    head = ("query", "plan", "grammar", "", "frontier", "", "nocache", "makers", "",
-            "makers_us", "", "check/ph", "", "phases", "solve", "")
-    sub = ("", "cold", "cold", "warm", "cold", "warm", "warm", "cold", "warm", "cold",
-           "warm", "cold", "warm", "cold", "cold", "warm")
-    widths = (16, 5, 7, 7, 8, 7, 8, 6, 5, 9, 6, 8, 6, 6, 8, 8)
+def table(title: str, paths: list[Path], cold: list[dict], warm: list[list[dict]]) -> None:
+    head = ("query", "grammar", "", "frontier", "", "makers", "", "makers_us", "",
+            "check/ph", "", "phases", "solve", "")
+    sub = ("", "cold", "warm", "cold", "warm", "cold", "warm", "cold", "warm", "cold",
+           "warm", "cold", "cold", "warm")
+    widths = (16, 7, 7, 8, 7, 6, 5, 9, 6, 8, 6, 6, 8, 8)
     print(f"\n{title}: {len(paths)} solves, warm = least of {len(warm[0])} passes")
     for row in (head, sub):
         print(" ".join(f"{c:<{w}}" if i == 0 else f"{c:>{w}}"
                        for i, (c, w) in enumerate(zip(row, widths))))
-    totals = [0.0] * (len(widths) - 2)
-    for path, c, reads, nc in zip(paths, cold, warm, nocache):
+    totals = [0.0] * (len(widths) - 1)
+    for path, c, reads in zip(paths, cold, warm):
         w = {k: min(r[k] for r in reads) for k in PARTS}
         per_phase = [c["check"] / max(c["phases"], 1), w["check"] / max(w["phases"], 1)]
-        values = [c["grammar"], w["grammar"], c["frontier"], w["frontier"], nc,
+        values = [c["grammar"], w["grammar"], c["frontier"], w["frontier"],
                   c["makers_n"], w["makers_n"], c["makers"], w["makers"], *per_phase,
                   c["phases"], c["solve"], w["solve"]]
-        values = [v * 1e6 if i not in (5, 6, 11) else v for i, v in enumerate(values)]
+        values = [v * 1e6 if i not in (4, 5, 10) else v for i, v in enumerate(values)]
         totals = [t + v for t, v in zip(totals, values)]
-        print(" ".join([f"{path.stem:<16}", f"{c['plan']:>5}"]
-                       + [f"{v:>{wd},.0f}" for v, wd in zip(values, widths[2:])]))
-    print(" ".join([f"{'total':<16}", f"{'':>5}"]
-                   + [f"{v:>{wd},.0f}" for v, wd in zip(totals, widths[2:])]))
-    print(f"plans built cold: {sum(c['plan'] == 'built' for c in cold)}, "
-          f"cache hits cold: {sum(c['plan'] == 'hit' for c in cold)}, "
-          f"cache hits warm: {sum(r['plan'] == 'hit' for reads in warm for r in reads)} "
-          f"of {sum(len(reads) for reads in warm)}")
+        print(" ".join([f"{path.stem:<16}"]
+                       + [f"{v:>{wd},.0f}" for v, wd in zip(values, widths[1:])]))
+    print(" ".join([f"{'total':<16}"]
+                   + [f"{v:>{wd},.0f}" for v, wd in zip(totals, widths[1:])]))
 
 
 if __name__ == "__main__":

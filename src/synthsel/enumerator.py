@@ -29,19 +29,15 @@ entry again; a fresh A* on all the examples would return the same program.
 
 Equivalence reduction (`reduction`, after Smith and Albarghouthi, VMCAI
 2019) prunes a state as soon as one of its finished subterms is not in
-normal form: it is never checked and never expanded. Each pruned term has a
-kept equivalent from the same nonterminal that costs no more, so A* still
+normal form: it is never checked and never expanded. Its rules are derived
+once per grammar, when the `Frontier` is built. Each pruned term has a kept
+equivalent from the same nonterminal that costs no more, so A* still
 returns a minimum-cost consistent program, though among programs of equal
 cost it may return another one than a search without the rules.
 
-Set-up is paid once where it can be. What depends only on the grammar's
-shape (`shape_key`: parameters by position, literals other than 0 and 1 by
-sort) is a `_Plan`, built by the first `Frontier` of that shape and kept in
-a bounded cache: the heuristic, the edge costs, the normal-form rules, the
-child chains and every maker whose template holds no abstracted literal.
-What depends on the query is kept once per solve on its `Frontier`: the
-literal productions' makers and the constraints' compiled predicate. Each
-phase then evaluates only f's arguments on its examples.
+The constraints are compiled once per solve, in its first phase, into one
+predicate over the universals and f's results (`Frontier.constraints`);
+each phase evaluates only f's arguments on its own examples.
 """
 
 from __future__ import annotations
@@ -50,7 +46,6 @@ import functools
 import math
 import time
 import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
@@ -58,9 +53,8 @@ from typing import Callable, Optional, Sequence, Tuple, TypeVar
 
 from .reduction import KEEP_ALL, Choices, leaf_test, normal_form_rules
 from .sygus import (App, Candidate, Grammar, SynthQuery, Term, Var, conjoin, fill_holes,
-                    map_children, substitute_solution, subterms)
-from .sygus.grammar import (Production, abstracted_literal, edge_cost, min_completion_costs,
-                            shape_key)
+                    map_children, substitute_solution)
+from .sygus.grammar import Production, edge_cost, min_completion_costs
 from .sygus.terms import BOOL
 from .verify import (Assignment, EvaluationError, Verifier, compile_template,
                      compile_term, evaluate)
@@ -156,91 +150,11 @@ def _fold_choices(choices: Choices, arity: Sequence[int],
     return _fill(_frames(tail, arity, build), build[idx]())
 
 
-class _Plan:
-    """What A* derives from a grammar's shape (`shape_key`), shared by the
-    frontiers of every grammar of that shape: the heuristic `mc`, the edge
-    `costs`, each production's `arity`, what its expansion `pushes`, the
-    child chains (`first_child`, `hole_chain`) and their lengths, and the
-    compiled `makers` that can be shared.
-
-    A child is a chain cell `(idx, holes' heuristic, position in grammar
-    order, next sibling, pruned)`: `pruned` flags a choice that the
-    normal-form rules reject on its own or under the production whose
-    first hole it fills (`hole_chain`). `pushes` holds per production what
-    its expansion pushes on the pending stack, bottom first: its holes'
-    nonterminals and the tests of its operands, each of which goes on as a
-    closing marker with the production's choice cell (see `reduction`).
-
-    `makers` holds a production's compiled maker once a frontier has
-    compiled it, None until then, and stays None for a production whose
-    template holds an abstracted literal: that maker is compiled per
-    frontier, as its value differs between grammars of one shape."""
-
-    def __init__(self, grammar: Grammar, flat: Sequence[Production],
-                 by_nt: dict[str, list[int]]):
-        self.by_nt = by_nt
-        self.mc = mc = min_completion_costs(grammar)
-        self.costs = {nt: edge_cost(nt, grammar) for nt in grammar.productions}
-        self.arity = arity = [len(p.holes) for p in flat]
-        holes_mc = [sum(mc[h] for h in p.holes) for p in flat]
-        closers, dead, dead_under = normal_form_rules(flat, by_nt, arity)
-        self.pushes: list = [p.holes[::-1] for p in flat]
-        for idx, marks in closers.items():
-            items: list = list(flat[idx].holes)
-            for at, test in marks:
-                items.insert(at, test)
-            self.pushes[idx] = items[::-1]
-
-        def chain(nt: str, pruned: set[int]) -> tuple:
-            # the children in (priority, tie) order: by the holes'
-            # heuristic, then by grammar order
-            sibling = None
-            for pos, idx in sorted(enumerate(by_nt[nt]), reverse=True,
-                                   key=lambda e: (holes_mc[e[1]], e[0])):
-                sibling = (idx, holes_mc[idx], pos, sibling, idx in pruned)
-            return sibling
-
-        self.first_child = {nt: chain(nt, dead) for nt in by_nt}
-        # per production the chain of its first hole's children, one per
-        # distinct set of pruned choices
-        chains = {(nt, frozenset()): first for nt, first in self.first_child.items()}
-        self.hole_chain = [None] * len(flat)
-        for idx, p in enumerate(flat):
-            if p.holes:
-                key = p.holes[0], dead_under.get(idx, frozenset())
-                if key not in chains:
-                    chains[key] = chain(key[0], dead | key[1])
-                self.hole_chain[idx] = chains[key]
-        self.n_children = {nt: len(idxs) for nt, idxs in by_nt.items()}
-        self.makers: list = [None] * len(flat)
-
-
-# the plans of at most this many grammar shapes, the least recently used
-# dropped first
-_PLAN_BOUND = 256
-_PLANS: OrderedDict[tuple, _Plan] = OrderedDict()
-
-
-def _plan(grammar: Grammar, query: SynthQuery, flat: Sequence[Production],
-          by_nt: dict[str, list[int]]) -> _Plan:
-    """The plan of the grammar's shape, built on its first use."""
-    key = shape_key(grammar, query.synth_fun.params)
-    plan = _PLANS.get(key)
-    if plan is None:
-        plan = _PLANS[key] = _Plan(grammar, flat, by_nt)
-        if len(_PLANS) > _PLAN_BOUND:
-            _PLANS.popitem(last=False)
-    else:
-        _PLANS.move_to_end(key)
-    return plan
-
-
 class Frontier:
     """The state of one A* search, kept across the CEGIS phases of a solve:
     the heap, the next free FIFO tie, the frontier's size and the last
-    popped priority, with the tables of its grammar's shape (a `_Plan`,
-    shared by every frontier of that shape), the solve's `makers` and its
-    compiled `constraints`, none of which depend on the examples.
+    popped priority, with the grammar tables, `makers` and the compiled
+    `constraints`, none of which depend on the examples.
 
     The heap holds one entry per expansion whose children are not all
     popped: its cheapest child not yet popped. An expansion reserves one
@@ -253,20 +167,58 @@ class Frontier:
     with its reserved tie, so the heap and `size` are as one pop at a time
     would leave them.
 
+    A child is a chain cell `(idx, holes' heuristic, position in grammar
+    order, next sibling, pruned)`: `pruned` flags a choice that the
+    normal-form rules reject on its own or under the production whose
+    first hole it fills (`hole_chain`). `pushes` holds per production what
+    its expansion pushes on the pending stack, bottom first: its holes'
+    nonterminals and the tests of its operands, each of which goes on as a
+    closing marker with the production's choice cell (see `reduction`).
+
     `makers` holds one compiled function per production, with each hole at
-    its nonterminal's width: the plan's where a frontier of the shape has
-    compiled it, else compiled when the check first calls it. The check
-    walks the tree instead for nested `f` applications and constraints too
-    deep to compile."""
+    its nonterminal's width, compiled when the check first calls it. The
+    check walks the tree instead for nested `f` applications and
+    constraints too deep to compile."""
 
     def __init__(self, grammar: Grammar, query: SynthQuery):
         self.grammar = grammar
         self.query = query
-        self.flat, by_nt = _flat_productions(grammar)
-        self.plan = plan = _plan(grammar, query, self.flat, by_nt)
-        self.by_nt, self.mc, self.costs, self.arity = plan.by_nt, plan.mc, plan.costs, plan.arity
-        self.pushes, self.first_child = plan.pushes, plan.first_child
-        self.hole_chain, self.n_children = plan.hole_chain, plan.n_children
+        self.mc = min_completion_costs(grammar)
+        self.flat, self.by_nt = _flat_productions(grammar)
+        self.costs = {nt: edge_cost(nt, grammar) for nt in grammar.productions}
+        self.arity = [len(p.holes) for p in self.flat]
+        # _fold_choices over fills rebuilds a program's term, over makers its function
+        self.fills = [lambda *kids, t=p.template: fill_holes(t, kids) for p in self.flat]
+        holes_mc = [sum(self.mc[h] for h in p.holes) for p in self.flat]
+        closers, dead, dead_under = normal_form_rules(self.flat, self.by_nt, self.arity)
+        self.pushes: list = [p.holes[::-1] for p in self.flat]
+        for idx, marks in closers.items():
+            items: list = list(self.flat[idx].holes)
+            for at, test in marks:
+                items.insert(at, test)
+            self.pushes[idx] = items[::-1]
+
+        def chain(nt: str, pruned: set[int]) -> tuple:
+            # the children in (priority, tie) order: by the holes'
+            # heuristic, then by grammar order
+            sibling = None
+            for pos, idx in sorted(enumerate(self.by_nt[nt]), reverse=True,
+                                   key=lambda e: (holes_mc[e[1]], e[0])):
+                sibling = (idx, holes_mc[idx], pos, sibling, idx in pruned)
+            return sibling
+
+        self.first_child = {nt: chain(nt, dead) for nt in self.by_nt}
+        # per production the chain of its first hole's children, one per
+        # distinct set of pruned choices
+        chains = {(nt, frozenset()): first for nt, first in self.first_child.items()}
+        self.hole_chain = [None] * len(self.flat)
+        for idx, p in enumerate(self.flat):
+            if p.holes:
+                key = p.holes[0], dead_under.get(idx, frozenset())
+                if key not in chains:
+                    chains[key] = chain(key[0], dead | key[1])
+                self.hole_chain[idx] = chains[key]
+        self.n_children = {nt: len(idxs) for nt, idxs in self.by_nt.items()}
         # a heap entry is (priority, tie, child, parent) for the next child
         # of an expansion; parent is (choices, rest, cost, heuristic, base):
         # the parent's choices and its pending stack without the expanded
@@ -279,22 +231,15 @@ class Frontier:
         self.last_priority = -math.inf
 
     @functools.cached_property
-    def fills(self) -> list:
-        """Per production the function `_fold_choices` rebuilds a program's
-        term with, as it rebuilds its compiled function with `makers`."""
-        return [lambda *kids, t=p.template: fill_holes(t, kids) for p in self.flat]
-
-    @functools.cached_property
     def makers(self) -> list:
-        """`compile_template`'s maker per production: the plan's, or a
-        `_Stub` until its first call. If a production fails to compile,
-        every slot of this frontier becomes one that raises `_Uncompiled`,
-        and every later check walks the tree; the plan keeps its makers."""
+        """`compile_template`'s maker per production, a `_Stub` until its
+        first call. If a production fails to compile, every slot becomes one
+        that raises `_Uncompiled`, and every later check walks the tree."""
         fn, sorts = self.query.synth_fun, self.grammar.sorts
         names, params = fn.param_names, dict(fn.params)
-        return [maker if maker is not None else _Stub(self, idx, functools.partial(
+        return [_Stub(self, idx, functools.partial(
             compile_template, p.template, names, params, [sorts[h].width for h in p.holes]))
-                for idx, (p, maker) in enumerate(zip(self.flat, self.plan.makers))]
+                for idx, p in enumerate(self.flat)]
 
     @functools.cached_property
     def constraints(self) -> Optional[Tuple[Callable, list[App]]]:
@@ -315,10 +260,9 @@ class Frontier:
 
 class _Stub:
     """A production's slot in `Frontier.makers` until its first call, which
-    compiles the maker, puts it in the slot (and in the plan, where the
-    frontiers of the shape share it) and calls it. It holds the frontier
-    weakly, so the frontier's makers and their stubs form no reference
-    cycle and die with the frontier."""
+    compiles the maker, puts it in the slot and calls it. It holds the
+    frontier weakly, so the frontier's makers and their stubs form no
+    reference cycle and die with the frontier."""
 
     __slots__ = ("frontier", "idx", "build")
 
@@ -326,8 +270,7 @@ class _Stub:
         self.frontier, self.idx, self.build = weakref.ref(frontier), idx, build
 
     def __call__(self, *kids):
-        frontier = self.frontier()
-        makers = frontier.makers
+        makers = self.frontier().makers
         maker = makers[self.idx]  # a frame may hold the stub after it compiled
         if maker is self:
             try:
@@ -336,8 +279,6 @@ class _Stub:
                 makers[:] = [_uncompiled] * len(makers)
                 raise _Uncompiled from None
             makers[self.idx] = maker
-            if not any(map(abstracted_literal, subterms(frontier.flat[self.idx].template))):
-                frontier.plan.makers[self.idx] = maker
         return maker(*kids)
 
 

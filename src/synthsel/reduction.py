@@ -3,8 +3,8 @@
 Equivalence reduction (Smith and Albarghouthi, "Program Synthesis with
 Equivalence Reduction", VMCAI 2019) prunes an A* state as soon as one of
 its finished subterms is not in normal form: it is never checked and never
-expanded. `normal_form_rules` derives the rules once per grammar shape, when
-the enumerator builds that shape's plan, and they apply only to flat templates,
+expanded. `normal_form_rules` derives the rules once per grammar, when the
+enumerator's `Frontier` is built, and they apply only to flat templates,
 `(op N M)`, `(not N)`, `(bvnot N)` and `ite(B, N, M)`, whose arguments are
 all holes:
 

@@ -4,12 +4,6 @@ grammars read from synth-fun bodies.
 A production owns a template term in which Hole leaves mark nonterminal
 positions. Expanding a sentential form replaces its leftmost hole with a
 production's template.
-
-A grammar's shape (`shape_key`) is the grammar with each parameter by its
-position and each Int or BitVec literal other than 0 and 1 by its sort:
-queries that differ only in their parameters' names and their literal
-values share it, and the enumerator derives its search tables once per
-shape.
 """
 
 from __future__ import annotations
@@ -33,7 +27,6 @@ from .terms import (
     Var,
     BOOL,
     INT,
-    BoolLit,
     literal_sort,
     map_children,
     print_term,
@@ -56,41 +49,6 @@ class Production:
 
     def __str__(self) -> str:
         return f"{self.nonterminal} -> {print_term(self.template)}"
-
-    @functools.cached_property
-    def shape(self) -> Tuple[object, Tuple[str, ...]]:
-        """The template with each variable and each abstracted literal
-        replaced by a marker, and the variables' names in preorder."""
-        names: list[str] = []
-        return _skeleton(self.template, names), tuple(names)
-
-
-def abstracted_literal(t: Term) -> bool:
-    """An Int or BitVec literal that a grammar's shape holds only by its
-    sort: any but 0 and 1, the literals the normal-form rules read."""
-    return isinstance(t, (IntLit, BVLit)) and t.value not in (0, 1)
-
-
-def _skeleton(t: TemplateTerm, names: list[str]) -> object:
-    """`t` as nested tuples tagged by node kind, a hole as its nonterminal
-    and a variable as None; appends each variable's name to `names`."""
-    if isinstance(t, Hole):
-        return t.nonterminal
-    if isinstance(t, Var):
-        names.append(t.name)
-        return None
-    if isinstance(t, App):
-        return ("app", t.op, *[_skeleton(a, names) for a in t.args])
-    if isinstance(t, Ite):
-        return ("ite", _skeleton(t.cond, names), _skeleton(t.then_branch, names),
-                _skeleton(t.else_branch, names))
-    if isinstance(t, BoolLit):
-        return "bool", t.value
-    if isinstance(t, IntLit):
-        return ("int",) if abstracted_literal(t) else ("int", t.value)
-    if isinstance(t, BVLit):
-        return ("bv", t.width) if abstracted_literal(t) else ("bv", t.width, t.value)
-    raise GrammarError(f"not a template term: {t!r}")
 
 
 def fill_holes(template: TemplateTerm, subterms: Sequence[Term]) -> Term:
@@ -145,23 +103,6 @@ class Grammar:
         if dead:
             raise GrammarError(f"dead nonterminals (derive no terminal string): "
                                f"{sorted(dead)}")
-
-
-def shape_key(grammar: Grammar, params: Sequence[Tuple[str, Sort]]) -> tuple:
-    """The grammar's shape for a function of these parameters: its start
-    symbol, its nonterminals in order with their sorts, its productions in
-    order with each parameter by its position and each abstracted literal by
-    its sort, and the parameters' sorts. Grammars of one shape have the same
-    edge costs, heuristic, normal-form rules and child chains."""
-    position = {name: i for i, (name, _) in enumerate(params)}
-    productions = []
-    for prods in grammar.productions.values():
-        for p in prods:
-            skeleton, names = p.shape
-            productions.append((skeleton, tuple(position.get(n, n) for n in names)))
-    return (grammar.start, tuple((nt, grammar.sorts[nt]) for nt in grammar.productions),
-            tuple(len(prods) for prods in grammar.productions.values()),
-            tuple(productions), tuple(sort for _, sort in params))
 
 
 def edge_cost(nonterminal: str, grammar: Grammar) -> float:

@@ -2,7 +2,6 @@ import itertools
 import math
 import random
 import time
-from collections import OrderedDict
 from pathlib import Path
 
 import pytest
@@ -454,33 +453,23 @@ def test_compiled_check_matches_reference_per_program():
     assert kept > 100 and replaced > 100
 
 
-@pytest.fixture
-def counting_compiles(monkeypatch):
-    """`start(fails)` records, from its call on, the templates
-    `compile_template` is asked for; a template for which `fails` holds
-    raises as one nested too deeply would. The test and each start begin
-    with an empty plan cache, as a maker that an earlier solve of the same
-    grammar shape compiled is shared and never asked for again."""
-    monkeypatch.setattr(enumerator, "_PLANS", OrderedDict())
+def _counting_compiles(monkeypatch, fails=lambda template: False):
+    """Record the templates `compile_template` is asked for; a template for
+    which `fails` holds raises as one nested too deeply would."""
+    compiled = []
 
-    def start(fails=lambda template: False):
-        monkeypatch.setattr(enumerator, "_PLANS", OrderedDict())
-        compiled = []
+    def compile_template(template, *args):
+        compiled.append(template)
+        if fails(template):
+            raise EvaluationError("formula nested too deeply")
+        return verify.compile_template(template, *args)
 
-        def compile_template(template, *args):
-            compiled.append(template)
-            if fails(template):
-                raise EvaluationError("formula nested too deeply")
-            return verify.compile_template(template, *args)
-
-        monkeypatch.setattr(enumerator, "compile_template", compile_template)
-        return compiled
-
-    return start
+    monkeypatch.setattr(enumerator, "compile_template", compile_template)
+    return compiled
 
 
-def test_a_production_is_compiled_when_a_check_first_uses_it(max2_query, counting_compiles):
-    compiled = counting_compiles()
+def test_a_production_is_compiled_when_a_check_first_uses_it(max2_query, monkeypatch):
+    compiled = _counting_compiles(monkeypatch)
     g = grammar_for_query(max2_query)
     frontier = enumerator.Frontier(g, max2_query)
     assert frontier.makers and not compiled
@@ -499,7 +488,7 @@ def test_a_production_is_compiled_when_a_check_first_uses_it(max2_query, countin
 
 
 def test_a_production_that_fails_to_compile_sends_every_later_check_to_the_tree_walker(
-        max2_query, monkeypatch, counting_compiles):
+        max2_query, monkeypatch):
     # (+ I I) fails, early in the first phase: every program checked from
     # then on, in this phase and the later ones, is checked by the reference
     # check, so no other production compiles and the solve is the one the
@@ -508,7 +497,7 @@ def test_a_production_that_fails_to_compile_sends_every_later_check_to_the_tree_
     reference = _both_paths(monkeypatch, lambda: cegis_solve(max2_query, g, _deadline(60),
                                                              Verifier()))[1]
     plus = App("+", (Hole("I"), Hole("I")))
-    compiled = counting_compiles(lambda t: t == plus)
+    compiled = _counting_compiles(monkeypatch, lambda t: t == plus)
     res = cegis_solve(max2_query, g, _deadline(60), Verifier())
     assert _summary(res) == _summary(reference)
     assert res.status is SearchStatus.SOLVED and isinstance(res.candidate.body, Ite)
@@ -1245,165 +1234,8 @@ def test_cegis_gives_up_on_a_counterexample_that_arrives_after_the_deadline(max2
 
 
 # ---------------------------------------------------------------------------
-# plans shared by the grammars of one shape, and the per-solve check set-up
+# the per-solve check set-up
 # ---------------------------------------------------------------------------
-
-_PLAN_TABLES = ("by_nt", "mc", "costs", "arity", "pushes", "first_child", "hole_chain",
-                "n_children")
-
-
-def _plain(x):
-    """`x` with each closure replaced by its name and its cells' contents:
-    two builds of one closer are different functions of equal meaning."""
-    if callable(x):
-        return x.__qualname__, tuple(_plain(c.cell_contents) for c in x.__closure__ or ())
-    if isinstance(x, (list, tuple)):
-        return type(x)(map(_plain, x))
-    if isinstance(x, dict):
-        return {k: _plain(v) for k, v in x.items()}
-    return x
-
-
-def _tables(frontier):
-    return {name: _plain(getattr(frontier, name)) for name in _PLAN_TABLES}
-
-
-def _first_checked(g, q, monkeypatch, n=1000):
-    """The first `n` complete programs the search checks, as leftmost
-    choices, and its counters: a recording check that accepts the n-th."""
-    checked = []
-
-    def recording(frontier, examples):
-        def check(choices):
-            checked.append(_leftmost(choices))
-            return choices if len(checked) == n else None
-        return check
-
-    with monkeypatch.context() as m:
-        m.setattr(enumerator, "_compiled_check", recording)
-        res = astar_synthesize(g, [], q, _deadline(60), EnumeratorConfig(3000))
-    return checked, res.status, res.expansions, res.pruned
-
-
-def _fresh_plans(monkeypatch, plans=None):
-    monkeypatch.setattr(enumerator, "_PLANS", OrderedDict() if plans is None else plans)
-    return enumerator._PLANS
-
-
-def test_a_plan_from_the_cache_equals_a_fresh_build(monkeypatch):
-    # the corpus grammars in order through one cache, so most plans were
-    # built by another query of the shape; then random grammars the reader
-    # accepts. Each table, and each of the first programs the search checks,
-    # pop for pop, is the same as with an empty cache
-    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    import inputs
-
-    queries = [parse_query(gen.text) for gen in inputs.enum_corpus(1, ROOT / "benchmarks")]
-    rng = random.Random(17)
-    while len(queries) < 40:
-        try:
-            queries.append(parse_query(_random_sorted_query(rng)))
-        except GrammarError:
-            pass
-    shared = OrderedDict()
-    hits = 0
-    for q in queries:
-        g = grammar_for_query(q)
-        _fresh_plans(monkeypatch)
-        fresh = _tables(enumerator.Frontier(g, q))
-        _fresh_plans(monkeypatch)
-        fresh_pops = _first_checked(g, q, monkeypatch)
-        _fresh_plans(monkeypatch, shared)
-        before = len(shared)
-        frontier = enumerator.Frontier(g, q)
-        hits += len(shared) == before
-        assert _tables(frontier) == fresh
-        assert _first_checked(g, q, monkeypatch) == fresh_pops
-    assert hits >= 15
-
-
-def _one_shape_query(a, b, literal):
-    return parse_query(f"(set-logic LIA)\n(synth-fun f (({a} Int) ({b} Int)) Int)\n"
-                       f"(declare-var {a} Int)\n(declare-var {b} Int)\n"
-                       f"(constraint (= (f {a} {b}) (+ {b} {literal})))\n(check-synth)\n")
-
-
-def test_queries_of_one_shape_share_a_plan_and_solve_as_with_an_empty_cache(
-        monkeypatch, counting_compiles):
-    # other parameter names and another literal: one plan, whose makers the
-    # second solve reuses, compiling only its own literal's
-    q1, q2 = _one_shape_query("x", "y", 3), _one_shape_query("u", "v", 7)
-    alone = []
-    for q in (q1, q2):
-        _fresh_plans(monkeypatch)
-        alone.append(cegis_solve(q, grammar_for_query(q), _deadline(60), Verifier()))
-    plans = _fresh_plans(monkeypatch)
-    first = cegis_solve(q1, grammar_for_query(q1), _deadline(60), Verifier())
-    compiled = counting_compiles()
-    _fresh_plans(monkeypatch, plans)
-    second = cegis_solve(q2, grammar_for_query(q2), _deadline(60), Verifier())
-    assert len(plans) == 1
-    assert enumerator.Frontier(grammar_for_query(q1), q1).plan is \
-        enumerator.Frontier(grammar_for_query(q2), q2).plan
-    for got, want in zip((first, second), alone):
-        assert got.status is SearchStatus.SOLVED
-        assert _summary(got) == _summary(want)
-        assert got.counterexamples == want.counterexamples
-    assert print_term(second.candidate.body) in ("(+ v 7)", "(+ 7 v)")
-    assert compiled == [IntLit(7)]
-
-
-_SHAPE_BASE = "((I Int (x 0 (+ I I) (ite B I I))) (B Bool (b (>= I I))))"
-
-
-def _shape_query(grammar=_SHAPE_BASE, params="(x Int) (b Bool)", ret="Int"):
-    return parse_query(f"(set-logic LIA)\n(synth-fun f ({params}) {ret} {grammar})\n"
-                       f"(check-synth)\n")
-
-
-def test_grammars_that_differ_in_a_kept_literal_a_width_or_an_order_get_different_plans(
-        monkeypatch):
-    bv = "((W (_ BitVec {0}) (w #x{1} (bvadd W W))))"
-    pairs = [
-        (_shape_query(), _shape_query(_SHAPE_BASE.replace("x 0", "x 2"))),
-        (_shape_query(bv.format(8, "00"), "(w (_ BitVec 8))", "(_ BitVec 8)"),
-         _shape_query(bv.format(16, "0000"), "(w (_ BitVec 16))", "(_ BitVec 16)")),
-        (_shape_query(), _shape_query(params="(b Bool) (x Int)")),
-        (_shape_query(), _shape_query(_SHAPE_BASE.replace("x 0", "0 x"))),
-    ]
-    same = (_shape_query(_SHAPE_BASE.replace("x 0", "x 2")),
-            _shape_query(_SHAPE_BASE.replace("x 0", "x 3")))
-    _fresh_plans(monkeypatch)
-
-    def plan(q):
-        return enumerator.Frontier(grammar_for_query(q), q).plan
-
-    for q1, q2 in pairs:
-        assert plan(q1) is not plan(q2)
-    assert plan(same[0]) is plan(same[1])
-    assert len(enumerator._PLANS) == 6
-
-
-def test_the_plan_cache_keeps_its_bound_of_the_least_recently_used_shapes(monkeypatch):
-    # one shape per nonterminal name
-    q = _query_over([("x", "Int")])
-
-    def frontier(i):
-        nt = f"N{i}"
-        return enumerator.Frontier(Grammar(nt, {nt: INT}, {nt: (Production(nt, Var("x")),)}),
-                                   q)
-
-    plans = _fresh_plans(monkeypatch)
-    bound = enumerator._PLAN_BOUND
-    kept = {i: frontier(i).plan for i in range(bound)}
-    assert frontier(0).plan is kept[0]  # now the most recently used
-    for i in range(bound, bound + 5):
-        frontier(i)
-        assert len(plans) == bound
-    assert frontier(0).plan is kept[0]
-    assert frontier(bound - 1).plan is kept[bound - 1]
-    assert frontier(1).plan is not kept[1]  # dropped, built again
-
 
 def test_a_solve_compiles_its_constraints_once_for_every_phase(max2_query, monkeypatch):
     compiled = []

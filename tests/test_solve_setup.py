@@ -1,8 +1,7 @@
 """scripts/solve_setup.py prints each solve's set-up, part by part.
 
-max2 is in both the enum corpus and benchmarks/: in the script's fresh
-process the corpus solve builds the plan of its grammar's shape, and the
-benchmarks/ solve, cold or warm, finds it in the cache.
+max2 is in both the enum corpus and benchmarks/, so each of the script's
+two tables holds one row.
 """
 
 import subprocess
@@ -12,7 +11,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_solve_setup_prints_each_part_cold_and_warm_and_the_plan_hits():
+def test_solve_setup_prints_each_part_cold_and_warm():
     out = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "solve_setup.py"), "--only", "max2",
          "--repeats", "2", "--src", str(ROOT / "src")],
@@ -21,17 +20,13 @@ def test_solve_setup_prints_each_part_cold_and_warm_and_the_plan_hits():
     assert [b.splitlines()[0] for b in blocks] == [
         "enum-corpus seed 1: 1 solves, warm = least of 2 passes",
         "benchmarks/: 1 solves, warm = least of 2 passes"]
-    for block, plan in zip(blocks, ("built", "hit")):
-        _, head, sub, row, total, hits = block.splitlines()
-        assert head.split()[:3] == ["query", "plan", "grammar"]
-        assert len(sub.split()) == 15
-        name, got, *values = row.split()
-        assert (name, got, len(values)) == ("max2", plan, 14)
+    for block in blocks:
+        _, head, sub, row, total = block.splitlines()
+        assert head.split()[:3] == ["query", "grammar", "frontier"]
+        assert len(sub.split()) == 13
+        name, *values = row.split()
+        assert (name, len(values)) == ("max2", 13)
         numbers = [int(v.replace(",", "")) for v in values]
-        assert numbers[11] == 3  # max2's CEGIS phases
-        assert all(n > 0 for n in numbers[:5])
+        assert numbers[10] == 3  # max2's CEGIS phases
+        assert all(n > 0 for n in numbers[:4])
         assert total.split()[1:] == values
-    assert blocks[0].splitlines()[-1] == ("plans built cold: 1, cache hits cold: 0, "
-                                          "cache hits warm: 2 of 2")
-    assert blocks[1].splitlines()[-1] == ("plans built cold: 0, cache hits cold: 1, "
-                                          "cache hits warm: 2 of 2")
