@@ -10,10 +10,11 @@ instead of a deadline, so every run makes the same pops and only their
 speed varies, and readings of two checkouts count the same pops. (perfbench's `enumerator.max3_phase_candidates_per_s` cuts the
 same phase off after 2 s, and the phase alternates stretches that only
 expand with stretches that only check programs, so where the cutoff falls
-sets its reading.) Prints the pops of one run and, over --runs runs, the
-median and range of candidates/s and expansions/s. --src names the synthsel
-sources to time, by default this checkout's src/, so one copy of the script
-times another checkout too.
+sets its reading.) Prints the pops of one run (expansions, candidates and
+pruned pops; runs that disagree on any of them stop the script) and, over
+--runs runs, the median and range of candidates/s and expansions/s. --src
+names the synthsel sources to time, by default this checkout's src/, so one
+copy of the script times another checkout too.
 
 Pruned pops (equivalence reduction) are neither checked nor expanded, so a
 fixed number of pops is less work on a checkout that prunes, and rates over
@@ -34,7 +35,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CAP = 300_000  # 56,081 expansions and 148,580 candidates
+CAP = 300_000  # 47,749 expansions, 40,189 candidates and 41,742 pruned pops
 
 
 def main(argv=None) -> int:
@@ -72,12 +73,12 @@ def main(argv=None) -> int:
         if result.status is not SearchStatus.FRONTIER_CAP:
             raise SystemExit(f"astar_rate: the phase ended {result.status.value}, "
                              f"not at the cap of {CAP}")
-        pops.add((result.expansions, result.dequeued_complete))
+        pops.add((result.expansions, result.dequeued_complete, getattr(result, "pruned", 0)))
         readings.append((result.dequeued_complete / elapsed, result.expansions / elapsed))
     assert len(pops) == 1, f"runs made different pops: {pops}"
-    (expansions, candidates), = pops
-    print(f"max3 phase, cap {CAP}: {expansions} expansions, {candidates} candidates "
-          f"per run, {args.runs} runs, {Path(synthsel.__file__).parent}")
+    (expansions, candidates, pruned), = pops
+    print(f"max3 phase, cap {CAP}: {expansions} expansions, {candidates} candidates, "
+          f"{pruned} pruned pops per run, {args.runs} runs, {Path(synthsel.__file__).parent}")
     for name, values in (("candidates_per_s", [c for c, _ in readings]),
                          ("expansions_per_s", [e for _, e in readings])):
         print(f"{name}: median {statistics.median(values):,.0f} "

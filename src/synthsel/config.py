@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Tuple
 
-from .bandit import ENUMERATOR_KIND, LLM_KIND, PROMPT_STYLE_RANGE, REWARDS, SolverId
+from .bandit import ENUMERATOR_KIND, PROMPT_STYLE_RANGE, REWARDS, SolverId
 from .featurize import FeaturizerConfig
 
 SELECTORS = ("single", "double", "linear-single", "linear-double")
@@ -110,9 +110,11 @@ class RunConfig:
         names = [m.name for m in self.models]
         if self.selector.startswith("fixed:"):
             fixed = SolverId.parse(self.selector.split(":", 1)[1])
-            if fixed.kind == LLM_KIND and fixed.model not in names:
-                raise ValueError(f"selector {self.selector!r} names model "
-                                 f"{fixed.model!r}, which is not configured")
+            if fixed not in self.portfolio():
+                what = (f"solver '{fixed}'" if fixed.model in (None, *names)
+                        else f"model {fixed.model!r}")
+                raise ValueError(f"selector {self.selector!r} names {what}, "
+                                 "which is not configured")
         elif self.selector not in SELECTORS:
             raise ValueError(f"unknown selector {self.selector!r}")
         repeated = sorted({n for n in names if names.count(n) > 1})

@@ -54,7 +54,6 @@ from typing import Callable, Optional, Sequence, Tuple, TypeVar
 from .reduction import KEEP_ALL, Choices, leaf_test, normal_form_rules
 from .sygus import (App, Candidate, Grammar, SynthQuery, Term, Var, conjoin, fill_holes,
                     map_children, substitute_solution)
-from .sygus.grammar import Production, edge_cost, min_completion_costs
 from .sygus.terms import BOOL
 from .verify import (Assignment, EvaluationError, Verifier, compile_template,
                      compile_term, evaluate)
@@ -85,17 +84,6 @@ class EnumeratorConfig:
     # adds n children whether or not they sit in the heap yet, a pop removes
     # one; breach ends the search
     max_frontier: int = 4_000_000
-
-
-def _flat_productions(grammar: Grammar) -> Tuple[list[Production], dict[str, list[int]]]:
-    flat: list[Production] = []
-    by_nt: dict[str, list[int]] = {}
-    for nt, prods in grammar.productions.items():
-        by_nt[nt] = []
-        for p in prods:
-            by_nt[nt].append(len(flat))
-            flat.append(p)
-    return flat, by_nt
 
 
 _NOT_ONE_TERM = "choice sequence does not form one complete term"
@@ -153,7 +141,8 @@ def _fold_choices(choices: Choices, arity: Sequence[int],
 class Frontier:
     """The state of one A* search, kept across the CEGIS phases of a solve:
     the heap, the next free FIFO tie, the frontier's size and the last
-    popped priority, with the grammar tables, `makers` and the compiled
+    popped priority, with what A* builds on the grammar's tables: the
+    child chains, `pushes`, `fills`, `makers` and the compiled
     `constraints`, none of which depend on the examples.
 
     The heap holds one entry per expansion whose children are not all
@@ -183,17 +172,14 @@ class Frontier:
     def __init__(self, grammar: Grammar, query: SynthQuery):
         self.grammar = grammar
         self.query = query
-        self.mc = min_completion_costs(grammar)
-        self.flat, self.by_nt = _flat_productions(grammar)
-        self.costs = {nt: edge_cost(nt, grammar) for nt in grammar.productions}
-        self.arity = [len(p.holes) for p in self.flat]
+        flat, mc = grammar.flat, grammar.min_costs
         # _fold_choices over fills rebuilds a program's term, over makers its function
-        self.fills = [lambda *kids, t=p.template: fill_holes(t, kids) for p in self.flat]
-        holes_mc = [sum(self.mc[h] for h in p.holes) for p in self.flat]
-        closers, dead, dead_under = normal_form_rules(self.flat, self.by_nt, self.arity)
-        self.pushes: list = [p.holes[::-1] for p in self.flat]
+        self.fills = [lambda *kids, t=p.template: fill_holes(t, kids) for p in flat]
+        holes_mc = [sum(mc[h] for h in p.holes) for p in flat]
+        closers, dead, dead_under = normal_form_rules(grammar)
+        self.pushes: list = [p.holes[::-1] for p in flat]
         for idx, marks in closers.items():
-            items: list = list(self.flat[idx].holes)
+            items: list = list(flat[idx].holes)
             for at, test in marks:
                 items.insert(at, test)
             self.pushes[idx] = items[::-1]
@@ -202,30 +188,31 @@ class Frontier:
             # the children in (priority, tie) order: by the holes'
             # heuristic, then by grammar order
             sibling = None
-            for pos, idx in sorted(enumerate(self.by_nt[nt]), reverse=True,
+            for pos, idx in sorted(enumerate(grammar.by_nt[nt]), reverse=True,
                                    key=lambda e: (holes_mc[e[1]], e[0])):
                 sibling = (idx, holes_mc[idx], pos, sibling, idx in pruned)
             return sibling
 
-        self.first_child = {nt: chain(nt, dead) for nt in self.by_nt}
+        self.first_child = {nt: chain(nt, dead) for nt in grammar.by_nt}
         # per production the chain of its first hole's children, one per
         # distinct set of pruned choices
         chains = {(nt, frozenset()): first for nt, first in self.first_child.items()}
-        self.hole_chain = [None] * len(self.flat)
-        for idx, p in enumerate(self.flat):
+        self.hole_chain = [None] * len(flat)
+        for idx, p in enumerate(flat):
             if p.holes:
                 key = p.holes[0], dead_under.get(idx, frozenset())
                 if key not in chains:
                     chains[key] = chain(key[0], dead | key[1])
                 self.hole_chain[idx] = chains[key]
-        self.n_children = {nt: len(idxs) for nt, idxs in self.by_nt.items()}
+        # per nonterminal its children per expansion, also its `edge_cost`
+        self.n_children = {nt: len(idxs) for nt, idxs in grammar.by_nt.items()}
         # a heap entry is (priority, tie, child, parent) for the next child
         # of an expansion; parent is (choices, rest, cost, heuristic, base):
         # the parent's choices and its pending stack without the expanded
         # nonterminal, the edge cost spent with that expansion, the
         # heuristic without it, and the first tie reserved for its children.
         # The start state's entry has neither.
-        self.heap: list = [(self.mc[grammar.start], 0, None, None)]
+        self.heap: list = [(mc[grammar.start], 0, None, None)]
         self.tie = 1  # FIFO among equal priorities
         self.size = 1  # entries an eager frontier would hold
         self.last_priority = -math.inf
@@ -239,7 +226,7 @@ class Frontier:
         names, params = fn.param_names, dict(fn.params)
         return [_Stub(self, idx, functools.partial(
             compile_template, p.template, names, params, [sorts[h].width for h in p.holes]))
-                for idx, p in enumerate(self.flat)]
+                for idx, p in enumerate(self.grammar.flat)]
 
     @functools.cached_property
     def constraints(self) -> Optional[Tuple[Callable, list[App]]]:
@@ -322,7 +309,7 @@ def _reference_check(frontier: Frontier, examples: Sequence[Assignment]) -> Chec
 
     def check(choices: Choices) -> Optional[Candidate]:
         try:
-            return consistent(_fold_choices(choices, frontier.arity, frontier.fills))
+            return consistent(_fold_choices(choices, frontier.grammar.arity, frontier.fills))
         except RecursionError:
             raise
         except Exception:
@@ -399,7 +386,7 @@ def _compiled_check(frontier: Frontier, examples: Sequence[Assignment]) -> Check
     per_example = _points(query, calls, examples)
     if per_example is None:
         return reference
-    arity, fills = frontier.arity, frontier.fills
+    arity, fills = frontier.grammar.arity, frontier.fills
     # a one-slot memo of the frames of the last tail: the leaf siblings of a
     # run share their tail cons, so it is folded once per parent
     memo: list = [_NO_TAIL, []]
@@ -448,9 +435,8 @@ def astar_synthesize(grammar: Grammar,
     if frontier is None:
         frontier = Frontier(grammar, query)
     assert frontier.grammar is grammar and frontier.query is query
-    mc, costs, first_child = frontier.mc, frontier.costs, frontier.first_child
-    n_children, arity = frontier.n_children, frontier.arity
-    pushes, hole_chain = frontier.pushes, frontier.hole_chain
+    mc, arity, first_child = grammar.min_costs, grammar.arity, frontier.first_child
+    n_children, pushes, hole_chain = frontier.n_children, frontier.pushes, frontier.hole_chain
     heap, tie, size = frontier.heap, frontier.tie, frontier.size
     check = _compiled_check(frontier, examples)
     last_priority = frontier.last_priority
@@ -546,11 +532,11 @@ def astar_synthesize(grammar: Grammar,
 
         expansions += 1
         nt, rest = pending
-        cost += costs[nt]
+        n = n_children[nt]
+        cost += n
         g -= mc[nt]
         parent = (choices, rest, cost, g, tie)
         heappush(heap, (cost + (g + first[1]), tie + first[2], first, parent))
-        n = n_children[nt]
         size += n
         tie += n
 

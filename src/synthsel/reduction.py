@@ -3,10 +3,10 @@
 Equivalence reduction (Smith and Albarghouthi, "Program Synthesis with
 Equivalence Reduction", VMCAI 2019) prunes an A* state as soon as one of
 its finished subterms is not in normal form: it is never checked and never
-expanded. `normal_form_rules` derives the rules once per grammar, when the
-enumerator's `Frontier` is built, and they apply only to flat templates,
-`(op N M)`, `(not N)`, `(bvnot N)` and `ite(B, N, M)`, whose arguments are
-all holes:
+expanded. `normal_form_rules` derives the rules from the grammar's tables
+(`Grammar.flat`, `by_nt`, `arity`) when the enumerator's `Frontier` is
+built. They apply only to flat templates, `(op N M)`, `(not N)`, `(bvnot N)`
+and `ite(B, N, M)`, whose arguments are all holes:
 
 - commutativity of `+ * and or =` and `bvadd bvand bvor bvxor`, where both
   holes are at one nonterminal: the kept order has the left operand's
@@ -57,7 +57,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence, Tuple
 
-from .sygus import App, BoolLit, BVLit, Hole, IntLit, Ite
+from .sygus import App, BoolLit, BVLit, Grammar, Hole, IntLit, Ite
 from .sygus.grammar import Production
 
 Choices = Optional[Tuple[int, "Choices"]]  # (last production, earlier ones)
@@ -174,14 +174,14 @@ def leaf_test(markers: tuple, tail: Choices) -> Tuple[int, frozenset, tuple]:
     return lo, banned, markers
 
 
-def normal_form_rules(flat: Sequence[Production], by_nt: dict[str, list[int]],
-                       arity: Sequence[int]
-                       ) -> Tuple[dict[int, list], set[int], dict[int, frozenset]]:
+def normal_form_rules(grammar: Grammar
+                      ) -> Tuple[dict[int, list], set[int], dict[int, frozenset]]:
     """Per production with closers, each as (position, test), the highest
     position first: its marker goes on the pending stack under the
     production's holes from that position on; the productions pruned
     wherever they are chosen; and per production the choices pruned in its
     first hole."""
+    flat, by_nt, arity = grammar.flat, grammar.by_nt, grammar.arity
     shapes: list = []
     # per nonterminal, its literal productions of each value
     zero, one, true, false = ({nt: frozenset() for nt in by_nt} for _ in range(4))

@@ -72,23 +72,29 @@ def fill_holes(template: TemplateTerm, subterms: Sequence[Term]) -> Term:
     return result
 
 
-@dataclass
+@dataclass(frozen=True)
 class Grammar:
     """4-tuple view: nonterminals V with their productions R, terminal symbols
-    implicit in the templates, and a start symbol S."""
+    implicit in the templates, and a start symbol S. Building one validates
+    it and derives its readers' tables, outside `==` and `repr`: every
+    production in grammar order, each nonterminal's indices into it, each
+    production's hole count and each nonterminal's `min_completion_costs`."""
 
     start: str
     sorts: dict[str, Sort]
     productions: dict[str, Tuple[Production, ...]]
+    flat: Tuple[Production, ...] = field(init=False, repr=False, compare=False)
+    by_nt: dict[str, Tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    arity: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    min_costs: dict[str, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         if self.start not in self.productions:
             raise GrammarError(f"start symbol {self.start!r} has no productions")
         if set(self.sorts) != set(self.productions):
             raise GrammarError("nonterminal sort map and production map disagree")
+        flat: list[Production] = []
+        by_nt: dict[str, Tuple[int, ...]] = {}
         for nt, prods in self.productions.items():
             if not prods:
                 raise GrammarError(f"nonterminal {nt!r} has no productions")
@@ -99,7 +105,13 @@ class Grammar:
                     if h not in self.productions:
                         raise GrammarError(
                             f"production {p} references unknown nonterminal {h!r}")
-        dead = [nt for nt, cost in min_completion_costs(self).items() if math.isinf(cost)]
+            by_nt[nt] = tuple(range(len(flat), len(flat) + len(prods)))
+            flat += prods
+        object.__setattr__(self, "flat", tuple(flat))
+        object.__setattr__(self, "by_nt", by_nt)
+        object.__setattr__(self, "arity", tuple(len(p.holes) for p in flat))
+        object.__setattr__(self, "min_costs", min_completion_costs(self))
+        dead = [nt for nt, cost in self.min_costs.items() if math.isinf(cost)]
         if dead:
             raise GrammarError(f"dead nonterminals (derive no terminal string): "
                                f"{sorted(dead)}")
@@ -117,7 +129,7 @@ def edge_cost(nonterminal: str, grammar: Grammar) -> float:
 def min_completion_costs(grammar: Grammar) -> dict[str, float]:
     """Least total edge cost to rewrite each nonterminal into a hole-free term
     (least fixpoint); infinite exactly for a dead nonterminal, which no
-    validated grammar has."""
+    built grammar has. A grammar's own table is `Grammar.min_costs`."""
     mc: dict[str, float] = {nt: math.inf for nt in grammar.productions}
     changed = True
     while changed:

@@ -10,10 +10,10 @@ from typing import Callable, Mapping, Optional, Sequence, Tuple, Union
 import pytest
 from hypothesis import settings
 
-from synthsel.enumerator import min_completion_costs
 from synthsel.llm.backends import BackendReply
 from synthsel.llm.prompts import Message
 from synthsel.sygus import Grammar, parse_query
+from synthsel.sygus.grammar import min_completion_costs
 
 # derandomized, so every run draws the same examples; no per-example time
 # limit, so a slow shared machine cannot turn a pass into a flaky failure

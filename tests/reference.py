@@ -55,11 +55,11 @@ from synthsel import enumerator, lia
 from synthsel.bandit import BanditStore, SolveRecord, SolverId, _sums
 from synthsel.budget import ScheduleEntry, allocate_one, fit_exponential
 from synthsel.enumerator import (CegisResult, EnumeratorConfig, SearchResult,
-                                 SearchStatus, edge_cost, initial_example,
-                                 min_completion_costs)
+                                 SearchStatus, initial_example)
 from synthsel.orchestrator import OutcomeMatrix
 from synthsel.sygus import substitute_solution
-from synthsel.sygus.grammar import Grammar, fill_holes, grammar_from_rules
+from synthsel.sygus.grammar import (Grammar, edge_cost, fill_holes, grammar_from_rules,
+                                    min_completion_costs)
 from synthsel.sygus.parser import (GrammarError, GrammarRules, ParseError, SynthQuery,
                                    UnsupportedError)
 from synthsel.sygus.terms import (
@@ -777,7 +777,7 @@ class NormalForms:
 
     def __init__(self, grammar: Grammar):
         self.grammar = grammar
-        self.flat, self.by_nt = enumerator._flat_productions(grammar)
+        self.flat, self.by_nt = grammar.flat, grammar.by_nt
         self.holes = [p.holes for p in self.flat]
 
     # what a production is ------------------------------------------------
@@ -992,7 +992,7 @@ def _matches(template: Term, term: Term, subs: list) -> bool:
 def derivations(grammar: Grammar, nt: str, budget: float) -> list[Tuple[float, Tree]]:
     """Every finished derivation tree from `nt` that costs at most
     `budget`, with its cost, cheapest first."""
-    flat, by_nt = enumerator._flat_productions(grammar)
+    flat, by_nt = grammar.flat, grammar.by_nt
     memo: dict = {}
 
     def of(nt: str, budget: float) -> list:
@@ -1028,7 +1028,7 @@ def reference_astar(grammar: Grammar, examples: Sequence[Assignment], query: Syn
     frontier = enumerator.Frontier(grammar, query)
     check = enumerator._compiled_check(frontier, examples)
     mc = min_completion_costs(grammar)
-    flat, by_nt = enumerator._flat_productions(grammar)
+    flat, by_nt = grammar.flat, grammar.by_nt
     costs = {nt: edge_cost(nt, grammar) for nt in grammar.productions}
     holes = [p.holes for p in flat]
     holes_mc = [sum(mc[h] for h in p.holes) for p in flat]

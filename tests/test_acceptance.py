@@ -29,12 +29,7 @@ from synthsel.bandit import (
     reward_time,
 )
 from synthsel.budget import ExponentialFit, allocate_one, build_schedule, fit_exponential
-from synthsel.enumerator import (
-    SearchStatus,
-    cegis_solve,
-    edge_cost,
-    min_completion_costs,
-)
+from synthsel.enumerator import SearchStatus, cegis_solve
 from synthsel.experiments import (
     build_outcome_matrix,
     experiment_config,
@@ -63,6 +58,7 @@ from synthsel.orchestrator import (
 )
 from synthsel.outcomes import DeploymentOutcome
 from synthsel.sygus import grammar_for_query, parse_define_fun, parse_query
+from synthsel.sygus.grammar import edge_cost, min_completion_costs
 from synthsel.verify import Verifier, check_candidate_internal, evaluate, substitute_solution
 
 from conftest import (

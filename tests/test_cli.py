@@ -307,6 +307,10 @@ def test_run_crash_writes_partial_report_and_exits_nonzero(tmp_path, monkeypatch
     ({"models": [{"name": ""}]}, "needs a name"),
     ({"models": [{"name": "enumerator"}]}, "cannot be named 'enumerator'"),
     ({"selector": "fixed:gpt-p4"}, "'gpt', which is not configured"),
+    ({"selector": "fixed:gpt-p3", "models": [{"name": "gpt", "styles": [1, 2]}]},
+     "solver 'gpt-p3', which is not configured"),
+    ({"selector": "fixed:enumerator", "include_enumerator": False},
+     "solver 'enumerator', which is not configured"),
 ])
 def test_config_that_cannot_mean_what_it_says_is_usage_error(
         command, config, needle, tmp_path, capsys):

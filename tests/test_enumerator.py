@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 import time
 from pathlib import Path
 
@@ -12,9 +13,7 @@ from synthsel.enumerator import (
     SearchStatus,
     astar_synthesize,
     cegis_solve,
-    edge_cost,
     initial_example,
-    min_completion_costs,
 )
 from synthsel.sygus import (
     App,
@@ -33,7 +32,7 @@ from synthsel.sygus import (
     subterms,
     substitute_solution,
 )
-from synthsel.sygus.grammar import Hole, Production
+from synthsel.sygus.grammar import Hole, Production, edge_cost, min_completion_costs
 from synthsel.sygus.parser import parse_term_text
 from synthsel.verify import EvaluationError, SearchConfig, Verifier, evaluate
 
@@ -112,16 +111,16 @@ def _brute_min_completion(grammar, nt, depth, _memo=None):
 
 def test_mc_matches_bruteforce_on_default_grammar(max3_query):
     g = grammar_for_query(max3_query)
-    mc = min_completion_costs(g)
-    for nt in g.productions:
-        assert mc[nt] == _brute_min_completion(g, nt, 3)
+    for mc in (min_completion_costs(g), g.min_costs):
+        for nt in g.productions:
+            assert mc[nt] == _brute_min_completion(g, nt, 3)
 
 
 def test_heuristic_admissible_on_random_grammars():
     rng = random.Random(2024)
     for _ in range(20):
         g = random_small_grammar(rng)
-        mc = min_completion_costs(g)
+        tables = (min_completion_costs(g), g.min_costs)
         # every partial reachable in <= 3 leftmost expansions
         frontier = [PartialProgram((), (g.start,), 0.0)]
         for _ in range(3):
@@ -137,10 +136,10 @@ def test_heuristic_admissible_on_random_grammars():
                         state.cost + edge_cost(nt, g)))
             frontier = nxt
             for state in frontier:
-                h = heuristic(state, g, mc)
                 true_min = sum(_brute_min_completion(g, nt, 8)
                                for nt in state.pending)
-                assert h <= true_min + 1e-9
+                for mc in tables:
+                    assert heuristic(state, g, mc) <= true_min + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +427,7 @@ def test_compiled_check_matches_reference_per_program():
     for _ in range(40):
         g, q, examples = _random_phase(rng)
         frontier = enumerator.Frontier(g, q)
-        flat, by_nt = frontier.flat, frontier.by_nt
+        flat, by_nt = g.flat, g.by_nt
         compiled = enumerator._compiled_check(frontier, examples)
         reference = enumerator._reference_check(frontier, examples)
         tails, last = [], None  # (tail cons, leaves of the last nonterminal)
@@ -474,7 +473,7 @@ def test_a_production_is_compiled_when_a_check_first_uses_it(max2_query, monkeyp
     frontier = enumerator.Frontier(g, max2_query)
     assert frontier.makers and not compiled
     check = enumerator._compiled_check(frontier, [{"v0": 1, "v1": 3}])
-    v0, plus = (frontier.flat.index(p) for p in frontier.flat
+    v0, plus = (g.flat.index(p) for p in g.flat
                 if print_term(p.template) in ("v0", "(+ I I)"))
     assert check(cons_choices([v0])) is None
     assert [print_term(t) for t in compiled] == ["v0"]
@@ -484,7 +483,7 @@ def test_a_production_is_compiled_when_a_check_first_uses_it(max2_query, monkeyp
     # a whole solve compiles each production it checks once
     compiled.clear()
     cegis_solve(max2_query, g, _deadline(60), Verifier())
-    assert len(compiled) == len(set(compiled)) < len(frontier.flat)
+    assert len(compiled) == len(set(compiled)) < len(g.flat)
 
 
 def test_a_production_that_fails_to_compile_sends_every_later_check_to_the_tree_walker(
@@ -965,7 +964,7 @@ def test_compiled_check_matches_reference_per_bitvector_program():
     q = _bv_query("(bvult (f x y) #x80)")
     g = grammar_for_query(q)
     frontier = enumerator.Frontier(g, q)
-    flat, by_nt = frontier.flat, frontier.by_nt
+    flat, by_nt = g.flat, g.by_nt
     decided = set()
     for _ in range(10):
         examples = [{"x": rng.randrange(256), "y": rng.randrange(256)}
@@ -1006,7 +1005,7 @@ def test_compiled_check_matches_reference_per_program_of_two_widths():
     g = grammar_for_query(q)
     rng = random.Random(11)
     frontier = enumerator.Frontier(g, q)
-    flat, by_nt = frontier.flat, frontier.by_nt
+    flat, by_nt = g.flat, g.by_nt
     decided = set()
     for _ in range(20):
         examples = [{"x": rng.randrange(1 << 8), "y": rng.randrange(1 << 16)}
@@ -1087,7 +1086,7 @@ def test_every_program_of_a_grammar_the_reader_accepts_is_well_sorted(monkeypatc
         built = []
 
         def check(choices):
-            term = enumerator._fold_choices(choices, frontier.arity, frontier.fills)
+            term = enumerator._fold_choices(choices, g.arity, frontier.fills)
             built.append(Candidate(fn.name, fn.params, fn.return_sort, term))
             return built[-1] if len(built) >= 500 else None
 
@@ -1248,3 +1247,23 @@ def test_a_solve_compiles_its_constraints_once_for_every_phase(max2_query, monke
     res = cegis_solve(max2_query, grammar_for_query(max2_query), _deadline(60), Verifier())
     assert res.status is SearchStatus.SOLVED and res.iterations >= 3
     assert len(compiled) == 1
+
+
+@pytest.mark.parametrize("query", ["max2", "bv"])
+def test_a_solve_computes_its_completion_costs_once(query, max2_query, monkeypatch):
+    # counted wherever a synthsel module binds the function, so a second
+    # fixpoint run through an import elsewhere counts too
+    q = max2_query if query == "max2" else _bv_query(f"(= (f x y) {_BV_TARGETS[0]})")
+    runs = []
+
+    def counting(grammar):
+        runs.append(grammar)
+        return min_completion_costs(grammar)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("synthsel")
+                and getattr(module, "min_completion_costs", None) is min_completion_costs):
+            monkeypatch.setattr(module, "min_completion_costs", counting)
+    res = cegis_solve(q, grammar_for_query(q), _deadline(60), Verifier())
+    assert res.status is SearchStatus.SOLVED
+    assert len(runs) == 1

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -12,6 +13,7 @@ from synthsel.sygus import (
     BoolLit,
     BVLit,
     Candidate,
+    Grammar,
     GrammarError,
     IntLit,
     Ite,
@@ -289,6 +291,22 @@ def test_default_grammar_lia_productions(max3_query):
     assert {"v0", "v1", "v2", "0", "1"} <= {s for s in labels_i if s}
     assert len(g.productions["I"]) == 9
     assert len(g.productions["B"]) == 6
+
+
+def test_a_built_grammar_is_immutable_and_owns_its_tables(max3_query):
+    g = grammar_for_query(max3_query)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.start = "B"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.productions = {}
+    assert g.flat == g.productions["I"] + g.productions["B"]
+    assert g.by_nt == {"I": tuple(range(9)), "B": tuple(range(9, 15))}
+    assert g.arity == tuple(len(p.holes) for p in g.flat)
+    assert g.min_costs == min_completion_costs(g)
+    # the derived tables take no part in equality or the repr
+    twin = Grammar(g.start, dict(g.sorts), dict(g.productions))
+    assert twin == g and repr(twin) == repr(g)
+    assert "min_costs" not in repr(g) and "flat" not in repr(g)
 
 
 def test_default_grammar_literal_pool():
